@@ -62,9 +62,12 @@ representable(const Capability &cap)
 }
 
 /** Rules 1+2 for a register-file capability (bounds only: register
- *  files legitimately hold e.g. execute-permission code caps). */
+ *  files legitimately hold e.g. execute-permission code caps).
+ *  @p where() names the slot, e.g. "tid 3 c5"; it runs only when a
+ *  violation is recorded, so a clean pass formats nothing. */
+template <typename Where>
 void
-checkRegCap(Report &r, const Process &proc, const char *where,
+checkRegCap(Report &r, const Process &proc, const Where &where,
             const Capability &cap, const Capability &root)
 {
     if (!cap.tag())
@@ -73,7 +76,7 @@ checkRegCap(Report &r, const Process &proc, const char *where,
     if (!representable(cap)) {
         r.violations.push_back(
             {"cap-representability",
-             fmt("pid %" PRIu64 " %s: %s", proc.pid(), where,
+             fmt("pid %" PRIu64 " %s: %s", proc.pid(), where().c_str(),
                  cap.toString().c_str())});
     }
     if (isSealer(cap))
@@ -82,63 +85,68 @@ checkRegCap(Report &r, const Process &proc, const char *where,
         r.violations.push_back(
             {"cap-containment",
              fmt("pid %" PRIu64 " %s: %s outside root %s", proc.pid(),
-                 where, cap.toString().c_str(),
+                 where().c_str(), cap.toString().c_str(),
                  root.toString().c_str())});
     }
 }
 
+/** Rules 1+2 for a register file; @p ctx() names it ("regs",
+ *  "tid 3"), formatted only on violation like checkRegCap's slot. */
+template <typename Ctx>
 void
-checkRegs(Report &r, const Process &proc, const char *ctx,
+checkRegs(Report &r, const Process &proc, const Ctx &ctx,
           const ThreadRegs &regs, const Capability &root)
 {
-    checkRegCap(r, proc, fmt("%s pcc", ctx).c_str(), regs.pcc, root);
-    checkRegCap(r, proc, fmt("%s ddc", ctx).c_str(), regs.ddc, root);
+    checkRegCap(r, proc, [&] { return ctx() + " pcc"; }, regs.pcc, root);
+    checkRegCap(r, proc, [&] { return ctx() + " ddc"; }, regs.ddc, root);
     for (unsigned i = 0; i < numCapRegs; ++i) {
-        checkRegCap(r, proc, fmt("%s c%u", ctx, i).c_str(), regs.c[i],
-                    root);
+        checkRegCap(r, proc, [&] { return ctx() + fmt(" c%u", i); },
+                    regs.c[i], root);
     }
 }
 
-/** Rules 1-3 for every tagged capability resident in @p proc's
- *  memory — including signal frames, which live on the stack. */
-void
-checkMemoryCaps(Report &r, const Process &proc)
+/** A constant slot name for checkRegs/checkRegCap. */
+auto
+named(const char *name)
 {
-    const AddressSpace &as = proc.as();
-    const Capability &root = as.rederivationRoot();
-    as.forEachTaggedCap([&](u64 va, const Capability &cap) {
-        ++r.capsChecked;
-        if (!representable(cap)) {
-            r.violations.push_back(
-                {"cap-representability",
-                 fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s",
-                     proc.pid(), va, cap.toString().c_str())});
-            return;
-        }
-        if (isSealer(cap))
-            return;
-        bool contained = cap.base() >= root.base() &&
-                         cap.top() <= root.top() &&
-                         (cap.perms() & ~root.perms()) == 0;
-        if (!contained) {
-            r.violations.push_back(
-                {"cap-containment",
-                 fmt("pid %" PRIu64 " mem @0x%" PRIx64
-                     ": %s outside root",
-                     proc.pid(), va, cap.toString().c_str())});
-            return;
-        }
-        if (cap.sealed())
-            return; // CBuildCap round-trips unsealed patterns only
-        auto rebuilt = Capability::build(root, cap.withoutTag());
-        if (!rebuilt.ok() || !(rebuilt.value() == cap)) {
-            r.violations.push_back(
-                {"cap-derivation",
-                 fmt("pid %" PRIu64 " mem @0x%" PRIx64
-                     ": %s not rederivable from root",
-                     proc.pid(), va, cap.toString().c_str())});
-        }
-    });
+    return [name] { return std::string(name); };
+}
+
+/** Rules 1-3 for one tagged capability resident in @p proc's memory —
+ *  including signal frames, which live on the stack. */
+void
+checkMemoryCap(Report &r, const Process &proc, const Capability &root,
+               u64 va, const Capability &cap)
+{
+    ++r.capsChecked;
+    if (!representable(cap)) {
+        r.violations.push_back(
+            {"cap-representability",
+             fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s", proc.pid(), va,
+                 cap.toString().c_str())});
+        return;
+    }
+    if (isSealer(cap))
+        return;
+    bool contained = cap.base() >= root.base() && cap.top() <= root.top() &&
+                     (cap.perms() & ~root.perms()) == 0;
+    if (!contained) {
+        r.violations.push_back(
+            {"cap-containment",
+             fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s outside root",
+                 proc.pid(), va, cap.toString().c_str())});
+        return;
+    }
+    if (cap.sealed())
+        return; // CBuildCap round-trips unsealed patterns only
+    auto rebuilt = Capability::build(root, cap.withoutTag());
+    if (!rebuilt.ok() || !(rebuilt.value() == cap)) {
+        r.violations.push_back(
+            {"cap-derivation",
+             fmt("pid %" PRIu64 " mem @0x%" PRIx64
+                 ": %s not rederivable from root",
+                 proc.pid(), va, cap.toString().c_str())});
+    }
 }
 
 } // namespace
@@ -172,41 +180,19 @@ Invariants::check(Kernel &kern)
 
         // Capability state: current register file, switched-out thread
         // contexts, and the startup capability slots (Figure 1).
-        checkRegs(r, proc, "regs", proc.regs(), root);
+        checkRegs(r, proc, named("regs"), proc.regs(), root);
         proc.forEachThread([&](const ThreadRecord &t) {
-            checkRegs(r, proc, fmt("tid %" PRIu64, t.tid).c_str(),
-                      t.saved, root);
-            checkRegCap(r, proc, fmt("tid %" PRIu64 " stack", t.tid).c_str(),
+            auto thread = [&] { return fmt("tid %" PRIu64, t.tid); };
+            checkRegs(r, proc, thread, t.saved, root);
+            checkRegCap(r, proc, [&] { return thread() + " stack"; },
                         t.stackCap, root);
         });
-        checkRegCap(r, proc, "stackCap", proc.stackCap, root);
-        checkRegCap(r, proc, "argvCap", proc.argvCap, root);
-        checkRegCap(r, proc, "envvCap", proc.envvCap, root);
-        checkRegCap(r, proc, "auxvCap", proc.auxvCap, root);
-        checkRegCap(r, proc, "trampolineCap", proc.trampolineCap, root);
-
-        checkMemoryCaps(r, proc);
-
-        // Page tables: frame ownership and swap references.
-        proc.as().forEachPte([&](const AddressSpace::PteView &pte) {
-            ++r.pagesChecked;
-            if (pte.frame && pte.swapped) {
-                r.violations.push_back(
-                    {"pte-resident-and-swapped",
-                     fmt("pid %" PRIu64 " va 0x%" PRIx64
-                         " holds both a frame and slot %" PRIu64,
-                         proc.pid(), pte.va, pte.swapSlot)});
-            }
-            if (pte.frame) {
-                FrameUse &u = frames[pte.frame];
-                ++u.pteUsers;
-                if (!pte.cow && !pte.shared)
-                    ++u.exclusiveUsers;
-                u.observedRefs = pte.frameRefs;
-            } else if (pte.swapped) {
-                ++slotRefs[pte.swapSlot];
-            }
-        });
+        checkRegCap(r, proc, named("stackCap"), proc.stackCap, root);
+        checkRegCap(r, proc, named("argvCap"), proc.argvCap, root);
+        checkRegCap(r, proc, named("envvCap"), proc.envvCap, root);
+        checkRegCap(r, proc, named("auxvCap"), proc.auxvCap, root);
+        checkRegCap(r, proc, named("trampolineCap"), proc.trampolineCap,
+                    root);
 
         // Rule 7: a revocation epoch that closed at this exact
         // quiescent point promises absence — no tagged capability into
@@ -216,58 +202,111 @@ Invariants::check(Kernel &kern)
         // alike): afterwards the guest may legitimately re-derive into
         // the (now reusable) ranges.
         const RevocationEpoch *ep = kern.findRevocationEpoch(proc.pid());
-        if (ep && !ep->open && ep->closeSeq != 0 &&
-            ep->closeSeq == kern.quiescentCount() &&
-            !ep->closedRanges.empty()) {
-            auto survivor = [&](const char *where, u64 at,
-                               const Capability &cap) {
-                if (!cap.tag() ||
-                    !capInSortedRanges(cap, ep->closedRanges))
-                    return;
-                r.violations.push_back(
-                    {"revoked-cap-survives",
-                     fmt("pid %" PRIu64 " %s @0x%" PRIx64
-                         ": %s survived closed epoch %" PRIu64,
-                         proc.pid(), where, at, cap.toString().c_str(),
-                         ep->id)});
-            };
-            proc.as().forEachTaggedCap(
-                [&](u64 va, const Capability &cap) {
-                    survivor("mem", va, cap);
-                });
-            proc.as().forEachPte([&](const AddressSpace::PteView &pte) {
-                if (!pte.swapped)
-                    return;
-                kern.swapDevice().forEachTaggedInSlot(
-                    pte.swapSlot,
-                    [&](u64 off, const Capability &pattern) {
-                        survivor("swap", pte.va + off, pattern);
-                    });
+        bool epochClosedNow = ep && !ep->open && ep->closeSeq != 0 &&
+                              ep->closeSeq == kern.quiescentCount() &&
+                              !ep->closedRanges.empty();
+        // Swap tag metadata keeps each tagged granule's pattern with the
+        // tag stripped, so it is checked as is; registers and startup
+        // slots may hold untagged values, which promise nothing.
+        auto survivorPattern = [&](std::vector<Violation> &out,
+                                   const char *where, u64 at,
+                                   const Capability &cap) {
+            if (!capInSortedRanges(cap, ep->closedRanges))
+                return;
+            out.push_back({"revoked-cap-survives",
+                           fmt("pid %" PRIu64 " %s @0x%" PRIx64
+                               ": %s survived closed epoch %" PRIu64,
+                               proc.pid(), where, at,
+                               cap.toString().c_str(), ep->id)});
+        };
+        auto survivor = [&](std::vector<Violation> &out, const char *where,
+                            u64 at, const Capability &cap) {
+            if (cap.tag())
+                survivorPattern(out, where, at, cap);
+        };
+
+        // One walk over the page table checks the memory capabilities
+        // (rules 1-3), the PTEs (frame ownership and swap references)
+        // and rule 7's memory and swap sweep.  Only entries with a
+        // frame or a slot can break a rule, so only those are visited.
+        // The report keeps the order of separate passes: memory
+        // capabilities, then PTE rules, then rule 7 over memory, swap,
+        // and registers.
+        std::vector<Violation> pteViolations;
+        std::vector<Violation> memSurvivors;
+        std::vector<Violation> swapSurvivors;
+        r.pagesChecked += proc.as().mappedPages();
+        proc.as().forEachPteWithCaps<AddressSpace::PteSet::Content>(
+            [&](const AddressSpace::PteView &pte) {
+                if (pte.frame && pte.swapped) {
+                    pteViolations.push_back(
+                        {"pte-resident-and-swapped",
+                         fmt("pid %" PRIu64 " va 0x%" PRIx64
+                             " holds both a frame and slot %" PRIu64,
+                             proc.pid(), pte.va, pte.swapSlot)});
+                }
+                if (pte.frame) {
+                    FrameUse &u = frames[pte.frame];
+                    ++u.pteUsers;
+                    if (!pte.cow && !pte.shared)
+                        ++u.exclusiveUsers;
+                    u.observedRefs = pte.frameRefs;
+                } else if (pte.swapped) {
+                    ++slotRefs[pte.swapSlot];
+                }
+                if (epochClosedNow && pte.swapped) {
+                    kern.swapDevice().forEachTaggedInSlot(
+                        pte.swapSlot,
+                        [&](u64 off, const Capability &pattern) {
+                            survivorPattern(swapSurvivors, "swap",
+                                            pte.va + off, pattern);
+                        });
+                }
+            },
+            [&](u64 va, const Capability &cap) {
+                checkMemoryCap(r, proc, root, va, cap);
+                if (epochClosedNow)
+                    survivor(memSurvivors, "mem", va, cap);
             });
+        for (std::vector<Violation> *list :
+             {&pteViolations, &memSurvivors, &swapSurvivors}) {
+            r.violations.insert(r.violations.end(),
+                                std::make_move_iterator(list->begin()),
+                                std::make_move_iterator(list->end()));
+        }
+
+        if (epochClosedNow) {
             auto sweepRegs = [&](const char *where,
                                  const ThreadRegs &regs) {
-                survivor(where, regs.pcc.address(), regs.pcc);
-                survivor(where, regs.ddc.address(), regs.ddc);
+                survivor(r.violations, where, regs.pcc.address(),
+                         regs.pcc);
+                survivor(r.violations, where, regs.ddc.address(),
+                         regs.ddc);
                 for (const Capability &c : regs.c)
-                    survivor(where, c.address(), c);
+                    survivor(r.violations, where, c.address(), c);
             };
             sweepRegs("regs", proc.regs());
             proc.forEachThread([&](const ThreadRecord &t) {
                 sweepRegs("thread-saved", t.saved);
-                survivor("thread-stack", t.stackCap.address(),
+                survivor(r.violations, "thread-stack", t.stackCap.address(),
                          t.stackCap);
             });
             for (const SigFrame *frame : proc.liveSigFrames)
                 sweepRegs("sigframe", frame->saved);
-            survivor("stackCap", proc.stackCap.address(), proc.stackCap);
-            survivor("argvCap", proc.argvCap.address(), proc.argvCap);
-            survivor("envvCap", proc.envvCap.address(), proc.envvCap);
-            survivor("auxvCap", proc.auxvCap.address(), proc.auxvCap);
-            survivor("trampolineCap", proc.trampolineCap.address(),
-                     proc.trampolineCap);
+            survivor(r.violations, "stackCap", proc.stackCap.address(),
+                     proc.stackCap);
+            survivor(r.violations, "argvCap", proc.argvCap.address(),
+                     proc.argvCap);
+            survivor(r.violations, "envvCap", proc.envvCap.address(),
+                     proc.envvCap);
+            survivor(r.violations, "auxvCap", proc.auxvCap.address(),
+                     proc.auxvCap);
+            survivor(r.violations, "trampolineCap",
+                     proc.trampolineCap.address(), proc.trampolineCap);
             kern.forEachKeventUdata(
                 proc.pid(), [&](const Capability &udata) {
-                    survivor("kevent-udata", udata.address(), udata);
+                    survivor(r.violations, "kevent-udata", udata.address(),
+                             udata);
                 });
         }
     });

@@ -1,15 +1,35 @@
 #include "machine/cache.h"
 
-#include <cassert>
+#include <stdexcept>
+#include <string>
 
 namespace cheri
 {
 
-Cache::Cache(u64 size_bytes, u32 ways, u64 line_bytes)
-    : lineBytes(line_bytes), numSets(size_bytes / (ways * line_bytes)),
-      ways(ways), sets(numSets * ways)
+namespace
 {
-    assert(numSets > 0);
+
+/** Set count of a geometry; a cache smaller than one set is a
+ *  configuration error, reported before anything divides by zero. */
+u64
+checkedSets(u64 size_bytes, u32 ways, u64 line_bytes)
+{
+    if (ways == 0 || line_bytes == 0 || size_bytes / line_bytes < ways) {
+        throw std::invalid_argument(
+            "cache geometry: " + std::to_string(size_bytes) + " bytes, " +
+            std::to_string(ways) + " ways of " + std::to_string(line_bytes) +
+            "-byte lines holds no complete set");
+    }
+    return size_bytes / (ways * line_bytes);
+}
+
+} // namespace
+
+Cache::Cache(u64 size_bytes, u32 ways, u64 line_bytes)
+    : lineBytes(line_bytes),
+      numSets(checkedSets(size_bytes, ways, line_bytes)), ways(ways),
+      sets(numSets * ways)
+{
 }
 
 bool

@@ -36,10 +36,10 @@ AddressSpace::~AddressSpace()
         l->detach();
     // Swapped-out pages hold device slots the frame destructors know
     // nothing about; release them or every execve/exit leaks swap.
-    for (auto &[va, pte] : pages) {
+    eachContentPte(*this, [&](u64, const Pte &pte) {
         if (pte.swapped)
             swap.discard(pte.swapSlot);
-    }
+    });
 }
 
 void
@@ -116,6 +116,15 @@ AddressSpace::markCapStore(Pte &pte, u64 page_va)
     }
 }
 
+void
+AddressSpace::clipContent(Region &to, const Region &from, u64 lo, u64 hi)
+{
+    u64 clo = std::max(from.contentLo, lo);
+    u64 chi = std::min(from.contentHi, hi);
+    to.contentLo = clo < chi ? clo - lo : 0;
+    to.contentHi = clo < chi ? chi - lo : 0;
+}
+
 u64
 AddressSpace::findFree(u64 hint, u64 len) const
 {
@@ -125,17 +134,17 @@ AddressSpace::findFree(u64 hint, u64 len) const
         start = userBase;
     while (start + len <= userTop) {
         // Find the first mapping ending after `start`.
-        auto it = mappings.upper_bound(start);
-        if (it != mappings.begin()) {
+        auto it = regions.upper_bound(start);
+        if (it != regions.begin()) {
             auto prev = std::prev(it);
-            if (prev->second.end() > start) {
-                start = pageRound(prev->second.end());
+            if (prev->second.map.end() > start) {
+                start = pageRound(prev->second.map.end());
                 continue;
             }
         }
-        if (it == mappings.end() || start + len <= it->second.start)
+        if (it == regions.end() || start + len <= it->second.map.start)
             return start;
-        start = pageRound(it->second.end());
+        start = pageRound(it->second.map.end());
     }
     return 0;
 }
@@ -162,7 +171,7 @@ AddressSpace::map(u64 addr, u64 len, u32 prot, MappingKind kind, bool fixed,
         // therefore cache conflict patterns) differ run to run.
         u64 jitter = 0;
         if (aslrSlide != 0) {
-            u64 h = (aslrSlide + mappings.size() + 1) *
+            u64 h = (aslrSlide + regions.size() + 1) *
                     0x9E3779B97F4A7C15ull;
             jitter = ((h >> 33) % 16) * pageSize;
         }
@@ -171,23 +180,20 @@ AddressSpace::map(u64 addr, u64 len, u32 prot, MappingKind kind, bool fixed,
             return 0;
         start += jitter;
     }
-    Mapping m;
-    m.start = start;
-    m.len = len;
-    m.prot = prot;
-    m.kind = kind;
-    m.shared = shared;
-    m.name = name;
-    mappings.emplace(start, m);
+    Region &r = regions[start];
+    r.map.start = start;
+    r.map.len = len;
+    r.map.prot = prot;
+    r.map.kind = kind;
+    r.map.shared = shared;
+    r.map.name = name;
     // PTEs are created eagerly (frameless) so protection is recorded per
     // page; the *frames* stay demand-zero, allocated by walk() on first
     // touch.
-    for (u64 va = start; va < start + len; va += pageSize) {
-        Pte pte;
-        pte.prot = prot;
-        pte.shared = shared;
-        pages[va] = std::move(pte);
-    }
+    Pte pte;
+    pte.prot = prot;
+    pte.shared = shared;
+    r.ptes.assign(len / pageSize, pte);
     return start;
 }
 
@@ -200,36 +206,42 @@ AddressSpace::unmap(u64 start, u64 len)
     // Shoot down cached translations before the frames are released.
     notifyInvalidateRange(start, len);
     bool any = false;
-    // Split or drop overlapping mapping records.
-    for (auto it = mappings.begin(); it != mappings.end();) {
-        Mapping m = it->second;
-        if (m.end() <= start || m.start >= end) {
-            ++it;
-            continue;
-        }
+    // Split or drop overlapping regions: the part below `start` keeps its
+    // node, the part at or above `end` moves to a new one.
+    auto it = regions.upper_bound(start);
+    if (it != regions.begin() && std::prev(it)->second.map.end() > start)
+        --it;
+    while (it != regions.end() && it->second.map.start < end) {
         any = true;
-        it = mappings.erase(it);
-        if (m.start < start) {
-            Mapping left = m;
-            left.len = start - m.start;
-            mappings.emplace(left.start, left);
-        }
-        if (m.end() > end) {
-            Mapping right = m;
-            right.start = end;
-            right.len = m.end() - end;
-            mappings.emplace(right.start, right);
-        }
-    }
-    for (u64 va = start; va < end; va += pageSize) {
-        auto it = pages.find(va);
-        if (it == pages.end())
-            continue;
+        Region &r = it->second;
+        u64 mstart = r.map.start;
+        u64 mend = r.map.end();
+        u64 lo = (std::max(start, mstart) - mstart) / pageSize;
+        u64 hi = (std::min(end, mend) - mstart) / pageSize;
         // A swapped-out page owns a device slot; munmap must release
         // it or the slot leaks for the lifetime of the system.
-        if (it->second.swapped)
-            swap.discard(it->second.swapSlot);
-        pages.erase(it);
+        for (u64 i = lo; i < hi; ++i) {
+            if (r.ptes[i].swapped)
+                swap.discard(r.ptes[i].swapSlot);
+        }
+        if (mend > end) {
+            Region right;
+            right.map = r.map;
+            right.map.start = end;
+            right.map.len = mend - end;
+            right.ptes.assign(std::make_move_iterator(r.ptes.begin() + hi),
+                              std::make_move_iterator(r.ptes.end()));
+            clipContent(right, r, hi, r.ptes.size());
+            regions.emplace_hint(std::next(it), end, std::move(right));
+        }
+        if (mstart < start) {
+            r.map.len = start - mstart;
+            r.ptes.erase(r.ptes.begin() + lo, r.ptes.end());
+            clipContent(r, r, 0, lo);
+            ++it;
+        } else {
+            it = regions.erase(it);
+        }
     }
     return any;
 }
@@ -239,41 +251,60 @@ AddressSpace::protect(u64 start, u64 len, u32 prot)
 {
     start = pageTrunc(start);
     len = pageRound(len);
+    u64 end = start + len;
     // mprotect is atomic: validate the whole range before touching any
     // PTE, so a hole mid-range leaves every page exactly as it was.
-    for (u64 va = start; va < start + len; va += pageSize) {
-        if (!pages.count(va))
+    for (u64 va = start; va < end;) {
+        const Region *r = findRegion(va);
+        if (!r)
             return false;
+        va = r->map.end();
     }
     // Cached translations embed the old protection; drop them first.
     notifyInvalidateRange(start, len);
-    for (u64 va = start; va < start + len; va += pageSize)
-        pages.find(va)->second.prot = prot;
-    for (auto &[mstart, m] : mappings) {
-        if (m.start >= start && m.end() <= start + len)
-            m.prot = prot;
+    for (auto it = regions.lower_bound(start);
+         it != regions.end() && it->second.map.start < end; ++it) {
+        // Mapping records change only when wholly covered; pages keep
+        // per-page protection either way.
+        if (it->second.map.end() <= end)
+            it->second.map.prot = prot;
+    }
+    for (u64 va = start; va < end;) {
+        Region &r = *findRegion(va);
+        u64 stop = std::min(end, r.map.end());
+        for (u64 i = (va - r.map.start) / pageSize;
+             i < (stop - r.map.start) / pageSize; ++i)
+            r.ptes[i].prot = prot;
+        va = stop;
     }
     return true;
+}
+
+const AddressSpace::Region *
+AddressSpace::findRegion(u64 va) const
+{
+    auto it = regions.upper_bound(va);
+    if (it == regions.begin())
+        return nullptr;
+    --it;
+    if (va < it->second.map.end())
+        return &it->second;
+    return nullptr;
 }
 
 const Mapping *
 AddressSpace::findMapping(u64 va) const
 {
-    auto it = mappings.upper_bound(va);
-    if (it == mappings.begin())
-        return nullptr;
-    --it;
-    if (va >= it->second.start && va < it->second.end())
-        return &it->second;
-    return nullptr;
+    const Region *r = findRegion(va);
+    return r ? &r->map : nullptr;
 }
 
 bool
 AddressSpace::rangeOccupied(u64 start, u64 len) const
 {
     u64 end = start + len;
-    for (const auto &[mstart, m] : mappings) {
-        if (m.start < end && m.end() > start)
+    for (const auto &[mstart, r] : regions) {
+        if (r.map.start < end && r.map.end() > start)
             return true;
     }
     return false;
@@ -283,8 +314,8 @@ void
 AddressSpace::forEachMapping(
     const std::function<void(const Mapping &)> &fn) const
 {
-    for (const auto &[start, m] : mappings)
-        fn(m);
+    for (const auto &[start, r] : regions)
+        fn(r.map);
 }
 
 u64
@@ -322,10 +353,10 @@ AddressSpace::walk(u64 va, bool for_write)
     walkFault = CapFault::PageFault;
     if (va < userBase || va >= userTop)
         return nullptr;
-    auto it = pages.find(pageTrunc(va));
-    if (it == pages.end())
+    Region *r = findRegion(va);
+    if (!r)
         return nullptr;
-    Pte &pte = it->second;
+    Pte &pte = r->ptes[(pageTrunc(va) - r->map.start) / pageSize];
     u32 need = for_write ? PROT_WRITE : PROT_READ;
     if (!(pte.prot & need))
         return nullptr;
@@ -333,7 +364,7 @@ AddressSpace::walk(u64 va, bool for_write)
     // reclaim hook.  That is safe: the pages being serviced here are
     // never evictable at hook time (frame still null, or use_count > 1
     // for a COW original), and reclaim only mutates Pte fields — it
-    // never inserts or erases page-table nodes.
+    // never maps or unmaps, so `r` and `pte` stay where they are.
     if (pte.swapped) {
         // Swap-in: restore bytes and rederive capabilities from this
         // principal's root.
@@ -359,14 +390,14 @@ AddressSpace::walk(u64 va, bool for_write)
             walkFault = CapFault::MemoryExhausted;
             return nullptr;
         }
+        r->noteContent((pageTrunc(va) - r->map.start) / pageSize);
         // File-backed mappings fill from the file; anonymous ones are
         // demand-zero.
-        const Mapping *m = findMapping(va);
-        if (m && m->backing) {
+        const Mapping &m = r->map;
+        if (m.backing) {
             std::array<u8, pageSize> buf{};
-            u64 file_off =
-                m->backingOffset + (pageTrunc(va) - m->start);
-            (*m->backing)(file_off, buf.data(), pageSize);
+            u64 file_off = m.backingOffset + (pageTrunc(va) - m.start);
+            (*m.backing)(file_off, buf.data(), pageSize);
             pte.frame->write(0, buf.data(), pageSize);
         }
     }
@@ -470,24 +501,19 @@ AddressSpace::forkCopy(u64 new_principal) const
 {
     auto child =
         std::make_unique<AddressSpace>(phys, swap, new_principal, fmt);
-    child->mappings = mappings;
-    for (const auto &[va, pte] : pages) {
-        Pte cp = pte;
-        if (!pte.shared && pte.frame) {
-            // Private resident pages become COW in the child; the parent
-            // side is marked by the caller via markCowForFork (we mutate
-            // through const_cast here because fork logically modifies
-            // both spaces).
-            cp.cow = true;
+    eachContentPte(*this, [&](u64, const Pte &pte) {
+        // Private resident pages become COW in both spaces (we mutate
+        // through const_cast here because fork logically modifies both
+        // spaces); the copy below carries the flag into the child.
+        if (!pte.shared && pte.frame)
             const_cast<Pte &>(pte).cow = true;
-        }
         // A swapped-out page's slot is now referenced by both spaces;
         // without the extra reference the first swap-in (or unmap/exit
         // discard) would free the sibling's only copy of the page.
         if (pte.swapped)
             swap.retain(pte.swapSlot);
-        child->pages[va] = cp;
-    }
+    });
+    child->regions = regions;
     // The parent's private pages just became COW: any cached writable
     // translation would let a store dodge the copy and corrupt the
     // child's view of the shared frame.
@@ -499,16 +525,14 @@ bool
 AddressSpace::setBacking(u64 start, u64 len, BackingReader reader,
                          BackingWriter writer, u64 file_offset)
 {
-    auto it = mappings.find(pageTrunc(start));
-    if (it == mappings.end() || it->second.len < len)
+    auto it = regions.find(pageTrunc(start));
+    if (it == regions.end() || it->second.map.len < len)
         return false;
-    it->second.backing =
-        std::make_shared<BackingReader>(std::move(reader));
-    if (writer) {
-        it->second.backingWriter =
-            std::make_shared<BackingWriter>(std::move(writer));
-    }
-    it->second.backingOffset = file_offset;
+    Mapping &m = it->second.map;
+    m.backing = std::make_shared<BackingReader>(std::move(reader));
+    if (writer)
+        m.backingWriter = std::make_shared<BackingWriter>(std::move(writer));
+    m.backingOffset = file_offset;
     return true;
 }
 
@@ -520,12 +544,11 @@ AddressSpace::syncResident(u64 start, u64 len)
         return 0;
     u64 synced = 0;
     for (u64 va = pageTrunc(start); va < start + len; va += pageSize) {
-        auto it = pages.find(va);
-        if (it == pages.end() || !it->second.frame)
+        const Pte *pte = findPte(va);
+        if (!pte || !pte->frame)
             continue;
         u64 file_off = m->backingOffset + (va - m->start);
-        (*m->backingWriter)(file_off,
-                            it->second.frame->bytes().data(), pageSize);
+        (*m->backingWriter)(file_off, pte->frame->bytes().data(), pageSize);
         ++synced;
     }
     return synced;
@@ -534,34 +557,37 @@ AddressSpace::syncResident(u64 start, u64 len)
 bool
 AddressSpace::installFrame(u64 va, FrameRef frame)
 {
-    auto it = pages.find(pageTrunc(va));
-    if (it == pages.end())
+    Region *r = findRegion(va);
+    if (!r)
         return false;
+    u64 idx = (pageTrunc(va) - r->map.start) / pageSize;
+    Pte *pte = &r->ptes[idx];
+    r->noteContent(idx);
     notifyInvalidatePage(pageTrunc(va));
     // The incoming shared frame replaces whatever backed the page; a
     // swapped-out original still owns a device slot that must go too.
-    if (it->second.swapped)
-        swap.discard(it->second.swapSlot);
-    it->second.frame = std::move(frame);
-    it->second.shared = true;
-    it->second.cow = false;
-    it->second.swapped = false;
+    if (pte->swapped)
+        swap.discard(pte->swapSlot);
+    pte->frame = std::move(frame);
+    pte->shared = true;
+    pte->cow = false;
+    pte->swapped = false;
     // The incoming frame may already carry capabilities stored through
     // another space's mapping, and future sibling stores are invisible
     // to this page table: conservatively (and permanently) cap-dirty.
     // markCapStore also queues the page when an epoch is open — a
     // frame attached mid-epoch must be scanned before the close.
-    markCapStore(it->second, pageTrunc(va));
+    markCapStore(*pte, pageTrunc(va));
     return true;
 }
 
 bool
 AddressSpace::swapOutPage(u64 va)
 {
-    auto it = pages.find(pageTrunc(va));
-    if (it == pages.end() || !it->second.frame || it->second.shared)
+    Pte *found = findPte(va);
+    if (!found || !found->frame || found->shared)
         return false;
-    Pte &pte = it->second;
+    Pte &pte = *found;
     if (pte.frame.use_count() > 1)
         return false; // still aliased by a COW sibling; keep resident
     u64 slot = swap.swapOut(*pte.frame);
@@ -582,10 +608,10 @@ AddressSpace::evictionOrder(u64 max_pages) const
     // Least-recently-used first; the walk clock is deterministic, and
     // VA breaks ties, so the order is reproducible across runs.
     std::vector<std::pair<u64, u64>> victims; // (lastUse, va)
-    for (const auto &[va, pte] : pages) {
+    eachContentPte(*this, [&](u64 va, const Pte &pte) {
         if (pte.frame && !pte.shared && pte.frame.use_count() == 1)
             victims.emplace_back(pte.lastUse, va);
-    }
+    });
     std::sort(victims.begin(), victims.end());
     if (victims.size() > max_pages)
         victims.resize(max_pages);
@@ -601,7 +627,7 @@ AddressSpace::swapOutResident(u64 max_pages)
 {
     u64 evicted = 0;
     for (u64 va : evictionOrder(max_pages)) {
-        Pte &pte = pages.find(va)->second;
+        Pte &pte = *findPte(va);
         u64 slot = swap.swapOut(*pte.frame);
         if (slot == SwapDevice::invalidSlot)
             break; // swap full: the caller escalates (OOM kill)
@@ -619,13 +645,12 @@ AddressSpace::releaseAll()
 {
     notifyInvalidateAll();
     u64 freed = 0;
-    for (auto &[va, pte] : pages) {
+    eachContentPte(*this, [&](u64, const Pte &pte) {
         if (pte.swapped)
             swap.discard(pte.swapSlot);
         freed += pte.frame != nullptr;
-    }
-    pages.clear();
-    mappings.clear();
+    });
+    regions.clear();
     return freed;
 }
 
@@ -633,8 +658,7 @@ u64
 AddressSpace::swappedPages() const
 {
     u64 n = 0;
-    for (const auto &[va, pte] : pages)
-        n += pte.swapped;
+    eachContentPte(*this, [&](u64, const Pte &pte) { n += pte.swapped; });
     return n;
 }
 
@@ -650,10 +674,9 @@ AddressSpace::revokeCapsMatching(
     // Direct (non-epoch) sweep: every content page, swap scans not
     // injectable, so this path keeps its historical cannot-fail
     // contract.  Proving pages clean along the way is free.
-    for (auto &[va, pte] : pages) {
-        (void)pte;
+    eachPte(*this, [&](u64 va, Pte &) {
         revoked += sweepPageImpl(va, 0, pred, false).revoked;
-    }
+    });
     return revoked;
 }
 
@@ -661,8 +684,7 @@ u64
 AddressSpace::contentPages() const
 {
     u64 n = 0;
-    for (const auto &[va, pte] : pages)
-        n += pte.frame != nullptr || pte.swapped;
+    eachContentPte(*this, [&](u64, const Pte &) { ++n; });
     return n;
 }
 
@@ -670,8 +692,7 @@ u64
 AddressSpace::capDirtyPageCount() const
 {
     u64 n = 0;
-    for (const auto &[va, pte] : pages)
-        n += pte.capDirty;
+    eachPte(*this, [&](u64, const Pte &pte) { n += pte.capDirty; });
     return n;
 }
 
@@ -679,12 +700,12 @@ std::vector<u64>
 AddressSpace::sweepWorklist(bool force_full) const
 {
     std::vector<u64> work;
-    for (const auto &[va, pte] : pages) {
+    eachPte(*this, [&](u64 va, const Pte &pte) {
         if (force_full ? (pte.frame != nullptr || pte.swapped)
                        : pte.capDirty) {
             work.push_back(va);
         }
-    }
+    });
     return work;
 }
 
@@ -694,13 +715,13 @@ AddressSpace::sweepPageImpl(
     const std::function<bool(const Capability &)> &pred, bool injectable)
 {
     PageSweep r;
-    auto it = pages.find(pageTrunc(va));
-    if (it == pages.end()) {
+    Pte *found = findPte(va);
+    if (!found) {
         // Unmapped since it was queued: nothing can survive there.
         r.provenClean = true;
         return r;
     }
-    Pte &pte = it->second;
+    Pte &pte = *found;
     if (pte.swapped) {
         // Swapped pages are scanned through their tag metadata without
         // paging them in; the device read is what can fail.
@@ -772,16 +793,16 @@ AddressSpace::sweepSharedPagesForClose(
     u64 epoch_id, const std::function<bool(const Capability &)> &pred)
 {
     SharedSweep total;
-    for (auto &[va, pte] : pages) {
-        if (!pte.shared || (!pte.frame && !pte.swapped))
-            continue;
+    eachContentPte(*this, [&](u64 va, const Pte &pte) {
+        if (!pte.shared)
+            return;
         // Non-injectable like the direct sweep: the close barrier must
         // not fail (shared pages are never swapped out anyway).
         PageSweep r = sweepPageImpl(va, epoch_id, pred, false);
         ++total.pages;
         total.granules += r.granules;
         total.revoked += r.revoked;
-    }
+    });
     return total;
 }
 
@@ -800,7 +821,7 @@ AddressSpace::beginSweepEpoch(u64 epoch_id, bool force_full)
     // Stamp the initial worklist so markCapStore knows these pages
     // already have a pending visit and need not be re-queued.
     for (u64 va : work)
-        pages.find(va)->second.queuedEpoch = epoch_id;
+        findPte(va)->queuedEpoch = epoch_id;
     return work;
 }
 
@@ -828,44 +849,21 @@ AddressSpace::revokeCapsInRange(u64 lo, u64 hi)
 }
 
 u64
-AddressSpace::residentPages() const
+AddressSpace::mappedPages() const
 {
     u64 n = 0;
-    for (const auto &[va, pte] : pages)
-        n += pte.frame != nullptr;
+    for (const auto &[start, r] : regions)
+        n += r.ptes.size();
     return n;
 }
 
-void
-AddressSpace::forEachPte(
-    const std::function<void(const PteView &)> &fn) const
+u64
+AddressSpace::residentPages() const
 {
-    for (const auto &[va, pte] : pages) {
-        PteView v;
-        v.va = va;
-        v.prot = pte.prot;
-        v.cow = pte.cow;
-        v.shared = pte.shared;
-        v.swapped = pte.swapped;
-        v.swapSlot = pte.swapped ? pte.swapSlot : 0;
-        v.capDirty = pte.capDirty;
-        v.sweptEpoch = pte.sweptEpoch;
-        v.frame = pte.frame.get();
-        v.frameRefs = pte.frame ? pte.frame.use_count() : 0;
-        fn(v);
-    }
-}
-
-void
-AddressSpace::forEachTaggedCap(
-    const std::function<void(u64, const Capability &)> &fn) const
-{
-    for (const auto &[va, pte] : pages) {
-        if (!pte.frame)
-            continue;
-        pte.frame->forEachTagged(
-            [&](u64 off, const Capability &cap) { fn(va + off, cap); });
-    }
+    u64 n = 0;
+    eachContentPte(*this,
+                   [&](u64, const Pte &pte) { n += pte.frame != nullptr; });
+    return n;
 }
 
 u64
@@ -884,10 +882,10 @@ u64
 AddressSpace::taggedGranules() const
 {
     u64 n = 0;
-    for (const auto &[va, pte] : pages) {
+    eachContentPte(*this, [&](u64, const Pte &pte) {
         if (pte.frame)
             n += pte.frame->taggedCount();
-    }
+    });
     return n;
 }
 

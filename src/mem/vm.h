@@ -20,10 +20,12 @@
 #ifndef CHERI_MEM_VM_H
 #define CHERI_MEM_VM_H
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cap/capability.h"
@@ -410,15 +412,47 @@ class AddressSpace
         long frameRefs = 0;
     };
 
+    /** Which entries a page-table visit hands over. */
+    enum class PteSet
+    {
+        All,
+        /** Entries holding a frame or a swap slot: the only ones that
+         *  name frames, slots or tagged capabilities. */
+        Content,
+    };
+
+    /**
+     * One VA-ascending pass over the page table without touching walk
+     * state: @p on_pte sees each entry's PteView, then @p on_cap sees
+     * that page's tagged capabilities as (va, cap), granule order.  The
+     * checking layer audits PTEs and memory capabilities in this one
+     * walk, over PteSet::Content (frameless, slotless entries carry
+     * nothing it checks).
+     */
+    template <PteSet Which = PteSet::All, typename OnPte, typename OnCap>
+    void forEachPteWithCaps(OnPte &&on_pte, OnCap &&on_cap) const;
+
     /** Visit every page-table entry without touching walk state. */
-    void forEachPte(const std::function<void(const PteView &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachPte(Fn &&fn) const
+    {
+        forEachPteWithCaps(fn, [](u64, const Capability &) {});
+    }
+
+    /** Visit every tagged capability resident in this space. */
+    template <typename Fn>
+    void
+    forEachTaggedCap(Fn &&fn) const
+    {
+        forEachPteWithCaps<PteSet::Content>([](const PteView &) {}, fn);
+    }
+
+    /** Page-table entries (mapped pages, resident or not). */
+    u64 mappedPages() const;
 
     /** Total tagged granules across resident pages (trace support). */
     u64 taggedGranules() const;
-
-    /** Visit every tagged capability resident in this space. */
-    void forEachTaggedCap(
-        const std::function<void(u64 va, const Capability &)> &fn) const;
 
     /**
      * Abstract-capability containment invariant (paper section 3:
@@ -453,18 +487,18 @@ class AddressSpace
     struct Pte
     {
         FrameRef frame;
+        u64 swapSlot = 0;
         u32 prot = PROT_NONE;
         bool cow = false;
         bool shared = false;
         bool swapped = false;
-        u64 swapSlot = 0;
-        /** Walk-clock stamp of the last touch; drives LRU eviction. */
-        u64 lastUse = 0;
         /** Sticky "may hold tagged capabilities" bit (PGA_CAPSTORE):
          *  set on every capability store, survives swap-out alongside
          *  the tag metadata, cleared only by a sweep that proves the
          *  page clean. */
         bool capDirty = false;
+        /** Walk-clock stamp of the last touch; drives LRU eviction. */
+        u64 lastUse = 0;
         /** Epoch id of the last sweep that scanned this page. */
         u64 sweptEpoch = 0;
         /** Epoch id this page is currently queued under.  A cap store
@@ -475,9 +509,94 @@ class AddressSpace
     };
 
     /**
+     * One mapping and its page-table entries: ptes[i] describes the page
+     * at map.start + i * pageSize.  Every mapped page has exactly one
+     * PTE, so the page table is the regions' arrays in VA order.
+     */
+    struct Region
+    {
+        Mapping map;
+        std::vector<Pte> ptes;
+        /**
+         * Index window [contentLo, contentHi) holding every PTE with a
+         * frame or a swap slot.  A PTE gains content only on first touch
+         * (walk), installFrame or restore — each calls noteContent — and
+         * keeps it until unmapped (swap-out and swap-in trade one for
+         * the other), so walks that look only at content scan just this
+         * window: a few pages of an 8 MiB stack, not all 2048.
+         */
+        u64 contentLo = 0;
+        u64 contentHi = 0;
+
+        void
+        noteContent(u64 idx)
+        {
+            if (contentLo == contentHi) {
+                contentLo = idx;
+                contentHi = idx + 1;
+            } else {
+                contentLo = std::min(contentLo, idx);
+                contentHi = std::max(contentHi, idx + 1);
+            }
+        }
+    };
+
+    /** Set @p to's content window to @p from's, restricted to PTE
+     *  indices [lo, hi) and rebased to @p lo (unmap splits). */
+    static void clipContent(Region &to, const Region &from, u64 lo,
+                            u64 hi);
+
+    /** Region containing @p va, or nullptr. */
+    const Region *findRegion(u64 va) const;
+    Region *
+    findRegion(u64 va)
+    {
+        return const_cast<Region *>(std::as_const(*this).findRegion(va));
+    }
+
+    /** PTE of the page containing @p va, or nullptr when unmapped. */
+    Pte *
+    findPte(u64 va)
+    {
+        Region *r = findRegion(va);
+        return r ? &r->ptes[(pageTrunc(va) - r->map.start) / pageSize]
+                 : nullptr;
+    }
+
+    /** Visit every PTE as (page va, pte), VA ascending. */
+    template <typename Self, typename Fn>
+    static void
+    eachPte(Self &self, Fn &&fn)
+    {
+        for (auto &[start, region] : self.regions) {
+            u64 va = start;
+            for (auto &pte : region.ptes) {
+                fn(va, pte);
+                va += pageSize;
+            }
+        }
+    }
+
+    /** Visit every PTE holding a frame or a swap slot, VA ascending. */
+    template <typename Self, typename Fn>
+    static void
+    eachContentPte(Self &self, Fn &&fn)
+    {
+        for (auto &[start, region] : self.regions) {
+            for (u64 i = region.contentLo; i < region.contentHi; ++i) {
+                auto &pte = region.ptes[i];
+                if (pte.frame || pte.swapped)
+                    fn(start + i * pageSize, pte);
+            }
+        }
+    }
+
+    /**
      * Resolve the page containing @p va for the given access, servicing
      * demand-zero, COW, and swap-in faults.  Returns nullptr when
-     * unmapped or protection denies the access.
+     * unmapped or protection denies the access.  The PTE pointer stays
+     * valid until the next map() or unmap() of this space: nothing else
+     * (reclaim included) reshapes the PTE arrays.
      */
     Pte *walk(u64 va, bool for_write);
 
@@ -508,8 +627,8 @@ class AddressSpace
     u64 aslrSlide = 0;
     compress::CapFormat fmt;
     Capability root;
-    std::map<u64, Mapping> mappings; // keyed by start
-    std::map<u64, Pte> pages;        // keyed by page va
+    /** Disjoint mappings keyed by start, each with its dense PTEs. */
+    std::map<u64, Region> regions;
     /** Deterministic logical clock, bumped per successful walk. */
     u64 useClock = 0;
     /** Cause of the most recent walk failure. */
@@ -521,6 +640,35 @@ class AddressSpace
     /** MemAccess objects caching translations of this space. */
     std::vector<MemAccess *> listeners;
 };
+
+template <AddressSpace::PteSet Which, typename OnPte, typename OnCap>
+void
+AddressSpace::forEachPteWithCaps(OnPte &&on_pte, OnCap &&on_cap) const
+{
+    auto visit = [&](u64 va, const Pte &pte) {
+        PteView v;
+        v.va = va;
+        v.prot = pte.prot;
+        v.cow = pte.cow;
+        v.shared = pte.shared;
+        v.swapped = pte.swapped;
+        v.swapSlot = pte.swapped ? pte.swapSlot : 0;
+        v.capDirty = pte.capDirty;
+        v.sweptEpoch = pte.sweptEpoch;
+        v.frame = pte.frame.get();
+        v.frameRefs = pte.frame ? pte.frame.use_count() : 0;
+        on_pte(v);
+        if (pte.frame) {
+            pte.frame->forEachTagged([&](u64 off, const Capability &cap) {
+                on_cap(va + off, cap);
+            });
+        }
+    };
+    if constexpr (Which == PteSet::Content)
+        eachContentPte(*this, visit);
+    else
+        eachPte(*this, visit);
+}
 
 } // namespace cheri
 

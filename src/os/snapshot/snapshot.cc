@@ -36,6 +36,10 @@ namespace
 /** Image magic: 8 bytes at offset 0. */
 constexpr char imageMagic[8] = {'C', 'H', 'R', 'I', 'I', 'M', 'G', '1'};
 
+/** Bytes of one saved page-table entry: va, frame id, prot, cow, shared,
+ *  swapped, slot, lastUse, capDirty, sweptEpoch, queuedEpoch. */
+constexpr u64 pageRecordBytes = 8 + 4 + 4 + 1 + 1 + 1 + 8 + 8 + 1 + 8 + 8;
+
 /** Section tags, in stream order. */
 enum SectionTag : u32
 {
@@ -153,7 +157,8 @@ class Reader
     getBytes(void *dst, u64 n)
     {
         need(n);
-        std::memcpy(dst, p, n);
+        if (n != 0)
+            std::memcpy(dst, p, n);
         p += n;
     }
     std::string
@@ -357,8 +362,9 @@ struct Access
                                          std::to_string(pid) +
                                          " is inside a signal handler "
                                          "(live signal frames)");
-            for (const auto &[start, m] : p->_as->mappings) {
+            for (const auto &[start, region] : p->_as->regions) {
                 (void)start;
+                const Mapping &m = region.map;
                 if (m.backing || m.backingWriter)
                     return refuse(error,
                                   "snapshot: process " +
@@ -379,10 +385,10 @@ struct Access
         };
         for (const auto &[pid, p] : kern.procs) {
             (void)pid;
-            for (const auto &[va, pte] : p->_as->pages) {
-                (void)va;
-                noteFrame(pte.frame);
-            }
+            AddressSpace::eachPte(
+                *p->_as, [&](u64, const AddressSpace::Pte &pte) {
+                    noteFrame(pte.frame);
+                });
         }
         for (const auto &[id, seg] : kern.shmSegments) {
             (void)id;
@@ -570,8 +576,11 @@ struct Access
             w.put64(as.redirtied.size());
             for (u64 va : as.redirtied)
                 w.put64(va);
-            w.put64(as.mappings.size());
-            for (const auto &[start, m] : as.mappings) {
+            w.put64(as.regions.size());
+            u64 nPages = 0;
+            for (const auto &[start, region] : as.regions) {
+                const Mapping &m = region.map;
+                nPages += region.ptes.size();
                 w.put64(start);
                 w.put64(m.len);
                 w.put32(m.prot);
@@ -580,8 +589,9 @@ struct Access
                 w.putStr(m.name);
                 w.put64(m.backingOffset);
             }
-            w.put64(as.pages.size());
-            for (const auto &[va, pte] : as.pages) {
+            w.put64(nPages);
+            AddressSpace::eachPte(as, [&](u64 va,
+                                          const AddressSpace::Pte &pte) {
                 w.put64(va);
                 w.put32(pte.frame ? frameIds.at(pte.frame.get()) : 0);
                 w.put32(pte.prot);
@@ -593,7 +603,7 @@ struct Access
                 w.putBool(pte.capDirty);
                 w.put64(pte.sweptEpoch);
                 w.put64(pte.queuedEpoch);
-            }
+            });
 
             putRegs(w, p->_regs);
 
@@ -1386,6 +1396,8 @@ struct Access
                 for (u64 k = 0; k < nRedirty; ++k)
                     as->redirtied.push_back(r.get64());
                 u64 nMaps = r.getCount();
+                u64 mappedEnd = 0;
+                u64 mappedPages = 0;
                 for (u64 k = 0; k < nMaps; ++k) {
                     Mapping m;
                     m.start = r.get64();
@@ -1396,15 +1408,42 @@ struct Access
                     m.shared = r.getBool();
                     m.name = r.getStr();
                     m.backingOffset = r.get64();
-                    as->mappings[m.start] = std::move(m);
+                    // Mappings are saved VA-ascending, page-aligned and
+                    // disjoint; each region's PTE array spans it exactly.
+                    // Every mapped page needs its own page record later
+                    // in the image, which bounds the arrays allocated.
+                    if (m.len == 0 || ((m.start | m.len) & pageMask) != 0 ||
+                        m.start < mappedEnd ||
+                        m.len > AddressSpace::userTop - m.start)
+                        throw ParseError("corrupt mapping bounds");
+                    mappedEnd = m.end();
+                    mappedPages += m.len / pageSize;
+                    if (mappedPages > r.remaining() / pageRecordBytes)
+                        throw ParseError("corrupt mapping bounds");
+                    AddressSpace::Region &region = as->regions[m.start];
+                    region.ptes.resize(m.len / pageSize);
+                    region.map = std::move(m);
                 }
+                // Every mapped page has exactly one record, VA-ascending
+                // as saved: an unmapped, duplicated or missing page would
+                // leave a PTE the page table cannot hold.
                 u64 nPages = r.getCount();
+                u64 prevVa = 0;
                 for (u64 k = 0; k < nPages; ++k) {
                     u64 va = r.get64();
+                    if (k != 0 && va <= prevVa)
+                        throw ParseError("duplicate or out-of-order page "
+                                         "record");
+                    prevVa = va;
+                    AddressSpace::Region *region = as->findRegion(va);
+                    if (!region || (va & pageMask) != 0)
+                        throw ParseError("page record outside every "
+                                         "mapping");
+                    u64 idx = (va - region->map.start) / pageSize;
                     u32 frameId = r.get32();
                     if (frameId > nFrames)
                         throw ParseError("corrupt frame id");
-                    AddressSpace::Pte pte;
+                    AddressSpace::Pte &pte = region->ptes[idx];
                     pte.frame = frameId ? frames[frameId] : nullptr;
                     pte.prot = r.get32();
                     pte.cow = r.getBool();
@@ -1415,8 +1454,12 @@ struct Access
                     pte.capDirty = r.getBool();
                     pte.sweptEpoch = r.get64();
                     pte.queuedEpoch = r.get64();
-                    as->pages[va] = std::move(pte);
+                    if (pte.frame || pte.swapped)
+                        region->noteContent(idx);
                 }
+                if (nPages != mappedPages)
+                    throw ParseError("mapping page count does not match "
+                                     "its page records");
 
                 auto proc = std::make_unique<Process>(
                     kern, pid, ppid, abi, name, std::move(as), feat);

@@ -140,5 +140,64 @@ TEST(DiffFuzzOracle, HandPlantedExtraSlotRefIsReported)
     sys.kern.swapDevice().discard(slot);
 }
 
+// The oracle builds each diagnostic only when it records a violation.
+// Pin the whole rendering — rule names, detail text and order — for
+// planted faults in a switched-out thread's register file, a startup
+// slot, a memory granule and the swap accounting.
+TEST(DiffFuzzOracle, ReportTextIsPinned)
+{
+    GuestSystem sys(Abi::CheriAbi);
+    GuestContext &ctx = *sys.ctx;
+    Process &proc = *sys.proc;
+    AddressSpace &as = proc.as();
+    // A data capability above userTop: tagged and representable, but
+    // outside every process's rederivation root.
+    Capability rogue = Capability::root()
+                           .setAddress(AddressSpace::userTop * 2)
+                           .setBounds(0x100)
+                           .value()
+                           .andPerms(PERM_GLOBAL | PERM_LOAD | PERM_STORE)
+                           .value();
+    ASSERT_GT(rogue.top(), as.rederivationRoot().top());
+
+    SysResult tid = sys.kern.sysThrNew(proc);
+    ASSERT_FALSE(tid.failed());
+    ThreadRecord *thread = proc.threadById(tid.value);
+    ASSERT_NE(thread, nullptr);
+    thread->saved.c[5] = rogue;
+    proc.argvCap = rogue;
+
+    GuestPtr buf = ctx.mmap(2 * pageSize);
+    ctx.store<u64>(buf, pageSize, 1);
+    ASSERT_FALSE(as.writeCap(buf.addr() + 0x20, rogue));
+    ASSERT_TRUE(as.swapOutPage(buf.addr() + pageSize));
+    u64 slot = ~u64{0};
+    sys.kern.swapDevice().forEachSlot(
+        [&](u64 id, u64) { slot = std::min(slot, id); });
+    ASSERT_NE(slot, ~u64{0});
+    sys.kern.swapDevice().retain(slot);
+
+    check::Report rep = check::Invariants::check(sys.kern);
+    // Clean up so teardown's slot accounting stays balanced.
+    sys.kern.swapDevice().discard(slot);
+    ASSERT_EQ(proc.pid(), 1u);
+    ASSERT_EQ(tid.value, 1u);
+    ASSERT_EQ(buf.addr(), 0x40105000u);
+    ASSERT_EQ(slot, 0u);
+    EXPECT_EQ(rep.toString(),
+              "cap-containment: pid 1 tid 1 c5: cap[t 0x20000000000-"
+              "0x20000000100 @0x20000000000 Grw-------] outside root "
+              "cap[t 0x0-0x10000000000 @0x10000 GrwxRWLsu-+vmmap]\n"
+              "cap-containment: pid 1 argvCap: cap[t 0x20000000000-"
+              "0x20000000100 @0x20000000000 Grw-------] outside root "
+              "cap[t 0x0-0x10000000000 @0x10000 GrwxRWLsu-+vmmap]\n"
+              "cap-containment: pid 1 mem @0x40105020: cap[t "
+              "0x20000000000-0x20000000100 @0x20000000000 Grw-------] "
+              "outside root\n"
+              "slot-refcount: slot 0: device refcount 2 but 1 PTEs "
+              "reference it\n");
+    EXPECT_EQ(rep.violations.size(), 4u);
+}
+
 } // namespace
 } // namespace cheri

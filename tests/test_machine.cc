@@ -5,6 +5,8 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "machine/cache.h"
 #include "machine/cost_model.h"
 #include "machine/regs.h"
@@ -45,6 +47,16 @@ TEST(Cache, CapacityWorkingSetFits)
     for (u64 a = 0; a < 32 * 1024; a += 64)
         c.access(a);
     EXPECT_EQ(c.misses(), misses_before) << "working set == capacity";
+}
+
+TEST(Cache, GeometryWithoutACompleteSetIsRejected)
+{
+    // Smaller than one set of ways, zero ways, zero-byte lines: each is
+    // a configuration error reported before any set arithmetic.
+    EXPECT_THROW(Cache(3 * 64, 4, 64), std::invalid_argument);
+    EXPECT_THROW(Cache(32 * 1024, 0, 64), std::invalid_argument);
+    EXPECT_THROW(Cache(32 * 1024, 4, 0), std::invalid_argument);
+    EXPECT_NO_THROW(Cache(4 * 64, 4, 64));
 }
 
 TEST(Hierarchy, L2CatchesL1Misses)

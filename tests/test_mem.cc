@@ -6,9 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <deque>
+#include <map>
+#include <random>
+#include <set>
+#include <vector>
+
 #include "mem/phys_mem.h"
 #include "mem/swap.h"
 #include "mem/vm.h"
+#include "rng_util.h"
 
 namespace cheri
 {
@@ -622,6 +629,284 @@ TEST_F(MemTest, ExhaustedDemandZeroRaisesMemoryExhausted)
     EXPECT_FALSE(as.readBytes(va, &got, 8).has_value());
     phys.setFaultInjector(nullptr);
 }
+
+// --- reference model for the page table --------------------------------
+//
+// A deliberately naive model of the page table: one std::map node per
+// page and a linear list of mappings.  Random map / unmap-hole /
+// mprotect / touch / fork / swap-out sequences run against both, and
+// after every step the AddressSpace's VA-ordered PTE walk and its
+// findMapping answers must equal the model's, and so must the
+// content-only visit and its tagged capabilities.  Frames and swap slots
+// are opaque handles: the model learns one when a page is (re)filled
+// or evicted and from then on requires it to stay with that page.
+
+struct ModelPte
+{
+    u32 prot = PROT_NONE;
+    bool cow = false;
+    bool swapped = false;
+    bool resident = false;
+    /** Learned frame; null until the page is observed resident. */
+    const Frame *frame = nullptr;
+    /** Learned swap slot; unknown until observed swapped. */
+    u64 slot = ~u64{0};
+};
+
+struct ModelMapping
+{
+    u64 len = 0;
+    u32 prot = PROT_NONE;
+};
+
+struct PageTableModel
+{
+    std::map<u64, ModelPte> pages;
+    std::map<u64, ModelMapping> mappings; // keyed by start
+    /** Granules holding a tagged capability. */
+    std::set<u64> tagged;
+
+    const std::pair<const u64, ModelMapping> *
+    find(u64 va) const
+    {
+        for (const auto &m : mappings) {
+            if (va >= m.first && va < m.first + m.second.len)
+                return &m;
+        }
+        return nullptr;
+    }
+
+    void
+    map(u64 start, u64 len, u32 prot)
+    {
+        mappings[start] = {len, prot};
+        for (u64 va = start; va < start + len; va += pageSize)
+            pages[va].prot = prot;
+    }
+
+    bool
+    unmap(u64 start, u64 len)
+    {
+        u64 end = start + len;
+        bool any = false;
+        std::map<u64, ModelMapping> kept;
+        for (const auto &[mstart, m] : mappings) {
+            u64 mend = mstart + m.len;
+            if (mend <= start || mstart >= end) {
+                kept[mstart] = m;
+                continue;
+            }
+            any = true;
+            if (mstart < start)
+                kept[mstart] = {start - mstart, m.prot};
+            if (mend > end)
+                kept[end] = {mend - end, m.prot};
+        }
+        mappings = kept;
+        for (u64 va = start; va < end; va += pageSize)
+            pages.erase(va);
+        tagged.erase(tagged.lower_bound(start), tagged.lower_bound(end));
+        return any;
+    }
+
+    bool
+    protect(u64 start, u64 len, u32 prot)
+    {
+        for (u64 va = start; va < start + len; va += pageSize) {
+            if (!pages.count(va))
+                return false;
+        }
+        for (u64 va = start; va < start + len; va += pageSize)
+            pages[va].prot = prot;
+        for (auto &[mstart, m] : mappings) {
+            if (mstart >= start && mstart + m.len <= start + len)
+                m.prot = prot;
+        }
+        return true;
+    }
+};
+
+/** Compare @p as against @p model; learn frames and slots the model
+ *  does not know yet. */
+void
+expectMatchesModel(const AddressSpace &as, PageTableModel &model)
+{
+    std::vector<AddressSpace::PteView> seen;
+    as.forEachPte(
+        [&](const AddressSpace::PteView &v) { seen.push_back(v); });
+    ASSERT_EQ(seen.size(), model.pages.size());
+    EXPECT_EQ(as.mappedPages(), model.pages.size());
+    // The content-only visit: exactly the resident or swapped pages,
+    // then each resident page's tagged granules.
+    std::vector<u64> content, wantContent, caps, wantCaps;
+    as.forEachPteWithCaps<AddressSpace::PteSet::Content>(
+        [&](const AddressSpace::PteView &v) { content.push_back(v.va); },
+        [&](u64 va, const Capability &) { caps.push_back(va); });
+    for (const auto &[va, m] : model.pages) {
+        if (m.resident || m.swapped)
+            wantContent.push_back(va);
+    }
+    for (u64 va : model.tagged) {
+        if (model.pages.at(pageTrunc(va)).resident)
+            wantCaps.push_back(va);
+    }
+    EXPECT_EQ(content, wantContent);
+    EXPECT_EQ(caps, wantCaps);
+    auto it = model.pages.begin();
+    for (const AddressSpace::PteView &v : seen) {
+        ModelPte &m = it->second;
+        SCOPED_TRACE(v.va);
+        ASSERT_EQ(v.va, it->first);
+        EXPECT_EQ(v.prot, m.prot);
+        EXPECT_EQ(v.cow, m.cow);
+        EXPECT_FALSE(v.shared);
+        EXPECT_EQ(v.swapped, m.swapped);
+        EXPECT_EQ(v.frame != nullptr, m.resident);
+        if (m.resident) {
+            if (m.frame) {
+                EXPECT_EQ(v.frame, m.frame);
+            }
+            m.frame = v.frame;
+        } else {
+            m.frame = nullptr;
+        }
+        if (m.swapped) {
+            if (m.slot != ~u64{0}) {
+                EXPECT_EQ(v.swapSlot, m.slot);
+            }
+            m.slot = v.swapSlot;
+        } else {
+            m.slot = ~u64{0};
+        }
+        ++it;
+    }
+    // findMapping: both edges of every mapping, the first byte past it,
+    // and the byte before it, against the model's linear search.
+    for (const auto &[start, m] : model.mappings) {
+        for (u64 va : {start - 1, start, start + m.len / 2,
+                       start + m.len - 1, start + m.len}) {
+            const Mapping *got = as.findMapping(va);
+            const auto *want = model.find(va);
+            ASSERT_EQ(got != nullptr, want != nullptr) << va;
+            if (got) {
+                EXPECT_EQ(got->start, want->first);
+                EXPECT_EQ(got->len, want->second.len);
+                EXPECT_EQ(got->prot, want->second.prot);
+            }
+        }
+    }
+    u64 n = 0;
+    as.forEachMapping([&](const Mapping &) { ++n; });
+    EXPECT_EQ(n, model.mappings.size());
+}
+
+class PageTableModelTest : public ::testing::TestWithParam<unsigned>
+{
+};
+
+TEST_P(PageTableModelTest, RandomOpsMatchNaiveModel)
+{
+    CHERI_TRACE_SEED(GetParam(), "CHERI_TEST_PAGETABLE_SEEDS");
+    std::mt19937_64 rng(GetParam());
+    auto pick = [&](u64 n) { return rng() % n; };
+    PhysMem phys;
+    SwapDevice swap;
+    AddressSpace as(phys, swap, 1);
+    PageTableModel model;
+    // Fork children hold COW references to the parent's frames until
+    // they are dropped (oldest first).
+    std::deque<std::unique_ptr<AddressSpace>> children;
+
+    auto randomMappedPage = [&]() -> u64 {
+        auto it = model.pages.begin();
+        std::advance(it, pick(model.pages.size()));
+        return it->first;
+    };
+    const u32 prots[] = {PROT_READ, PROT_READ | PROT_WRITE};
+
+    for (unsigned step = 0; step < 400; ++step) {
+        SCOPED_TRACE(step);
+        unsigned op = model.pages.empty() ? 0 : pick(8);
+        if (op == 0) {
+            u64 len = (1 + pick(8)) * pageSize;
+            u32 prot = prots[pick(2)];
+            u64 va = as.map(0, len, prot, MappingKind::Data);
+            ASSERT_NE(va, 0u);
+            for (u64 p = va; p < va + len; p += pageSize)
+                ASSERT_EQ(model.pages.count(p), 0u);
+            model.map(va, len, prot);
+        } else if (op == 1) {
+            // Fixed replacement over whatever sits there.
+            u64 va = randomMappedPage();
+            u64 len = (1 + pick(6)) * pageSize;
+            u32 prot = prots[pick(2)];
+            ASSERT_EQ(as.map(va, len, prot, MappingKind::Data, true, false,
+                             "", true),
+                      va);
+            model.unmap(va, len);
+            model.map(va, len, prot);
+        } else if (op == 2) {
+            // A hole that may start mid-mapping and run past its end.
+            u64 va = randomMappedPage();
+            u64 len = (1 + pick(6)) * pageSize;
+            EXPECT_EQ(as.unmap(va, len), model.unmap(va, len));
+        } else if (op == 3) {
+            // mprotect that may cross mapping boundaries and holes.
+            u64 va = randomMappedPage();
+            u64 len = (1 + pick(10)) * pageSize;
+            u32 prot = prots[pick(2)];
+            EXPECT_EQ(as.protect(va, len, prot),
+                      model.protect(va, len, prot));
+        } else if (op <= 5) {
+            // Touch one page: fills it, swaps it in, resolves COW.
+            u64 va = randomMappedPage();
+            ModelPte &m = model.pages[va];
+            u64 word = step;
+            if (m.prot & PROT_WRITE) {
+                ASSERT_FALSE(as.writeBytes(va + 8, &word, 8));
+                m.cow = false;
+                if (pick(2)) {
+                    Capability c = as.capForRange(va, pageSize, m.prot);
+                    ASSERT_FALSE(as.writeCap(va + 0x20, c));
+                    model.tagged.insert(va + 0x20);
+                }
+            } else {
+                ASSERT_FALSE(as.readBytes(va + 8, &word, 8));
+            }
+            // The page may have changed frames (fill, swap-in or COW
+            // copy): learn it afresh.
+            m.resident = true;
+            m.swapped = false;
+            m.frame = nullptr;
+        } else if (op == 6) {
+            children.push_back(as.forkCopy(2 + step));
+            for (auto &[va, m] : model.pages)
+                m.cow = m.cow || m.resident;
+            PageTableModel childModel = model;
+            expectMatchesModel(*children.back(), childModel);
+            if (children.size() > 2)
+                children.pop_front();
+        } else {
+            u64 max = 1 + pick(4);
+            std::vector<u64> order = as.evictionOrder(max);
+            EXPECT_EQ(as.swapOutResident(max), order.size());
+            for (u64 va : order) {
+                ModelPte &m = model.pages.at(va);
+                ASSERT_TRUE(m.resident);
+                m.resident = false;
+                m.swapped = true;
+                m.frame = nullptr;
+            }
+        }
+        expectMatchesModel(as, model);
+        if (::testing::Test::HasFatalFailure())
+            return;
+    }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Seeds, PageTableModelTest,
+    ::testing::ValuesIn(test::seedsFromEnv("CHERI_TEST_PAGETABLE_SEEDS", 4)));
 
 } // namespace
 } // namespace cheri

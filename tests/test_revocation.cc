@@ -11,6 +11,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+#include <vector>
+
 #include "check/invariants.h"
 #include "libc/revoke.h"
 #include "os/sys_invoke.h"
@@ -272,6 +276,7 @@ TEST_F(Revoke2Test, OracleChecksClosedEpochAbsence)
     GuestPtr victim = heap.malloc(64);
     GuestPtr table = heap.malloc(32);
     ctx().storePtr(table, 0, victim);
+    GuestPtr stash = ctx().mmap(2 * pageSize);
     // Issue revoke2 through dispatch: closeSeq lands on the oracle's
     // quiescent-point clock either way (the close is its own tick).
     GuestPtr rbuf = ctx().mmap(pageSize);
@@ -291,13 +296,32 @@ TEST_F(Revoke2Test, OracleChecksClosedEpochAbsence)
     // A sound close: the oracle's absence rule stays silent.
     check::Report ok = check::Invariants::check(kern());
     EXPECT_TRUE(ok.ok()) << ok.toString();
-    // Resurrect the stale capability into a register: the rule fires.
+    // Resurrect the stale capability into a register, a resident
+    // granule and a swapped-out page: the rule fires for each, memory
+    // first, then swap, then registers.
     proc().regs().c[9] = victim.cap;
+    ASSERT_FALSE(proc().as().writeCap(stash.addr(), victim.cap));
+    ASSERT_FALSE(proc().as().writeCap(stash.addr() + pageSize, victim.cap));
+    ASSERT_TRUE(proc().as().swapOutPage(stash.addr() + pageSize));
+    ASSERT_EQ(ep->closeSeq, kern().quiescentCount());
     check::Report bad = check::Invariants::check(kern());
-    bool found = false;
-    for (const check::Violation &v : bad.violations)
-        found = found || v.rule == "revoked-cap-survives";
-    EXPECT_TRUE(found) << bad.toString();
+    std::vector<std::string> where;
+    for (const check::Violation &v : bad.violations) {
+        if (v.rule == "revoked-cap-survives")
+            where.push_back(v.detail.substr(0, v.detail.find(':')));
+    }
+    auto at = [&](const char *kind, u64 va) {
+        char buf[64];
+        std::snprintf(buf, sizeof(buf), "pid %llu %s @0x%llx",
+                      static_cast<unsigned long long>(proc().pid()), kind,
+                      static_cast<unsigned long long>(va));
+        return std::string(buf);
+    };
+    EXPECT_EQ(where, (std::vector<std::string>{
+                         at("mem", stash.addr()),
+                         at("swap", stash.addr() + pageSize),
+                         at("regs", victim.cap.address())}))
+        << bad.toString();
 }
 
 /** Epoch id of the last sweep that scanned the page holding @p va

@@ -11,6 +11,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <vector>
 
 #include "check/invariants.h"
@@ -269,6 +270,94 @@ TEST(SnapshotTest, CorruptImageNeverAbortsHost)
     // The magic/header flips alone guarantee some rejections.
     EXPECT_GE(rejected, 1u);
     ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
+    expectOracleClean(kern2);
+    expectUsable(kern2);
+}
+
+/** Offset of the only occurrence of @p bytes in @p img. */
+size_t
+findUnique(const std::vector<u8> &img, const std::vector<u8> &bytes)
+{
+    auto at = std::search(img.begin(), img.end(), bytes.begin(), bytes.end());
+    EXPECT_NE(at, img.end());
+    EXPECT_EQ(std::search(at + 1, img.end(), bytes.begin(), bytes.end()),
+              img.end());
+    return static_cast<size_t>(at - img.begin());
+}
+
+std::vector<u8>
+le64(u64 v)
+{
+    std::vector<u8> out;
+    for (int i = 0; i < 8; ++i)
+        out.push_back(static_cast<u8>(v >> (8 * i)));
+    return out;
+}
+
+void
+put64At(std::vector<u8> &img, size_t off, u64 v)
+{
+    std::vector<u8> b = le64(v);
+    std::copy(b.begin(), b.end(), img.begin() + off);
+}
+
+// Restore rebuilds each mapping's page-table array from the page
+// records, so a record outside every mapping, a duplicated record, or
+// a mapping left with fewer records than pages is a corrupt image.
+TEST(SnapshotTest, PageRecordsMustTileTheirMappings)
+{
+    GuestSystem sys{Abi::Mips64};
+    // A lone three-page mapping at an address no other record names.
+    const u64 start = 0x7b5c3000;
+    ASSERT_EQ(sys.proc->as().map(start, 3 * pageSize,
+                                 PROT_READ | PROT_WRITE, MappingKind::Data,
+                                 true),
+              start);
+    for (u64 pg = 0; pg < 3; ++pg) {
+        u64 v = pg + 1;
+        ASSERT_FALSE(
+            sys.proc->as().writeBytes(start + pg * pageSize, &v, 8));
+    }
+    std::string err;
+    std::vector<u8> img = snap::save(sys.kern, &err);
+    ASSERT_FALSE(img.empty()) << err;
+
+    std::vector<u8> mapRecord = le64(start);
+    std::vector<u8> len = le64(3 * pageSize);
+    mapRecord.insert(mapRecord.end(), len.begin(), len.end());
+    size_t mapAt = findUnique(img, mapRecord);
+    size_t page2 = findUnique(img, le64(start + 2 * pageSize));
+    ASSERT_LE(mapAt + 16, img.size());
+    ASSERT_LE(page2 + 8, img.size());
+
+    struct Corruption
+    {
+        const char *what;
+        size_t off;
+        u64 value;
+        const char *error;
+    };
+    const Corruption cases[] = {
+        {"page outside every mapping", page2, start + 16 * pageSize,
+         "page record outside every mapping"},
+        {"duplicate page", page2, start + pageSize,
+         "duplicate or out-of-order page record"},
+        {"mapping longer than its records", mapAt + 8, 4 * pageSize,
+         "mapping page count does not match its page records"},
+    };
+    Kernel kern2;
+    for (const Corruption &c : cases) {
+        SCOPED_TRACE(c.what);
+        std::vector<u8> bad = img;
+        put64At(bad, c.off, c.value);
+        err.clear();
+        EXPECT_FALSE(snap::restore(kern2, bad, &err));
+        EXPECT_NE(err.find(c.error), std::string::npos) << err;
+    }
+    // The untouched image still restores, byte-stable, and the kernel
+    // the rejections reset accepts it.
+    ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
+    EXPECT_EQ(snap::save(kern2, &err), img);
     expectOracleClean(kern2);
     expectUsable(kern2);
 }

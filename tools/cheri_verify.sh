@@ -8,18 +8,20 @@ set -euo pipefail
 src_dir="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${CHERI_VERIFY_BUILD_DIR:-$src_dir/build-verify}"
 
-# Raw-assert lint: kernel and memory code must fail through the
-# structured panic path (CHERI_KASSERT -> flight-recorder capture +
-# snapshot + transactional reset), never through a host abort.  The
+# Raw-assert lint: kernel, memory, checking and machine-model code must
+# fail through a checked error (CHERI_KASSERT -> flight-recorder capture
+# + snapshot + transactional reset in the kernel layers, an exception or
+# a reported violation elsewhere), never through a host abort.  The
 # panic sink's own abort() fallback (src/os/panic.h) and compile-time
 # static_asserts are the only legitimate exceptions.
 if grep -rnE '(^|[^_[:alnum:]])(assert|abort)\(' \
         "$src_dir/src/os" "$src_dir/src/mem" \
+        "$src_dir/src/check" "$src_dir/src/machine" \
         --include='*.cc' --include='*.h' \
     | grep -v 'CHERI_KASSERT' | grep -v 'static_assert' \
     | grep -v 'src/os/panic\.h'; then
-    echo "cheri_verify: raw assert()/abort() in src/os or src/mem" \
-         "(use CHERI_KASSERT)" >&2
+    echo "cheri_verify: raw assert()/abort() in src/os, src/mem," \
+         "src/check or src/machine (use a checked error)" >&2
     exit 1
 fi
 
