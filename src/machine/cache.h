@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "cap/types.h"
+#include "machine/host_pool.h"
 
 namespace cheri
 {
@@ -63,7 +64,7 @@ class Cache
     u64 tick = 0;
     u64 _hits = 0;
     u64 _misses = 0;
-    std::vector<Way> sets; // numSets * ways
+    std::vector<Way, hostpool::Allocator<Way>> sets; // numSets * ways
 };
 
 /** Kinds of memory reference for the hierarchy. */

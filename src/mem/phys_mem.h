@@ -22,12 +22,14 @@
 
 #include <array>
 #include <bitset>
+#include <cstddef>
 #include <cstring>
 #include <functional>
 #include <memory>
 
 #include "cap/capability.h"
 #include "cap/types.h"
+#include "machine/host_pool.h"
 #include "mem/fault_inject.h"
 
 namespace cheri
@@ -57,6 +59,19 @@ class Frame
 {
   public:
     Frame() { data.fill(0); }
+
+    /** Frames come and go with every process: recycle their storage
+     *  (see machine/host_pool.h). */
+    static void *
+    operator new(std::size_t bytes)
+    {
+        return hostpool::alloc(bytes);
+    }
+    static void
+    operator delete(void *p, std::size_t bytes) noexcept
+    {
+        hostpool::release(p, bytes);
+    }
 
     /** Copy @p other including tags (used for COW and fork). */
     void copyFrom(const Frame &other);

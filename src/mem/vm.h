@@ -29,6 +29,7 @@
 #include <vector>
 
 #include "cap/capability.h"
+#include "machine/host_pool.h"
 #include "mem/phys_mem.h"
 #include "mem/swap.h"
 
@@ -516,7 +517,7 @@ class AddressSpace
     struct Region
     {
         Mapping map;
-        std::vector<Pte> ptes;
+        std::vector<Pte, hostpool::Allocator<Pte>> ptes;
         /**
          * Index window [contentLo, contentHi) holding every PTE with a
          * frame or a swap slot.  A PTE gains content only on first touch

@@ -5,10 +5,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstddef>
 #include <stdexcept>
+#include <vector>
 
 #include "machine/cache.h"
 #include "machine/cost_model.h"
+#include "machine/host_pool.h"
 #include "machine/regs.h"
 
 namespace cheri
@@ -178,6 +182,69 @@ TEST(Regs, StackAliasConventionalRegister)
     ThreadRegs regs;
     regs.stack() = Capability::root();
     EXPECT_EQ(regs.c[regStack], Capability::root());
+}
+
+// An odd size no other test allocates, so blocks the pool already
+// holds from earlier tests (cache arrays) cannot interfere.
+constexpr std::size_t poolTestBytes = hostpool::minBytes + 48;
+
+TEST(HostPool, ReleasedLargeBlockIsHandedOutAgain)
+{
+    void *p = hostpool::alloc(poolTestBytes);
+    hostpool::release(p, poolTestBytes);
+    void *q = hostpool::alloc(poolTestBytes);
+    EXPECT_EQ(q, p);
+    hostpool::release(q, poolTestBytes);
+}
+
+TEST(HostPool, BlocksAreReusedOnlyAtTheirOwnSize)
+{
+    void *p = hostpool::alloc(poolTestBytes);
+    hostpool::release(p, poolTestBytes);
+    // p is held by the pool, so neither a different size nor malloc
+    // can hand it out.
+    void *other = hostpool::alloc(poolTestBytes + 16);
+    EXPECT_NE(other, p);
+    EXPECT_EQ(hostpool::alloc(poolTestBytes), p);
+    hostpool::release(other, poolTestBytes + 16);
+    hostpool::release(p, poolTestBytes);
+}
+
+TEST(HostPool, HoldsAtMostMaxBytes)
+{
+    constexpr std::size_t n = hostpool::maxBytes / poolTestBytes + 2;
+    std::vector<void *> blocks;
+    for (std::size_t i = 0; i < n; ++i)
+        blocks.push_back(hostpool::alloc(poolTestBytes));
+    for (void *p : blocks)
+        hostpool::release(p, poolTestBytes);
+    // The pool kept a prefix of the released blocks, up to its cap
+    // (less what it already holds), and hands it back newest first.
+    void *first = hostpool::alloc(poolTestBytes);
+    auto at = std::find(blocks.begin(), blocks.end(), first);
+    ASSERT_NE(at, blocks.end());
+    std::size_t kept = static_cast<std::size_t>(at - blocks.begin()) + 1;
+    EXPECT_LE(kept * poolTestBytes, hostpool::maxBytes);
+    std::vector<void *> again{first};
+    for (std::size_t i = 1; i < kept; ++i) {
+        again.push_back(hostpool::alloc(poolTestBytes));
+        EXPECT_EQ(again.back(), blocks[kept - 1 - i]);
+    }
+    for (void *p : again)
+        hostpool::release(p, poolTestBytes);
+}
+
+TEST(HostPool, ReusedCacheStartsEmpty)
+{
+    {
+        Cache c(256 * 1024, 8);
+        for (u64 a = 0; a < 256 * 1024; a += 64)
+            c.access(a);
+    }
+    // Same geometry: the new cache's arrays are the old one's storage.
+    Cache c(256 * 1024, 8);
+    EXPECT_FALSE(c.access(0));
+    EXPECT_EQ(c.hits(), 0u);
 }
 
 /**
