@@ -170,8 +170,8 @@ runArm(bool nonblock)
     ArmResult r;
     r.steps = s.stats().stepsExecuted;
     r.fdBlocks = s.stats().blocksFd;
-    r.wakes = kern.fdIoStats().wakes;
-    r.eagain = kern.fdIoStats().eagainErrors;
+    r.wakes = kern.counters().fd.wakes;
+    r.eagain = kern.counters().fd.eagainErrors;
     r.completed =
         producer.cx->last.status == isa::InterpResult::Status::Halted &&
         consumer.cx->last.status == isa::InterpResult::Status::Halted;

@@ -101,10 +101,10 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
 
     u64 cycles0 = proc->cost().cycles();
     if (!std::strcmp(mode, "incremental")) {
-        u64 before = kern.revocationStats().pagesScanned;
+        u64 before = kern.counters().revocation.pagesScanned;
         SysResult res =
             kern.sysRevoke2(*proc, quarantine, REVOKE_INCREMENTAL);
-        u64 after = kern.revocationStats().pagesScanned;
+        u64 after = kern.counters().revocation.pagesScanned;
         r.maxSlicePages = after - before;
         r.slices = 1;
         // Poll-to-close: each call is one bounded slice, the shape a
@@ -113,7 +113,7 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
                r.slices < 4 * arena_pages + 64) {
             before = after;
             res = kern.sysRevoke2(*proc, {}, REVOKE_INCREMENTAL);
-            after = kern.revocationStats().pagesScanned;
+            after = kern.counters().revocation.pagesScanned;
             r.maxSlicePages = std::max(r.maxSlicePages, after - before);
             ++r.slices;
         }
@@ -127,10 +127,10 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
         r.closed = !res.failed();
         r.tagsRevoked = res.failed() ? 0 : res.value;
         r.slices = 1;
-        r.maxSlicePages = kern.revocationStats().pagesScanned;
+        r.maxSlicePages = kern.counters().revocation.pagesScanned;
     }
     r.cycles = proc->cost().cycles() - cycles0;
-    const Kernel::RevocationStats &st = kern.revocationStats();
+    const RevocationStats &st = kern.counters().revocation;
     r.pagesScanned = st.pagesScanned;
     r.pagesSkippedClean = st.pagesSkippedClean;
     r.granulesVisited = st.granulesVisited;

@@ -1,12 +1,12 @@
 #include "bodiag/suite.h"
 
-#include <cassert>
 #include <sstream>
 
 #include "guest/context.h"
 #include "libc/cstring.h"
 #include "libc/malloc.h"
 #include "libc/tls.h"
+#include "os/panic.h"
 #include "sanitizer/asan.h"
 
 namespace cheri::bodiag
@@ -79,8 +79,7 @@ struct CaseEnv
                                               : Abi::Mips64,
                           "bodiag");
         int err = kern.execve(*proc, prog, {"bodiag"}, {});
-        assert(err == E_OK);
-        (void)err;
+        CHERI_KASSERT(err == E_OK, "bodiag case image failed to exec");
         ctx = std::make_unique<GuestContext>(kern, *proc);
         if (m == Mode::Asan)
             asan = std::make_unique<AsanRuntime>(*ctx);
@@ -272,7 +271,7 @@ generateSuite()
         add(Region::Global, AccessKind::Read, Technique::LoopIndex, s);
         add(Region::Heap, AccessKind::Write, Technique::LibcMemcpy, s);
     }
-    assert(suite.size() == 291 && "BOdiagsuite must have 291 cases");
+    CHERI_KASSERT(suite.size() == 291, "BOdiagsuite must have 291 cases");
     return suite;
 }
 
@@ -291,9 +290,10 @@ buildBuffer(CaseEnv &env, const BodiagCase &c)
     auto bound_cheri = [&](const Capability &region, u64 addr) {
         Capability cap = region.setAddress(addr);
         auto b = cap.setBounds(struct_size);
-        assert(b.ok());
+        CHERI_KASSERT(b.ok(), "case buffer bounds must be derivable");
         auto p = b.value().andPerms(permsData);
-        assert(p.ok());
+        CHERI_KASSERT(p.ok(), "narrowing a bounded buffer capability's "
+                              "permissions cannot fail");
         return GuestPtr(p.value());
     };
 

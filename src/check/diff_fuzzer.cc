@@ -1045,7 +1045,7 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
 
     // The oracle at every slice boundary: register files have just
     // been switched at an instruction boundary, so every whole-system
-    // invariant (including the metrics-sched mirror) must hold.
+    // invariant must hold.
     if (opts.checkEvery) {
         s.setSliceHook([&](Process &) {
             Report rep = Invariants::check(kern);

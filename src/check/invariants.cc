@@ -381,132 +381,20 @@ Invariants::check(Kernel &kern)
         FaultInjector &inj = kern.faultInjector();
         u64 corrupted = inj.injected(FaultPoint::TagBitFlip) +
                         inj.injected(FaultPoint::DataBitFlip);
-        if (kern.hardeningStats().machineChecks < corrupted) {
+        u64 mchecks = kern.counters().hardening.machineChecks;
+        if (mchecks < corrupted) {
             r.violations.push_back(
                 {"machine-check-containment",
                  fmt("%" PRIu64 " corruption injections but only "
                      "%" PRIu64 " machine checks: corruption escaped "
                      "detection",
-                     corrupted, kern.hardeningStats().machineChecks)});
+                     corrupted, mchecks)});
         }
     }
 
-    // Rule 7: the Metrics mirror must agree with the kernel's own
-    // accounting, and cause counters with the recorded fault log.
+    // Rule 7: the registry's per-cause fault counters agree with its
+    // recorded fault log.
     if (obs::Metrics *m = kern.metrics()) {
-        const obs::PressureCounters &mp = m->pressure();
-        const Kernel::MemPressureStats &kp = kern.memPressure();
-        if (mp.reclaimPasses != kp.reclaimPasses ||
-            mp.pagesReclaimed != kp.pagesReclaimed ||
-            mp.oomKills != kp.oomKills ||
-            mp.enomemErrors != kp.enomemErrors) {
-            r.violations.push_back(
-                {"metrics-pressure-mirror",
-                 fmt("metrics (%" PRIu64 "/%" PRIu64 "/%" PRIu64
-                     "/%" PRIu64 ") != kernel (%" PRIu64 "/%" PRIu64
-                     "/%" PRIu64 "/%" PRIu64 ")",
-                     mp.reclaimPasses, mp.pagesReclaimed, mp.oomKills,
-                     mp.enomemErrors, kp.reclaimPasses,
-                     kp.pagesReclaimed, kp.oomKills, kp.enomemErrors)});
-        }
-        const obs::RevocationCounters &mr = m->revocation();
-        const Kernel::RevocationStats &kr = kern.revocationStats();
-        if (mr.epochsOpened != kr.epochsOpened ||
-            mr.epochsClosed != kr.epochsClosed ||
-            mr.epochsAborted != kr.epochsAborted ||
-            mr.pagesScanned != kr.pagesScanned ||
-            mr.pagesSkippedClean != kr.pagesSkippedClean ||
-            mr.granulesVisited != kr.granulesVisited ||
-            mr.tagsRevoked != kr.tagsRevoked ||
-            mr.incrementalSlices != kr.incrementalSlices ||
-            mr.syncSweeps != kr.syncSweeps ||
-            mr.cyclesInEpochs != kr.cyclesInEpochs) {
-            r.violations.push_back(
-                {"metrics-revocation-mirror",
-                 fmt("metrics epochs %" PRIu64 "/%" PRIu64 "/%" PRIu64
-                     " pages %" PRIu64 " tags %" PRIu64
-                     " != kernel %" PRIu64 "/%" PRIu64 "/%" PRIu64
-                     " pages %" PRIu64 " tags %" PRIu64,
-                     mr.epochsOpened, mr.epochsClosed, mr.epochsAborted,
-                     mr.pagesScanned, mr.tagsRevoked, kr.epochsOpened,
-                     kr.epochsClosed, kr.epochsAborted, kr.pagesScanned,
-                     kr.tagsRevoked)});
-        }
-        // Scheduler counters: the metrics mirror is updated at exactly
-        // the same points as the scheduler's own SchedStats, so any
-        // drift means a counting path was missed.
-        if (const SchedStats *ks = kern.schedulerStats()) {
-            const obs::SchedCounters &ms = m->sched();
-            if (ms.contextSwitches != ks->contextSwitches ||
-                ms.preemptions != ks->preemptions ||
-                ms.slices != ks->slices ||
-                ms.blocksWait4 != ks->blocksWait4 ||
-                ms.blocksEvent != ks->blocksEvent ||
-                ms.blocksSleep != ks->blocksSleep ||
-                ms.blocksFd != ks->blocksFd ||
-                ms.wakes != ks->wakes ||
-                ms.maxRunQueueDepth != ks->maxRunQueueDepth ||
-                ms.idleAdvances != ks->idleAdvances ||
-                ms.stepsExecuted != ks->stepsExecuted) {
-                r.violations.push_back(
-                    {"metrics-sched-mirror",
-                     fmt("metrics switches %" PRIu64 " preempts %" PRIu64
-                         " slices %" PRIu64 " steps %" PRIu64
-                         " != scheduler %" PRIu64 "/%" PRIu64 "/%" PRIu64
-                         "/%" PRIu64,
-                         ms.contextSwitches, ms.preemptions, ms.slices,
-                         ms.stepsExecuted, ks->contextSwitches,
-                         ks->preemptions, ks->slices,
-                         ks->stepsExecuted)});
-            }
-        }
-        // Blocking FD I/O counters: mirrored at the same points as the
-        // kernel's FdIoStats (park, wake edge, E_AGAIN, EPIPE, partial
-        // write, select timeout).
-        {
-            const obs::FdCounters &mf = m->fd();
-            const Kernel::FdIoStats &kf = kern.fdIoStats();
-            if (mf.blocks != kf.blocks || mf.wakes != kf.wakes ||
-                mf.eagainErrors != kf.eagainErrors ||
-                mf.epipeErrors != kf.epipeErrors ||
-                mf.partialWrites != kf.partialWrites ||
-                mf.selectTimeouts != kf.selectTimeouts) {
-                r.violations.push_back(
-                    {"metrics-fd-mirror",
-                     fmt("metrics blocks %" PRIu64 " wakes %" PRIu64
-                         " eagain %" PRIu64 " epipe %" PRIu64
-                         " partial %" PRIu64 " timeouts %" PRIu64
-                         " != kernel %" PRIu64 "/%" PRIu64 "/%" PRIu64
-                         "/%" PRIu64 "/%" PRIu64 "/%" PRIu64,
-                         mf.blocks, mf.wakes, mf.eagainErrors,
-                         mf.epipeErrors, mf.partialWrites,
-                         mf.selectTimeouts, kf.blocks, kf.wakes,
-                         kf.eagainErrors, kf.epipeErrors,
-                         kf.partialWrites, kf.selectTimeouts)});
-            }
-        }
-        // Hardening counters: the panic / watchdog / machine-check
-        // paths bump the kernel stat and the metrics mirror at the
-        // same call sites; any drift means a path skipped one side.
-        {
-            const obs::HardeningCounters &mh = m->hardening();
-            const Kernel::HardeningStats &kh = kern.hardeningStats();
-            if (mh.panics != kh.panics ||
-                mh.deadlocksDetected != kh.deadlocksDetected ||
-                mh.deadlocksKilled != kh.deadlocksKilled ||
-                mh.machineChecks != kh.machineChecks) {
-                r.violations.push_back(
-                    {"metrics-hardening-mirror",
-                     fmt("metrics panics %" PRIu64 " deadlocks %" PRIu64
-                         "/%" PRIu64 " mchecks %" PRIu64
-                         " != kernel %" PRIu64 "/%" PRIu64 "/%" PRIu64
-                         "/%" PRIu64,
-                         mh.panics, mh.deadlocksDetected,
-                         mh.deadlocksKilled, mh.machineChecks, kh.panics,
-                         kh.deadlocksDetected, kh.deadlocksKilled,
-                         kh.machineChecks)});
-            }
-        }
         std::array<u64, numCapFaults> logged{};
         for (const obs::FaultRecord &f : m->faults())
             ++logged[static_cast<unsigned>(f.cause)];

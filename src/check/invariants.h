@@ -31,10 +31,10 @@
  *  5. Swap accounting: each occupied slot's refcount equals the number
  *     of PTEs naming it (no leaks, no dangling slot references), so
  *     device occupancy equals the page tables' swapped-page footprint.
- *  6. Metrics mirror: when a Metrics registry is attached, its
- *     memory-pressure and revocation counters equal the kernel's own,
- *     and per-cause fault counters are consistent with the recorded
- *     fault log.
+ *  6. Metrics fault log: when a Metrics registry is attached, its
+ *     per-cause fault counters dominate the recorded fault log.  (The
+ *     kernel counters have one owner, the kernel, which the registry
+ *     reads at emit time, so there is no second copy to cross-check.)
  *  7. Revocation completeness: when a revocation epoch closed at this
  *     exact quiescent point (closeSeq equals the quiescent clock), no
  *     tagged capability into its revoked ranges survives anywhere the

@@ -92,35 +92,37 @@ hashStats(Kernel &kern)
     fnv(h, kern.physMem().totalAllocated());
     fnv(h, kern.physMem().failedAllocs());
     fnv(h, kern.physMem().reclaimRequests());
-    const Kernel::MemPressureStats &mp = kern.memPressure();
+    const KernelCounters &k = kern.counters();
+    const MemPressureStats &mp = k.pressure;
     fnv(h, mp.reclaimPasses);
     fnv(h, mp.pagesReclaimed);
     fnv(h, mp.oomKills);
     fnv(h, mp.enomemErrors);
-    const Kernel::FdIoStats &fdio = kern.fdIoStats();
+    const FdIoStats &fdio = k.fd;
     fnv(h, fdio.blocks);
     fnv(h, fdio.wakes);
     fnv(h, fdio.eagainErrors);
     fnv(h, fdio.epipeErrors);
     fnv(h, fdio.partialWrites);
     fnv(h, fdio.selectTimeouts);
-    const Kernel::RevocationStats &rv = kern.revocationStats();
+    const RevocationStats &rv = k.revocation;
     fnv(h, rv.epochsOpened);
     fnv(h, rv.epochsClosed);
     fnv(h, rv.epochsAborted);
     fnv(h, rv.pagesScanned);
     fnv(h, rv.tagsRevoked);
-    const Kernel::HardeningStats &hd = kern.hardeningStats();
+    const HardeningStats &hd = k.hardening;
     fnv(h, hd.panics);
     fnv(h, hd.deadlocksDetected);
     fnv(h, hd.deadlocksKilled);
     fnv(h, hd.machineChecks);
-    if (const SchedStats *ss = kern.schedulerStats()) {
-        fnv(h, ss->contextSwitches);
-        fnv(h, ss->preemptions);
-        fnv(h, ss->slices);
-        fnv(h, ss->wakes);
-        fnv(h, ss->stepsExecuted);
+    if (kern.scheduler()) {
+        const SchedStats &ss = k.sched;
+        fnv(h, ss.contextSwitches);
+        fnv(h, ss.preemptions);
+        fnv(h, ss.slices);
+        fnv(h, ss.wakes);
+        fnv(h, ss.stepsExecuted);
     }
     return h;
 }

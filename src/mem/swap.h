@@ -205,7 +205,7 @@ class SwapDevice
     /** Slots released unread via discard(). */
     u64 totalDiscards() const { return discards; }
 
-    /** Zero the operation counters (kernel panic reset re-mirrors an
+    /** Zero the operation counters (kernel panic reset rebuilds an
      *  empty kernel); occupied slots are untouched. */
     void
     resetAccounting()

@@ -125,6 +125,23 @@ Metrics::derive(DeriveSource source, const Capability &cap)
 }
 
 void
+Metrics::attach(std::shared_ptr<const KernelCounters> counters)
+{
+    if (std::find(kernels.begin(), kernels.end(), counters) ==
+        kernels.end())
+        kernels.push_back(std::move(counters));
+}
+
+KernelCounters
+Metrics::kernelCounters() const
+{
+    KernelCounters sum;
+    for (const auto &k : kernels)
+        sum += *k;
+    return sum;
+}
+
+void
 Metrics::reset()
 {
     sys = {};
@@ -134,14 +151,10 @@ Metrics::reset()
     _faults.clear();
     faultsDropped = 0;
     faultsByCause = {};
-    mem = {};
-    rev = {};
-    schd = {};
-    fdio = {};
+    kernels.clear();
     _threadSteps.clear();
     chk = {};
     snp = {};
-    hard = {};
     costs.clear();
     deriveCounts = {};
     provenance.clear();
@@ -277,6 +290,13 @@ Metrics::toJson() const
         w.endObject();
     }
     w.endArray();
+
+    const KernelCounters k = kernelCounters();
+    const MemPressureStats &mem = k.pressure;
+    const RevocationStats &rev = k.revocation;
+    const SchedStats &schd = k.sched;
+    const FdIoStats &fdio = k.fd;
+    const HardeningStats &hard = k.hardening;
 
     // Memory-pressure counters (v3 schema addition).
     w.key("memory").beginObject();

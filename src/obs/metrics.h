@@ -15,7 +15,11 @@
  *  - an instruction-mix profiler fed by the interpreter (per-ABI
  *    opcode counts, exposing e.g. the capability-manipulation delta);
  *  - cost-model/cache snapshots from `machine/` (instructions, cycles,
- *    miss counts) labelled by workload.
+ *    miss counts) labelled by workload;
+ *  - a read-only view of the kernel counters (memory pressure, FD I/O,
+ *    revocation, scheduler, hardening): the kernel owns them, and the
+ *    registry sums the blocks of the kernels attached to it when it
+ *    emits.
  *
  * Consumers hold a nullable `Metrics *`; everything costs one branch
  * when disabled.  `toJson()`/`toCsv()` give benches and examples a
@@ -25,9 +29,9 @@
 #ifndef CHERI_OBS_METRICS_H
 #define CHERI_OBS_METRICS_H
 
-#include <algorithm>
 #include <array>
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -35,7 +39,7 @@
 #include "cap/fault.h"
 #include "machine/cost_model.h"
 #include "mem/access.h"
-#include "os/sched_iface.h"
+#include "os/counters.h"
 #include "os/sysnum.h"
 #include "trace/trace.h"
 
@@ -109,66 +113,6 @@ struct FaultRecord
     bool provenanceKnown = false;
 };
 
-/** Memory-pressure telemetry fed by the kernel's reclaim path. */
-struct PressureCounters
-{
-    u64 reclaimPasses = 0;  ///< reclaimFrames invocations
-    u64 pagesReclaimed = 0; ///< pages swapped out by reclaim passes
-    u64 oomKills = 0;       ///< processes killed for memory
-    u64 enomemErrors = 0;   ///< syscalls failed with ENOMEM
-};
-
-/** Revocation telemetry fed by the kernel's epoch machinery: the
- *  ablation axis is pagesScanned vs pagesSkippedClean (what cap-dirty
- *  tracking saves) and incrementalSlices (how the work is amortized). */
-struct RevocationCounters
-{
-    u64 epochsOpened = 0;
-    u64 epochsClosed = 0;
-    u64 epochsAborted = 0;   ///< torn down by exit/execve/OOM kill
-    u64 pagesScanned = 0;
-    u64 pagesSkippedClean = 0; ///< content pages skipped as cap-clean
-    u64 granulesVisited = 0;
-    u64 tagsRevoked = 0;
-    u64 incrementalSlices = 0;
-    u64 syncSweeps = 0;
-    u64 cyclesInEpochs = 0; ///< modelled cycles open-to-close
-};
-
-/** Scheduler telemetry fed by the execution engine (src/os/sched):
- *  field-for-field mirror of cheri::SchedStats, cross-checked by the
- *  oracle's metrics-sched-mirror rule, exported in the "sched" section
- *  of the v6 schema along with per-thread step counters and the
- *  decode-cache hit rate. */
-struct SchedCounters
-{
-    u64 contextSwitches = 0;
-    u64 preemptions = 0;
-    u64 slices = 0;
-    u64 blocksWait4 = 0;
-    u64 blocksEvent = 0;
-    u64 blocksSleep = 0;
-    u64 blocksFd = 0;
-    u64 wakes = 0;
-    u64 maxRunQueueDepth = 0;
-    u64 idleAdvances = 0;
-    u64 stepsExecuted = 0;
-};
-
-/** Blocking FD I/O telemetry fed by the kernel's pipe/pty/select
- *  paths: field-for-field mirror of cheri::Kernel::FdIoStats,
- *  cross-checked by the oracle's metrics-fd-mirror rule, exported in
- *  the "fd" section of the v7 schema. */
-struct FdCounters
-{
-    u64 blocks = 0;         ///< reads/writes/selects parked on a channel
-    u64 wakes = 0;          ///< contexts woken by channel edges
-    u64 eagainErrors = 0;   ///< would-block reported (O_NONBLOCK/hosted)
-    u64 epipeErrors = 0;    ///< writes that hit a broken pipe
-    u64 partialWrites = 0;  ///< writes short of len into a filling pipe
-    u64 selectTimeouts = 0; ///< selects that returned via the deadline
-};
-
 /** Snapshot/replay telemetry (src/os/snapshot + src/check/replay):
  *  checkpoint traffic and replay-oracle outcomes, exported in the
  *  "snapshot" section of the v8 schema. */
@@ -182,19 +126,6 @@ struct SnapshotCounters
     u64 replays = 0;           ///< replay-mode sessions finished
     u64 replayDivergences = 0; ///< ReplayOracle divergences reported
     u64 logEntries = 0;        ///< replay-log entries written or read
-};
-
-/** Kernel-hardening telemetry (structured panic, deadlock watchdog,
- *  machine-check degradation): field-for-field mirror of
- *  cheri::Kernel::HardeningStats, cross-checked by the oracle's
- *  metrics-hardening-mirror rule, exported in the "hardening" section
- *  of the v9 schema. */
-struct HardeningCounters
-{
-    u64 panics = 0;            ///< structured kernel panics captured
-    u64 deadlocksDetected = 0; ///< watchdog scans with a stuck set
-    u64 deadlocksKilled = 0;   ///< victims killed to break deadlocks
-    u64 machineChecks = 0;     ///< corruption degraded to MachineCheck
 };
 
 /** Checking-layer telemetry (src/check): oracle runs and fuzzer
@@ -285,128 +216,32 @@ class Metrics : public TraceSink
     }
     /// @}
 
-    /** @name Memory-pressure telemetry (fed by the kernel) */
+    /** @name Kernel counters (pulled, never copied)
+     * The kernel and its scheduler own their counters (os/counters.h);
+     * Kernel::setMetrics attaches the kernel's block here, and the
+     * "memory", "revocation", "sched", "fd" and "hardening" sections
+     * are read from the attached blocks when the registry emits.  One
+     * registry attached to several kernels reports their sum.
+     */
     /// @{
-    void
-    recordReclaim(u64 pages)
-    {
-        ++mem.reclaimPasses;
-        mem.pagesReclaimed += pages;
-    }
-    void recordOomKill() { ++mem.oomKills; }
-    void recordEnomem() { ++mem.enomemErrors; }
-    const PressureCounters &pressure() const { return mem; }
+    /** Read @p counters at emit time (a block attached twice counts
+     *  once). */
+    void attach(std::shared_ptr<const KernelCounters> counters);
+    /** Sum of every attached block (max for maxRunQueueDepth). */
+    KernelCounters kernelCounters() const;
     /// @}
 
-    /** @name Revocation telemetry (fed by the kernel's epoch machinery) */
+    /** @name Per-thread steps (fed by src/os/sched) */
     /// @{
-    void
-    recordRevokeEpochOpened(u64 skipped_clean)
-    {
-        ++rev.epochsOpened;
-        rev.pagesSkippedClean += skipped_clean;
-    }
-    void
-    recordRevokeSlice(u64 pages, u64 granules, u64 revoked,
-                      bool incremental)
-    {
-        rev.pagesScanned += pages;
-        rev.granulesVisited += granules;
-        rev.tagsRevoked += revoked;
-        if (incremental)
-            ++rev.incrementalSlices;
-    }
-    void
-    recordRevokeEpochClosed(u64 root_revoked, u64 cycles)
-    {
-        ++rev.epochsClosed;
-        rev.tagsRevoked += root_revoked;
-        rev.cyclesInEpochs += cycles;
-    }
-    void recordRevokeEpochAborted() { ++rev.epochsAborted; }
-    void recordRevokeSync() { ++rev.syncSweeps; }
-    const RevocationCounters &revocation() const { return rev; }
-    /// @}
-
-    /** @name Scheduler telemetry (fed by src/os/sched) */
-    /// @{
-    void recordSchedSwitch() { ++schd.contextSwitches; }
-    void recordSchedPreempt() { ++schd.preemptions; }
-    void
-    recordSchedSlice(u64 steps)
-    {
-        ++schd.slices;
-        schd.stepsExecuted += steps;
-    }
-    void
-    recordSchedBlock(BlockKind kind)
-    {
-        switch (kind) {
-          case BlockKind::Wait4:
-            ++schd.blocksWait4;
-            break;
-          case BlockKind::EventWait:
-            ++schd.blocksEvent;
-            break;
-          case BlockKind::Sleep:
-            ++schd.blocksSleep;
-            break;
-          case BlockKind::Fd:
-            ++schd.blocksFd;
-            break;
-          case BlockKind::None:
-            break;
-        }
-    }
-    void recordSchedWake() { ++schd.wakes; }
-    void recordSchedIdleAdvance() { ++schd.idleAdvances; }
-    void
-    noteRunQueueDepth(u64 depth)
-    {
-        schd.maxRunQueueDepth = std::max(schd.maxRunQueueDepth, depth);
-    }
     /** Accumulate retired steps against (pid, tid). */
     void recordThreadSteps(u64 pid, u64 tid, u64 steps)
     {
         if (steps)
             _threadSteps[{pid, tid}] += steps;
     }
-    const SchedCounters &sched() const { return schd; }
-    /// @}
-
-    /** @name Blocking FD I/O telemetry (fed by the kernel FD layer) */
-    /// @{
-    void recordFdBlock() { ++fdio.blocks; }
-    void recordFdWake(u64 n) { fdio.wakes += n; }
-    void recordFdEagain() { ++fdio.eagainErrors; }
-    void recordFdEpipe() { ++fdio.epipeErrors; }
-    void recordFdPartialWrite() { ++fdio.partialWrites; }
-    void recordFdSelectTimeout() { ++fdio.selectTimeouts; }
-    const FdCounters &fd() const { return fdio; }
     const std::map<std::pair<u64, u64>, u64> &threadSteps() const
     {
         return _threadSteps;
-    }
-    /// @}
-
-    /** @name Kernel-hardening telemetry (fed by the kernel's panic,
-     *  watchdog, and machine-check paths) */
-    /// @{
-    void recordKernelPanic() { ++hard.panics; }
-    void recordDeadlockDetected() { ++hard.deadlocksDetected; }
-    void recordDeadlockKill() { ++hard.deadlocksKilled; }
-    void recordMachineCheck() { ++hard.machineChecks; }
-    const HardeningCounters &hardening() const { return hard; }
-    /** Panic reset: reset() zeroed the registry to mirror the rebuilt
-     *  (empty) kernel, but the hardening counters deliberately survive
-     *  the kernel's transactional reset — re-seed them to match. */
-    void
-    seedHardening(u64 panics, u64 detected, u64 killed, u64 mchecks)
-    {
-        hard.panics = panics;
-        hard.deadlocksDetected = detected;
-        hard.deadlocksKilled = killed;
-        hard.machineChecks = mchecks;
     }
     /// @}
 
@@ -489,11 +324,14 @@ class Metrics : public TraceSink
     std::string toCsv() const;
     /// @}
 
+    /** Zero everything the registry owns and detach every kernel
+     *  block; a kernel that keeps reporting here re-attaches itself
+     *  (Kernel::setMetrics). */
     void reset();
 
   private:
-    /** Checkpoint/restore serializes the whole registry so a restored
-     *  system's metrics mirror matches the kernel counters it carries. */
+    /** Checkpoint/restore serializes the registry-owned state; the
+     *  kernel counters travel with the kernel. */
     friend struct snap::Access;
 
     static unsigned
@@ -512,15 +350,12 @@ class Metrics : public TraceSink
     std::vector<FaultRecord> _faults;
     u64 faultsDropped = 0;
     std::array<u64, numCapFaults> faultsByCause{};
-    PressureCounters mem;
-    RevocationCounters rev;
-    SchedCounters schd;
-    FdCounters fdio;
+    /** Counter blocks of the attached kernels. */
+    std::vector<std::shared_ptr<const KernelCounters>> kernels;
     /** Retired guest instructions per (pid, tid) under the scheduler. */
     std::map<std::pair<u64, u64>, u64> _threadSteps;
     CheckCounters chk;
     SnapshotCounters snp;
-    HardeningCounters hard;
     std::vector<CostSnapshot> costs;
     std::array<u64, numDeriveSources> deriveCounts{};
     /** (base, length) of tagged capabilities seen at derive sites. */

@@ -91,10 +91,8 @@ Kernel::reclaimFrames(u64 wanted, const void *requester)
             continue;
         freed += p->as().swapOutResident(wanted - freed);
     }
-    ++pressure.reclaimPasses;
-    pressure.pagesReclaimed += freed;
-    if (mx)
-        mx->recordReclaim(freed);
+    ++stats->pressure.reclaimPasses;
+    stats->pressure.pagesReclaimed += freed;
     if (freed >= wanted)
         return freed;
     // Eviction could not keep up (swap full, or everything left is
@@ -124,9 +122,8 @@ Kernel::reclaimFrames(u64 wanted, const void *requester)
 void
 Kernel::oomKill(Process &victim)
 {
-    ++pressure.oomKills;
+    ++stats->pressure.oomKills;
     if (mx) {
-        mx->recordOomKill();
         mx->recordFault(CapFault::MemoryExhausted,
                         victim.regs().pcc.address(), 0, nullptr,
                         victim.abi());
@@ -152,9 +149,7 @@ Kernel::oomKill(Process &victim)
 SysResult
 Kernel::failNoMem()
 {
-    ++pressure.enomemErrors;
-    if (mx)
-        mx->recordEnomem();
+    ++stats->pressure.enomemErrors;
     return SysResult::fail(E_NOMEM);
 }
 
@@ -177,6 +172,8 @@ void
 Kernel::setMetrics(obs::Metrics *m)
 {
     mx = m;
+    if (mx)
+        mx->attach(stats);
     for (auto &[pid, p] : procs) {
         p->mem().setCounterBlock(mx ? mx->tlbCounterBlock(p->abi())
                                     : nullptr);
@@ -621,6 +618,7 @@ Kernel::installScheduler(std::unique_ptr<SchedulerIface> s)
 {
     ownedSched = std::move(s);
     schedIface = ownedSched.get();
+    stats->sched = {};
 }
 
 void
@@ -637,9 +635,7 @@ Kernel::fireFdEdge(u64 chan)
     if (!woken)
         return;
     recorder.record(panic::EventKind::WakeEdge, chan, woken);
-    fdStats.wakes += woken;
-    if (mx)
-        mx->recordFdWake(woken);
+    stats->fd.wakes += woken;
 }
 
 void
@@ -733,9 +729,7 @@ Kernel::onKassert(const panic::KassertInfo &info)
                             (info.expr ? info.expr : "?")};
     }
     panicInProgress = true;
-    ++hardStats.panics;
-    if (mx)
-        mx->recordKernelPanic();
+    ++stats->hardening.panics;
     recorder.record(panic::EventKind::Panic,
                     static_cast<u64>(info.line), lastDispatchCode,
                     quiescentSeq);
@@ -773,7 +767,7 @@ Kernel::buildPanicReport(const panic::KassertInfo &info) const
     w.key("pid").value(lastDispatchPid);
     w.key("syscall").value(lastDispatchCode);
     w.key("quiescent_seq").value(quiescentSeq);
-    w.key("panics").value(hardStats.panics);
+    w.key("panics").value(stats->hardening.panics);
     w.key("events_recorded").value(recorder.eventsRecorded());
     w.key("ring");
     w.beginArray();
@@ -797,7 +791,6 @@ Kernel::panicReset()
     // Teardown must be immune to further kasserts: anything that fails
     // below has no second capture to corrupt.
     panicInProgress = true;
-    const HardeningStats kept = hardStats;
     // Scheduler contexts reference Process objects; retire them before
     // the process table goes.
     if (schedIface)
@@ -814,9 +807,11 @@ Kernel::panicReset()
     attached.clear();
     revEpochs.clear();
     eventCounts.clear();
-    pressure = {};
-    fdStats = {};
-    revStats = {};
+    // Every counter restarts except the hardening block, which
+    // deliberately survives the reset.
+    const HardeningStats kept = stats->hardening;
+    *stats = {};
+    stats->hardening = kept;
     nextEpochId = 0;
     quiescentSeq = 0;
     nextPid = 1;
@@ -833,13 +828,10 @@ Kernel::panicReset()
     fs = Vfs();
     initVfs();
     if (mx) {
-        // The registry now mirrors an empty kernel — except for the
-        // hardening counters, which deliberately survive the reset.
+        // The registry now reports this (empty) kernel alone.
         mx->reset();
-        mx->seedHardening(kept.panics, kept.deadlocksDetected,
-                          kept.deadlocksKilled, kept.machineChecks);
+        mx->attach(stats);
     }
-    hardStats = kept;
     // The flight recorder keeps rolling across the reset: its ring is
     // the postmortem trail of what led here.
     kernelReady = true;
@@ -849,9 +841,7 @@ Kernel::panicReset()
 void
 Kernel::noteMachineCheck(FaultPoint point, u64 addr)
 {
-    ++hardStats.machineChecks;
-    if (mx)
-        mx->recordMachineCheck();
+    ++stats->hardening.machineChecks;
     recorder.record(panic::EventKind::MachineCheck, addr,
                     static_cast<u64>(point));
 }
@@ -890,18 +880,14 @@ Kernel::fdWakerPids(u64 chan) const
 void
 Kernel::noteDeadlockDetected(u64 stuck_contexts)
 {
-    ++hardStats.deadlocksDetected;
-    if (mx)
-        mx->recordDeadlockDetected();
+    ++stats->hardening.deadlocksDetected;
     recorder.record(panic::EventKind::Watchdog, stuck_contexts, 0);
 }
 
 void
 Kernel::deadlockKill(Process &victim, const std::string &why)
 {
-    ++hardStats.deadlocksKilled;
-    if (mx)
-        mx->recordDeadlockKill();
+    ++stats->hardening.deadlocksKilled;
     recorder.record(panic::EventKind::Watchdog, 0, victim.pid());
     DeathInfo di;
     di.signal = SIG_KILL;

@@ -24,6 +24,7 @@
 #include <string>
 #include <vector>
 
+#include "os/counters.h"
 #include "os/panic.h"
 #include "os/process.h"
 #include "os/revocation.h"
@@ -173,74 +174,6 @@ class Kernel : private panic::Sink
     explicit Kernel(KernelConfig cfg = {});
     ~Kernel();
 
-    /** Memory-pressure accounting (mirrored into Metrics when one is
-     *  attached). */
-    struct MemPressureStats
-    {
-        u64 reclaimPasses = 0;
-        u64 pagesReclaimed = 0;
-        u64 oomKills = 0;
-        /** Syscall-level E_NOMEM failures caused by memory pressure. */
-        u64 enomemErrors = 0;
-    };
-
-    /** Blocking-FD-I/O accounting (mirrored into Metrics when one is
-     *  attached; schema v7 "fd" section). */
-    struct FdIoStats
-    {
-        /** Contexts parked by read/write/select would-block. */
-        u64 blocks = 0;
-        /** Contexts woken by an FD wake edge (data, space, close). */
-        u64 wakes = 0;
-        /** Would-block reported to the caller (O_NONBLOCK or no
-         *  scheduler context to park). */
-        u64 eagainErrors = 0;
-        /** Writes failed with EPIPE (reader side gone). */
-        u64 epipeErrors = 0;
-        /** Channel writes that transferred fewer bytes than asked
-         *  (caller loops; the next write blocks or E_AGAINs). */
-        u64 partialWrites = 0;
-        /** Blocked selects woken by their timeout, not readiness. */
-        u64 selectTimeouts = 0;
-    };
-
-    /** Revocation accounting (mirrored into Metrics when one is
-     *  attached). */
-    struct RevocationStats
-    {
-        u64 epochsOpened = 0;
-        u64 epochsClosed = 0;
-        /** Epochs torn down without closing (exit/execve/OOM kill). */
-        u64 epochsAborted = 0;
-        u64 pagesScanned = 0;
-        /** Content pages an epoch skipped because cap-clean. */
-        u64 pagesSkippedClean = 0;
-        u64 granulesVisited = 0;
-        u64 tagsRevoked = 0;
-        u64 incrementalSlices = 0;
-        u64 syncSweeps = 0;
-        /** Modelled cycles charged inside epochs (open to close). */
-        u64 cyclesInEpochs = 0;
-    };
-
-    /** Kernel-hardening accounting (mirrored into Metrics when one is
-     *  attached; schema v9 "hardening" section). */
-    struct HardeningStats
-    {
-        /** CHERI_KASSERT failures captured by the structured panic
-         *  path (snapshot + report + transactional reset, never a
-         *  host abort). */
-        u64 panics = 0;
-        /** Scheduler idle passes whose watchdog scan found a
-         *  non-empty stuck set (wait-for cycle or orphaned wait). */
-        u64 deadlocksDetected = 0;
-        /** Victims killed under DeadlockPolicy::Kill. */
-        u64 deadlocksKilled = 0;
-        /** Injected memory corruption events detected and degraded to
-         *  a guest-visible CapFault::MachineCheck. */
-        u64 machineChecks = 0;
-    };
-
     /** @name Subsystems */
     /// @{
     PhysMem &physMem() { return phys; }
@@ -248,10 +181,11 @@ class Kernel : private panic::Sink
     /** Deterministic failure injection for the frame-allocation,
      *  swap-out, and swap-in choke points. */
     FaultInjector &faultInjector() { return injector; }
-    const MemPressureStats &memPressure() const { return pressure; }
-    const FdIoStats &fdIoStats() const { return fdStats; }
-    const RevocationStats &revocationStats() const { return revStats; }
-    const HardeningStats &hardeningStats() const { return hardStats; }
+    /** The kernel's counters (os/counters.h): the only copy.  An
+     *  attached Metrics registry reads them when it emits. */
+    const KernelCounters &counters() const { return *stats; }
+    /** The installed scheduler counts into this block. */
+    SchedStats &schedStats() { return stats->sched; }
     /** The kernel-event flight recorder (syscalls, sched edges, fault
      *  decisions, watchdog verdicts, machine checks); its ring is
      *  dumped into every panic report. */
@@ -264,7 +198,9 @@ class Kernel : private panic::Sink
     TraceSink *trace() const { return traceSink; }
     /** Attach/detach the observability registry (nullable; costs one
      *  branch per syscall/fault when absent).  Also (re)wires every
-     *  live process's MemAccess TLB counter block. */
+     *  live process's MemAccess TLB counter block, and hands the
+     *  registry a shared reference to counters(), which it keeps
+     *  reading until its next reset(). */
     void setMetrics(obs::Metrics *m);
     obs::Metrics *metrics() const { return mx; }
     /// @}
@@ -366,15 +302,10 @@ class Kernel : private panic::Sink
      * forever.
      */
     /// @{
-    /** Install (replacing any previous) and take ownership. */
+    /** Install (replacing any previous) and take ownership.  The
+     *  scheduler counters restart from zero. */
     void installScheduler(std::unique_ptr<SchedulerIface> s);
     SchedulerIface *scheduler() const { return schedIface; }
-    /** Scheduler counters for the oracle's metrics-mirror rule
-     *  (nullptr when no scheduler is installed). */
-    const SchedStats *schedulerStats() const
-    {
-        return schedIface ? &schedIface->stats() : nullptr;
-    }
     /** Run the scheduler until the run queue is empty and no sleeper
      *  can be woken by advancing the virtual clock.  No-op without a
      *  scheduler installed.  A kernel panic unwinding out of the drain
@@ -412,9 +343,9 @@ class Kernel : private panic::Sink
      * Transactionally reset the kernel to its just-constructed state:
      * scheduler contexts retired, processes destroyed (frames and swap
      * slots returned), VFS/shm/kqueue/epoch tables rebuilt empty, and
-     * injector arms cleared.  Hardening counters and the captured
+     * injector arms cleared.  The hardening counters and the captured
      * panic report survive; an attached Metrics registry is reset and
-     * re-mirrored.
+     * re-attached to this kernel alone.
      */
     void panicReset();
     /** True when a panic has been captured (report + image valid). */
@@ -772,9 +703,10 @@ class Kernel : private panic::Sink
     PhysMem phys;
     SwapDevice swap;
     FaultInjector injector;
-    MemPressureStats pressure;
-    FdIoStats fdStats;
-    HardeningStats hardStats;
+    /** Shared with every Metrics registry this kernel was attached
+     *  to, so either side may be destroyed first. */
+    std::shared_ptr<KernelCounters> stats =
+        std::make_shared<KernelCounters>();
     panic::FlightRecorder recorder;
     /** Attribution for panic reports: the (pid, code) of the dispatch
      *  in flight (code ~0 = none). */
@@ -802,7 +734,6 @@ class Kernel : private panic::Sink
     std::vector<std::pair<u64, u64>> attached; // (debugger, target)
     std::vector<std::unique_ptr<RevocationScan>> revScans;
     std::map<u64, RevocationEpoch> revEpochs; // by pid
-    RevocationStats revStats;
     /** Kernel-global epoch id allocator (ids never reused). */
     u64 nextEpochId = 0;
     /** Quiescent-point clock (see quiescentCount()). */

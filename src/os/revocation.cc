@@ -188,10 +188,8 @@ Kernel::openEpoch(Process &proc, std::vector<std::pair<u64, u64>> ranges,
     // by an earlier epoch and never cap-stored since: the pages the
     // dirty-tracking pays for itself by skipping.
     u64 skipped = ep.forceFull ? 0 : content - work.size();
-    ++revStats.epochsOpened;
-    revStats.pagesSkippedClean += skipped;
-    if (mx)
-        mx->recordRevokeEpochOpened(skipped);
+    ++stats->revocation.epochsOpened;
+    stats->revocation.pagesSkippedClean += skipped;
     return SysResult::ok(0);
 }
 
@@ -231,13 +229,11 @@ Kernel::runRevocationSlice(Process &proc, RevocationEpoch &ep,
     for (u64 va : proc.as().takeRedirtiedPages())
         ep.worklist.push_back(va);
     ep.revoked += revoked;
-    revStats.pagesScanned += scanned;
-    revStats.granulesVisited += granules;
-    revStats.tagsRevoked += revoked;
+    stats->revocation.pagesScanned += scanned;
+    stats->revocation.granulesVisited += granules;
+    stats->revocation.tagsRevoked += revoked;
     if (ep.incremental)
-        ++revStats.incrementalSlices;
-    if (mx)
-        mx->recordRevokeSlice(scanned, granules, revoked, ep.incremental);
+        ++stats->revocation.incrementalSlices;
     if (ep.worklist.empty())
         closeRevocationEpoch(proc, ep);
     return scanned;
@@ -263,11 +259,9 @@ Kernel::closeRevocationEpoch(Process &proc, RevocationEpoch &ep)
     if (sh.granules != 0)
         proc.cost().alu(4 * sh.granules);
     ep.revoked += sh.revoked;
-    revStats.pagesScanned += sh.pages;
-    revStats.granulesVisited += sh.granules;
-    revStats.tagsRevoked += sh.revoked;
-    if (mx && sh.pages != 0)
-        mx->recordRevokeSlice(sh.pages, sh.granules, sh.revoked, false);
+    stats->revocation.pagesScanned += sh.pages;
+    stats->revocation.granulesVisited += sh.granules;
+    stats->revocation.tagsRevoked += sh.revoked;
 
     u64 root_revoked = 0;
     for (auto &scan : revScans) {
@@ -290,11 +284,9 @@ Kernel::closeRevocationEpoch(Process &proc, RevocationEpoch &ep)
     // path drove the epoch here.
     ep.closeSeq = ++quiescentSeq;
     u64 cycle_delta = proc.cost().cycles() - ep.cyclesAtOpen;
-    ++revStats.epochsClosed;
-    revStats.tagsRevoked += root_revoked;
-    revStats.cyclesInEpochs += cycle_delta;
-    if (mx)
-        mx->recordRevokeEpochClosed(root_revoked, cycle_delta);
+    ++stats->revocation.epochsClosed;
+    stats->revocation.tagsRevoked += root_revoked;
+    stats->revocation.cyclesInEpochs += cycle_delta;
 }
 
 SysResult
@@ -311,9 +303,7 @@ Kernel::driveEpochToClose(Process &proc, RevocationEpoch &ep)
             return SysResult::fail(E_INTR);
         }
     }
-    ++revStats.syncSweeps;
-    if (mx)
-        mx->recordRevokeSync();
+    ++stats->revocation.syncSweeps;
     return SysResult::ok(ep.revoked);
 }
 
@@ -338,9 +328,7 @@ Kernel::abortRevocationEpoch(Process &proc)
     ep.worklist.clear();
     // Deliberately no closedRanges/closeSeq update: this epoch proved
     // nothing, and the oracle must not treat its ranges as revoked.
-    ++revStats.epochsAborted;
-    if (mx)
-        mx->recordRevokeEpochAborted();
+    ++stats->revocation.epochsAborted;
 }
 
 SysResult

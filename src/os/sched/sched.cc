@@ -96,13 +96,10 @@ Scheduler::admit(Process &proc, u64 step_limit)
 void
 Scheduler::runHosted(Process &proc, std::function<void()> fn)
 {
-    obs::Metrics *mx = kern.metrics();
     if (running) {
         // A hosted body spawned another hosted body: run it inline as
         // a nested slice rather than deadlocking on the outer drain.
         ++st.slices;
-        if (mx)
-            mx->recordSchedSlice(0);
         fn();
         return;
     }
@@ -134,7 +131,6 @@ Scheduler::blockCurrent(Process &proc, BlockKind kind, u64 arg,
     cur->blockArg = kind == BlockKind::Sleep ? vclock + arg : arg;
     cur->restartOnWake = restart;
     cur->interp->requestYield();
-    obs::Metrics *mx = kern.metrics();
     switch (kind) {
       case BlockKind::Wait4:
         ++st.blocksWait4;
@@ -153,8 +149,6 @@ Scheduler::blockCurrent(Process &proc, BlockKind kind, u64 arg,
       case BlockKind::None:
         break;
     }
-    if (mx)
-        mx->recordSchedBlock(kind);
     kern.flightRecorder().record(panic::EventKind::SchedBlock, cur->pid,
                                  cur->tid, static_cast<u64>(kind));
     return true;
@@ -181,8 +175,6 @@ Scheduler::blockCurrentFd(Process &proc, const FdWait &wait)
     }
     cur->interp->requestYield();
     ++st.blocksFd;
-    if (obs::Metrics *mx = kern.metrics())
-        mx->recordSchedBlock(BlockKind::Fd);
     kern.flightRecorder().record(panic::EventKind::SchedBlock, cur->pid,
                                  cur->tid,
                                  static_cast<u64>(BlockKind::Fd));
@@ -239,8 +231,6 @@ Scheduler::wake(ExecContext &ctx)
     ctx.blockKind = BlockKind::None;
     runq.push_back(&ctx);
     ++st.wakes;
-    if (obs::Metrics *mx = kern.metrics())
-        mx->recordSchedWake();
 }
 
 void
@@ -399,11 +389,8 @@ Scheduler::sliceBudget(const ExecContext &ctx) const
 void
 Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
 {
-    obs::Metrics *mx = kern.metrics();
     if (lastRan && lastRan != &ctx) {
         ++st.contextSwitches;
-        if (mx)
-            mx->recordSchedSwitch();
         // Cross-process switches charge the cost model; same-process
         // thread switches are charged by switchThreadContext below.
         if (lastRan->pid != ctx.pid)
@@ -428,11 +415,10 @@ Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
             ctx.state = ExecContext::State::Done;
         ++st.slices;
         ++ctx.slices;
-        if ((mx = kern.metrics()))
-            mx->recordSchedSlice(0);
     } else {
         // The metrics registry may have been attached after this
         // context's interpreter was created: re-wire it each slice.
+        obs::Metrics *mx = kern.metrics();
         ctx.interp->setMetrics(mx);
         u64 budget = sliceBudget(ctx);
         u64 before = ctx.retired();
@@ -448,10 +434,8 @@ Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
         st.stepsExecuted += ran;
         ++st.slices;
         ++ctx.slices;
-        if (mx) {
-            mx->recordSchedSlice(ran);
+        if (mx)
             mx->recordThreadSteps(ctx.pid, ctx.tid, ran);
-        }
         ctx.last = r;
         switch (r.status) {
           case isa::InterpResult::Status::Halted:
@@ -482,8 +466,6 @@ Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
                     ctx.state = ExecContext::State::Done;
                 } else {
                     ++st.preemptions;
-                    if (mx)
-                        mx->recordSchedPreempt();
                     ctx.state = ExecContext::State::Runnable;
                     runq.push_back(&ctx);
                 }
@@ -538,7 +520,6 @@ Scheduler::runUntilIdle()
 void
 Scheduler::drainLoop()
 {
-    obs::Metrics *mx = nullptr;
     while (true) {
         // Wake sleepers whose virtual-clock deadline has passed, and
         // FD waiters whose select timeout expired (marked timed-out so
@@ -581,14 +562,10 @@ Scheduler::drainLoop()
             }
             vclock = std::max(vclock, earliest);
             ++st.idleAdvances;
-            if ((mx = kern.metrics()))
-                mx->recordSchedIdleAdvance();
             continue;
         }
         st.maxRunQueueDepth =
             std::max<u64>(st.maxRunQueueDepth, runq.size());
-        if ((mx = kern.metrics()))
-            mx->noteRunQueueDepth(runq.size());
         ExecContext *ctx = runq.front();
         runq.pop_front();
         if (ctx->state != ExecContext::State::Runnable)
@@ -608,14 +585,14 @@ Scheduler::resetForPanic()
     // Kernel-panic teardown: the object survives (panicReset runs
     // underneath our own drain), but every context goes.  The slice
     // hook survives too — the fuzzer's oracle stays attached across
-    // the reset.
+    // the reset.  The counters are the kernel's; panicReset zeroes
+    // them.
     ctxs.clear();
     hosted.clear();
     runq.clear();
     blocked.clear();
     current = nullptr;
     lastRan = nullptr;
-    st = {};
     vclock = 0;
 }
 

@@ -109,7 +109,9 @@ struct ExecContext
 class Scheduler final : public SchedulerIface
 {
   public:
-    explicit Scheduler(Kernel &kern) : kern(kern) {}
+    explicit Scheduler(Kernel &kern) : kern(kern), st(kern.schedStats())
+    {
+    }
 
     /**
      * Get-or-create the persistent context for @p proc's thread
@@ -162,8 +164,9 @@ class Scheduler final : public SchedulerIface
     void runUntilIdle() override;
     bool active() const override { return running; }
     void resetForPanic() override;
-    const SchedStats &stats() const override { return st; }
     /// @}
+
+    const SchedStats &stats() const { return st; }
 
   private:
     /** Checkpoint/restore rebuilds contexts and queues directly. */
@@ -203,7 +206,8 @@ class Scheduler final : public SchedulerIface
     ExecContext *lastRan = nullptr;
     bool running = false;
     u64 vclock = 0;
-    SchedStats st;
+    /** The kernel's scheduler counters (os/counters.h). */
+    SchedStats &st;
     std::function<void(Process &)> sliceHook;
 };
 

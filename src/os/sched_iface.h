@@ -7,8 +7,8 @@
  * link against (cheri_isa itself links cheri_os).  This header is the
  * seam: an abstract interface the kernel calls at its blocking and
  * lifecycle edges — wait4 wanting to sleep, a process dying, a fork or
- * thr_new needing admission — plus the counter block the invariant
- * oracle mirrors against Metrics (rule 6).
+ * thr_new needing admission.  The scheduler's counters live with the
+ * kernel's own (os/counters.h, Kernel::schedStats).
  *
  * Everything here is optional: a kernel with no scheduler installed
  * (schedIface == nullptr) behaves exactly as before — wait4 polls,
@@ -55,33 +55,6 @@ struct FdWait
     bool hasDeadline = false;
     /** Virtual-clock ticks from now (when hasDeadline). */
     u64 deadlineTicks = 0;
-};
-
-/**
- * Scheduler accounting, mirrored into obs::Metrics (schema v6) and
- * cross-checked by the invariant oracle's metrics-mirror rule.
- */
-struct SchedStats
-{
-    /** Slices that ran a different (pid, tid) than the previous one. */
-    u64 contextSwitches = 0;
-    /** Slices ended with the context still runnable: time-slice (step
-     *  budget) expiry or a directed yield (thr_switch). */
-    u64 preemptions = 0;
-    /** Total slices dispatched (interpreted and hosted). */
-    u64 slices = 0;
-    u64 blocksWait4 = 0;
-    u64 blocksEvent = 0;
-    u64 blocksSleep = 0;
-    /** FD blocks: pipe/pty read, write, and select parks. */
-    u64 blocksFd = 0;
-    /** Blocked contexts returned to the run queue. */
-    u64 wakes = 0;
-    u64 maxRunQueueDepth = 0;
-    /** Idle virtual-clock advances to the earliest sleep deadline. */
-    u64 idleAdvances = 0;
-    /** Guest instructions retired under the scheduler. */
-    u64 stepsExecuted = 0;
 };
 
 /**
@@ -178,8 +151,6 @@ class SchedulerIface
      * must survive the call and come back empty.
      */
     virtual void resetForPanic() {}
-
-    virtual const SchedStats &stats() const = 0;
 };
 
 } // namespace cheri

@@ -682,32 +682,33 @@ struct Access
 
         // ---- kernel scalars and tables ----
         w.put32(SEC_KERNEL);
-        w.put64(kern.pressure.reclaimPasses);
-        w.put64(kern.pressure.pagesReclaimed);
-        w.put64(kern.pressure.oomKills);
-        w.put64(kern.pressure.enomemErrors);
-        w.put64(kern.fdStats.blocks);
-        w.put64(kern.fdStats.wakes);
-        w.put64(kern.fdStats.eagainErrors);
-        w.put64(kern.fdStats.epipeErrors);
-        w.put64(kern.fdStats.partialWrites);
-        w.put64(kern.fdStats.selectTimeouts);
-        w.put64(kern.revStats.epochsOpened);
-        w.put64(kern.revStats.epochsClosed);
-        w.put64(kern.revStats.epochsAborted);
-        w.put64(kern.revStats.pagesScanned);
-        w.put64(kern.revStats.pagesSkippedClean);
-        w.put64(kern.revStats.granulesVisited);
-        w.put64(kern.revStats.tagsRevoked);
-        w.put64(kern.revStats.incrementalSlices);
-        w.put64(kern.revStats.syncSweeps);
-        w.put64(kern.revStats.cyclesInEpochs);
+        const KernelCounters &ctr = *kern.stats;
+        w.put64(ctr.pressure.reclaimPasses);
+        w.put64(ctr.pressure.pagesReclaimed);
+        w.put64(ctr.pressure.oomKills);
+        w.put64(ctr.pressure.enomemErrors);
+        w.put64(ctr.fd.blocks);
+        w.put64(ctr.fd.wakes);
+        w.put64(ctr.fd.eagainErrors);
+        w.put64(ctr.fd.epipeErrors);
+        w.put64(ctr.fd.partialWrites);
+        w.put64(ctr.fd.selectTimeouts);
+        w.put64(ctr.revocation.epochsOpened);
+        w.put64(ctr.revocation.epochsClosed);
+        w.put64(ctr.revocation.epochsAborted);
+        w.put64(ctr.revocation.pagesScanned);
+        w.put64(ctr.revocation.pagesSkippedClean);
+        w.put64(ctr.revocation.granulesVisited);
+        w.put64(ctr.revocation.tagsRevoked);
+        w.put64(ctr.revocation.incrementalSlices);
+        w.put64(ctr.revocation.syncSweeps);
+        w.put64(ctr.revocation.cyclesInEpochs);
         w.put64(kern.switches);
         w.put64(kern.quiescentSeq);
-        w.put64(kern.hardStats.panics);
-        w.put64(kern.hardStats.deadlocksDetected);
-        w.put64(kern.hardStats.deadlocksKilled);
-        w.put64(kern.hardStats.machineChecks);
+        w.put64(ctr.hardening.panics);
+        w.put64(ctr.hardening.deadlocksDetected);
+        w.put64(ctr.hardening.deadlocksKilled);
+        w.put64(ctr.hardening.machineChecks);
         w.put64(kern.nextEpochId);
         w.put64(kern.nextPid);
         w.put64(kern.nextPrincipal);
@@ -825,27 +826,6 @@ struct Access
         w.put64(m.faultsDropped);
         for (u64 v : m.faultsByCause)
             w.put64(v);
-        w.put64(m.mem.reclaimPasses);
-        w.put64(m.mem.pagesReclaimed);
-        w.put64(m.mem.oomKills);
-        w.put64(m.mem.enomemErrors);
-        w.put64(m.rev.epochsOpened);
-        w.put64(m.rev.epochsClosed);
-        w.put64(m.rev.epochsAborted);
-        w.put64(m.rev.pagesScanned);
-        w.put64(m.rev.pagesSkippedClean);
-        w.put64(m.rev.granulesVisited);
-        w.put64(m.rev.tagsRevoked);
-        w.put64(m.rev.incrementalSlices);
-        w.put64(m.rev.syncSweeps);
-        w.put64(m.rev.cyclesInEpochs);
-        putSchedCounters(w, m.schd);
-        w.put64(m.fdio.blocks);
-        w.put64(m.fdio.wakes);
-        w.put64(m.fdio.eagainErrors);
-        w.put64(m.fdio.epipeErrors);
-        w.put64(m.fdio.partialWrites);
-        w.put64(m.fdio.selectTimeouts);
         w.put64(m._threadSteps.size());
         for (const auto &[key, steps] : m._threadSteps) {
             w.put64(key.first);
@@ -864,10 +844,6 @@ struct Access
         w.put64(m.snp.replays);
         w.put64(m.snp.replayDivergences);
         w.put64(m.snp.logEntries);
-        w.put64(m.hard.panics);
-        w.put64(m.hard.deadlocksDetected);
-        w.put64(m.hard.deadlocksKilled);
-        w.put64(m.hard.machineChecks);
         w.put64(m.costs.size());
         for (const obs::CostSnapshot &c : m.costs) {
             w.putStr(c.label);
@@ -889,22 +865,6 @@ struct Access
             w.put8(static_cast<u8>(src));
         }
         w.put64(m.currentSys);
-    }
-
-    static void
-    putSchedCounters(Writer &w, const obs::SchedCounters &s)
-    {
-        w.put64(s.contextSwitches);
-        w.put64(s.preemptions);
-        w.put64(s.slices);
-        w.put64(s.blocksWait4);
-        w.put64(s.blocksEvent);
-        w.put64(s.blocksSleep);
-        w.put64(s.blocksFd);
-        w.put64(s.wakes);
-        w.put64(s.maxRunQueueDepth);
-        w.put64(s.idleAdvances);
-        w.put64(s.stepsExecuted);
     }
 
     static void
@@ -985,22 +945,6 @@ struct Access
     // ------------------------------------------------------------------
 
     static void
-    getSchedCounters(Reader &r, obs::SchedCounters &s)
-    {
-        s.contextSwitches = r.get64();
-        s.preemptions = r.get64();
-        s.slices = r.get64();
-        s.blocksWait4 = r.get64();
-        s.blocksEvent = r.get64();
-        s.blocksSleep = r.get64();
-        s.blocksFd = r.get64();
-        s.wakes = r.get64();
-        s.maxRunQueueDepth = r.get64();
-        s.idleAdvances = r.get64();
-        s.stepsExecuted = r.get64();
-    }
-
-    static void
     getMetrics(Reader &r, obs::Metrics &m)
     {
         for (auto &perAbi : m.sys) {
@@ -1034,27 +978,6 @@ struct Access
         m.faultsDropped = r.get64();
         for (u64 &v : m.faultsByCause)
             v = r.get64();
-        m.mem.reclaimPasses = r.get64();
-        m.mem.pagesReclaimed = r.get64();
-        m.mem.oomKills = r.get64();
-        m.mem.enomemErrors = r.get64();
-        m.rev.epochsOpened = r.get64();
-        m.rev.epochsClosed = r.get64();
-        m.rev.epochsAborted = r.get64();
-        m.rev.pagesScanned = r.get64();
-        m.rev.pagesSkippedClean = r.get64();
-        m.rev.granulesVisited = r.get64();
-        m.rev.tagsRevoked = r.get64();
-        m.rev.incrementalSlices = r.get64();
-        m.rev.syncSweeps = r.get64();
-        m.rev.cyclesInEpochs = r.get64();
-        getSchedCounters(r, m.schd);
-        m.fdio.blocks = r.get64();
-        m.fdio.wakes = r.get64();
-        m.fdio.eagainErrors = r.get64();
-        m.fdio.epipeErrors = r.get64();
-        m.fdio.partialWrites = r.get64();
-        m.fdio.selectTimeouts = r.get64();
         m._threadSteps.clear();
         u64 nThreadSteps = r.getCount();
         for (u64 i = 0; i < nThreadSteps; ++i) {
@@ -1074,10 +997,6 @@ struct Access
         m.snp.replays = r.get64();
         m.snp.replayDivergences = r.get64();
         m.snp.logEntries = r.get64();
-        m.hard.panics = r.get64();
-        m.hard.deadlocksDetected = r.get64();
-        m.hard.deadlocksKilled = r.get64();
-        m.hard.machineChecks = r.get64();
         m.costs.clear();
         u64 nCosts = r.getCount();
         for (u64 i = 0; i < nCosts; ++i) {
@@ -1133,17 +1052,20 @@ struct Access
     {
         auto sch = std::make_unique<sched::Scheduler>(kern);
         sch->vclock = r.get64();
-        sch->st.contextSwitches = r.get64();
-        sch->st.preemptions = r.get64();
-        sch->st.slices = r.get64();
-        sch->st.blocksWait4 = r.get64();
-        sch->st.blocksEvent = r.get64();
-        sch->st.blocksSleep = r.get64();
-        sch->st.blocksFd = r.get64();
-        sch->st.wakes = r.get64();
-        sch->st.maxRunQueueDepth = r.get64();
-        sch->st.idleAdvances = r.get64();
-        sch->st.stepsExecuted = r.get64();
+        // Installing the scheduler zeroes the kernel's scheduler
+        // counters: stage the image's and store them after.
+        SchedStats st;
+        st.contextSwitches = r.get64();
+        st.preemptions = r.get64();
+        st.slices = r.get64();
+        st.blocksWait4 = r.get64();
+        st.blocksEvent = r.get64();
+        st.blocksSleep = r.get64();
+        st.blocksFd = r.get64();
+        st.wakes = r.get64();
+        st.maxRunQueueDepth = r.get64();
+        st.idleAdvances = r.get64();
+        st.stepsExecuted = r.get64();
         u64 nCtx = r.getCount();
         for (u64 i = 0; i < nCtx; ++i) {
             auto ctx = std::make_unique<sched::ExecContext>();
@@ -1200,6 +1122,7 @@ struct Access
             r.get64();
         }
         kern.installScheduler(std::move(sch));
+        kern.stats->sched = st;
     }
 
     static bool
@@ -1539,32 +1462,33 @@ struct Access
 
             // ---- kernel scalars and tables ----
             r.expect(SEC_KERNEL, "kernel");
-            kern.pressure.reclaimPasses = r.get64();
-            kern.pressure.pagesReclaimed = r.get64();
-            kern.pressure.oomKills = r.get64();
-            kern.pressure.enomemErrors = r.get64();
-            kern.fdStats.blocks = r.get64();
-            kern.fdStats.wakes = r.get64();
-            kern.fdStats.eagainErrors = r.get64();
-            kern.fdStats.epipeErrors = r.get64();
-            kern.fdStats.partialWrites = r.get64();
-            kern.fdStats.selectTimeouts = r.get64();
-            kern.revStats.epochsOpened = r.get64();
-            kern.revStats.epochsClosed = r.get64();
-            kern.revStats.epochsAborted = r.get64();
-            kern.revStats.pagesScanned = r.get64();
-            kern.revStats.pagesSkippedClean = r.get64();
-            kern.revStats.granulesVisited = r.get64();
-            kern.revStats.tagsRevoked = r.get64();
-            kern.revStats.incrementalSlices = r.get64();
-            kern.revStats.syncSweeps = r.get64();
-            kern.revStats.cyclesInEpochs = r.get64();
+            KernelCounters &ctr = *kern.stats;
+            ctr.pressure.reclaimPasses = r.get64();
+            ctr.pressure.pagesReclaimed = r.get64();
+            ctr.pressure.oomKills = r.get64();
+            ctr.pressure.enomemErrors = r.get64();
+            ctr.fd.blocks = r.get64();
+            ctr.fd.wakes = r.get64();
+            ctr.fd.eagainErrors = r.get64();
+            ctr.fd.epipeErrors = r.get64();
+            ctr.fd.partialWrites = r.get64();
+            ctr.fd.selectTimeouts = r.get64();
+            ctr.revocation.epochsOpened = r.get64();
+            ctr.revocation.epochsClosed = r.get64();
+            ctr.revocation.epochsAborted = r.get64();
+            ctr.revocation.pagesScanned = r.get64();
+            ctr.revocation.pagesSkippedClean = r.get64();
+            ctr.revocation.granulesVisited = r.get64();
+            ctr.revocation.tagsRevoked = r.get64();
+            ctr.revocation.incrementalSlices = r.get64();
+            ctr.revocation.syncSweeps = r.get64();
+            ctr.revocation.cyclesInEpochs = r.get64();
             kern.switches = r.get64();
             kern.quiescentSeq = r.get64();
-            kern.hardStats.panics = r.get64();
-            kern.hardStats.deadlocksDetected = r.get64();
-            kern.hardStats.deadlocksKilled = r.get64();
-            kern.hardStats.machineChecks = r.get64();
+            ctr.hardening.panics = r.get64();
+            ctr.hardening.deadlocksDetected = r.get64();
+            ctr.hardening.deadlocksKilled = r.get64();
+            ctr.hardening.machineChecks = r.get64();
             kern.nextEpochId = r.get64();
             kern.nextPid = r.get64();
             kern.nextPrincipal = r.get64();
@@ -1653,8 +1577,12 @@ struct Access
 
             // ---- metrics ----
             r.expect(SEC_METRICS, "metrics");
-            bool hadMetrics = r.getBool();
-            if (hadMetrics) {
+            // The image's registry state (or none) replaces the
+            // attached registry's, which the commit below re-attaches
+            // to this kernel alone.
+            if (kern.mx)
+                kern.mx->reset();
+            if (r.getBool()) {
                 if (kern.mx)
                     getMetrics(r, *kern.mx);
                 else {
@@ -1675,61 +1603,10 @@ struct Access
             // Commit: config applies only once the whole image parsed.
             kern.cfg = newCfg;
             Vfs::reserveWaitIds(maxWaitToken + 1);
-            if (kern.mx) {
-                if (!hadMetrics) {
-                    // The image carried no metrics mirror but this
-                    // kernel has a registry: rebuild the mirror from
-                    // the restored kernel counters so the invariant
-                    // oracle's mirror rules hold.
-                    kern.mx->reset();
-                    kern.mx->mem.reclaimPasses = kern.pressure.reclaimPasses;
-                    kern.mx->mem.pagesReclaimed =
-                        kern.pressure.pagesReclaimed;
-                    kern.mx->mem.oomKills = kern.pressure.oomKills;
-                    kern.mx->mem.enomemErrors = kern.pressure.enomemErrors;
-                    kern.mx->rev.epochsOpened = kern.revStats.epochsOpened;
-                    kern.mx->rev.epochsClosed = kern.revStats.epochsClosed;
-                    kern.mx->rev.epochsAborted =
-                        kern.revStats.epochsAborted;
-                    kern.mx->rev.pagesScanned = kern.revStats.pagesScanned;
-                    kern.mx->rev.pagesSkippedClean =
-                        kern.revStats.pagesSkippedClean;
-                    kern.mx->rev.granulesVisited =
-                        kern.revStats.granulesVisited;
-                    kern.mx->rev.tagsRevoked = kern.revStats.tagsRevoked;
-                    kern.mx->rev.incrementalSlices =
-                        kern.revStats.incrementalSlices;
-                    kern.mx->rev.syncSweeps = kern.revStats.syncSweeps;
-                    kern.mx->rev.cyclesInEpochs =
-                        kern.revStats.cyclesInEpochs;
-                    kern.mx->fdio.blocks = kern.fdStats.blocks;
-                    kern.mx->fdio.wakes = kern.fdStats.wakes;
-                    kern.mx->fdio.eagainErrors = kern.fdStats.eagainErrors;
-                    kern.mx->fdio.epipeErrors = kern.fdStats.epipeErrors;
-                    kern.mx->fdio.partialWrites =
-                        kern.fdStats.partialWrites;
-                    kern.mx->fdio.selectTimeouts =
-                        kern.fdStats.selectTimeouts;
-                    if (kern.schedIface) {
-                        const SchedStats &st = kern.schedIface->stats();
-                        kern.mx->schd.contextSwitches = st.contextSwitches;
-                        kern.mx->schd.preemptions = st.preemptions;
-                        kern.mx->schd.slices = st.slices;
-                        kern.mx->schd.blocksWait4 = st.blocksWait4;
-                        kern.mx->schd.blocksEvent = st.blocksEvent;
-                        kern.mx->schd.blocksSleep = st.blocksSleep;
-                        kern.mx->schd.blocksFd = st.blocksFd;
-                        kern.mx->schd.wakes = st.wakes;
-                        kern.mx->schd.maxRunQueueDepth =
-                            st.maxRunQueueDepth;
-                        kern.mx->schd.idleAdvances = st.idleAdvances;
-                        kern.mx->schd.stepsExecuted = st.stepsExecuted;
-                    }
-                }
-                // Re-wire every restored process's fresh MemAccess into
-                // the registry's TLB counter blocks.
-                kern.setMetrics(kern.mx);
-            }
+            // Re-wire every restored process's fresh MemAccess into
+            // the registry's TLB counter blocks, and the registry to
+            // the restored counters.
+            kern.setMetrics(kern.mx);
             kern.kernelReady = true;
             if (kern.mx)
                 kern.mx->recordRestore(true);
@@ -1739,6 +1616,7 @@ struct Access
                 resetToEmpty(kern);
                 if (kern.mx)
                     kern.mx->reset();
+                kern.setMetrics(kern.mx);
             }
             if (error)
                 *error = "restore failed: " + e.msg;
@@ -1780,10 +1658,7 @@ struct Access
     resetToEmpty(Kernel &kern)
     {
         wipe(kern);
-        kern.pressure = {};
-        kern.fdStats = {};
-        kern.revStats = {};
-        kern.hardStats = {};
+        *kern.stats = {};
         kern.lastDispatchPid = 0;
         kern.lastDispatchCode = ~u64{0};
         kern.panicPlant = 0;

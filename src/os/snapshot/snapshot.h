@@ -7,8 +7,9 @@
  * bits and per-granule tag metadata), physical frames, swap slots with
  * refcounts, the VFS tree with pipe channels and wait tokens, the
  * scheduler's run queue and per-context capability register files
- * (tags intact), open revocation epochs, fault-injector arms, and the
- * metrics mirror — into one versioned binary image.  Restoring the
+ * (tags intact), open revocation epochs, fault-injector arms, the
+ * kernel counters, and the attached metrics registry's own state —
+ * into one versioned binary image.  Restoring the
  * image into a Kernel rebuilds all of it bit-exactly; because the
  * system is fully deterministic (virtual clock, instruction-boundary
  * preemption, seeded injection), a restored system continues exactly
@@ -59,10 +60,14 @@ namespace snap
 struct Access;
 
 /** Image format version (bumped on any layout change).
- *  v2: DeathInfo::deadlock, Kernel::HardeningStats, and the metrics
- *  hardening mirror (the watchdog / structured-panic / machine-check
- *  counters). */
-constexpr u32 imageVersion = 2;
+ *  v2: DeathInfo::deadlock, the kernel's hardening counters, and the
+ *  metrics hardening mirror (the watchdog / structured-panic /
+ *  machine-check counters).
+ *  v3: the metrics section no longer stores copies of the kernel
+ *  counters (memory pressure, revocation, scheduler, FD I/O,
+ *  hardening): the registry reads them from the kernel, so the
+ *  kernel and scheduler sections carry the only copy. */
+constexpr u32 imageVersion = 3;
 
 /**
  * Serialize @p kern's complete state.  Returns the image, or an empty
@@ -79,7 +84,8 @@ std::vector<u8> save(Kernel &kern, std::string *error = nullptr);
  *
  * The kernel's environment (trace sink, metrics registry, check hook)
  * is preserved across restore; the image's metrics section is loaded
- * into the attached registry when one is present.
+ * into the attached registry when one is present, and the registry
+ * then reports the restored kernel's counters alone.
  */
 bool restore(Kernel &kern, const std::vector<u8> &image,
              std::string *error = nullptr);

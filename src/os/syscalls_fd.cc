@@ -74,14 +74,10 @@ Kernel::sysRead(Process &proc, int fd, const UserPtr &buf, u64 len)
             of->node->readCh &&
             schedIface->blockCurrentFd(
                 proc, FdWait{{of->node->readCh->readWait}, false, 0})) {
-            ++fdStats.blocks;
-            if (mx)
-                mx->recordFdBlock();
+            ++stats->fd.blocks;
             return SysResult::fail(E_INTR);
         }
-        ++fdStats.eagainErrors;
-        if (mx)
-            mx->recordFdEagain();
+        ++stats->fd.eagainErrors;
         return SysResult::fail(E_AGAIN);
     }
     if (n < 0)
@@ -115,9 +111,7 @@ Kernel::sysWrite(Process &proc, int fd, const UserPtr &buf, u64 len)
         // (core dump, address-space release, SIG_CHLD) rather than a
         // bare die(); a handler runs immediately; Ignore/masked just
         // leaves the errno.
-        ++fdStats.epipeErrors;
-        if (mx)
-            mx->recordFdEpipe();
+        ++stats->fd.epipeErrors;
         bool masked = (proc.sigMask >> SIG_PIPE) & 1;
         if (!masked &&
             proc.sigaction(SIG_PIPE).kind == SigAction::Kind::Default) {
@@ -139,14 +133,10 @@ Kernel::sysWrite(Process &proc, int fd, const UserPtr &buf, u64 len)
             of->node->writeCh &&
             schedIface->blockCurrentFd(
                 proc, FdWait{{of->node->writeCh->writeWait}, false, 0})) {
-            ++fdStats.blocks;
-            if (mx)
-                mx->recordFdBlock();
+            ++stats->fd.blocks;
             return SysResult::fail(E_INTR);
         }
-        ++fdStats.eagainErrors;
-        if (mx)
-            mx->recordFdEagain();
+        ++stats->fd.eagainErrors;
         return SysResult::fail(E_AGAIN);
     }
     if (n < 0)
@@ -155,9 +145,7 @@ Kernel::sysWrite(Process &proc, int fd, const UserPtr &buf, u64 len)
         if (static_cast<u64>(n) < len) {
             // Short write into the tail of the buffer: the caller's
             // next write (of the remainder) is the one that blocks.
-            ++fdStats.partialWrites;
-            if (mx)
-                mx->recordFdPartialWrite();
+            ++stats->fd.partialWrites;
         }
         fireFdEdge(of->node->writeCh->readWait);
     }
@@ -309,16 +297,12 @@ Kernel::sysSelect(Process &proc, int nfds, const UserPtr &readfds,
         // as before this select blocked at all.
         bool timedOut = schedIface && schedIface->consumeFdTimeout(proc);
         if (timedOut) {
-            ++fdStats.selectTimeouts;
-            if (mx)
-                mx->recordFdSelectTimeout();
+            ++stats->fd.selectTimeouts;
         } else if (!(haveTimeout && ticks == 0) && schedIface &&
                    (!chans.empty() || haveTimeout) &&
                    schedIface->blockCurrentFd(
                        proc, FdWait{std::move(chans), haveTimeout, ticks})) {
-            ++fdStats.blocks;
-            if (mx)
-                mx->recordFdBlock();
+            ++stats->fd.blocks;
             return SysResult::fail(E_INTR);
         }
     }

@@ -1,7 +1,8 @@
 #include "rtld/rtld.h"
 
-#include <cassert>
 #include <stdexcept>
+
+#include "os/panic.h"
 
 namespace cheri
 {
@@ -45,7 +46,8 @@ capForSymbol(const LinkedObject &def, const SelfSymbol &sym, Abi abi)
         throw std::runtime_error("rtld: symbol bounds not derivable: " +
                                  sym.name);
     auto p = b.value().andPerms(permsData);
-    assert(p.ok());
+    CHERI_KASSERT(p.ok(), "narrowing a bounded data capability's "
+                          "permissions cannot fail");
     return p.value();
 }
 

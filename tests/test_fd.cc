@@ -71,7 +71,7 @@ TEST_P(FdBothAbis, EpipeDefaultDispositionKillsWriter)
     EXPECT_TRUE(proc().exited());
     ASSERT_TRUE(proc().death().has_value());
     EXPECT_EQ(proc().death()->signal, SIG_PIPE);
-    EXPECT_EQ(kern().fdIoStats().epipeErrors, 1u);
+    EXPECT_EQ(kern().counters().fd.epipeErrors, 1u);
 }
 
 TEST_P(FdBothAbis, EpipeIgnoredIsJustErrno)
@@ -134,7 +134,7 @@ TEST_P(FdBothAbis, NonblockRoundTripsEagainAndNeverWritesZero)
         ASSERT_LE(total, ByteChannel::capacity);
     }
     EXPECT_EQ(total, ByteChannel::capacity);
-    EXPECT_GE(kern().fdIoStats().eagainErrors, 2u);
+    EXPECT_GE(kern().counters().fd.eagainErrors, 2u);
     // Draining frees space for the writer again.
     EXPECT_EQ(ctx().read(rfd, buf, pageSize),
               static_cast<s64>(pageSize));
@@ -343,9 +343,9 @@ TEST_P(FdSchedTest, BlockedReaderParksUntilCrossProcessWrite)
     EXPECT_LE(rcx.retired(), 8u) << "reader spun instead of parking";
     const SchedStats &st = s.stats();
     EXPECT_GE(st.blocksFd, 1u);
-    EXPECT_GE(kern.fdIoStats().blocks, 1u);
-    EXPECT_GE(kern.fdIoStats().wakes, 1u);
-    // The metrics mirror (including the new fd section) agrees.
+    EXPECT_GE(kern.counters().fd.blocks, 1u);
+    EXPECT_GE(kern.counters().fd.wakes, 1u);
+    // The whole-system invariant oracle still passes.
     check::Report rep = check::Invariants::check(kern);
     EXPECT_TRUE(rep.violations.empty())
         << rep.violations.front().detail;
@@ -405,7 +405,7 @@ TEST_P(FdSchedTest, BlockedWriterWokenWhenReadFreesSpace)
     EXPECT_EQ(wcx.interp->regs().x[regRetVal], 64u);
     EXPECT_EQ(rcx.interp->regs().x[regRetVal], pageSize);
     EXPECT_GE(s.stats().blocksFd, 1u);
-    EXPECT_GE(kern.fdIoStats().wakes, 1u);
+    EXPECT_GE(kern.counters().fd.wakes, 1u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Abis, FdSchedTest,
@@ -455,8 +455,8 @@ TEST(FdSelectSchedTest, BlockedSelectWokenByVirtualClockTimeout)
     // spun the 200 ticks down.
     EXPECT_GE(s.now(), 200u);
     EXPECT_LE(cx.retired(), 8u) << "select spun instead of parking";
-    EXPECT_EQ(kern.fdIoStats().selectTimeouts, 1u);
-    EXPECT_GE(kern.fdIoStats().blocks, 1u);
+    EXPECT_EQ(kern.counters().fd.selectTimeouts, 1u);
+    EXPECT_GE(kern.counters().fd.blocks, 1u);
     u64 out = ~u64{0};
     ASSERT_FALSE(g.proc->as().readBytes(g.data, &out, 8));
     EXPECT_EQ(out, 0u) << "timed-out select must clear the sets";
@@ -511,7 +511,7 @@ TEST(FdSelectSchedTest, BlockedSelectWokenByDataBeforeDeadline)
     u64 out = 0;
     ASSERT_FALSE(sel.proc->as().readBytes(sel.data, &out, 8));
     EXPECT_EQ(out, u64{1} << rfd);
-    EXPECT_EQ(kern.fdIoStats().selectTimeouts, 0u);
+    EXPECT_EQ(kern.counters().fd.selectTimeouts, 0u);
     // Data arrived at tick ~50: nobody waited for the far deadline.
     EXPECT_LT(s.now(), 100000u);
     (void)wcx;

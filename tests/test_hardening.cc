@@ -174,9 +174,9 @@ TEST(HardeningWatchdog, PipeCycleDetectedUnderReportPolicy)
     kern.runUntilIdle();
 
     // Detected and recorded, but nobody died and nobody ran again.
-    EXPECT_EQ(kern.hardeningStats().deadlocksDetected, 1u);
-    EXPECT_EQ(kern.hardeningStats().deadlocksKilled, 0u);
-    EXPECT_EQ(metrics.hardening().deadlocksDetected, 1u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksDetected, 1u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksKilled, 0u);
+    EXPECT_EQ(metrics.kernelCounters().hardening.deadlocksDetected, 1u);
     EXPECT_FALSE(pc.a.proc->exited());
     EXPECT_FALSE(pc.b.proc->exited());
     EXPECT_EQ(pc.acx->state, sched::ExecContext::State::Blocked);
@@ -201,8 +201,8 @@ TEST(HardeningWatchdog, PipeCycleKillBreaksTheCycle)
     PipeCycle pc = plantPipeCycle(kern, s);
     kern.runUntilIdle();
 
-    EXPECT_EQ(kern.hardeningStats().deadlocksDetected, 1u);
-    EXPECT_EQ(kern.hardeningStats().deadlocksKilled, 1u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksDetected, 1u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksKilled, 1u);
 
     // Equal footprints, neither in wait4: the victim tiebreak is the
     // higher pid — B.  Its death closes pipe1's only write end, so A's
@@ -259,7 +259,7 @@ TEST(HardeningWatchdog, Wait4EvWaitCycleKillSurfacesEdeadlk)
     // ...and the child is gone (reaped), not a lingering zombie.
     EXPECT_EQ(kern.findProcess(child), nullptr);
     EXPECT_FALSE(g.proc->exited());
-    EXPECT_EQ(kern.hardeningStats().deadlocksKilled, 1u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksKilled, 1u);
 
     check::Report rep = check::Invariants::check(kern);
     EXPECT_TRUE(rep.violations.empty())
@@ -291,8 +291,8 @@ TEST(HardeningWatchdog, HostWakeableParkDoesNotTrip)
     kern.runUntilIdle();
 
     // Watchdog stayed quiet; the waiter is still parked.
-    EXPECT_EQ(kern.hardeningStats().deadlocksDetected, 0u);
-    EXPECT_EQ(kern.hardeningStats().deadlocksKilled, 0u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksDetected, 0u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksKilled, 0u);
     EXPECT_EQ(cx.state, sched::ExecContext::State::Blocked);
     EXPECT_FALSE(waiter.proc->exited());
 
@@ -302,7 +302,7 @@ TEST(HardeningWatchdog, HostWakeableParkDoesNotTrip)
     ASSERT_FALSE(rr.res.failed());
     kern.runUntilIdle();
     EXPECT_EQ(cx.last.status, isa::InterpResult::Status::Halted);
-    EXPECT_EQ(kern.hardeningStats().deadlocksDetected, 0u);
+    EXPECT_EQ(kern.counters().hardening.deadlocksDetected, 0u);
 }
 
 TEST(HardeningWatchdog, KillDecisionReplaysBitForBit)
@@ -360,8 +360,8 @@ TEST(HardeningCorruption, TagFlipMachineChecksAndNeverForgesACap)
     Result<Capability> r = proc.mem().readCap(g.data);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.fault(), CapFault::MachineCheck);
-    EXPECT_EQ(kern.hardeningStats().machineChecks, 1u);
-    EXPECT_EQ(metrics.hardening().machineChecks, 1u);
+    EXPECT_EQ(kern.counters().hardening.machineChecks, 1u);
+    EXPECT_EQ(metrics.kernelCounters().hardening.machineChecks, 1u);
     EXPECT_GE(countEvents(kern, panic::EventKind::MachineCheck), 1u);
 
     // The corrupted granule's tag is gone for good: re-reading yields
@@ -376,7 +376,7 @@ TEST(HardeningCorruption, TagFlipMachineChecksAndNeverForgesACap)
     CapCheck cc = proc.mem().read(g.data + 64, &word, 8);
     ASSERT_TRUE(cc.has_value());
     EXPECT_EQ(*cc, CapFault::MachineCheck);
-    EXPECT_EQ(kern.hardeningStats().machineChecks, 2u);
+    EXPECT_EQ(kern.counters().hardening.machineChecks, 2u);
 
     // The oracle's containment rule agrees: every injected corruption
     // is accounted for by a machine check.
@@ -405,7 +405,7 @@ TEST(HardeningCorruption, SwappedTagMetadataFlipMachineChecks)
     Result<Capability> r = proc.mem().readCap(g.data);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.fault(), CapFault::MachineCheck);
-    EXPECT_GE(kern.hardeningStats().machineChecks, 1u);
+    EXPECT_GE(kern.counters().hardening.machineChecks, 1u);
 
     check::Report rep = check::Invariants::check(kern);
     EXPECT_TRUE(rep.violations.empty())
@@ -443,8 +443,8 @@ TEST(HardeningPanic, KassertCapturesReportImageAndResets)
     EXPECT_NE(report.find("\"ring\""), std::string::npos);
     EXPECT_NE(report.find("\"syscall\""), std::string::npos);
     ASSERT_FALSE(kern.panicImage().empty());
-    EXPECT_EQ(kern.hardeningStats().panics, 1u);
-    EXPECT_EQ(metrics.hardening().panics, 1u);
+    EXPECT_EQ(kern.counters().hardening.panics, 1u);
+    EXPECT_EQ(metrics.kernelCounters().hardening.panics, 1u);
 
     // The reset kernel is empty but fully usable: fresh processes
     // spawn, dispatch, and satisfy the whole-system oracle.
@@ -498,7 +498,7 @@ TEST(HardeningPanic, SchedulerDrainAbsorbsPanicAndStaysUsable)
     kern.runUntilIdle();
 
     EXPECT_TRUE(kern.panicked());
-    EXPECT_EQ(kern.hardeningStats().panics, 1u);
+    EXPECT_EQ(kern.counters().hardening.panics, 1u);
     ASSERT_FALSE(kern.panicImage().empty());
 
     // The drained-and-reset system schedules fresh work normally.

@@ -55,7 +55,7 @@ TEST_F(PressureTest, MmapFailsEnomemOnInjectedExhaustion)
                                  PROT_READ | PROT_WRITE,
                                  MAP_ANON | MAP_PRIVATE, &out);
     EXPECT_EQ(r.error, E_NOMEM);
-    EXPECT_EQ(kern().memPressure().enomemErrors, 1u);
+    EXPECT_EQ(kern().counters().pressure.enomemErrors, 1u);
     // Injector is one-shot: the retry succeeds.
     r = kern().sysMmap(proc(), UserPtr::null(), pageSize,
                        PROT_READ | PROT_WRITE, MAP_ANON | MAP_PRIVATE,
@@ -68,7 +68,7 @@ TEST(PressureBrk, BrkFailsEnomemOnInjectedExhaustion)
     GuestSystem sys(Abi::Mips64); // sbrk is mips64-only
     sys.kern.faultInjector().failAfter(FaultPoint::FrameAlloc, 1);
     EXPECT_EQ(sys.kern.sysSbrk(*sys.proc, 4096).error, E_NOMEM);
-    EXPECT_EQ(sys.kern.memPressure().enomemErrors, 1u);
+    EXPECT_EQ(sys.kern.counters().pressure.enomemErrors, 1u);
     EXPECT_EQ(sys.kern.sysSbrk(*sys.proc, 4096).error, E_OK);
 }
 
@@ -76,7 +76,7 @@ TEST_F(PressureTest, ForkFailsEnomemOnInjectedExhaustion)
 {
     inj().failAfter(FaultPoint::FrameAlloc, 1);
     EXPECT_EQ(kern().fork(proc()), nullptr);
-    EXPECT_EQ(kern().memPressure().enomemErrors, 1u);
+    EXPECT_EQ(kern().counters().pressure.enomemErrors, 1u);
     Process *child = kern().fork(proc());
     ASSERT_NE(child, nullptr);
     kern().exitProcess(*child, 0);
@@ -168,9 +168,9 @@ TEST_F(PressureTest, ReclaimSatisfiesConstrainedWorkload)
             << "data lost across reclaim at page " << p;
         ASSERT_LE(phys.liveFrames(), frame_budget);
     }
-    EXPECT_GT(kern().memPressure().reclaimPasses, 0u);
-    EXPECT_GT(kern().memPressure().pagesReclaimed, 0u);
-    EXPECT_EQ(kern().memPressure().oomKills, 0u)
+    EXPECT_GT(kern().counters().pressure.reclaimPasses, 0u);
+    EXPECT_GT(kern().counters().pressure.pagesReclaimed, 0u);
+    EXPECT_EQ(kern().counters().pressure.oomKills, 0u)
         << "a swappable workload must survive without OOM kills";
 }
 
@@ -197,7 +197,7 @@ TEST_F(PressureTest, SwapFullOomKillsLargestProcess)
     for (u64 p = 0; p < 10; ++p)
         ctx().store<u64>(buf, static_cast<s64>(p * pageSize), p);
 
-    EXPECT_GE(kern().memPressure().oomKills, 1u);
+    EXPECT_GE(kern().counters().pressure.oomKills, 1u);
     EXPECT_TRUE(big->exited()) << "the largest process is the victim";
     ASSERT_TRUE(big->death().has_value());
     EXPECT_EQ(big->death()->signal, SIG_KILL);
@@ -207,7 +207,7 @@ TEST_F(PressureTest, SwapFullOomKillsLargestProcess)
     for (u64 p = 0; p < 10; ++p)
         EXPECT_EQ(ctx().load<u64>(buf, static_cast<s64>(p * pageSize)),
                   p);
-    EXPECT_EQ(m.pressure().oomKills, kern().memPressure().oomKills);
+    EXPECT_EQ(m.kernelCounters().pressure.oomKills, kern().counters().pressure.oomKills);
     kern().setMetrics(nullptr);
 }
 
@@ -461,13 +461,13 @@ TEST_F(PressureTest, MetricsExportMemoryPressureSection)
                            MAP_ANON | MAP_PRIVATE, &out)
                   .error,
               E_NOMEM);
-    EXPECT_EQ(m.pressure().enomemErrors, 1u);
+    EXPECT_EQ(m.kernelCounters().pressure.enomemErrors, 1u);
     std::string json = m.toJson();
     EXPECT_NE(json.find("cheri.metrics.v9"), std::string::npos);
     EXPECT_NE(json.find("\"memory\""), std::string::npos);
     EXPECT_NE(json.find("\"enomem\":1"), std::string::npos);
     m.reset();
-    EXPECT_EQ(m.pressure().enomemErrors, 0u);
+    EXPECT_EQ(m.kernelCounters().pressure.enomemErrors, 0u);
     kern().setMetrics(nullptr);
 }
 

@@ -75,7 +75,7 @@ TEST_F(Revoke2Test, FlagValidation)
         {0x7000001000, 0x7000001000}};
     EXPECT_EQ(kern().sysRevoke2(proc(), bad, REVOKE_SYNC).error,
               E_INVAL);
-    EXPECT_EQ(kern().revocationStats().epochsOpened, 0u);
+    EXPECT_EQ(kern().counters().revocation.epochsOpened, 0u);
 }
 
 TEST_F(Revoke2Test, EmptyDrainWithNoEpochIsTrivial)
@@ -86,7 +86,7 @@ TEST_F(Revoke2Test, EmptyDrainWithNoEpochIsTrivial)
     SysResult i = kern().sysRevoke2(proc(), {}, REVOKE_INCREMENTAL);
     EXPECT_FALSE(i.failed());
     EXPECT_EQ(i.value, 0u);
-    EXPECT_EQ(kern().revocationStats().epochsOpened, 0u);
+    EXPECT_EQ(kern().counters().revocation.epochsOpened, 0u);
 }
 
 TEST_F(Revoke2Test, SecondOpenIsBusyUntilDrained)
@@ -127,17 +127,17 @@ TEST(Revoke2SliceTest, IncrementalRespectsPageBudget)
     std::vector<std::pair<u64, u64>> ranges = {
         {buf.cap.base(), buf.cap.base() + buf.cap.length()}};
 
-    u64 before = sys.kern.revocationStats().pagesScanned;
+    u64 before = sys.kern.counters().revocation.pagesScanned;
     SysResult res =
         sys.kern.sysRevoke2(*sys.proc, ranges, REVOKE_INCREMENTAL);
     ASSERT_FALSE(res.failed());
-    u64 after = sys.kern.revocationStats().pagesScanned;
+    u64 after = sys.kern.counters().revocation.pagesScanned;
     EXPECT_LE(after - before, 2u) << "open runs at most one slice";
     u64 slices = 1;
     while (!res.failed() && res.value != 0) {
         before = after;
         res = sys.kern.sysRevoke2(*sys.proc, {}, REVOKE_INCREMENTAL);
-        after = sys.kern.revocationStats().pagesScanned;
+        after = sys.kern.counters().revocation.pagesScanned;
         EXPECT_LE(after - before, 2u)
             << "each advance is one bounded slice";
         ASSERT_LT(++slices, 1000u) << "epoch failed to converge";
@@ -167,7 +167,7 @@ TEST_F(Revoke2Test, DispatchPumpDrainsEpochInBackground)
     }
     EXPECT_FALSE(kern().findRevocationEpoch(proc().pid())->open)
         << "background slices must drain the epoch";
-    EXPECT_EQ(kern().revocationStats().epochsClosed, 1u);
+    EXPECT_EQ(kern().counters().revocation.epochsClosed, 1u);
     EXPECT_FALSE(ctx().loadPtr(buf, 0).cap.tag());
 }
 
@@ -246,9 +246,9 @@ TEST_F(Revoke2Test, ExecveAbortsOpenEpoch)
             .sysRevoke2(proc(), rangeOf(buf), REVOKE_INCREMENTAL)
             .failed());
     ASSERT_TRUE(kern().findRevocationEpoch(proc().pid())->open);
-    u64 aborted = kern().revocationStats().epochsAborted;
+    u64 aborted = kern().counters().revocation.epochsAborted;
     ASSERT_EQ(kern().execve(proc(), sys.prog, {"again"}, {}), E_OK);
-    EXPECT_EQ(kern().revocationStats().epochsAborted, aborted + 1);
+    EXPECT_EQ(kern().counters().revocation.epochsAborted, aborted + 1);
     const RevocationEpoch *ep =
         kern().findRevocationEpoch(proc().pid());
     ASSERT_NE(ep, nullptr);
@@ -266,9 +266,9 @@ TEST_F(Revoke2Test, ExitAbortsOpenEpoch)
         kern()
             .sysRevoke2(proc(), rangeOf(buf), REVOKE_INCREMENTAL)
             .failed());
-    u64 aborted = kern().revocationStats().epochsAborted;
+    u64 aborted = kern().counters().revocation.epochsAborted;
     kern().exitProcess(proc(), 0);
-    EXPECT_EQ(kern().revocationStats().epochsAborted, aborted + 1);
+    EXPECT_EQ(kern().counters().revocation.epochsAborted, aborted + 1);
 }
 
 TEST_F(Revoke2Test, OracleChecksClosedEpochAbsence)

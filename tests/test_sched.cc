@@ -25,6 +25,7 @@
 #include "check/invariants.h"
 #include "isa/assembler.h"
 #include "isa/interp.h"
+#include "obs/metrics.h"
 #include "os/kernel.h"
 #include "os/revocation.h"
 #include "os/sched/sched.h"
@@ -364,6 +365,138 @@ TEST(SchedTest, DecodeCacheSurvivesContextSwitches)
             << "decode cache was lost across a context switch";
         EXPECT_GT(st.fetchHits, 8000u);
     }
+}
+
+// --- Metrics reads the kernel's counters at emit time -------------------
+
+/** Run @p guests identical ALU guests to completion under @p kern's
+ *  scheduler (short slices: the run queue holds all of them at once),
+ *  then count one E_NOMEM and one watchdog detection, so every pulled
+ *  section the test reads is non-zero. */
+void
+runPullWorkload(Kernel &kern, int guests)
+{
+    sched::Scheduler &s = sched::schedulerFor(kern);
+    isa::Assembler prog = aluLoop(50);
+    for (int i = 0; i < guests; ++i) {
+        SchedGuest g = makeGuest(kern, Abi::Mips64, "pull-guest");
+        admitProgram(s, g, prog);
+    }
+    kern.runUntilIdle();
+    SchedGuest host = makeGuest(kern, Abi::Mips64, "pull-host");
+    kern.faultInjector().failAfter(FaultPoint::FrameAlloc, 1);
+    UserPtr out;
+    ASSERT_EQ(kern.sysMmap(*host.proc, UserPtr::null(), pageSize,
+                           PROT_READ | PROT_WRITE,
+                           MAP_ANON | MAP_PRIVATE, &out)
+                  .error,
+              E_NOMEM);
+    kern.noteDeadlockDetected(1);
+}
+
+/** @p m reports the sum of @p a and @p b, and the larger run-queue
+ *  high-water mark. */
+void
+expectSummed(const obs::Metrics &m, const KernelCounters &a,
+             const KernelCounters &b)
+{
+    KernelCounters got = m.kernelCounters();
+    EXPECT_EQ(got.sched.slices, a.sched.slices + b.sched.slices);
+    EXPECT_EQ(got.sched.preemptions,
+              a.sched.preemptions + b.sched.preemptions);
+    EXPECT_EQ(got.sched.stepsExecuted,
+              a.sched.stepsExecuted + b.sched.stepsExecuted);
+    EXPECT_EQ(got.sched.maxRunQueueDepth, 3u);
+    EXPECT_EQ(got.pressure.enomemErrors, 2u);
+    EXPECT_EQ(got.hardening.deadlocksDetected, 2u);
+    std::string json = m.toJson();
+    EXPECT_NE(json.find("\"steps_executed\":" +
+                        std::to_string(got.sched.stepsExecuted)),
+              std::string::npos);
+    EXPECT_NE(json.find("\"max_run_queue_depth\":3"), std::string::npos);
+    EXPECT_NE(json.find("\"enomem\":2"), std::string::npos);
+    EXPECT_NE(json.find("\"deadlocks_detected\":2"), std::string::npos);
+}
+
+TEST(MetricsPullTest, RegistryOutlivingKernelsReportsTheirSum)
+{
+    obs::Metrics m;
+    KernelCounters a, b;
+    {
+        KernelConfig cfg;
+        cfg.timeSliceSteps = 16;
+        Kernel kern(cfg);
+        kern.setMetrics(&m);
+        runPullWorkload(kern, 3);
+        a = kern.counters();
+    }
+    {
+        KernelConfig cfg;
+        cfg.timeSliceSteps = 16;
+        Kernel kern(cfg);
+        kern.setMetrics(&m);
+        runPullWorkload(kern, 2);
+        b = kern.counters();
+    }
+    EXPECT_EQ(a.sched.maxRunQueueDepth, 3u);
+    EXPECT_EQ(b.sched.maxRunQueueDepth, 2u);
+    EXPECT_GT(a.sched.stepsExecuted, 0u);
+    // Both kernels are gone: the registry reads the blocks it shares.
+    expectSummed(m, a, b);
+}
+
+TEST(MetricsPullTest, KernelsOutlivingRegistryReportTheirSum)
+{
+    KernelConfig cfg;
+    cfg.timeSliceSteps = 16;
+    Kernel k1(cfg);
+    Kernel k2(cfg);
+    {
+        obs::Metrics m;
+        k1.setMetrics(&m);
+        runPullWorkload(k1, 3);
+        k2.setMetrics(&m);
+        runPullWorkload(k2, 2);
+        expectSummed(m, k1.counters(), k2.counters());
+        // Attaching the same kernel again does not double-count it.
+        k1.setMetrics(&m);
+        expectSummed(m, k1.counters(), k2.counters());
+    }
+    // The registry is gone; the kernels keep counting on their own.
+    k1.setMetrics(nullptr);
+    k1.noteDeadlockDetected(1);
+    EXPECT_EQ(k1.counters().hardening.deadlocksDetected, 2u);
+}
+
+TEST(MetricsPullTest, RegistryAttachedBeforeSchedulerReportsSched)
+{
+    obs::Metrics m;
+    KernelConfig cfg;
+    cfg.timeSliceSteps = 16;
+    Kernel kern(cfg);
+    kern.setMetrics(&m);
+    ASSERT_EQ(kern.scheduler(), nullptr);
+    // schedulerFor installs the scheduler after the registry attached
+    // (the multi-process fuzzer's order).
+    sched::Scheduler &s = sched::schedulerFor(kern);
+    isa::Assembler prog = aluLoop(50);
+    for (int i = 0; i < 2; ++i) {
+        SchedGuest g = makeGuest(kern, Abi::Mips64, "late-sched");
+        admitProgram(s, g, prog);
+    }
+    kern.runUntilIdle();
+
+    const SchedStats &st = s.stats();
+    ASSERT_GT(st.slices, 0u);
+    ASSERT_GT(st.preemptions, 0u);
+    SchedStats got = m.kernelCounters().sched;
+    EXPECT_EQ(got.slices, st.slices);
+    EXPECT_EQ(got.preemptions, st.preemptions);
+    EXPECT_EQ(got.contextSwitches, st.contextSwitches);
+    EXPECT_EQ(got.stepsExecuted, st.stepsExecuted);
+    EXPECT_EQ(got.maxRunQueueDepth, 2u);
+    EXPECT_NE(m.toJson().find("\"slices\":" + std::to_string(st.slices)),
+              std::string::npos);
 }
 
 } // namespace

@@ -155,8 +155,8 @@ TEST(SnapshotTest, RestoreMidOpenRevocationEpochThenDrain)
                      .sysRevoke2(*sys.proc, {{lo, lo + 16 * pageSize}},
                                  REVOKE_INCREMENTAL)
                      .failed());
-    ASSERT_EQ(sys.kern.revocationStats().epochsOpened, 1u);
-    ASSERT_EQ(sys.kern.revocationStats().epochsClosed, 0u)
+    ASSERT_EQ(sys.kern.counters().revocation.epochsOpened, 1u);
+    ASSERT_EQ(sys.kern.counters().revocation.epochsClosed, 0u)
         << "epoch closed too early for the test to mean anything";
 
     std::string err;
@@ -165,14 +165,14 @@ TEST(SnapshotTest, RestoreMidOpenRevocationEpochThenDrain)
     Kernel kern2;
     ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
     expectOracleClean(kern2);
-    EXPECT_EQ(kern2.revocationStats().epochsOpened, 1u);
-    EXPECT_EQ(kern2.revocationStats().epochsClosed, 0u);
+    EXPECT_EQ(kern2.counters().revocation.epochsOpened, 1u);
+    EXPECT_EQ(kern2.counters().revocation.epochsClosed, 0u);
 
     // The restored epoch is live: drain it to completion over there.
     Process *p2 = kern2.findProcess(sys.proc->pid());
     ASSERT_NE(p2, nullptr);
     ASSERT_FALSE(kern2.sysRevoke2(*p2, {}, REVOKE_SYNC).failed());
-    EXPECT_EQ(kern2.revocationStats().epochsClosed, 1u);
+    EXPECT_EQ(kern2.counters().revocation.epochsClosed, 1u);
     expectOracleClean(kern2);
 }
 
@@ -238,6 +238,31 @@ TEST(SnapshotTest, TruncatedImageRejectedCleanly)
     ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
     expectOracleClean(kern2);
     expectUsable(kern2);
+}
+
+TEST(SnapshotTest, VersionTwoImageRejectedWithParseError)
+{
+    GuestSystem sys{Abi::CheriAbi};
+    std::string err;
+    std::vector<u8> img = snap::save(sys.kern, &err);
+    ASSERT_FALSE(img.empty()) << err;
+    ASSERT_EQ(snap::imageVersion, 3u);
+    // Version 2 images also stored the registry's copies of the kernel
+    // counters; this build reads neither layout variant of them.
+    std::vector<u8> v2 = img;
+    const u8 two[4] = {2, 0, 0, 0}; // the u32 after the 8-byte magic
+    std::copy(two, two + 4, v2.begin() + 8);
+
+    obs::Metrics mx;
+    Kernel kern2;
+    kern2.setMetrics(&mx);
+    EXPECT_FALSE(snap::restore(kern2, v2, &err));
+    EXPECT_NE(err.find("unsupported image version"), std::string::npos)
+        << err;
+    EXPECT_EQ(mx.snapshot().restoreFailures, 1u);
+    expectUsable(kern2);
+    ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
+    expectOracleClean(kern2);
 }
 
 TEST(SnapshotTest, CorruptImageNeverAbortsHost)
@@ -435,15 +460,15 @@ TEST(SnapshotSchedTest, FdCloseEdgesSuppressedWhileKernelNotReady)
     rcx.interp->regs().x[5] = reader.data;
     rcx.interp->regs().x[6] = 16;
     kern.runUntilIdle();
-    ASSERT_GE(kern.fdIoStats().blocks, 1u);
-    u64 wakesBefore = kern.fdIoStats().wakes;
+    ASSERT_GE(kern.counters().fd.blocks, 1u);
+    u64 wakesBefore = kern.counters().fd.wakes;
 
     // Restore-abort teardown runs closeAllFds while the kernel is
     // mid-rebuild: with kernelReady lowered, the writer-side close
     // must NOT fire a wake edge into the half-built scheduler.
     snap::setKernelReadyForTest(kern, false);
     writer.proc->closeAllFds();
-    EXPECT_EQ(kern.fdIoStats().wakes, wakesBefore)
+    EXPECT_EQ(kern.counters().fd.wakes, wakesBefore)
         << "close fired a wake edge during restore teardown";
     snap::setKernelReadyForTest(kern, true);
 
@@ -497,7 +522,7 @@ TEST(SnapshotSchedTest, SelectDeadlineAcrossRestoreFiresExactlyOnce)
     // (deadline armed, clock still far from 600).
     std::vector<u8> img;
     s.setSliceHook([&](Process &) {
-        if (!img.empty() || kern.fdIoStats().blocks < 1)
+        if (!img.empty() || kern.counters().fd.blocks < 1)
             return;
         ASSERT_LT(s.now(), 600u);
         std::string serr;
@@ -508,7 +533,7 @@ TEST(SnapshotSchedTest, SelectDeadlineAcrossRestoreFiresExactlyOnce)
     s.setSliceHook(nullptr);
     ASSERT_FALSE(img.empty()) << "selector never parked";
     // The original timeline saw the timeout fire once.
-    EXPECT_EQ(kern.fdIoStats().selectTimeouts, 1u);
+    EXPECT_EQ(kern.counters().fd.selectTimeouts, 1u);
 
     // The restored timeline must see it fire exactly once too — not
     // zero (lost deadline) and not twice (double-armed).
@@ -516,10 +541,10 @@ TEST(SnapshotSchedTest, SelectDeadlineAcrossRestoreFiresExactlyOnce)
     std::string err;
     ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
     expectOracleClean(kern2);
-    ASSERT_EQ(kern2.fdIoStats().selectTimeouts, 0u)
+    ASSERT_EQ(kern2.counters().fd.selectTimeouts, 0u)
         << "snapshot was taken after the deadline already fired";
     kern2.runUntilIdle();
-    EXPECT_EQ(kern2.fdIoStats().selectTimeouts, 1u);
+    EXPECT_EQ(kern2.counters().fd.selectTimeouts, 1u);
 
     // The restored selector completed the select with 0 ready fds and
     // a cleared read set.
