@@ -7,7 +7,8 @@
  *
  *  - flight-recorder ring recording: every syscall dispatch appends
  *    one event.  Measured as dispatch throughput with the default ring
- *    (depth 64) vs the ring disabled (depth 0, count-only);
+ *    (depth 64) vs the ring disabled (depth 0, count-only), each the
+ *    median of interleaved timed trials;
  *  - the deadlock-watchdog scan: every scheduler drain that goes idle
  *    with deadline-less blocked contexts walks the wait-for relation.
  *    Measured as nanoseconds per scan over a population of blocked
@@ -19,10 +20,10 @@
  * tolerant) bound.
  */
 
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -37,6 +38,8 @@ namespace
 {
 
 constexpr int kDispatchReps = 200000;
+/** Interleaved ring-on / ring-off trials; the gate compares medians. */
+constexpr int kDispatchTrials = 5;
 constexpr u64 kBlockedContexts = 32;
 /** Timed watchdog-scan trials; the gate reads their median, so host
  *  load that slows fewer than half of them cannot flip it. */
@@ -130,8 +133,7 @@ watchdogScanNs()
     }
     if (kern.counters().hardening.deadlocksDetected != 0)
         return -1;
-    std::sort(trialNs.begin(), trialNs.end());
-    return trialNs[trialNs.size() / 2];
+    return bench::median(std::move(trialNs));
 }
 
 } // namespace
@@ -148,8 +150,11 @@ main(int argc, char **argv)
             check = true;
     }
 
-    double rateOn = dispatchRate(64);
-    double rateOff = dispatchRate(0);
+    std::vector<double> rates = bench::interleavedMedians(
+        kDispatchTrials,
+        {[] { return dispatchRate(64); }, [] { return dispatchRate(0); }});
+    double rateOn = rates[0];
+    double rateOff = rates[1];
     double overheadPct =
         rateOff > 0 ? (rateOff - rateOn) * 100.0 / rateOff : 100.0;
     double scanNs = watchdogScanNs();

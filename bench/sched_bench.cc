@@ -21,6 +21,10 @@
  *    which should be flat — the engine serializes slices, so adding
  *    runnable processes must not collapse per-step cost.
  *
+ * The three throughput arms are timed in interleaved trials and
+ * compared by their medians, so host load that comes and goes cannot
+ * flip the gates alone.
+ *
  * --json emits machine-readable results; --check exits nonzero unless
  * the scheduler clears a 3x throughput floor over the re-create
  * pattern, switch cost stays bounded, and scaling stays flat.
@@ -29,6 +33,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <vector>
 
 #include "bench_util.h"
 #include "isa/assembler.h"
@@ -53,6 +58,8 @@ constexpr u64 kBodyInsns = 224;
  *  enough that four guests interleave responsively, which is exactly
  *  where the per-dispatch re-creation tax hurts the old pattern. */
 constexpr u64 kSlice = 64;
+/** Interleaved trials per throughput arm; the gates read medians. */
+constexpr int kTrials = 5;
 
 struct Guest
 {
@@ -195,9 +202,13 @@ main(int argc, char **argv)
     }
 
     SchedStats multi;
-    double schedMulti = runScheduled(4, &multi);
-    double recreate = runRecreated(4);
-    double schedSingle = runScheduled(1);
+    std::vector<double> rates = bench::interleavedMedians(
+        kTrials, {[&] { return runScheduled(4, &multi); },
+                  [] { return runRecreated(4); },
+                  [] { return runScheduled(1); }});
+    double schedMulti = rates[0];
+    double recreate = rates[1];
+    double schedSingle = rates[2];
     double ratio = recreate > 0 ? schedMulti / recreate : 0;
     double scaling = schedSingle > 0 ? schedMulti / schedSingle : 0;
     double switchNs = switchCostNs();

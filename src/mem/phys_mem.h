@@ -120,6 +120,9 @@ class Frame
     }
 
   private:
+    /** Checkpoint/restore moves the bytes in and out in place. */
+    friend struct snap::Access;
+
     std::array<u8, pageSize> data;
     std::bitset<granulesPerPage> tags;
     std::array<Capability, granulesPerPage> caps;

@@ -12,6 +12,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "check/invariants.h"
@@ -326,6 +329,67 @@ put64At(std::vector<u8> &img, size_t off, u64 v)
     std::copy(b.begin(), b.end(), img.begin() + off);
 }
 
+void
+put32At(std::vector<u8> &img, size_t off, u32 v)
+{
+    for (int i = 0; i < 4; ++i)
+        img[off + i] = static_cast<u8>(v >> (8 * i));
+}
+
+u64
+getAt(const std::vector<u8> &img, size_t off, int bytes)
+{
+    u64 v = 0;
+    for (int i = 0; i < bytes; ++i)
+        v |= static_cast<u64>(img[off + i]) << (8 * i);
+    return v;
+}
+
+u64
+get64At(const std::vector<u8> &img, size_t off)
+{
+    return getAt(img, off, 8);
+}
+
+u32
+get32At(const std::vector<u8> &img, size_t off)
+{
+    return static_cast<u32>(getAt(img, off, 4));
+}
+
+std::vector<u8>
+cat(std::vector<u8> a, const std::vector<u8> &b)
+{
+    a.insert(a.end(), b.begin(), b.end());
+    return a;
+}
+
+/** The serialized form of a string: its length, then its bytes. */
+std::vector<u8>
+strBytes(const std::string &s)
+{
+    return cat(le64(s.size()), std::vector<u8>(s.begin(), s.end()));
+}
+
+/** Store a capability to [@p base, @p base + 64) at @p va, so the frame
+ *  holding @p va carries one tagged granule. */
+void
+storeCap(Process &proc, u64 va, u64 base)
+{
+    Capability c = proc.as().capForRange(base, 64, PROT_READ | PROT_WRITE,
+                                         false);
+    ASSERT_TRUE(c.tag());
+    ASSERT_FALSE(proc.as().writeCap(va, c).has_value());
+}
+
+/** A tag-list entry as saved: granule offset, then the capability's
+ *  tag byte and base. */
+std::vector<u8>
+tagEntry(u64 off, bool tag, u64 base)
+{
+    return cat(cat(le64(off), {static_cast<u8>(tag ? 1 : 0)}), le64(base));
+}
+
 // Restore rebuilds each mapping's page-table array from the page
 // records, so a record outside every mapping, a duplicated record, or
 // a mapping left with fewer records than pages is a corrupt image.
@@ -385,6 +449,38 @@ TEST(SnapshotTest, PageRecordsMustTileTheirMappings)
     EXPECT_EQ(snap::save(kern2, &err), img);
     expectOracleClean(kern2);
     expectUsable(kern2);
+}
+
+// A swapped-out page keeps its capabilities as (granule offset, pattern)
+// metadata.  A forged offset must be rejected at restore, exactly as a
+// frame's is; accepting it would let the first swap-in store a
+// capability outside the page.
+TEST(SnapshotTest, SwapSlotTagOffsetValidatedLikeFrames)
+{
+    GuestSystem sys{Abi::CheriAbi};
+    GuestPtr buf = sys.ctx->mmap(pageSize);
+    const u64 off = 0x40;
+    storeCap(*sys.proc, buf.addr() + off, buf.addr() + 0x100);
+    ASSERT_TRUE(sys.proc->as().swapOutPage(buf.addr()));
+    std::string err;
+    std::vector<u8> img = snap::save(sys.kern, &err);
+    ASSERT_FALSE(img.empty()) << err;
+
+    // The slot stores the pattern untagged.
+    size_t entry = findUnique(img, tagEntry(off, false, buf.addr() + 0x100));
+    for (u64 forged : {pageSize, off + 1}) {
+        SCOPED_TRACE(forged);
+        std::vector<u8> bad = img;
+        put64At(bad, entry, forged);
+        Kernel kern2;
+        err.clear();
+        EXPECT_FALSE(snap::restore(kern2, bad, &err));
+        EXPECT_NE(err.find("corrupt tag offset"), std::string::npos) << err;
+        expectUsable(kern2);
+    }
+    Kernel kern2;
+    ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
+    expectOracleClean(kern2);
 }
 
 // --- Scheduled guests across restore ---
@@ -581,6 +677,496 @@ TEST(SnapshotTest, MetricsSnapshotSectionInV9Schema)
     EXPECT_NE(json.find("cheri.metrics.v9"), std::string::npos);
     EXPECT_NE(json.find("\"snapshot\""), std::string::npos);
     EXPECT_NE(json.find("\"restores\""), std::string::npos);
+}
+
+// --- Every restore check, one corrupt field at a time ---
+
+// Sentinel values planted in kernel state: each one is unique in the
+// saved image, so the fields a row corrupts are found relative to it.
+constexpr u64 seedSentinel = 0x5eed5eed5eed5eedull;    // cfg.aslrSeed
+constexpr u64 fileSentinel = 0x0ff5e70ff5e70ff5ull;    // OpenFile offset
+constexpr u64 maskSentinel = 0x516da5c0516da5c0ull;    // sigMask
+constexpr u64 regSentinel = 0x7e657e657e657e65ull;     // x[31]
+constexpr u64 slotSentinel1 = 0x5107510700000001ull;   // swapped page 1
+constexpr u64 slotSentinel2 = 0x5107510700000002ull;   // swapped page 2
+constexpr u64 ctxSentinelA = 0xc7a0c7a0c7a0c7a0ull;    // blockArg
+constexpr u64 ctxSentinelB = 0xc7b0c7b0c7b0c7b0ull;    // blockArg
+constexpr u64 fixedVa = 0x7b5c3000;
+const std::string nodeName = "snapshot-sentinel-node";
+const std::string victimName = "dup-pid-victim";
+
+/** A kernel holding one instance of every object a restore check
+ *  guards, each next to a sentinel; returns its image. */
+std::vector<u8>
+sentinelImage(u64 *tagBase, u64 *firstPid)
+{
+    KernelConfig cfg;
+    cfg.aslrSeed = seedSentinel;
+    GuestSystem sys{Abi::CheriAbi, cfg};
+    Kernel &kern = sys.kern;
+    Process &proc = *sys.proc;
+    *firstPid = proc.pid();
+
+    // Two resident pages at a fixed address (page records).
+    EXPECT_EQ(proc.as().map(fixedVa, 2 * pageSize, PROT_READ | PROT_WRITE,
+                            MappingKind::Data, true),
+              fixedVa);
+    for (u64 pg = 0; pg < 2; ++pg) {
+        u64 v = pg + 1;
+        EXPECT_FALSE(proc.as().writeBytes(fixedVa + pg * pageSize, &v, 8));
+    }
+    // A frame with one tagged granule.
+    GuestPtr capPage = sys.ctx->mmap(pageSize);
+    *tagBase = capPage.addr() + 0x100;
+    storeCap(proc, capPage.addr() + 0x40, *tagBase);
+    // Two swap slots, told apart by their first word.
+    GuestPtr swapped = sys.ctx->mmap(2 * pageSize);
+    sys.ctx->store<u64>(swapped, 0, slotSentinel1);
+    sys.ctx->store<u64>(swapped, pageSize, slotSentinel2);
+    EXPECT_TRUE(proc.as().swapOutPage(swapped.addr()));
+    EXPECT_TRUE(proc.as().swapOutPage(swapped.addr() + pageSize));
+    // A five-page shm segment.
+    EXPECT_EQ(kern.sysShmget(proc, 5, 5 * pageSize).error, E_OK);
+    // A named regular file, open as the first file description.
+    auto of = std::make_shared<OpenFile>();
+    of->node = kern.vfs().createFile("/tmp/" + nodeName);
+    of->offset = fileSentinel;
+    EXPECT_EQ(proc.allocFd(of), 0);
+    // A second process with a known name, signal mask, register and
+    // one descriptor, and no spawned threads.
+    Process *victim = kern.spawn(Abi::Mips64, victimName);
+    victim->sigMask = maskSentinel;
+    victim->regs().x[31] = regSentinel;
+    EXPECT_EQ(victim->allocFd(of), 0);
+
+    std::string err;
+    std::vector<u8> img = snap::save(kern, &err);
+    EXPECT_FALSE(img.empty()) << err;
+    return img;
+}
+
+/** Two admitted, never-run contexts (run queue: A, B). */
+std::vector<u8>
+schedSentinelImage()
+{
+    Kernel kern;
+    sched::Scheduler &s = sched::schedulerFor(kern);
+    SchedGuest a = makeGuest(kern, Abi::Mips64, "ctx-a");
+    SchedGuest b = makeGuest(kern, Abi::Mips64, "ctx-b");
+    isa::Assembler pa;
+    pa.halt();
+    admitProgram(s, a, pa).blockArg = ctxSentinelA;
+    isa::Assembler pb;
+    pb.halt();
+    admitProgram(s, b, pb).blockArg = ctxSentinelB;
+    std::string err;
+    std::vector<u8> img = snap::save(kern, &err);
+    EXPECT_FALSE(img.empty()) << err;
+    return img;
+}
+
+TEST(SnapshotTest, RestoreRejectsEachCorruptField)
+{
+    u64 tagBase = 0;
+    u64 firstPid = 0;
+    const std::vector<u8> img = sentinelImage(&tagBase, &firstPid);
+    const std::vector<u8> schedImg = schedSentinelImage();
+    ASSERT_FALSE(img.empty());
+    ASSERT_FALSE(schedImg.empty());
+
+    // Config header: ..., page size, cap format, swap policy, two
+    // feature booleans, stack size, ASLR seed.
+    const size_t seed = findUnique(img, le64(seedSentinel));
+    const size_t capFormat = seed - 12;
+    const size_t feature = seed - 10;
+    const size_t pageSizeAt = seed - 20;
+    const size_t layout = seed - 52;
+    // Page record: VA, frame id, ...
+    const size_t page2 = findUnique(img, le64(fixedVa + pageSize));
+    // Frame tag list entry: offset, capability.
+    const size_t tagAt = findUnique(img, tagEntry(0x40, true, tagBase));
+    // Swap slot: id, page bytes (first word planted), ...
+    const size_t slot1 = findUnique(img, le64(slotSentinel1)) - 8;
+    const size_t slot2 = findUnique(img, le64(slotSentinel2)) - 8;
+    // Shm segment: size, frame count, frame ids.
+    const size_t shm =
+        findUnique(img, cat(le64(5 * pageSize), le64(5))) + 16;
+    // Open file #1: vnode id, offset, flags; the root id and the
+    // file count come just before it.
+    const size_t fileNode = findUnique(img, le64(fileSentinel)) - 4;
+    const size_t rootId = fileNode - 8 - 4;
+    // VNode: ..., name, data (empty), children (none), read channel.
+    const size_t readCh =
+        findUnique(img, cat(cat(strBytes(nodeName), le64(0)), le64(0))) +
+        8 + nodeName.size() + 16;
+    // The victim: pid, ppid, abi, name, ...; its register file ends
+    // with x[31], then the cost model's 9 words and its L1i geometry;
+    // its fds precede the thread count (0), curThread, nextTid, the
+    // signal actions, sigPending and sigMask.
+    const size_t victimPid = findUnique(img, strBytes(victimName)) - 17;
+    const size_t l1iLine = findUnique(img, le64(regSentinel)) + 8 + 72;
+    const size_t curThread =
+        findUnique(img, le64(maskSentinel)) - 8 - numSignals * 9 - 16;
+    const size_t lastFd = curThread - 8 - 4;
+    // Scheduler contexts: pid, tid, state, block kind, block arg...;
+    // 104 bytes each, then the run queue's count and (pid, tid) pairs.
+    const size_t ctxA = findUnique(schedImg, le64(ctxSentinelA)) - 18;
+    const size_t ctxB = findUnique(schedImg, le64(ctxSentinelB)) - 18;
+    const size_t runq = ctxB + 104 + 8;
+
+    struct Row
+    {
+        const char *what;
+        bool sched;
+        std::function<void(std::vector<u8> &)> corrupt;
+        const char *error;
+    };
+    const Row rows[] = {
+        {"layout constant", false,
+         [&](auto &b) { put32At(b, layout, numSysNums + 1); },
+         "layout-constant mismatch"},
+        {"page size", false,
+         [&](auto &b) { put64At(b, pageSizeAt, 2 * pageSize); },
+         "page-size mismatch"},
+        {"cap format", false, [&](auto &b) { b[capFormat] = 7; },
+         "corrupt enum value: cap format"},
+        {"feature flag", false, [&](auto &b) { b[feature] = 2; },
+         "corrupt boolean"},
+        {"frame tag offset", false,
+         [&](auto &b) { put64At(b, tagAt, pageSize); },
+         "corrupt tag offset"},
+        {"duplicate swap slot", false,
+         [&](auto &b) { put64At(b, slot2, get64At(b, slot1)); },
+         "duplicate swap slot"},
+        {"vnode read channel", false,
+         [&](auto &b) { put32At(b, readCh, 0xffff); },
+         "corrupt channel id"},
+        {"vfs root", false,
+         [&](auto &b) { put32At(b, rootId, get32At(b, fileNode)); },
+         "vfs root is not a directory"},
+        {"open file's vnode", false,
+         [&](auto &b) { put32At(b, fileNode, 0xffff); },
+         "corrupt vnode id"},
+        {"duplicate pid", false,
+         [&](auto &b) { put64At(b, victimPid, firstPid); },
+         "duplicate pid"},
+        {"page frame id", false,
+         [&](auto &b) { put32At(b, page2 + 8, 0x7fffffff); },
+         "corrupt frame id"},
+        {"cache geometry", false,
+         [&](auto &b) { put64At(b, l1iLine, get64At(b, l1iLine) * 2); },
+         "cache geometry mismatch"},
+        {"fd table", false, [&](auto &b) { put32At(b, lastFd, 0xffff); },
+         "corrupt open-file id"},
+        {"current thread", false, [&](auto &b) { put64At(b, curThread, 1); },
+         "corrupt current-thread id"},
+        {"shm frame id", false, [&](auto &b) { put32At(b, shm, 0); },
+         "corrupt shm frame id"},
+        {"context pid", true, [&](auto &b) { put64At(b, ctxA, 999); },
+         "context references unknown pid"},
+        {"duplicate context", true,
+         [&](auto &b) {
+             put64At(b, ctxB, get64At(b, ctxA));
+             put64At(b, ctxB + 8, get64At(b, ctxA + 8));
+         },
+         "duplicate scheduler context"},
+        {"run queue entry", true, [&](auto &b) { put64At(b, runq, 999); },
+         "queue references unknown context: run queue"},
+    };
+    Kernel kern2;
+    std::string err;
+    for (const Row &row : rows) {
+        SCOPED_TRACE(row.what);
+        std::vector<u8> bad = row.sched ? schedImg : img;
+        row.corrupt(bad);
+        err.clear();
+        EXPECT_FALSE(snap::restore(kern2, bad, &err));
+        EXPECT_NE(err.find(row.error), std::string::npos) << err;
+    }
+    // The untouched images restore, byte-stable, into the kernel the
+    // rejections reset.
+    for (const std::vector<u8> *good : {&img, &schedImg}) {
+        ASSERT_TRUE(snap::restore(kern2, *good, &err)) << err;
+        EXPECT_EQ(snap::save(kern2, &err), *good);
+        expectOracleClean(kern2);
+    }
+    expectUsable(kern2);
+}
+
+// --- One image that fills every section ---
+
+/** The swap slot backing @p va in @p proc's page table. */
+u64
+slotOf(const Process &proc, u64 va)
+{
+    u64 slot = ~u64{0};
+    proc.as().forEachPte([&](const AddressSpace::PteView &v) {
+        if (v.va == va && v.swapped)
+            slot = v.swapSlot;
+    });
+    EXPECT_NE(slot, ~u64{0});
+    return slot;
+}
+
+std::vector<std::pair<u64, Capability>>
+slotTags(Kernel &kern, u64 slot)
+{
+    std::vector<std::pair<u64, Capability>> out;
+    kern.swapDevice().forEachTaggedInSlot(
+        slot, [&](u64 off, const Capability &c) { out.push_back({off, c}); });
+    return out;
+}
+
+void
+expectSameCap(const Capability &a, const Capability &b)
+{
+    EXPECT_EQ(a.tag(), b.tag());
+    EXPECT_EQ(a.base(), b.base());
+    EXPECT_EQ(a.top(), b.top());
+    EXPECT_EQ(a.address(), b.address());
+    EXPECT_EQ(a.perms(), b.perms());
+}
+
+// Kqueues, ptrace attachments, shm segments, spawned threads, posted
+// events, a DeathInfo, the registry's costs / provenance / fault
+// records, an open revocation epoch, a swap slot with tag metadata and
+// a select parked with its deadline armed: restore must reproduce all
+// of it, so the restored kernel saves the same bytes.
+TEST(SnapshotTest, RoundTripFillsEverySection)
+{
+    obs::Metrics mx;
+    KernelConfig cfg;
+    cfg.timeSliceSteps = 32;
+    GuestSystem sys{Abi::CheriAbi, cfg};
+    Kernel &kern = sys.kern;
+    Process &proc = *sys.proc;
+    kern.setMetrics(&mx);
+    std::string err;
+    // One earlier image makes the registry's snapshot counters
+    // distinctive (found below).
+    ASSERT_FALSE(snap::save(kern, &err).empty()) << err;
+
+    int fds[2];
+    ASSERT_EQ(kern.sysPipe(proc, fds).error, E_OK);
+    GuestPtr session = sys.ctx->mmap(pageSize);
+    KEvent reg;
+    reg.ident = fds[0];
+    reg.filter = KFilter::Read;
+    reg.udata = session.cap;
+    ASSERT_EQ(kern.sysKevent(proc, {reg}, nullptr, 0).error, E_OK);
+    GuestPtr byte = sys.ctx->mmap(64);
+    sys.ctx->store<u8>(byte, 0, 1);
+    ASSERT_EQ(sys.ctx->write(fds[1], byte, 1), 1);
+
+    Process *debugger = kern.spawn(Abi::CheriAbi, "gdb");
+    ASSERT_EQ(kern.sysPtrace(*debugger, PtReq::Attach, proc.pid(), 0,
+                             nullptr, 0)
+                  .error,
+              E_OK);
+    SysResult shm = kern.sysShmget(proc, 3, 2 * pageSize);
+    ASSERT_EQ(shm.error, E_OK);
+    ASSERT_EQ(kern.sysThrNew(proc).error, E_OK);
+    ASSERT_EQ(kern.sysEvPost(proc, proc.pid()).error, E_OK);
+
+    Process *victim = kern.spawn(Abi::CheriAbi, "victim");
+    DeathInfo death;
+    death.signal = SIG_PROT;
+    death.fault = CapFault::LengthViolation;
+    death.faultAddr = session.addr() + pageSize;
+    death.detail = "planted";
+    death.faultCap = session.cap;
+    death.faultCapKnown = true;
+    victim->die(death);
+
+    mx.captureCost("planted", proc.cost());
+    mx.derive(DeriveSource::Stack, session.cap);
+    mx.recordFault(CapFault::LengthViolation, 0x400, death.faultAddr,
+                   &session.cap, Abi::CheriAbi);
+
+    // A tagged page swapped out: its slot carries tag metadata.
+    GuestPtr swapped = sys.ctx->mmap(pageSize);
+    storeCap(proc, swapped.addr() + 0x40, swapped.addr() + 0x100);
+    ASSERT_TRUE(proc.as().swapOutPage(swapped.addr()));
+    const u64 slot = slotOf(proc, swapped.addr());
+    ASSERT_EQ(kern.swapDevice().slotTagCount(slot), 1u);
+
+    // More cap-dirty pages than one incremental slice sweeps.
+    GuestPtr dirty = sys.ctx->mmap(16 * pageSize);
+    for (u64 pg = 0; pg < 16; ++pg)
+        storeCap(proc, dirty.addr() + pg * pageSize, dirty.addr());
+    ASSERT_FALSE(kern
+                     .sysRevoke2(proc,
+                                 {{dirty.addr(),
+                                   dirty.addr() + 16 * pageSize}},
+                                 REVOKE_INCREMENTAL)
+                     .failed());
+
+    // A selector parked on an empty pipe with its deadline armed, next
+    // to a busy peer; the image is taken from the slice hook.
+    sched::Scheduler &s = sched::schedulerFor(kern);
+    SchedGuest sel = makeGuest(kern, Abi::Mips64, "selector");
+    SchedGuest busy = makeGuest(kern, Abi::Mips64, "busy-peer");
+    auto [rfd, wfd] = sharePipe(sel, busy, Vfs::makePipe());
+    (void)wfd;
+    u64 mask = u64{1} << rfd;
+    u64 tv[2] = {600, 0};
+    ASSERT_FALSE(sel.proc->as().writeBytes(sel.data, &mask, 8));
+    ASSERT_FALSE(sel.proc->as().writeBytes(sel.data + 16, tv, 16));
+    isa::Assembler a;
+    a.syscall(static_cast<s64>(SysNum::Select)).halt();
+    sched::ExecContext &cx = admitProgram(s, sel, a);
+    ThreadRegs &r = cx.interp->regs();
+    r.x[4] = static_cast<u64>(rfd) + 1;
+    r.x[5] = sel.data;
+    r.x[6] = 0;
+    r.x[7] = 0;
+    r.x[8] = sel.data + 16;
+    isa::Assembler b;
+    b.li(9, 40).label("spin").sub(9, 9, 1).bne(9, 0, "spin").halt();
+    admitProgram(s, busy, b);
+
+    // Taken with the image: what the restored side must read back.
+    std::vector<u8> img;
+    obs::SnapshotCounters snapAtSave;
+    std::map<std::pair<u64, u64>, u64> stepsAtSave;
+    u64 stackDerivesAtSave = 0;
+    RevocationEpoch epochAtSave;
+    KernelCounters countersAtSave;
+    sched::ExecContext selAtSave;
+    s.setSliceHook([&](Process &) {
+        if (!img.empty() || kern.counters().fd.blocks < 1)
+            return;
+        snapAtSave = mx.snapshot();
+        stepsAtSave = mx.threadSteps();
+        stackDerivesAtSave = mx.deriveCount(DeriveSource::Stack);
+        epochAtSave = *kern.findRevocationEpoch(proc.pid());
+        countersAtSave = kern.counters();
+        selAtSave.state = cx.state;
+        selAtSave.fdChans = cx.fdChans;
+        selAtSave.fdDeadlineArmed = cx.fdDeadlineArmed;
+        selAtSave.fdDeadline = cx.fdDeadline;
+        std::string serr;
+        img = snap::save(kern, &serr);
+        ASSERT_FALSE(img.empty()) << serr;
+    });
+    kern.runUntilIdle();
+    s.setSliceHook(nullptr);
+    ASSERT_FALSE(img.empty()) << "selector never parked";
+    ASSERT_TRUE(epochAtSave.open) << "epoch closed before the image";
+    ASSERT_TRUE(selAtSave.fdDeadlineArmed);
+
+    obs::Metrics mx2;
+    Kernel kern2;
+    kern2.setMetrics(&mx2);
+    ASSERT_TRUE(snap::restore(kern2, img, &err)) << err;
+
+    // save(restore(save(k))) == save(k), once the registry's own
+    // count of this restore is taken back out.
+    std::vector<u8> img2 = snap::save(kern2, &err);
+    ASSERT_EQ(img2.size(), img.size());
+    std::vector<u8> counters;
+    for (u64 v : {snapAtSave.snapshotsTaken, snapAtSave.snapshotBytes,
+                  snapAtSave.restores, snapAtSave.restoreFailures})
+        counters = cat(counters, le64(v));
+    size_t restoresAt = findUnique(img, counters) + 16;
+    EXPECT_EQ(get64At(img2, restoresAt), snapAtSave.restores + 1);
+    put64At(img2, restoresAt, snapAtSave.restores);
+    EXPECT_TRUE(img2 == img) << "restored kernel saved different bytes";
+    // (The oracle counts its runs in the registry: check after saving.)
+    expectOracleClean(kern2);
+
+    // Every section, read back through the public accessors.
+    Process *p2 = kern2.findProcess(proc.pid());
+    ASSERT_NE(p2, nullptr);
+    std::vector<KEvent> events;
+    ASSERT_EQ(kern2.sysKevent(*p2, {}, &events, 8).error, E_OK);
+    ASSERT_EQ(events.size(), 1u);
+    EXPECT_EQ(events[0].ident, fds[0]);
+    EXPECT_EQ(events[0].filter, KFilter::Read);
+    expectSameCap(events[0].udata, session.cap);
+
+    Process *dbg2 = kern2.findProcess(debugger->pid());
+    ASSERT_NE(dbg2, nullptr);
+    u8 peek = 0;
+    EXPECT_EQ(kern2.sysPtrace(*dbg2, PtReq::ReadData, proc.pid(),
+                              byte.addr(), &peek, 1)
+                  .error,
+              E_OK);
+    EXPECT_EQ(peek, 1u);
+
+    UserPtr shmAt;
+    EXPECT_EQ(kern2
+                  .sysShmat(*p2, static_cast<int>(shm.value),
+                            UserPtr::null(), &shmAt)
+                  .error,
+              E_OK);
+    EXPECT_EQ(shmAt.cap.length(), 2 * pageSize);
+
+    Process *victim2 = kern2.findProcess(victim->pid());
+    ASSERT_NE(victim2, nullptr);
+    ASSERT_TRUE(victim2->death().has_value());
+    const DeathInfo &d2 = *victim2->death();
+    EXPECT_EQ(d2.signal, death.signal);
+    EXPECT_EQ(d2.fault, death.fault);
+    EXPECT_EQ(d2.faultAddr, death.faultAddr);
+    EXPECT_EQ(d2.detail, death.detail);
+    expectSameCap(d2.faultCap, death.faultCap);
+    EXPECT_EQ(d2.faultCapKnown, death.faultCapKnown);
+    EXPECT_EQ(d2.deadlock, death.deadlock);
+
+    ASSERT_EQ(mx2.costSnapshots().size(), 1u);
+    const obs::CostSnapshot &c1 = mx.costSnapshots()[0];
+    const obs::CostSnapshot &c2 = mx2.costSnapshots()[0];
+    EXPECT_EQ(c2.label, c1.label);
+    EXPECT_EQ(c2.abi, c1.abi);
+    EXPECT_EQ(c2.instructions, c1.instructions);
+    EXPECT_EQ(c2.cycles, c1.cycles);
+    EXPECT_EQ(c2.l1dMisses, c1.l1dMisses);
+    EXPECT_EQ(c2.l2Misses, c1.l2Misses);
+    EXPECT_EQ(c2.codeBytes, c1.codeBytes);
+    EXPECT_EQ(c2.itlbMisses, c1.itlbMisses);
+    EXPECT_EQ(c2.dtlbMisses, c1.dtlbMisses);
+    ASSERT_EQ(mx2.faults().size(), 1u);
+    const obs::FaultRecord &f1 = mx.faults()[0];
+    const obs::FaultRecord &f2 = mx2.faults()[0];
+    EXPECT_EQ(f2.cause, f1.cause);
+    EXPECT_EQ(f2.pc, f1.pc);
+    EXPECT_EQ(f2.addr, f1.addr);
+    EXPECT_EQ(f2.abi, f1.abi);
+    EXPECT_EQ(f2.provenance, DeriveSource::Stack);
+    EXPECT_TRUE(f2.provenanceKnown);
+    EXPECT_EQ(mx2.deriveCount(DeriveSource::Stack), stackDerivesAtSave);
+    EXPECT_EQ(mx2.threadSteps(), stepsAtSave);
+
+    const RevocationEpoch *ep2 = kern2.findRevocationEpoch(proc.pid());
+    ASSERT_NE(ep2, nullptr);
+    EXPECT_TRUE(ep2->open);
+    EXPECT_EQ(ep2->id, epochAtSave.id);
+    EXPECT_EQ(ep2->ranges, epochAtSave.ranges);
+    EXPECT_EQ(ep2->worklist, epochAtSave.worklist);
+    EXPECT_EQ(ep2->revoked, epochAtSave.revoked);
+    EXPECT_EQ(ep2->cyclesAtOpen, epochAtSave.cyclesAtOpen);
+    EXPECT_EQ(kern2.counters().revocation.epochsOpened,
+              countersAtSave.revocation.epochsOpened);
+    EXPECT_EQ(kern2.counters().fd.blocks, countersAtSave.fd.blocks);
+    EXPECT_EQ(kern2.counters().sched.slices, countersAtSave.sched.slices);
+
+    auto tags = slotTags(kern, slot);
+    auto tags2 = slotTags(kern2, slot);
+    ASSERT_EQ(tags2.size(), 1u);
+    ASSERT_EQ(tags.size(), 1u);
+    EXPECT_EQ(tags2[0].first, tags[0].first);
+    expectSameCap(tags2[0].second, tags[0].second);
+
+    auto *s2 = dynamic_cast<sched::Scheduler *>(kern2.scheduler());
+    ASSERT_NE(s2, nullptr);
+    Process *sel2 = kern2.findProcess(sel.proc->pid());
+    ASSERT_NE(sel2, nullptr);
+    const sched::ExecContext &cx2 = s2->context(*sel2);
+    EXPECT_EQ(cx2.state, selAtSave.state);
+    EXPECT_EQ(cx2.fdChans, selAtSave.fdChans);
+    EXPECT_TRUE(cx2.fdDeadlineArmed);
+    EXPECT_EQ(cx2.fdDeadline, selAtSave.fdDeadline);
 }
 
 } // namespace
