@@ -19,7 +19,8 @@ using namespace cheri::apps;
 namespace
 {
 
-WorkloadResult
+/** Cycles @p w takes under @p abi with capabilities in @p fmt. */
+u64
 runWith(const Workload &w, Abi abi, compress::CapFormat fmt)
 {
     KernelConfig cfg;
@@ -34,58 +35,50 @@ runWith(const Workload &w, Abi abi, compress::CapFormat fmt)
     GuestMalloc heap(ctx);
     proc->cost().reset();
     w.run(ctx, heap);
-    WorkloadResult r;
-    r.name = w.name;
-    r.instructions = proc->cost().instructions();
-    r.cycles = proc->cost().cycles();
-    r.l2Misses = proc->cost().l2Misses();
-    return r;
+    return proc->cost().cycles();
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::banner("Ablation: capability format (cycle overhead vs "
-                  "mips64)");
-    std::printf("%-24s %12s %12s\n", "benchmark", "cheri-128",
-                "cheri-256");
+    bench::Report report(argc, argv);
+    report.section("Ablation: capability format (cycle overhead vs "
+                   "mips64)");
     for (const Workload &w : figure4Workloads()) {
         if (w.name != "network-patricia" && w.name != "auto-qsort" &&
             w.name != "spec2006-xalancbmk" && w.name != "spec2006-astar" &&
             w.name != "auto-basicmath") {
             continue;
         }
-        WorkloadResult mips =
-            runWith(w, Abi::Mips64, compress::CapFormat::Cap128);
-        WorkloadResult c128 =
-            runWith(w, Abi::CheriAbi, compress::CapFormat::Cap128);
-        WorkloadResult c256 =
-            runWith(w, Abi::CheriAbi, compress::CapFormat::Cap256);
-        std::printf("%-24s %+11.1f%% %+11.1f%%\n", w.name.c_str(),
-                    overheadPct(mips.cycles, c128.cycles),
-                    overheadPct(mips.cycles, c256.cycles));
+        u64 mips = runWith(w, Abi::Mips64, compress::CapFormat::Cap128);
+        for (auto [metric, fmt] :
+             {std::pair{"cheri-128", compress::CapFormat::Cap128},
+              std::pair{"cheri-256", compress::CapFormat::Cap256}}) {
+            report.add(w.name, metric,
+                       overheadPct(mips, runWith(w, Abi::CheriAbi, fmt)),
+                       {.unit = "%", .places = 1, .sign = true});
+        }
     }
 
-    bench::banner("The compressed format's price: allocation padding");
-    std::printf("%-18s %16s %16s\n", "request", "cap128 bounds",
-                "cap256 bounds");
+    report.section("The compressed format's price: allocation padding (bounds "
+                   "granted per request)");
     for (u64 want :
          {u64{100}, u64{1} << 14, (u64{1} << 20) + 7,
           (u64{1} << 26) + 4096}) {
-        auto bounds = [&](compress::CapFormat fmt) {
-            return compress::representableLength(want, fmt);
-        };
-        std::printf("%-18lu %16lu %16lu\n",
-                    static_cast<unsigned long>(want),
-                    static_cast<unsigned long>(
-                        bounds(compress::CapFormat::Cap128)),
-                    static_cast<unsigned long>(
-                        bounds(compress::CapFormat::Cap256)));
+        std::string request = "request " + std::to_string(want);
+        report.add(request, "cap128",
+                   compress::representableLength(
+                       want, compress::CapFormat::Cap128),
+                   {.unit = "B"});
+        report.add(request, "cap256",
+                   compress::representableLength(
+                       want, compress::CapFormat::Cap256),
+                   {.unit = "B"});
     }
-    bench::note("\nShape: 256-bit capabilities give exact bounds but "
+    report.note("\nShape: 256-bit capabilities give exact bounds but "
                 "double pointer\nfootprint again — the pointer-dense "
                 "workloads pay visibly more.");
-    return 0;
+    return report.finish();
 }

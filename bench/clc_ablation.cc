@@ -17,36 +17,34 @@ using namespace cheri;
 using namespace cheri::apps;
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::banner("Ablation: CLC immediate width (initdb)");
+    bench::Report report(argc, argv);
+    report.section("Ablation: CLC immediate width (initdb)");
     InitdbResult mips = runInitdb(Abi::Mips64);
     InitdbResult small_imm =
         runInitdb(Abi::CheriAbi, {.largeClcImmediate = false});
     InitdbResult large_imm =
         runInitdb(Abi::CheriAbi, {.largeClcImmediate = true});
 
-    std::printf("%-26s %14s %14s %12s\n", "configuration", "cycles",
-                "instructions", "code-bytes");
-    auto print = [](const char *name, const InitdbResult &r) {
-        std::printf("%-26s %14lu %14lu %12lu\n", name,
-                    static_cast<unsigned long>(r.cycles),
-                    static_cast<unsigned long>(r.instructions),
-                    static_cast<unsigned long>(r.codeBytes));
-    };
-    print("mips64 baseline", mips);
-    print("cheriabi, small CLC imm", small_imm);
-    print("cheriabi, large CLC imm", large_imm);
+    for (auto [name, r] : {std::pair{"mips64 baseline", &mips},
+                           std::pair{"cheriabi, small CLC imm", &small_imm},
+                           std::pair{"cheriabi, large CLC imm", &large_imm}}) {
+        report.add(name, "cycles", r->cycles);
+        report.add(name, "instructions", r->instructions);
+        report.add(name, "code-bytes", r->codeBytes);
+    }
 
-    double small_pct = overheadPct(mips.cycles, small_imm.cycles);
-    double large_pct = overheadPct(mips.cycles, large_imm.cycles);
-    double code_delta = overheadPct(small_imm.codeBytes,
-                                    large_imm.codeBytes);
-    std::printf("\ninitdb overhead: %.1f%% -> %.1f%%   "
-                "(paper: 11%% -> 6.8%%)\n",
-                small_pct, large_pct);
-    std::printf("dynamic code footprint change: %+.1f%%   "
-                "(paper: >10%% static code-size reduction)\n",
-                code_delta);
-    return 0;
+    report.note("");
+    bench::Style pct{.unit = "%", .places = 1};
+    report.add("small CLC imm", "initdb overhead",
+               overheadPct(mips.cycles, small_imm.cycles), pct);
+    report.add("large CLC imm", "initdb overhead",
+               overheadPct(mips.cycles, large_imm.cycles), pct);
+    report.add("large CLC imm", "code footprint change",
+               overheadPct(small_imm.codeBytes, large_imm.codeBytes),
+               {.unit = "%", .places = 1, .sign = true});
+    report.note("(paper: initdb overhead 11% -> 6.8%; >10% static "
+                "code-size reduction)");
+    return report.finish();
 }

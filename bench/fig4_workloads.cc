@@ -35,62 +35,65 @@ Series
 runSeries(const Workload &w, Abi abi)
 {
     std::vector<WorkloadResult> runs;
-    for (int i = 0; i < numRuns; ++i)
+    std::vector<double> cycles;
+    for (int i = 0; i < numRuns; ++i) {
         runs.push_back(runWorkload(w, abi, {}, 1000 + i * 7));
+        cycles.push_back(static_cast<double>(runs.back().cycles));
+    }
     std::sort(runs.begin(), runs.end(),
               [](const WorkloadResult &a, const WorkloadResult &b) {
                   return a.cycles < b.cycles;
               });
     Series s;
     s.median = runs[numRuns / 2];
-    u64 q1 = runs[numRuns / 4].cycles;
-    u64 q3 = runs[(3 * numRuns) / 4].cycles;
-    s.cycleIqrPct = 100.0 * static_cast<double>(q3 - q1) /
+    s.cycleIqrPct = 100.0 * bench::iqr(cycles) /
                     static_cast<double>(s.median.cycles);
     return s;
 }
 
+/** The three Figure 4 overheads of @p cheri over @p mips, the cycles
+ *  one with its error bar @p cycleIqrPct when there is one. */
+template <typename Result>
 void
-printRow(const std::string &name, const Series &m, const Series &c)
+addOverheads(bench::Report &report, const std::string &name,
+             const Result &mips, const Result &cheri,
+             double cycleIqrPct = -1)
 {
-    std::printf("%-24s %+8.1f%% %+8.1f%% %+8.1f%%   %6.2f%%\n",
-                name.c_str(),
-                overheadPct(m.median.instructions,
-                            c.median.instructions),
-                overheadPct(m.median.cycles, c.median.cycles),
-                overheadPct(m.median.l2Misses, c.median.l2Misses),
-                std::max(m.cycleIqrPct, c.cycleIqrPct));
+    bench::Style pct{.unit = "%", .places = 1, .sign = true};
+    report.add(name, "instr", overheadPct(mips.instructions,
+                                          cheri.instructions), pct);
+    report.add(name, "cycles", overheadPct(mips.cycles, cheri.cycles),
+               {.unit = "%", .places = 1, .sign = true,
+                .iqr = cycleIqrPct, .iqrPlaces = 2});
+    report.add(name, "l2-miss", overheadPct(mips.l2Misses, cheri.l2Misses),
+               pct);
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::banner("Figure 4: CheriABI overhead vs mips64 baseline "
-                  "(median of 5 ASLR seeds; last column = cycle IQR "
-                  "as error bar)");
-    std::printf("%-24s %9s %9s %9s %9s\n", "benchmark", "instr",
-                "cycles", "l2-miss", "IQR");
+    bench::Report report(argc, argv);
+    report.section("Figure 4: CheriABI overhead vs mips64 baseline "
+                   "(median of 5 ASLR seeds; IQR = cycle IQR as % of the "
+                   "median, the error bar)");
     for (const Workload &w : figure4Workloads()) {
         Series m = runSeries(w, Abi::Mips64);
         Series c = runSeries(w, Abi::CheriAbi);
-        printRow(w.name, m, c);
+        addOverheads(report, w.name, m.median, c.median,
+                     std::max(m.cycleIqrPct, c.cycleIqrPct));
     }
 
     // initdb-dynamic: the dynamically linked macro-benchmark.
-    InitdbResult im = runInitdb(Abi::Mips64);
-    InitdbResult ic = runInitdb(Abi::CheriAbi);
-    std::printf("%-24s %+8.1f%% %+8.1f%% %+8.1f%%\n", "initdb-dynamic",
-                overheadPct(im.instructions, ic.instructions),
-                overheadPct(im.cycles, ic.cycles),
-                overheadPct(im.l2Misses, ic.l2Misses));
+    addOverheads(report, "initdb-dynamic", runInitdb(Abi::Mips64),
+                 runInitdb(Abi::CheriAbi));
 
-    bench::note(
+    report.note(
         "\nPaper (Figure 4) shape: most benchmarks within noise "
         "(+-10%);\npointer-dense workloads (patricia, astar, "
         "xalancbmk, qsort) pay\ncycles and L2 misses for 128-bit "
         "pointers; security-sha is *faster*\nunder CheriABI (separate "
         "capability register file); initdb-dynamic\n~= +6.8% cycles.");
-    return 0;
+    return report.finish();
 }

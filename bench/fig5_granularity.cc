@@ -13,46 +13,50 @@ using namespace cheri;
 using namespace cheri::apps;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Report report(argc, argv);
     CapTraceRecorder rec;
-    SslServerReport report = runSslServer(Abi::CheriAbi, &rec);
+    SslServerReport run = runSslServer(Abi::CheriAbi, &rec);
 
-    bench::banner("Figure 5: cumulative capability count by bounds size "
-                  "(mini_s_server)");
-    std::printf("run: handshake=%s, %lu bytes served, %lu capability "
-                "derivations traced\n\n",
-                report.handshakeOk ? "ok" : "FAILED",
-                static_cast<unsigned long>(report.bytesServed),
-                static_cast<unsigned long>(rec.count()));
+    report.section("Figure 5: cumulative capability count by bounds size "
+                   "(mini_s_server)");
+    report.add("run", "handshake ok", run.handshakeOk);
+    report.add("run", "bytes served", run.bytesServed);
+    report.add("run", "derivations traced", rec.count());
+    report.note("");
 
     GranularityCdf cdf(rec.all());
-    std::printf("%s\n", cdf.formatTable().c_str());
+    for (unsigned shift = GranularityCdf::minShift;
+         shift <= GranularityCdf::maxShift; shift += 2) {
+        std::string size = "size <= 2^" + std::to_string(shift);
+        report.add(size, "all", cdf.cumulativeAll(shift));
+        // Every source but the transient Temp, in legend order.
+        for (unsigned i = 0; i < unsigned(DeriveSource::Temp); ++i) {
+            auto s = static_cast<DeriveSource>(i);
+            report.add(size, std::string(deriveSourceName(s)),
+                       cdf.cumulative(s, shift));
+        }
+    }
 
-    bench::banner("Headline statistics (paper section 5.5)");
-    std::printf("largest capability bound:      %lu bytes "
-                "(paper: no capability > 16 MiB)\n",
-                static_cast<unsigned long>(cdf.maxLengthAll()));
-    std::printf("fraction with bounds <= 1 KiB: %.1f%% "
-                "(paper: ~90%%)\n",
-                cdf.fractionBelow(1024) * 100.0);
-    std::printf("largest stack capability:      %lu bytes "
-                "(paper: <= 8 MiB)\n",
-                static_cast<unsigned long>(
-                    cdf.maxLength(DeriveSource::Stack)));
-    std::printf("largest malloc capability:     %lu bytes "
-                "(paper: <= 8 MiB)\n",
-                static_cast<unsigned long>(
-                    cdf.maxLength(DeriveSource::Malloc)));
-    std::printf("kern/syscall capability count: %lu / %lu of %lu "
-                "(paper: lines nearly on the X-axis)\n",
-                static_cast<unsigned long>(
-                    cdf.total(DeriveSource::Kern)),
-                static_cast<unsigned long>(
-                    cdf.total(DeriveSource::Syscall)),
-                static_cast<unsigned long>(cdf.totalAll()));
-    bench::note("\n(A legacy mips64 run would be a single vertical "
-                "line at the maximum\nuser address: every pointer "
-                "carries whole-address-space authority.)");
-    return 0;
+    report.section("Headline statistics (paper section 5.5)");
+    report.add("largest capability bound (bytes)", "measured",
+               cdf.maxLengthAll(), {.unit = "B"});
+    report.add("fraction with bounds <= 1 KiB", "measured",
+               cdf.fractionBelow(1024) * 100.0, {.unit = "%", .places = 1});
+    report.add("largest stack capability (bytes)", "measured",
+               cdf.maxLength(DeriveSource::Stack), {.unit = "B"});
+    report.add("largest malloc capability (bytes)", "measured",
+               cdf.maxLength(DeriveSource::Malloc), {.unit = "B"});
+    report.add("kern capability count", "measured",
+               cdf.total(DeriveSource::Kern));
+    report.add("syscall capability count", "measured",
+               cdf.total(DeriveSource::Syscall));
+    report.note(
+        "\nPaper: no capability > 16 MiB; ~90% of bounds <= 1 KiB; "
+        "stack and\nmalloc capabilities <= 8 MiB; the kern and syscall "
+        "lines lie nearly\non the X-axis.  (A legacy mips64 run would be "
+        "a single vertical line\nat the maximum user address: every "
+        "pointer carries whole-address-space\nauthority.)");
+    return report.finish();
 }

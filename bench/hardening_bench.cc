@@ -15,15 +15,11 @@
  *    (but host-wakeable, so never killed) ev_wait contexts, the median
  *    of several timed trials.
  *
- * --json emits machine-readable results; --check exits nonzero when
- * either overhead exceeds its (deliberately generous, host-noise
- * tolerant) bound.
+ * --check exits nonzero when either overhead exceeds its (deliberately
+ * generous, host-noise tolerant) bound.
  */
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
-#include <utility>
 #include <vector>
 
 #include "bench_util.h"
@@ -54,14 +50,6 @@ benchProgram()
     return prog;
 }
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 /** Host-driven getpid dispatches per second at @p ring_depth. */
 double
 dispatchRate(u64 ring_depth)
@@ -79,17 +67,17 @@ dispatchRate(u64 ring_depth)
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kDispatchReps; ++i)
         sysInvoke(kern, *p, SysNum::Getpid, {});
-    double sec = secondsSince(t0);
+    double sec = bench::secondsSince(t0);
     return sec > 0 ? kDispatchReps / sec : 0;
 }
 
 /**
- * Median over kScanTrials trials of the nanoseconds per watchdog scan
- * over kBlockedContexts parked ev_wait guests.  A host-driven process
- * keeps every park wakeable, so each idle drain runs exactly one full
- * (non-killing) fixpoint scan.
+ * Nanoseconds per watchdog scan over kBlockedContexts parked ev_wait
+ * guests, over kScanTrials trials; a median of -1 flags a failed setup.
+ * A host-driven process keeps every park wakeable, so each idle drain
+ * runs exactly one full (non-killing) fixpoint scan.
  */
-double
+bench::Trials
 watchdogScanNs()
 {
     KernelConfig cfg;
@@ -103,12 +91,12 @@ watchdogScanNs()
     // ev_wait park wakeable.
     Process *host = kern.spawn(Abi::Mips64, "host-peer");
     if (!host || kern.execve(*host, prog, {"host-peer"}, {}) != E_OK)
-        return -1;
+        return {-1, 0};
 
     for (u64 i = 0; i < kBlockedContexts; ++i) {
         Process *p = kern.spawn(Abi::Mips64, "parked");
         if (!p || kern.execve(*p, prog, {"parked"}, {}) != E_OK)
-            return -1;
+            return {-1, 0};
         u64 code = p->as().map(0, pageSize,
                                PROT_READ | PROT_WRITE | PROT_EXEC,
                                MappingKind::Text);
@@ -122,18 +110,18 @@ watchdogScanNs()
     kern.runUntilIdle(); // park everyone (first scan: warm-up)
     if (kern.counters().hardening.deadlocksDetected != 0 ||
         kern.counters().hardening.deadlocksKilled != 0)
-        return -1; // wakeable parks must never trip the watchdog
+        return {-1, 0}; // wakeable parks must never trip the watchdog
 
     std::vector<double> trialNs;
     for (int t = 0; t < kScanTrials; ++t) {
         auto t0 = std::chrono::steady_clock::now();
         for (int i = 0; i < kScanReps; ++i)
             kern.runUntilIdle(); // nothing runnable: idle pass + one scan
-        trialNs.push_back(secondsSince(t0) * 1e9 / kScanReps);
+        trialNs.push_back(bench::secondsSince(t0) * 1e9 / kScanReps);
     }
     if (kern.counters().hardening.deadlocksDetected != 0)
-        return -1;
-    return bench::median(std::move(trialNs));
+        return {-1, 0};
+    return {bench::median(trialNs), bench::iqr(trialNs)};
 }
 
 } // namespace
@@ -141,87 +129,43 @@ watchdogScanNs()
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-    }
-
-    std::vector<double> rates = bench::interleavedMedians(
+    bench::Report report(argc, argv);
+    std::vector<bench::Trials> rates = bench::interleavedMedians(
         kDispatchTrials,
         {[] { return dispatchRate(64); }, [] { return dispatchRate(0); }});
-    double rateOn = rates[0];
-    double rateOff = rates[1];
+    double rateOn = rates[0].median;
+    double rateOff = rates[1].median;
     double overheadPct =
         rateOff > 0 ? (rateOff - rateOn) * 100.0 / rateOff : 100.0;
-    double scanNs = watchdogScanNs();
+    bench::Trials scan = watchdogScanNs();
 
-    if (json) {
-        std::printf("{\n"
-                    "  \"schema\": \"cheri.hardening_bench.v1\",\n"
-                    "  \"dispatch_per_sec_ring_on\": %.0f,\n"
-                    "  \"dispatch_per_sec_ring_off\": %.0f,\n"
-                    "  \"ring_overhead_pct\": %.1f,\n"
-                    "  \"blocked_contexts\": %llu,\n"
-                    "  \"watchdog_scan_ns\": %.0f\n"
-                    "}\n",
-                    rateOn, rateOff, overheadPct,
-                    static_cast<unsigned long long>(kBlockedContexts),
-                    scanNs);
-    } else {
-        bench::banner("Hardening: flight-recorder and watchdog cost");
-        std::printf("%-40s %14.0f\n", "dispatches/sec, ring depth 64",
-                    rateOn);
-        std::printf("%-40s %14.0f\n", "dispatches/sec, ring off",
-                    rateOff);
-        std::printf("%-40s %13.1f%%\n", "ring recording overhead",
-                    overheadPct);
-        std::printf("%-40s %14.0f\n",
-                    "watchdog scan ns (32 blocked ctxs)", scanNs);
-    }
+    report.section("Hardening: flight-recorder and watchdog cost");
+    report.add("ring depth 64", "dispatch rate", rateOn,
+               {.unit = "calls/s", .host = true, .iqr = rates[0].iqr});
+    report.add("ring off", "dispatch rate", rateOff,
+               {.unit = "calls/s", .host = true, .iqr = rates[1].iqr});
+    report.note("");
+    report.add("ring recording", "overhead", overheadPct,
+               {.unit = "%", .places = 1, .host = true});
+    report.note("");
+    report.add("watchdog scan", "blocked contexts", kBlockedContexts);
+    report.add("watchdog scan", "time", scan.median,
+               {.unit = "ns", .host = true, .iqr = scan.iqr});
 
-    if (check) {
-        bool ok = true;
-        if (rateOn <= 0 || rateOff <= 0) {
-            std::fprintf(stderr, "CHECK FAIL: dispatch bench setup "
-                                 "failed\n");
-            ok = false;
-        }
-        // The ring is a fixed-size array append behind one branch; the
-        // bound is generous to tolerate host noise, but a copying or
-        // allocating implementation would blow straight through it.
-        if (overheadPct > 40.0) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: ring recording overhead %.1f%% > "
-                         "40%%\n",
-                         overheadPct);
-            ok = false;
-        }
-        if (scanNs < 0) {
-            std::fprintf(stderr, "CHECK FAIL: watchdog scan bench "
-                                 "setup failed (or a wakeable park "
-                                 "tripped the watchdog)\n");
-            ok = false;
-        }
-        // Fixpoint over 32 contexts consulting the process table and
-        // FD tables: anything near a millisecond means the scan went
-        // quadratic-with-a-large-constant or started allocating per
-        // edge.
-        if (scanNs > 1e6) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: watchdog scan median %.0f ns > 1ms "
-                         "for %llu blocked contexts\n",
-                         scanNs,
-                         static_cast<unsigned long long>(
-                             kBlockedContexts));
-            ok = false;
-        }
-        if (!ok)
-            return 1;
-        std::printf("CHECK OK\n");
-    }
-    return 0;
+    report.expect(rateOn > 0 && rateOff > 0, "dispatch bench setup");
+    // The ring is a fixed-size array append behind one branch; the
+    // bound is generous to tolerate host noise, but a copying or
+    // allocating implementation would blow straight through it.
+    report.expect(overheadPct <= 40.0, "ring recording overhead <= 40%");
+    report.expect(scan.median >= 0,
+                  "watchdog scan setup (and no wakeable park tripped the "
+                  "watchdog)");
+    // Fixpoint over 32 contexts consulting the process table and FD
+    // tables: anything near a millisecond means the scan went
+    // quadratic-with-a-large-constant or started allocating per edge.
+    report.expect(scan.median <= 1e6,
+                  "watchdog scan median <= 1 ms for " +
+                      std::to_string(kBlockedContexts) +
+                      " blocked contexts");
+    return report.finish();
 }

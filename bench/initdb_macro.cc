@@ -12,33 +12,34 @@ using namespace cheri;
 using namespace cheri::apps;
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::banner("initdb macro-benchmark");
+    bench::Report report(argc, argv);
+    report.section("initdb macro-benchmark");
     InitdbResult mips = runInitdb(Abi::Mips64);
     InitdbResult cheri = runInitdb(Abi::CheriAbi);
     InitdbResult asan = runInitdb(Abi::Mips64, {}, true);
 
-    std::printf("%-18s %14s %14s %10s\n", "configuration",
-                "instructions", "cycles", "l2-misses");
-    auto print = [](const char *name, const InitdbResult &r) {
-        std::printf("%-18s %14lu %14lu %10lu\n", name,
-                    static_cast<unsigned long>(r.instructions),
-                    static_cast<unsigned long>(r.cycles),
-                    static_cast<unsigned long>(r.l2Misses));
-    };
-    print("mips64", mips);
-    print("cheriabi", cheri);
-    print("mips64+asan", asan);
+    for (auto [name, r] : {std::pair{"mips64", &mips},
+                           std::pair{"cheriabi", &cheri},
+                           std::pair{"mips64+asan", &asan}}) {
+        report.add(name, "instructions", r->instructions);
+        report.add(name, "cycles", r->cycles);
+        report.add(name, "l2-misses", r->l2Misses);
+    }
 
-    std::printf("\ncheriabi overhead:   %+6.1f%% cycles   (paper: +6.8%%)\n",
-                overheadPct(mips.cycles, cheri.cycles));
-    std::printf("asan ratio:          %6.2fx cycles   (paper: 3.29x)\n",
-                static_cast<double>(asan.cycles) /
-                    static_cast<double>(mips.cycles));
-    std::printf("\nwork done per run: %lu files created, %lu catalog "
-                "rows,\nshared-memory buffer pool + TLS backend state\n",
-                static_cast<unsigned long>(mips.filesCreated),
-                static_cast<unsigned long>(mips.catalogRows));
-    return 0;
+    report.note("");
+    report.add("cheriabi vs mips64", "cycles",
+               overheadPct(mips.cycles, cheri.cycles),
+               {.unit = "%", .places = 1, .sign = true});
+    report.add("mips64+asan vs mips64", "cycles",
+               static_cast<double>(asan.cycles) /
+                   static_cast<double>(mips.cycles),
+               {.unit = "x", .places = 2});
+    report.note("(paper: cheriabi +6.8%, asan 3.29x)\n\nwork done per run "
+                "(plus a shared-memory buffer pool and TLS backend "
+                "state):");
+    report.add("initdb", "files created", mips.filesCreated);
+    report.add("initdb", "catalog rows", mips.catalogRows);
+    return report.finish();
 }

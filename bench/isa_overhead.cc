@@ -13,6 +13,7 @@
 
 #include <chrono>
 
+#include "apps/workloads.h"
 #include "bench_util.h"
 #include "isa/assembler.h"
 #include "isa/interp.h"
@@ -130,40 +131,33 @@ runKernel(Abi abi, bool capability_form, u64 words, obs::Metrics *mx,
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Report report(argc, argv);
     const u64 words = 32 * 1024;
-    bench::banner("ISA-level kernel: legacy (DDC) vs capability "
-                  "addressing");
+    report.section("ISA-level kernel: legacy (DDC) vs capability "
+                   "addressing");
     obs::Metrics metrics;
     RunStats legacy =
         runKernel(Abi::Mips64, false, words, &metrics, "legacy-copy");
     RunStats capform =
         runKernel(Abi::CheriAbi, true, words, &metrics, "cap-copy");
-    std::printf("%-26s %12s %12s %12s %10s\n", "form", "retired",
-                "sim-instr", "sim-cycles", "host-MIPS");
-    std::printf("%-26s %12lu %12lu %12lu %10.1f\n",
-                "mips64 ld/sd via DDC",
-                static_cast<unsigned long>(legacy.retired),
-                static_cast<unsigned long>(legacy.simInstr),
-                static_cast<unsigned long>(legacy.simCycles),
-                legacy.hostMips);
-    std::printf("%-26s %12lu %12lu %12lu %10.1f\n",
-                "cheriabi cld/csd via cap",
-                static_cast<unsigned long>(capform.retired),
-                static_cast<unsigned long>(capform.simInstr),
-                static_cast<unsigned long>(capform.simCycles),
-                capform.hostMips);
-    double instr_delta =
-        (static_cast<double>(capform.retired) -
-         static_cast<double>(legacy.retired)) /
-        static_cast<double>(legacy.retired) * 100.0;
-    std::printf("\nretired-instruction delta: %+.2f%%   "
-                "(capability addressing is ~1:1 with legacy;\n"
-                "the loop differs only in pointer-increment form)\n",
-                instr_delta);
-    bench::banner("Instruction mix + cost counters (JSON, "
-                  "cheri.metrics.v9)");
-    std::printf("%s\n", metrics.toJson().c_str());
-    return 0;
+    for (auto [form, s] : {std::pair{"mips64 ld/sd via DDC", &legacy},
+                           std::pair{"cheriabi cld/csd via cap", &capform}}) {
+        report.add(form, "retired", s->retired);
+        report.add(form, "sim-instr", s->simInstr);
+        report.add(form, "sim-cycles", s->simCycles);
+        report.add(form, "host", s->hostMips,
+                   {.unit = "MIPS", .places = 1, .host = true});
+    }
+    report.note("");
+    report.add("cheriabi vs mips64", "retired-instruction delta",
+               apps::overheadPct(legacy.retired, capform.retired),
+               {.unit = "%", .places = 2, .sign = true});
+    report.note("(capability addressing is ~1:1 with legacy; the loop "
+                "differs only in\npointer-increment form)");
+    report.section("Instruction mix + cost counters (JSON, "
+                   "cheri.metrics.v9)");
+    report.note(metrics.toJson());
+    return report.finish();
 }

@@ -19,15 +19,13 @@
  *    reissue the syscall, burning its whole time slice polling.
  *
  * The figure of merit is bytes moved per retired guest step — work
- * efficiency, independent of host timer noise.  --json emits
- * machine-readable results; --check exits nonzero unless the blocking
- * arm clears a 2x efficiency floor over spin-retry and actually
- * parked (nonzero scheduler fd-blocks, zero for the spin arm).
+ * efficiency, independent of host timer noise.  --check exits nonzero
+ * unless the blocking arm clears a 2x efficiency floor over spin-retry
+ * and actually parked (nonzero scheduler fd-blocks, zero for the spin
+ * arm).
  */
 
-#include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <stdexcept>
 
 #include "bench_util.h"
@@ -191,98 +189,32 @@ bytesPerStep(const ArmResult &r)
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-    }
-
+    bench::Report report(argc, argv);
     ArmResult blocking = runArm(false);
     ArmResult spin = runArm(true);
-    double bEff = bytesPerStep(blocking);
-    double sEff = bytesPerStep(spin);
-    double ratio = sEff > 0 ? bEff / sEff : 0;
 
-    if (json) {
-        std::printf(
-            "{\n"
-            "  \"schema\": \"cheri.pipe_bench.v1\",\n"
-            "  \"total_bytes\": %llu,\n"
-            "  \"chunk_bytes\": %llu,\n"
-            "  \"blocking_steps\": %llu,\n"
-            "  \"blocking_bytes_per_step\": %.3f,\n"
-            "  \"blocking_fd_blocks\": %llu,\n"
-            "  \"blocking_wakes\": %llu,\n"
-            "  \"spin_steps\": %llu,\n"
-            "  \"spin_bytes_per_step\": %.3f,\n"
-            "  \"spin_eagain\": %llu,\n"
-            "  \"efficiency_ratio\": %.2f,\n"
-            "  \"both_completed\": %s\n"
-            "}\n",
-            static_cast<unsigned long long>(kTotal),
-            static_cast<unsigned long long>(kChunk),
-            static_cast<unsigned long long>(blocking.steps), bEff,
-            static_cast<unsigned long long>(blocking.fdBlocks),
-            static_cast<unsigned long long>(blocking.wakes),
-            static_cast<unsigned long long>(spin.steps), sEff,
-            static_cast<unsigned long long>(spin.eagain), ratio,
-            blocking.completed && spin.completed ? "true" : "false");
-    } else {
-        bench::banner("Pipe hand-off: blocking I/O vs O_NONBLOCK "
-                      "spin-retry (256 KiB through a 64 KiB pipe)");
-        std::printf("%-30s %12s %16s\n", "arm", "guest steps",
-                    "bytes per step");
-        std::printf("%-30s %12llu %16.3f\n", "blocking (park on edge)",
-                    static_cast<unsigned long long>(blocking.steps),
-                    bEff);
-        std::printf("%-30s %12llu %16.3f\n", "spin-retry (E_AGAIN loop)",
-                    static_cast<unsigned long long>(spin.steps), sEff);
-        std::printf("\nefficiency ratio (blocking / spin): %.2fx\n",
-                    ratio);
-        std::printf("blocking arm parked %llu times, woke %llu; spin "
-                    "arm saw %llu E_AGAINs\n",
-                    static_cast<unsigned long long>(blocking.fdBlocks),
-                    static_cast<unsigned long long>(blocking.wakes),
-                    static_cast<unsigned long long>(spin.eagain));
+    report.section("Pipe hand-off: blocking I/O vs O_NONBLOCK spin-retry "
+                   "(256 KiB through a 64 KiB pipe)");
+    for (auto [arm, r] : {std::pair{"blocking (park on edge)", &blocking},
+                          std::pair{"spin-retry (E_AGAIN loop)", &spin}}) {
+        report.add(arm, "guest steps", r->steps);
+        report.add(arm, "moved", bytesPerStep(*r), {.unit = "B/step"});
+        report.add(arm, "parked", r->fdBlocks);
+        report.add(arm, "woke", r->wakes);
+        report.add(arm, "E_AGAINs", r->eagain);
+        report.add(arm, "completed", r->completed);
     }
+    double spinEff = bytesPerStep(spin);
+    double ratio = spinEff > 0 ? bytesPerStep(blocking) / spinEff : 0;
+    report.note("");
+    report.add("blocking / spin", "efficiency ratio", ratio,
+               {.unit = "x", .places = 2});
 
-    if (check) {
-        bool ok = true;
-        if (!blocking.completed || !spin.completed) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: a transfer did not complete "
-                         "(blocking %d, spin %d)\n",
-                         blocking.completed, spin.completed);
-            ok = false;
-        }
-        if (ratio < 2.0) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: blocking/spin efficiency ratio "
-                         "%.2f < 2.0\n",
-                         ratio);
-            ok = false;
-        }
-        if (blocking.fdBlocks == 0) {
-            std::fprintf(stderr, "CHECK FAIL: blocking arm never "
-                                 "parked a context\n");
-            ok = false;
-        }
-        if (spin.fdBlocks != 0) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: O_NONBLOCK arm parked %llu "
-                         "times\n",
-                         static_cast<unsigned long long>(spin.fdBlocks));
-            ok = false;
-        }
-        if (!ok)
-            return 1;
-        std::printf("CHECK OK: ratio %.2fx >= 2.0, blocking parked "
-                    "%llu times, spin parked 0\n",
-                    ratio,
-                    static_cast<unsigned long long>(blocking.fdBlocks));
-    }
-    return 0;
+    report.expect(blocking.completed && spin.completed,
+                  "both transfers must complete");
+    report.expect(ratio >= 2.0, "blocking/spin efficiency ratio >= 2.0");
+    report.expect(blocking.fdBlocks > 0,
+                  "the blocking arm must park a context");
+    report.expect(spin.fdBlocks == 0, "the O_NONBLOCK arm must never park");
+    return report.finish();
 }

@@ -12,15 +12,14 @@
  *  - incremental: revoke2(INCREMENTAL) + polls — same page set, but
  *                 amortized a bounded slice per call.
  *
- * --json emits machine-readable results; --check exits nonzero unless
- * (a) the cap-dirty sweep visits at least 5x fewer granules than the
- * full scan (the workload keeps under 20% of pages dirty), (b) every
- * incremental slice stays within the configured page budget and the
- * epoch still closes, and (c) all three strategies revoke exactly the
- * planted capabilities.
+ * --check exits nonzero unless (a) the cap-dirty sweep visits at least
+ * 5x fewer granules than the full scan (the workload keeps under 20% of
+ * pages dirty), (b) every incremental slice stays within the page
+ * budget and the epoch still closes, and (c) all three strategies
+ * revoke exactly the planted capabilities.
  *
  * The tag-preserving-swap ablation from the original bench is kept at
- * the end (human-readable output only).
+ * the end.
  */
 
 #include <cstring>
@@ -29,7 +28,6 @@
 
 #include "bench_util.h"
 #include "libc/revoke.h"
-#include "obs/json.h"
 #include "os/kernel.h"
 
 using namespace cheri;
@@ -37,12 +35,14 @@ using namespace cheri;
 namespace
 {
 
+/** Pages one incremental revocation slice may scan. */
+constexpr u64 kSliceBudget = 8;
+/** Every kDirtyEvery-th arena page takes a capability store (12.5%). */
+constexpr u64 kDirtyEvery = 8;
+
 struct ModeResult
 {
-    std::string mode;
-    u64 arenaPages = 0;
     u64 dirtyPages = 0;
-    u64 contentPages = 0;
     u64 pagesScanned = 0;
     u64 pagesSkippedClean = 0;
     u64 granulesVisited = 0;
@@ -50,21 +50,15 @@ struct ModeResult
     u64 cycles = 0;
     u64 slices = 0;
     u64 maxSlicePages = 0;
-    u64 sliceBudget = 0;
     bool closed = false;
 };
 
 ModeResult
-runMode(const char *mode, u64 arena_pages, u64 dirty_every,
-        u64 slice_budget)
+runMode(const char *mode, u64 arena_pages)
 {
     ModeResult r;
-    r.mode = mode;
-    r.arenaPages = arena_pages;
-    r.sliceBudget = slice_budget;
-
     KernelConfig cfg;
-    cfg.revokeSliceBudget = slice_budget;
+    cfg.revokeSliceBudget = kSliceBudget;
     Kernel kern(cfg);
     SelfObject prog;
     prog.name = "revoke";
@@ -73,7 +67,7 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
         throw std::runtime_error("execve failed");
 
     // Arena: every page faulted in with plain data, but only every
-    // dirty_every-th page takes a capability store — through the
+    // kDirtyEvery-th page takes a capability store — through the
     // MemAccess choke point, so exactly those pages become cap-dirty.
     u64 len = arena_pages * pageSize;
     u64 va = proc->as().map(0, len, PROT_READ | PROT_WRITE,
@@ -88,7 +82,7 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
         u64 fill = pva * 2654435761u;
         if (proc->as().writeBytes(pva, &fill, 8).has_value())
             throw std::runtime_error("arena touch failed");
-        if (i % dirty_every == 0) {
+        if (i % kDirtyEvery == 0) {
             auto bounded = arena.setAddress(pva).setBounds(64);
             if (!bounded.ok() ||
                 proc->mem().writeCap(pva, bounded.value()).has_value())
@@ -97,7 +91,6 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
             ++r.dirtyPages;
         }
     }
-    r.contentPages = proc->as().contentPages();
 
     u64 cycles0 = proc->cost().cycles();
     if (!std::strcmp(mode, "incremental")) {
@@ -138,9 +131,9 @@ runMode(const char *mode, u64 arena_pages, u64 dirty_every,
 }
 
 void
-swapAblation()
+swapAblation(bench::Report &report)
 {
-    bench::banner("Ablation: tag-preserving swap vs naive swap");
+    report.section("Ablation: tag-preserving swap vs naive swap");
     for (SwapPolicy policy :
          {SwapPolicy::PreserveTags, SwapPolicy::Naive}) {
         KernelConfig cfg;
@@ -170,14 +163,11 @@ swapAblation()
             }
         } catch (const CapTrap &) {
         }
-        std::printf("%-14s list nodes reachable after swap: %lu / 256%s\n",
-                    policy == SwapPolicy::PreserveTags ? "preserve-tags"
-                                                       : "naive",
-                    static_cast<unsigned long>(reachable),
-                    policy == SwapPolicy::PreserveTags
-                        ? ""
-                        : "   <- every swapped pointer died");
+        report.add(policy == SwapPolicy::PreserveTags ? "preserve-tags"
+                                                      : "naive",
+                   "list nodes reachable after swap (of 256)", reachable);
     }
+    report.note("(naive swap drops the tags: every swapped pointer dies)");
 }
 
 } // namespace
@@ -185,125 +175,59 @@ swapAblation()
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    u64 slice_budget = 8;
-    u64 dirty_every = 8; // 12.5% of arena pages take cap stores
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-        else if (!std::strcmp(argv[i], "--slice-budget") && i + 1 < argc)
-            slice_budget = std::strtoull(argv[++i], nullptr, 0);
-    }
-
-    constexpr const char *modes[] = {"full", "capdirty", "incremental"};
-    std::vector<ModeResult> results;
+    bench::Report report(argc, argv);
+    report.section("Revocation ablation: full vs cap-dirty vs incremental");
     for (u64 arena : {u64{64}, u64{256}, u64{1024}}) {
-        for (const char *mode : modes)
-            results.push_back(
-                runMode(mode, arena, dirty_every, slice_budget));
-    }
-
-    if (json) {
-        obs::JsonWriter w;
-        w.beginObject();
-        w.key("schema").value(
-            std::string_view("cheri.revocation_bench.v1"));
-        w.key("slice_budget").value(slice_budget);
-        w.key("dirty_every").value(dirty_every);
-        w.key("runs").beginArray();
-        for (const ModeResult &r : results) {
-            w.beginObject();
-            w.key("mode").value(std::string_view(r.mode));
-            w.key("arena_pages").value(r.arenaPages);
-            w.key("dirty_pages").value(r.dirtyPages);
-            w.key("content_pages").value(r.contentPages);
-            w.key("pages_scanned").value(r.pagesScanned);
-            w.key("pages_skipped_clean").value(r.pagesSkippedClean);
-            w.key("granules_visited").value(r.granulesVisited);
-            w.key("tags_revoked").value(r.tagsRevoked);
-            w.key("cycles").value(r.cycles);
-            w.key("slices").value(r.slices);
-            w.key("max_slice_pages").value(r.maxSlicePages);
-            w.key("closed").value(r.closed);
-            w.endObject();
+        ModeResult full = runMode("full", arena);
+        ModeResult dirty = runMode("capdirty", arena);
+        ModeResult incr = runMode("incremental", arena);
+        for (auto [mode, r] : {std::pair{"full", &full},
+                               std::pair{"capdirty", &dirty},
+                               std::pair{"incremental", &incr}}) {
+            std::string kase = "arena-" + std::to_string(arena) + "/" + mode;
+            report.add(kase, "dirty", r->dirtyPages);
+            report.add(kase, "scanned", r->pagesScanned);
+            report.add(kase, "skipped", r->pagesSkippedClean);
+            report.add(kase, "granules", r->granulesVisited);
+            report.add(kase, "cycles", r->cycles);
+            report.add(kase, "revoked", r->tagsRevoked);
+            report.add(kase, "slices", r->slices);
+            report.add(kase, "max/slice", r->maxSlicePages);
         }
-        w.endArray();
-        w.endObject();
-        std::printf("%s\n", w.str().c_str());
-    } else {
-        bench::banner(
-            "Revocation ablation: full vs cap-dirty vs incremental");
-        std::printf("%6s %-12s %8s %8s %9s %10s %8s %7s %6s\n", "arena",
-                    "mode", "scanned", "skipped", "granules", "cycles",
-                    "revoked", "slices", "max/sl");
-        for (const ModeResult &r : results) {
-            std::printf("%6lu %-12s %8lu %8lu %9lu %10lu %8lu %7lu %6lu\n",
-                        static_cast<unsigned long>(r.arenaPages),
-                        r.mode.c_str(),
-                        static_cast<unsigned long>(r.pagesScanned),
-                        static_cast<unsigned long>(r.pagesSkippedClean),
-                        static_cast<unsigned long>(r.granulesVisited),
-                        static_cast<unsigned long>(r.cycles),
-                        static_cast<unsigned long>(r.tagsRevoked),
-                        static_cast<unsigned long>(r.slices),
-                        static_cast<unsigned long>(r.maxSlicePages));
-        }
-        bench::note(
-            "\nShape: full scans every content page; cap-dirty pays "
-            "only for\npages that ever took a capability store (the "
-            "sticky PTE bit);\nincremental covers the same pages a "
-            "bounded slice per call, so\nno single dispatch stalls on "
-            "the whole sweep.");
-        swapAblation();
-    }
 
-    if (!check)
-        return 0;
-    int failures = 0;
-    auto expect = [&](bool ok, const char *what, const ModeResult &r) {
-        if (ok)
-            return;
-        ++failures;
-        std::fprintf(stderr,
-                     "revocation_bench: CHECK FAILED: %s (mode %s, "
-                     "arena %lu)\n",
-                     what, r.mode.c_str(),
-                     static_cast<unsigned long>(r.arenaPages));
-    };
-    for (size_t i = 0; i < results.size(); i += 3) {
-        const ModeResult &full = results[i];
-        const ModeResult &dirty = results[i + 1];
-        const ModeResult &incr = results[i + 2];
-        expect(full.closed && dirty.closed && incr.closed,
-               "every strategy must close its epoch", full);
+        std::string in = " (arena " + std::to_string(arena) + ")";
+        report.expect(full.closed && dirty.closed && incr.closed,
+                      "every strategy must close its epoch" + in);
         // The headline claim: with <20% of pages cap-dirty, skipping
         // provably-clean pages saves >=5x of the granule traffic.
-        expect(full.granulesVisited >= 5 * dirty.granulesVisited &&
-                   dirty.granulesVisited > 0,
-               "cap-dirty sweep must visit >=5x fewer granules", dirty);
-        expect(dirty.pagesSkippedClean > 0,
-               "cap-dirty sweep must skip clean pages", dirty);
+        report.expect(full.granulesVisited >= 5 * dirty.granulesVisited &&
+                          dirty.granulesVisited > 0,
+                      "cap-dirty sweep must visit >=5x fewer granules" + in);
+        report.expect(dirty.pagesSkippedClean > 0,
+                      "cap-dirty sweep must skip clean pages" + in);
         // Soundness: all three strategies revoke exactly the planted
         // capabilities (one per dirty arena page).
-        expect(full.tagsRevoked == full.dirtyPages,
-               "full scan must revoke exactly the planted caps", full);
-        expect(dirty.tagsRevoked == full.tagsRevoked,
-               "cap-dirty sweep must revoke what the full scan does",
-               dirty);
-        expect(incr.tagsRevoked == full.tagsRevoked,
-               "incremental sweep must revoke what the full scan does",
-               incr);
+        report.expect(full.tagsRevoked == full.dirtyPages,
+                      "full scan must revoke exactly the planted caps" + in);
+        report.expect(dirty.tagsRevoked == full.tagsRevoked,
+                      "cap-dirty sweep must revoke what the full scan does" +
+                          in);
+        report.expect(incr.tagsRevoked == full.tagsRevoked,
+                      "incremental sweep must revoke what the full scan "
+                      "does" + in);
         // The amortization bound: no single call scans more than the
-        // configured budget.
-        expect(incr.maxSlicePages <= incr.sliceBudget,
-               "incremental slice exceeded its page budget", incr);
-        expect(incr.slices > 1,
-               "incremental run must take multiple slices", incr);
+        // slice budget.
+        report.expect(incr.maxSlicePages <= kSliceBudget,
+                      "incremental slice exceeded its page budget" + in);
+        report.expect(incr.slices > 1,
+                      "incremental run must take multiple slices" + in);
     }
-    if (failures == 0)
-        std::printf("revocation_bench: all checks passed\n");
-    return failures == 0 ? 0 : 1;
+    report.note(
+        "\nShape: full scans every content page; cap-dirty pays "
+        "only for\npages that ever took a capability store (the "
+        "sticky PTE bit);\nincremental covers the same pages a "
+        "bounded slice per call, so\nno single dispatch stalls on "
+        "the whole sweep.");
+    swapAblation(report);
+    return report.finish();
 }

@@ -25,14 +25,12 @@
  * compared by their medians, so host load that comes and goes cannot
  * flip the gates alone.
  *
- * --json emits machine-readable results; --check exits nonzero unless
- * the scheduler clears a 3x throughput floor over the re-create
- * pattern, switch cost stays bounded, and scaling stays flat.
+ * --check exits nonzero unless the scheduler clears a 3x throughput
+ * floor over the re-create pattern, switch cost stays bounded, and
+ * scaling stays flat.
  */
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
 #include <vector>
 
 #include "bench_util.h"
@@ -192,94 +190,43 @@ switchCostNs()
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-    }
-
+    bench::Report report(argc, argv);
     SchedStats multi;
-    std::vector<double> rates = bench::interleavedMedians(
+    std::vector<bench::Trials> rates = bench::interleavedMedians(
         kTrials, {[&] { return runScheduled(4, &multi); },
                   [] { return runRecreated(4); },
                   [] { return runScheduled(1); }});
-    double schedMulti = rates[0];
-    double recreate = rates[1];
-    double schedSingle = rates[2];
+    double schedMulti = rates[0].median;
+    double recreate = rates[1].median;
+    double schedSingle = rates[2].median;
     double ratio = recreate > 0 ? schedMulti / recreate : 0;
     double scaling = schedSingle > 0 ? schedMulti / schedSingle : 0;
     double switchNs = switchCostNs();
 
-    if (json) {
-        std::printf("{\n"
-                    "  \"schema\": \"cheri.sched_bench.v1\",\n"
-                    "  \"slice_steps\": %llu,\n"
-                    "  \"guests\": 4,\n"
-                    "  \"sched_steps_per_sec\": %.0f,\n"
-                    "  \"recreate_steps_per_sec\": %.0f,\n"
-                    "  \"throughput_ratio\": %.2f,\n"
-                    "  \"single_proc_steps_per_sec\": %.0f,\n"
-                    "  \"scaling_vs_single\": %.2f,\n"
-                    "  \"context_switches\": %llu,\n"
-                    "  \"preemptions\": %llu,\n"
-                    "  \"switch_cost_ns\": %.0f\n"
-                    "}\n",
-                    static_cast<unsigned long long>(kSlice), schedMulti,
-                    recreate, ratio, schedSingle, scaling,
-                    static_cast<unsigned long long>(multi.contextSwitches),
-                    static_cast<unsigned long long>(multi.preemptions),
-                    switchNs);
-    } else {
-        bench::banner("Scheduler: persistent contexts vs per-chunk "
-                      "interpreter re-creation");
-        std::printf("%-38s %14s\n", "configuration", "steps/sec");
-        std::printf("%-38s %14.0f\n",
-                    "4 guests, scheduler (warm caches)", schedMulti);
-        std::printf("%-38s %14.0f\n",
-                    "4 guests, re-created per chunk", recreate);
-        std::printf("%-38s %14.0f\n", "1 guest, scheduler", schedSingle);
-        std::printf("\nthroughput ratio (sched / re-create): %.2fx\n",
-                    ratio);
-        std::printf("scaling vs single process:            %.2fx\n",
-                    scaling);
-        std::printf("context switches: %llu   preemptions: %llu   "
-                    "switch cost: %.0f ns\n",
-                    static_cast<unsigned long long>(multi.contextSwitches),
-                    static_cast<unsigned long long>(multi.preemptions),
-                    switchNs);
+    report.section("Scheduler: persistent contexts vs per-chunk "
+                   "interpreter re-creation (median of " +
+                   std::to_string(kTrials) + " interleaved trials)");
+    const char *arms[] = {"4 guests, scheduler (warm caches)",
+                          "4 guests, re-created per chunk",
+                          "1 guest, scheduler"};
+    for (int i = 0; i < 3; ++i) {
+        report.add(arms[i], "throughput", rates[i].median,
+                   {.unit = "steps/s", .host = true, .iqr = rates[i].iqr});
     }
+    report.note("");
+    bench::Style times{.unit = "x", .places = 2, .host = true};
+    report.add("sched / re-create", "throughput ratio", ratio, times);
+    report.add("4 guests / 1 guest", "throughput ratio", scaling, times);
+    report.note("");
+    report.add("4 guests, scheduler", "context switches",
+               multi.contextSwitches);
+    report.add("4 guests, scheduler", "preemptions", multi.preemptions);
+    report.add("4 guests, scheduler", "switch cost", switchNs,
+               {.unit = "ns", .host = true});
 
-    if (check) {
-        bool ok = true;
-        if (ratio < 3.0) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: scheduler/recreate throughput "
-                         "ratio %.2f < 3.0\n",
-                         ratio);
-            ok = false;
-        }
-        if (scaling < 0.5) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: 4-process scaling %.2f < 0.5 of "
-                         "single-process throughput\n",
-                         scaling);
-            ok = false;
-        }
-        if (switchNs > 50000) {
-            std::fprintf(stderr,
-                         "CHECK FAIL: context-switch cost %.0f ns > "
-                         "50000 ns\n",
-                         switchNs);
-            ok = false;
-        }
-        if (!ok)
-            return 1;
-        std::printf("CHECK OK: ratio %.2fx >= 3.0, scaling %.2fx >= "
-                    "0.5, switch cost %.0f ns <= 50000\n",
-                    ratio, scaling, switchNs);
-    }
-    return 0;
+    report.expect(ratio >= 3.0, "scheduler/recreate throughput ratio >= 3.0");
+    report.expect(scaling >= 0.5,
+                  "4-process throughput >= 0.5 of single-process");
+    report.expect(switchNs <= 50000, "context-switch cost <= 50000 ns");
+    return report.finish();
 }

@@ -14,14 +14,13 @@
  * wipes the previous state and rebuilds from the image, which is
  * exactly the forensic `cheri_replay restore` path.
  *
- * --json emits machine-readable results.  There is no --check gate:
- * wall-clock throughput depends on the host, so this bench informs
- * rather than gates.
+ * Wall-clock throughput depends on the host, so this bench informs
+ * rather than gates (--check gates nothing); a failed or unstable
+ * save, or a failed restore, ends the run with an error.
  */
 
 #include <chrono>
-#include <cstdio>
-#include <cstring>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,80 +85,45 @@ populate(Kernel &kern)
     return true;
 }
 
-double
-secondsSince(std::chrono::steady_clock::time_point t0)
-{
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
-}
-
 } // namespace
 
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-    }
-
+    bench::Report report(argc, argv);
     Kernel kern;
-    if (!populate(kern)) {
-        std::fprintf(stderr, "snapshot_bench: setup failed\n");
-        return 1;
-    }
+    if (!populate(kern))
+        throw std::runtime_error("snapshot_bench: setup failed");
 
     std::string err;
     std::vector<u8> image = snap::save(kern, &err);
-    if (image.empty()) {
-        std::fprintf(stderr, "snapshot_bench: save failed: %s\n",
-                     err.c_str());
-        return 1;
-    }
+    if (image.empty())
+        throw std::runtime_error("snapshot_bench: save failed: " + err);
 
     auto t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i) {
-        std::vector<u8> img = snap::save(kern, &err);
-        if (img.size() != image.size()) {
-            std::fprintf(stderr, "snapshot_bench: unstable image\n");
-            return 1;
-        }
+        if (snap::save(kern, &err).size() != image.size())
+            throw std::runtime_error("snapshot_bench: unstable image");
     }
-    double saveSec = secondsSince(t0);
+    double saveSec = bench::secondsSince(t0);
 
     t0 = std::chrono::steady_clock::now();
     for (int i = 0; i < kReps; ++i) {
-        if (!snap::restore(kern, image, &err)) {
-            std::fprintf(stderr, "snapshot_bench: restore failed: %s\n",
-                         err.c_str());
-            return 1;
-        }
+        if (!snap::restore(kern, image, &err))
+            throw std::runtime_error("snapshot_bench: restore failed: " +
+                                     err);
     }
-    double restoreSec = secondsSince(t0);
+    double restoreSec = bench::secondsSince(t0);
 
     double mb = static_cast<double>(image.size()) / (1024.0 * 1024.0);
-    double saveMbs = mb * kReps / saveSec;
-    double restoreMbs = mb * kReps / restoreSec;
-
-    if (json) {
-        std::printf("{\"bench\":\"snapshot\",\"procs\":%llu,"
-                    "\"pagesPerProc\":%llu,\"imageBytes\":%zu,"
-                    "\"reps\":%d,\"saveMBps\":%.1f,"
-                    "\"restoreMBps\":%.1f}\n",
-                    (unsigned long long)kProcs,
-                    (unsigned long long)kPagesPerProc, image.size(),
-                    kReps, saveMbs, restoreMbs);
-        return 0;
-    }
-
-    bench::banner("Snapshot: checkpoint/restore throughput");
-    bench::note("workload: " + std::to_string(kProcs) + " processes x " +
-                std::to_string(kPagesPerProc) + " resident pages");
-    std::printf("image size    %10zu bytes\n", image.size());
-    std::printf("save          %10.1f MB/s  (%d reps)\n", saveMbs, kReps);
-    std::printf("restore       %10.1f MB/s  (%d reps)\n", restoreMbs,
-                kReps);
-    return 0;
+    report.section("Snapshot: checkpoint/restore throughput (" +
+                   std::to_string(kProcs) + " processes x " +
+                   std::to_string(kPagesPerProc) + " resident pages, " +
+                   std::to_string(kReps) + " reps)");
+    report.add("image", "size", image.size(), {.unit = "B"});
+    report.note("");
+    bench::Style mbs{.unit = "MB/s", .places = 1, .host = true};
+    report.add("save", "throughput", mb * kReps / saveSec, mbs);
+    report.add("restore", "throughput", mb * kReps / restoreSec, mbs);
+    return report.finish();
 }

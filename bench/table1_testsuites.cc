@@ -17,62 +17,52 @@ using namespace cheri::apps;
 namespace
 {
 
+template <typename Totals>
 void
-row(const char *name, int pass, int fail, int skip)
+row(bench::Report &report, const std::string &name, const Totals &t)
 {
-    std::printf("%-22s %6d %6d %6d %6d\n", name, pass, fail, skip,
-                pass + fail + skip);
+    report.add(name, "Pass", t.pass);
+    report.add(name, "Fail", t.fail);
+    report.add(name, "Skip", t.skip);
+    report.add(name, "Total", t.total());
 }
 
 } // namespace
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::banner("Table 1: Test suite results (measured)");
-    std::printf("%-22s %6s %6s %6s %6s\n", "", "Pass", "Fail", "Skip",
-                "Total");
+    bench::Report report(argc, argv);
+    report.section("Table 1: Test suite results (measured)");
+    row(report, "FreeBSD MIPS", runFreebsdSuite(Abi::Mips64));
+    row(report, "FreeBSD CheriABI", runFreebsdSuite(Abi::CheriAbi));
+    row(report, "PostgreSQL MIPS", runPgRegress(Abi::Mips64));
+    row(report, "PostgreSQL CheriABI", runPgRegress(Abi::CheriAbi));
+    row(report, "libc++ MIPS", runLibcxxSuite(Abi::Mips64));
+    row(report, "libc++ CheriABI", runLibcxxSuite(Abi::CheriAbi));
 
-    SuiteTotals fb_mips = runFreebsdSuite(Abi::Mips64);
-    SuiteTotals fb_cheri = runFreebsdSuite(Abi::CheriAbi);
-    row("FreeBSD MIPS", fb_mips.pass, fb_mips.fail, fb_mips.skip);
-    row("FreeBSD CheriABI", fb_cheri.pass, fb_cheri.fail, fb_cheri.skip);
+    report.section("Table 1 (paper, for reference)");
+    report.note("                       Pass   Fail   Skip  Total\n"
+                "FreeBSD MIPS           3501     90    244   3835\n"
+                "FreeBSD CheriABI       3301    122    246   3669\n"
+                "PostgreSQL MIPS         167      0      0    167\n"
+                "PostgreSQL CheriABI     150     16      1    167\n"
+                "libc++ MIPS            5338     29    789   6156\n"
+                "libc++ CheriABI        5333     34    789   6156");
 
-    RegressTotals pg_mips = runPgRegress(Abi::Mips64);
-    RegressTotals pg_cheri = runPgRegress(Abi::CheriAbi);
-    row("PostgreSQL MIPS", pg_mips.pass, pg_mips.fail, pg_mips.skip);
-    row("PostgreSQL CheriABI", pg_cheri.pass, pg_cheri.fail,
-        pg_cheri.skip);
-
-    SuiteTotals cxx_mips = runLibcxxSuite(Abi::Mips64);
-    SuiteTotals cxx_cheri = runLibcxxSuite(Abi::CheriAbi);
-    row("libc++ MIPS", cxx_mips.pass, cxx_mips.fail, cxx_mips.skip);
-    row("libc++ CheriABI", cxx_cheri.pass, cxx_cheri.fail,
-        cxx_cheri.skip);
-
-    bench::banner("Table 1 (paper, for reference)");
-    std::printf("%-22s %6s %6s %6s %6s\n", "", "Pass", "Fail", "Skip",
-                "Total");
-    row("FreeBSD MIPS", 3501, 90, 244);
-    row("FreeBSD CheriABI", 3301, 122, 246);
-    row("PostgreSQL MIPS", 167, 0, 0);
-    row("PostgreSQL CheriABI", 150, 16, 1);
-    row("libc++ MIPS", 5338, 29, 789);
-    row("libc++ CheriABI", 5333, 34, 789);
-
-    bench::note("\nCheriABI failure causes (pg_regress):");
+    report.note("\nCheriABI failure causes (pg_regress):");
     std::vector<RegressCase> cases;
     runPgRegress(Abi::CheriAbi, &cases);
     int shown = 0;
     for (const RegressCase &c : cases) {
         if (c.outcome == RegressCase::Outcome::Pass)
             continue;
-        std::printf("  %-28s %s %s\n", c.name.c_str(),
-                    c.outcome == RegressCase::Outcome::Fail ? "FAIL"
-                                                            : "SKIP",
-                    c.detail.c_str());
+        report.note(bench::format(
+            "  %-28s %s %s", c.name.c_str(),
+            c.outcome == RegressCase::Outcome::Fail ? "FAIL" : "SKIP",
+            c.detail.c_str()));
         if (++shown >= 20)
             break;
     }
-    return 0;
+    return report.finish();
 }

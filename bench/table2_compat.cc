@@ -13,48 +13,49 @@ using namespace cheri;
 using namespace cheri::compat;
 
 int
-main()
+main(int argc, char **argv)
 {
-    bench::banner("Table 2: compatibility-change corpus (measured)");
+    bench::Report report(argc, argv);
+    report.section("Table 2: compatibility-change corpus (measured)");
     auto results = runCorpus();
     unsigned consistent = 0;
     for (const IdiomResult &r : results)
         consistent += r.consistent();
     CompatTable table = tabulate(results);
-    std::printf("%s", formatTable(table).c_str());
-    std::printf("\ncorpus: %zu idioms, %u behaved exactly as the "
-                "taxonomy predicts\n",
-                results.size(), consistent);
+    for (unsigned row = 0; row < numComponents; ++row) {
+        for (unsigned cls = 0; cls < numCompatClasses; ++cls) {
+            auto c = static_cast<Component>(row);
+            auto k = static_cast<CompatClass>(cls);
+            report.add(componentName(c), compatClassName(k), table[c][k]);
+        }
+    }
+    report.note("");
+    report.add("corpus", "idioms", results.size());
+    report.add("corpus", "behaved as the taxonomy predicts", consistent);
 
-    bench::banner("Per-idiom evidence");
-    std::printf("%-38s %-14s %5s %11s %11s %11s\n", "idiom", "component",
-                "class", "legacy/mips", "legacy/cheri", "fixed/cheri");
+    report.section("Per-idiom evidence");
+    report.note(bench::format("%-38s %-14s %5s %11s %11s %11s", "idiom",
+                              "component", "class", "legacy/mips",
+                              "legacy/cheri", "fixed/cheri"));
     for (const IdiomResult &r : results) {
-        std::printf("%-38s %-14s %5s %11s %11s %11s\n",
-                    r.idiom->name.c_str(),
-                    componentName(r.idiom->component),
-                    compatClassName(r.idiom->cls),
-                    r.legacyOkMips ? "ok" : "BROKEN",
-                    r.legacyOkCheri ? "ok" : "traps",
-                    r.fixedOkCheri ? "ok" : "BROKEN");
+        report.note(bench::format(
+            "%-38s %-14s %5s %11s %11s %11s", r.idiom->name.c_str(),
+            componentName(r.idiom->component),
+            compatClassName(r.idiom->cls), r.legacyOkMips ? "ok" : "BROKEN",
+            r.legacyOkCheri ? "ok" : "traps",
+            r.fixedOkCheri ? "ok" : "BROKEN"));
     }
 
-    bench::banner("Table 2 (paper, for reference: change counts in the "
-                  "FreeBSD tree)");
-    std::printf("%-16s%4s%4s%4s%4s%4s%4s%4s%4s%4s%4s%4s\n", "", "PP",
-                "IP", "M", "PS", "I", "VA", "BF", "H", "A", "CC", "U");
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n",
-                "BSD headers", 0, 8, 0, 4, 2, 1, 1, 0, 3, 2, 0);
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n",
-                "BSD libraries", 5, 18, 4, 19, 22, 20, 11, 6, 19, 42,
-                19);
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n",
-                "BSD programs", 1, 11, 1, 3, 13, 0, 0, 0, 7, 11, 2);
-    std::printf("%-16s%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d%4d\n", "BSD tests",
-                0, 0, 0, 0, 2, 0, 0, 0, 2, 7, 2);
-    bench::note("\n(The corpus demonstrates each class with runnable "
+    report.section("Table 2 (paper, for reference: change counts in the "
+                   "FreeBSD tree)");
+    report.note("                  PP  IP   M  PS   I  VA  BF   H   A  CC   U\n"
+                "BSD headers        0   8   0   4   2   1   1   0   3   2   0\n"
+                "BSD libraries      5  18   4  19  22  20  11   6  19  42  19\n"
+                "BSD programs       1  11   1   3  13   0   0   0   7  11   2\n"
+                "BSD tests          0   0   0   0   2   0   0   0   2   7   2");
+    report.note("\n(The corpus demonstrates each class with runnable "
                 "code; the paper's\ncounts are source-tree change "
                 "totals, so only the distribution shape\nis "
                 "comparable: libraries dominate, every class occurs.)");
-    return 0;
+    return report.finish();
 }

@@ -14,29 +14,27 @@ using namespace cheri;
 using namespace cheri::bodiag;
 
 int
-main()
+main(int argc, char **argv)
 {
+    bench::Report report(argc, argv);
     auto suite = generateSuite();
-    bench::banner("Table 3: BOdiagsuite detections (measured, " +
-                  std::to_string(suite.size()) + " cases)");
-    std::printf("%-10s %6s %6s %6s %12s\n", "", "min", "med", "large",
-                "ok-failures");
+    report.section("Table 3: BOdiagsuite detections (measured, " +
+                   std::to_string(suite.size()) + " cases)");
     for (Mode mode : {Mode::Mips64, Mode::CheriAbi, Mode::Asan}) {
         ModeSummary s = runAll(suite, mode);
-        std::printf("%-10s %6lu %6lu %6lu %12lu\n", modeName(mode),
-                    static_cast<unsigned long>(s.min),
-                    static_cast<unsigned long>(s.med),
-                    static_cast<unsigned long>(s.large),
-                    static_cast<unsigned long>(s.okFailures));
+        report.add(modeName(mode), "min", s.min);
+        report.add(modeName(mode), "med", s.med);
+        report.add(modeName(mode), "large", s.large);
+        report.add(modeName(mode), "ok-failures", s.okFailures);
     }
 
-    bench::banner("Table 3 (paper, for reference)");
-    std::printf("%-10s %6s %6s %6s\n", "", "min", "med", "large");
-    std::printf("%-10s %6d %6d %6d\n", "mips64", 4, 8, 175);
-    std::printf("%-10s %6d %6d %6d\n", "cheriabi", 279, 289, 291);
-    std::printf("%-10s %6d %6d %6d\n", "asan", 276, 286, 286);
+    report.section("Table 3 (paper, for reference)");
+    report.note("              min    med  large\n"
+                "mips64          4      8    175\n"
+                "cheriabi      279    289    291\n"
+                "asan          276    286    286");
 
-    bench::banner("Real-bug gallery (paper section 5.4 bug classes)");
+    report.section("Real-bug gallery (paper section 5.4 bug classes)");
     struct GalleryEntry
     {
         const char *bug;
@@ -64,14 +62,10 @@ main()
           64},
          Magnitude::Min},
     };
-    std::printf("%-44s %10s %10s %10s\n", "bug", "mips64", "cheriabi",
-                "asan");
     for (const GalleryEntry &g : gallery) {
-        auto outcome = [&](Mode m) {
-            return runCase(g.c, g.mag, m).detected ? "CAUGHT" : "silent";
-        };
-        std::printf("%-44s %10s %10s %10s\n", g.bug, outcome(Mode::Mips64),
-                    outcome(Mode::CheriAbi), outcome(Mode::Asan));
+        for (Mode m : {Mode::Mips64, Mode::CheriAbi, Mode::Asan})
+            report.add(g.bug, modeName(m), runCase(g.c, g.mag, m).detected,
+                       {.unit = "caught"});
     }
-    return 0;
+    return report.finish();
 }

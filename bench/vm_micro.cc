@@ -2,22 +2,25 @@
  * @file
  * Guest-memory micro-benchmarks for the unified access path.
  *
- * Compares the reference walk-per-access path (AddressSpace::readBytes,
- * a std::map page-table lookup on every call) against the software-TLB
+ * Compares the reference walk-per-access path (AddressSpace::readBytes:
+ * on every call, a lookup of the mapping that holds the address and an
+ * index into that mapping's dense PTE array) against the software-TLB
  * fast path (MemAccess) over the access patterns that dominate guest
  * execution: sequential, random, and strided 8-byte reads over a
  * prefaulted region, page-chunked string copyin, and fork/COW churn.
  *
  * Every workload checksums through both paths and aborts on mismatch,
  * so the speedup numbers are only reported for equivalent semantics.
- * With --json the results are machine-readable; --check exits nonzero
- * unless the sequential fast path clears a 1.5x floor (the acceptance
- * gate; typical speedups are far higher).
+ * The MiB/s and speedup figures are host wall-clock values and are
+ * reported, not gated.  --check gates on what the TLB must do instead:
+ * the sequential sweep takes exactly one dTLB miss per page it touches
+ * and hits on every other read (a TLB that stops caching fails it on
+ * any host, under any load), and the constrained-memory phase
+ * completes within its frame and slot budgets.
  */
 
 #include <chrono>
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -42,7 +45,9 @@ struct PatternResult
     std::string name;
     double walkMiBs = 0;
     double tlbMiBs = 0;
-    double speedup() const { return walkMiBs > 0 ? tlbMiBs / walkMiBs : 0; }
+    /** dTLB hits and misses the TLB path took. */
+    u64 tlbHits = 0;
+    u64 tlbMisses = 0;
 };
 
 double
@@ -81,10 +86,13 @@ runPattern(const std::string &name, AddressSpace &as, MemAccess &mem,
         return as.readBytes(va, buf, len).has_value();
     });
     auto t1 = Clock::now();
+    MemAccess::Stats before = mem.stats();
     u64 tlb_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
         return mem.read(va, buf, len).has_value();
     });
     auto t2 = Clock::now();
+    r.tlbHits = mem.stats().dataHits - before.dataHits;
+    r.tlbMisses = mem.stats().dataMisses - before.dataMisses;
 
     if (walk_sum != tlb_sum) {
         std::fprintf(stderr, "%s: path divergence (%llx vs %llx)\n",
@@ -132,6 +140,7 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
         }
     }
     auto t1 = Clock::now();
+    MemAccess::Stats before = mem.stats();
     std::string out;
     u64 chunked_len = 0;
     for (int i = 0; i < iters; ++i) {
@@ -141,6 +150,8 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
         chunked_len = out.size();
     }
     auto t2 = Clock::now();
+    r.tlbHits = mem.stats().dataHits - before.dataHits;
+    r.tlbMisses = mem.stats().dataMisses - before.dataMisses;
 
     if (legacy_len != chunked_len || chunked_len != str_len)
         std::exit(2);
@@ -208,10 +219,6 @@ struct PressureResult
     u64 pagesEvicted = 0;
     double ms = 0;
     bool completed = false;
-    bool budgetsHeld() const
-    {
-        return maxLiveFrames <= frameBudget && maxUsedSlots <= slotBudget;
-    }
 };
 
 PressureResult
@@ -274,21 +281,7 @@ runPressure(u64 frame_budget, u64 slot_budget)
 int
 main(int argc, char **argv)
 {
-    bool json = false;
-    bool check = false;
-    u64 frame_budget = 64;
-    u64 slot_budget = 256;
-    for (int i = 1; i < argc; ++i) {
-        if (!std::strcmp(argv[i], "--json"))
-            json = true;
-        else if (!std::strcmp(argv[i], "--check"))
-            check = true;
-        else if (!std::strcmp(argv[i], "--frames") && i + 1 < argc)
-            frame_budget = std::strtoull(argv[++i], nullptr, 0);
-        else if (!std::strcmp(argv[i], "--slots") && i + 1 < argc)
-            slot_budget = std::strtoull(argv[++i], nullptr, 0);
-    }
-
+    bench::Report report(argc, argv, {"--frames", "--slots"});
     PhysMem phys;
     SwapDevice swap;
     AddressSpace as(phys, swap, 1);
@@ -324,95 +317,52 @@ main(int argc, char **argv)
     results.push_back(runPattern("strided", as, mem, base, strided));
     results.push_back(runCopyinstr(as, mem, base));
     double fork_ms = runForkChurn(phys, swap);
-    PressureResult pr = runPressure(frame_budget, slot_budget);
+    PressureResult pr = runPressure(report.option("--frames", 64),
+                                    report.option("--slots", 256));
 
-    const MemAccess::Stats &st = mem.stats();
-    if (json) {
-        std::printf("{\n  \"schema\": \"cheri.vm_micro.v1\",\n");
-        std::printf("  \"region_bytes\": %llu,\n",
-                    static_cast<unsigned long long>(kRegionBytes));
-        std::printf("  \"patterns\": [\n");
-        for (size_t i = 0; i < results.size(); ++i) {
-            const PatternResult &r = results[i];
-            std::printf("    {\"name\": \"%s\", \"walk_mib_s\": %.1f, "
-                        "\"tlb_mib_s\": %.1f, \"speedup\": %.2f}%s\n",
-                        r.name.c_str(), r.walkMiBs, r.tlbMiBs,
-                        r.speedup(), i + 1 < results.size() ? "," : "");
-        }
-        std::printf("  ],\n");
-        std::printf("  \"fork_cow_churn_ms\": %.3f,\n", fork_ms);
-        std::printf("  \"pressure\": {\"frame_budget\": %llu, "
-                    "\"slot_budget\": %llu, \"pages\": %llu, "
-                    "\"max_live_frames\": %llu, \"max_used_slots\": "
-                    "%llu, \"reclaim_calls\": %llu, \"pages_evicted\": "
-                    "%llu, \"ms\": %.3f, \"completed\": %s},\n",
-                    static_cast<unsigned long long>(pr.frameBudget),
-                    static_cast<unsigned long long>(pr.slotBudget),
-                    static_cast<unsigned long long>(pr.pages),
-                    static_cast<unsigned long long>(pr.maxLiveFrames),
-                    static_cast<unsigned long long>(pr.maxUsedSlots),
-                    static_cast<unsigned long long>(pr.reclaimCalls),
-                    static_cast<unsigned long long>(pr.pagesEvicted),
-                    pr.ms, pr.completed ? "true" : "false");
-        std::printf("  \"tlb\": {\"data_hits\": %llu, \"data_misses\": "
-                    "%llu, \"invalidations\": %llu}\n}\n",
-                    static_cast<unsigned long long>(st.dataHits),
-                    static_cast<unsigned long long>(st.dataMisses),
-                    static_cast<unsigned long long>(st.invalidations));
-    } else {
-        bench::banner("Guest-memory access paths: walk vs software TLB");
-        bench::note("8-byte reads over a prefaulted 4 MiB region; the "
-                    "walk column is the");
-        bench::note("pre-refactor AddressSpace::readBytes path, the TLB "
-                    "column is MemAccess.");
-        std::printf("\n%-12s %14s %14s %10s\n", "pattern", "walk MiB/s",
-                    "TLB MiB/s", "speedup");
-        for (const PatternResult &r : results) {
-            std::printf("%-12s %14.1f %14.1f %9.2fx\n", r.name.c_str(),
-                        r.walkMiBs, r.tlbMiBs, r.speedup());
-        }
-        std::printf("\nfork/COW churn (64 pages, half dirtied): %.3f "
-                    "ms/iter\n",
-                    fork_ms);
-        std::printf("pressure: %llu pages through %llu frames / %llu "
-                    "slots in %.3f ms (%llu reclaims, %llu evictions, "
-                    "peak %llu frames / %llu slots)%s\n",
-                    static_cast<unsigned long long>(pr.pages),
-                    static_cast<unsigned long long>(pr.frameBudget),
-                    static_cast<unsigned long long>(pr.slotBudget),
-                    pr.ms,
-                    static_cast<unsigned long long>(pr.reclaimCalls),
-                    static_cast<unsigned long long>(pr.pagesEvicted),
-                    static_cast<unsigned long long>(pr.maxLiveFrames),
-                    static_cast<unsigned long long>(pr.maxUsedSlots),
-                    pr.completed ? "" : " [INCOMPLETE]");
-        std::printf("TLB: %llu data hits, %llu misses, %llu "
-                    "invalidations\n",
-                    static_cast<unsigned long long>(st.dataHits),
-                    static_cast<unsigned long long>(st.dataMisses),
-                    static_cast<unsigned long long>(st.invalidations));
+    report.section("Guest-memory access paths: walk vs software TLB");
+    report.note("8-byte reads over a prefaulted 4 MiB region; the walk "
+                "column is the\nAddressSpace::readBytes path, the TLB "
+                "column is MemAccess.\n");
+    for (const PatternResult &r : results) {
+        bench::Style mibs{.unit = "MiB/s", .places = 1, .host = true};
+        report.add(r.name, "walk", r.walkMiBs, mibs);
+        report.add(r.name, "TLB", r.tlbMiBs, mibs);
+        report.add(r.name, "speedup",
+                   r.walkMiBs > 0 ? r.tlbMiBs / r.walkMiBs : 0,
+                   {.unit = "x", .places = 2, .host = true});
+        report.add(r.name, "dTLB hits", r.tlbHits);
+        report.add(r.name, "dTLB misses", r.tlbMisses);
     }
+    report.note("");
+    report.add("fork/COW churn (64 pages, half dirtied)", "time", fork_ms,
+               {.unit = "ms/iter", .places = 3, .host = true});
 
-    if (check && results[0].speedup() < 1.5) {
-        std::fprintf(stderr,
-                     "FAIL: sequential TLB speedup %.2fx below 1.5x\n",
-                     results[0].speedup());
-        return 1;
-    }
-    if (check && !pr.completed) {
-        std::fprintf(stderr, "FAIL: constrained workload did not "
-                             "complete under reclaim\n");
-        return 1;
-    }
-    if (check && !pr.budgetsHeld()) {
-        std::fprintf(stderr,
-                     "FAIL: budgets breached (peak %llu/%llu frames, "
-                     "%llu/%llu slots)\n",
-                     static_cast<unsigned long long>(pr.maxLiveFrames),
-                     static_cast<unsigned long long>(pr.frameBudget),
-                     static_cast<unsigned long long>(pr.maxUsedSlots),
-                     static_cast<unsigned long long>(pr.slotBudget));
-        return 1;
-    }
-    return 0;
+    report.note("\nconstrained memory: a working set 4x the frame budget "
+                "through reclaim");
+    report.add("pressure", "pages", pr.pages);
+    report.add("pressure", "frame budget", pr.frameBudget);
+    report.add("pressure", "slot budget", pr.slotBudget);
+    report.add("pressure", "peak frames", pr.maxLiveFrames);
+    report.add("pressure", "peak slots", pr.maxUsedSlots);
+    report.add("pressure", "reclaims", pr.reclaimCalls);
+    report.add("pressure", "evictions", pr.pagesEvicted);
+    report.add("pressure", "completed", pr.completed);
+    report.add("pressure", "time", pr.ms,
+               {.unit = "ms", .places = 3, .host = true});
+
+    // The sequential sweep touches every page of the region once, in
+    // order: one miss per page, every other read a hit.
+    const PatternResult &sequential = results[0];
+    const u64 pages = kRegionBytes / pageSize;
+    report.expect(sequential.tlbMisses == pages,
+                  "sequential sweep takes one dTLB miss per page");
+    report.expect(sequential.tlbHits == kWordsPerPass - pages,
+                  "every other sequential read hits the dTLB");
+    report.expect(pr.completed,
+                  "constrained workload completes under reclaim");
+    report.expect(pr.maxLiveFrames <= pr.frameBudget &&
+                      pr.maxUsedSlots <= pr.slotBudget,
+                  "peak frames and slots stay within their budgets");
+    return report.finish();
 }
