@@ -11,10 +11,11 @@
 #ifndef CHERI_CAP_FAULT_H
 #define CHERI_CAP_FAULT_H
 
-#include <cassert>
 #include <cstdint>
 #include <optional>
 #include <string_view>
+
+#include "os/panic.h"
 
 namespace cheri
 {
@@ -77,14 +78,13 @@ std::string_view capFaultName(CapFault fault);
 using CapCheck = std::optional<CapFault>;
 
 /**
- * For kernel-internal accesses that are correct by construction:
- * assert success in debug builds, consume the result in release.
+ * For kernel-internal accesses that are correct by construction: a
+ * failure is a kernel bug, so it fails a CHERI_KASSERT in every build.
  */
 inline void
 mustSucceed(CapCheck chk)
 {
-    assert(!chk.has_value());
-    (void)chk;
+    CHERI_KASSERT(!chk.has_value(), "kernel-internal access faulted");
 }
 
 } // namespace cheri

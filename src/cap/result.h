@@ -7,50 +7,59 @@
 #ifndef CHERI_CAP_RESULT_H
 #define CHERI_CAP_RESULT_H
 
-#include <cassert>
 #include <utility>
 #include <variant>
 
 #include "cap/fault.h"
+#include "os/panic.h"
 
 namespace cheri
 {
 
 /**
  * Holds either a success value or the CapFault the operation would raise.
+ * Misuse (a value() of a fault, a fault() of a value, a fault of None)
+ * fails a CHERI_KASSERT in every build: it panics the live kernel, or
+ * aborts when none is registered, never reads the wrong alternative.
  */
 template <typename T>
 class Result
 {
   public:
     Result(T value) : storage(std::move(value)) {}
-    Result(CapFault fault) : storage(fault) { assert(fault != CapFault::None); }
+    Result(CapFault fault) : storage(fault)
+    {
+        CHERI_KASSERT(fault != CapFault::None, "Result built from no fault");
+    }
 
     /** True when the operation succeeded. */
     bool ok() const { return std::holds_alternative<T>(storage); }
     explicit operator bool() const { return ok(); }
 
-    /** The success value; asserts ok(). */
+    /** The success value; kasserts ok(). */
     const T &
     value() const
     {
-        assert(ok());
-        return std::get<T>(storage);
+        const T *v = std::get_if<T>(&storage);
+        CHERI_KASSERT(v, "Result::value() of a fault");
+        return *v;
     }
 
     T &
     value()
     {
-        assert(ok());
-        return std::get<T>(storage);
+        T *v = std::get_if<T>(&storage);
+        CHERI_KASSERT(v, "Result::value() of a fault");
+        return *v;
     }
 
-    /** The fault; asserts !ok(). */
+    /** The fault; kasserts !ok(). */
     CapFault
     fault() const
     {
-        assert(!ok());
-        return std::get<CapFault>(storage);
+        const CapFault *f = std::get_if<CapFault>(&storage);
+        CHERI_KASSERT(f, "Result::fault() of a success");
+        return *f;
     }
 
     /** Success value, or @p alt when the operation faulted. */

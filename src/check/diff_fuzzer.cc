@@ -442,6 +442,83 @@ capturePanic(ExecResult &er, Kernel &kern)
                              "artifact for the flight-recorder ring)"});
 }
 
+/** One oracle pass: snapshot the kernel on the run's first violation
+ *  and keep up to maxViolationsPerRun of them. */
+void
+runOracle(ExecResult &er, Kernel &kern, const FuzzOptions &opts)
+{
+    Report rep = Invariants::check(kern);
+    ++er.oracleRuns;
+    if (!rep.violations.empty())
+        captureSnapshot(er, kern, opts);
+    for (Violation &v : rep.violations) {
+        if (er.violations.size() < maxViolationsPerRun)
+            er.violations.push_back(std::move(v));
+    }
+}
+
+/** Arm the injection schedule shared by both modes: frame, swap-out and
+ *  swap-in failures, plus sparse tag/data bit flips whose detection
+ *  must degrade to machine checks, never forged capabilities (the
+ *  oracle's machine-check-containment rule). */
+void
+armInjection(Kernel &kern, u64 case_seed)
+{
+    FaultInjector &inj = kern.faultInjector();
+    inj.failRandomly(FaultPoint::FrameAlloc, 13, case_seed ^ 0x1111);
+    inj.failRandomly(FaultPoint::SwapOut, 7, case_seed ^ 0x2222);
+    inj.failRandomly(FaultPoint::SwapIn, 5, case_seed ^ 0x3333);
+    inj.failRandomly(FaultPoint::TagBitFlip, 31, case_seed ^ 0x4444);
+    inj.failRandomly(FaultPoint::DataBitFlip, 211, case_seed ^ 0x5555);
+}
+
+/** Point @p proc's work registers at a generated program: the data
+ *  base in x8 (legacy) and c8 (capability), the other work registers
+ *  x4..x10 zeroed, and entry at @p code_va; then queue the program on
+ *  the kernel's scheduler with @p step_limit.  The scheduler context
+ *  persists per process, so its decode cache stays warm across runs. */
+sched::ExecContext &
+startProgram(Kernel &kern, Process &proc, Abi abi, u64 code_va,
+             u64 data_va, u64 step_limit)
+{
+    ThreadRegs &regs = proc.regs();
+    regs.c[8] = proc.as()
+                    .capForRange(data_va, pageSize, PROT_READ | PROT_WRITE,
+                                 false)
+                    .setAddress(data_va);
+    regs.x[8] = data_va;
+    for (unsigned i = 4; i <= 10; ++i) {
+        if (i != 8)
+            regs.x[i] = 0;
+    }
+    sched::Scheduler &s = sched::schedulerFor(kern);
+    sched::ExecContext &cx = s.context(proc);
+    if (abi == Abi::CheriAbi) {
+        cx.interp->setEntry(
+            proc.as()
+                .capForRange(code_va, pageSize, PROT_READ | PROT_EXEC,
+                             false)
+                .setAddress(code_va));
+    } else {
+        cx.interp->setEntry(Capability::fromAddress(code_va));
+    }
+    cx.stepLimit = step_limit;
+    s.ready(cx);
+    return cx;
+}
+
+/** The work registers x4..x10 (bar the x8 data base) as " xN=V". */
+std::string
+workRegs(const ThreadRegs &regs)
+{
+    std::string out;
+    for (unsigned i = 4; i <= 10; ++i) {
+        if (i != 8)
+            out += fmt(" x%u=%" PRIu64, i, regs.x[i]);
+    }
+    return out;
+}
+
 void
 hashRegion(ExecResult &er, Process &proc, const char *name, u64 va,
            u64 len)
@@ -525,16 +602,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             er.events.push_back(fmt("%s e%d v%" PRIu64, name.c_str(),
                                     err ? 1 : 0, mask_val ? 0 : val));
         }
-        if (opts.checkEvery && dispatches % opts.checkEvery == 0) {
-            Report rep = Invariants::check(kern);
-            ++er.oracleRuns;
-            if (!rep.violations.empty())
-                captureSnapshot(er, kern, opts);
-            for (Violation &v : rep.violations) {
-                if (er.violations.size() < maxViolationsPerRun)
-                    er.violations.push_back(std::move(v));
-            }
-        }
+        if (opts.checkEvery && dispatches % opts.checkEvery == 0)
+            runOracle(er, kern, opts);
     });
 
     // Scratch layout: page 0 paths + touch fallback, page 1 write
@@ -579,20 +648,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     kern.sysSigaction(*proc, SIG_USR1,
                       {SigAction::Kind::Handler, hid});
 
-    if (opts.inject) {
-        FaultInjector &inj = kern.faultInjector();
-        inj.failRandomly(FaultPoint::FrameAlloc, 13,
-                         case_seed ^ 0x1111);
-        inj.failRandomly(FaultPoint::SwapOut, 7, case_seed ^ 0x2222);
-        inj.failRandomly(FaultPoint::SwapIn, 5, case_seed ^ 0x3333);
-        // Memory corruption: sparse tag/data bit flips whose detection
-        // must degrade to machine checks, never forged capabilities
-        // (the oracle's machine-check-containment rule).
-        inj.failRandomly(FaultPoint::TagBitFlip, 31,
-                         case_seed ^ 0x4444);
-        inj.failRandomly(FaultPoint::DataBitFlip, 211,
-                         case_seed ^ 0x5555);
-    }
+    if (opts.inject)
+        armInjection(kern, case_seed);
 
     std::vector<Region> regions;
     std::vector<u64> childPids;
@@ -763,34 +820,13 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
                 er.events.push_back("compute load-failed");
                 break;
             }
-            ThreadRegs &regs = proc->regs();
-            u64 data_va = scratch_va + 3 * pageSize;
-            regs.c[8] = proc->as()
-                            .capForRange(data_va, pageSize,
-                                         PROT_READ | PROT_WRITE, false)
-                            .setAddress(data_va);
-            regs.x[8] = data_va;
-            for (unsigned i = 4; i <= 10; ++i) {
-                if (i != 8)
-                    regs.x[i] = 0;
-            }
             // Persistent per-process execution context: the decode
             // cache stays warm across Compute ops, and execution runs
             // through the kernel's scheduler (preemptible at the
             // configured time slice) instead of a private loop.
-            sched::Scheduler &s = sched::schedulerFor(kern);
-            sched::ExecContext &cx = s.context(*proc);
-            if (abi == Abi::CheriAbi) {
-                cx.interp->setEntry(
-                    proc->as()
-                        .capForRange(code_va, pageSize,
-                                     PROT_READ | PROT_EXEC, false)
-                        .setAddress(code_va));
-            } else {
-                cx.interp->setEntry(Capability::fromAddress(code_va));
-            }
-            cx.stepLimit = 4096;
-            s.ready(cx);
+            sched::ExecContext &cx =
+                startProgram(kern, *proc, abi, code_va,
+                             scratch_va + 3 * pageSize, 4096);
             kern.runUntilIdle();
             isa::InterpResult res = cx.last;
             // Steps across the whole ready-window, not just the final
@@ -800,11 +836,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
                 static_cast<int>(res.status),
                 std::string(capFaultName(res.fault)).c_str(),
                 cx.retired() - cx.readyBaseSteps);
-            for (unsigned i = 4; i <= 10; ++i) {
-                if (i != 8)
-                    ev += fmt(" x%u=%" PRIu64, i, regs.x[i]);
-            }
-            er.events.push_back(ev);
+            er.events.push_back(ev + workRegs(proc->regs()));
             break;
           }
           case K::Revoke: {
@@ -886,16 +918,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     kern.faultInjector().disarmAll();
     capturePanic(er, kern);
 
-    if (opts.checkEvery) {
-        Report rep = Invariants::check(kern);
-        ++er.oracleRuns;
-        if (!rep.violations.empty())
-            captureSnapshot(er, kern, opts);
-        for (Violation &v : rep.violations) {
-            if (er.violations.size() < maxViolationsPerRun)
-                er.violations.push_back(std::move(v));
-        }
-    }
+    if (opts.checkEvery)
+        runOracle(er, kern, opts);
 
     if (VNodeRef out = kern.vfs().lookup("/fz_out"))
         er.output = out->data;
@@ -1004,28 +1028,7 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
                                      "fuzzdata");
         lower(genMultiProgram(rng), abi, pipe_rfd, pipe_wfd)
             .writeTo(proc->as(), code_va);
-        ThreadRegs &regs = proc->regs();
-        regs.c[8] = proc->as()
-                        .capForRange(data_va, pageSize,
-                                     PROT_READ | PROT_WRITE, false)
-                        .setAddress(data_va);
-        regs.x[8] = data_va;
-        for (unsigned ri = 4; ri <= 10; ++ri) {
-            if (ri != 8)
-                regs.x[ri] = 0;
-        }
-        sched::ExecContext &cx = s.context(*proc);
-        if (abi == Abi::CheriAbi) {
-            cx.interp->setEntry(
-                proc->as()
-                    .capForRange(code_va, pageSize,
-                                 PROT_READ | PROT_EXEC, false)
-                    .setAddress(code_va));
-        } else {
-            cx.interp->setEntry(Capability::fromAddress(code_va));
-        }
-        cx.stepLimit = 16384;
-        s.ready(cx);
+        startProgram(kern, *proc, abi, code_va, data_va, 16384);
         guests.push_back(proc);
     }
 
@@ -1033,31 +1036,14 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
     // setup, so injected exhaustion lands in scheduled execution (the
     // comparison is skipped for injected runs, as in single-proc mode;
     // the oracle at every slice boundary is the sound check).
-    if (opts.inject) {
-        FaultInjector &inj = kern.faultInjector();
-        inj.failRandomly(FaultPoint::FrameAlloc, 13, case_seed ^ 0x1111);
-        inj.failRandomly(FaultPoint::SwapOut, 7, case_seed ^ 0x2222);
-        inj.failRandomly(FaultPoint::SwapIn, 5, case_seed ^ 0x3333);
-        inj.failRandomly(FaultPoint::TagBitFlip, 31, case_seed ^ 0x4444);
-        inj.failRandomly(FaultPoint::DataBitFlip, 211,
-                         case_seed ^ 0x5555);
-    }
+    if (opts.inject)
+        armInjection(kern, case_seed);
 
     // The oracle at every slice boundary: register files have just
     // been switched at an instruction boundary, so every whole-system
     // invariant must hold.
-    if (opts.checkEvery) {
-        s.setSliceHook([&](Process &) {
-            Report rep = Invariants::check(kern);
-            ++er.oracleRuns;
-            if (!rep.violations.empty())
-                captureSnapshot(er, kern, opts);
-            for (Violation &v : rep.violations) {
-                if (er.violations.size() < maxViolationsPerRun)
-                    er.violations.push_back(std::move(v));
-            }
-        });
-    }
+    if (opts.checkEvery)
+        s.setSliceHook([&](Process &) { runOracle(er, kern, opts); });
     kern.runUntilIdle();
     s.setSliceHook(nullptr);
     kern.faultInjector().disarmAll();
@@ -1072,11 +1058,7 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
                 static_cast<int>(cx.last.status),
                 std::string(capFaultName(cx.last.fault)).c_str(),
                 proc->threadCount());
-        for (unsigned ri = 4; ri <= 10; ++ri) {
-            if (ri != 8)
-                ev += fmt(" x%u=%" PRIu64, ri, proc->regs().x[ri]);
-        }
-        er.events.push_back(ev);
+        er.events.push_back(ev + workRegs(proc->regs()));
     }
     er.events.push_back(fmt("sched switches %" PRIu64 " preempt %" PRIu64
                             " slices %" PRIu64 " sleeps %" PRIu64

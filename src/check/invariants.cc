@@ -61,14 +61,13 @@ representable(const Capability &cap)
                                                 cap.format());
 }
 
-/** Rules 1+2 for a register-file capability (bounds only: register
- *  files legitimately hold e.g. execute-permission code caps).
- *  @p where() names the slot, e.g. "tid 3 c5"; it runs only when a
- *  violation is recorded, so a clean pass formats nothing. */
-template <typename Where>
+/** Rules 1+2 for a kernel-held root capability (bounds only: register
+ *  files legitimately hold e.g. execute-permission code caps).  The
+ *  site is formatted only when a violation is recorded, so a clean pass
+ *  builds no strings. */
 void
-checkRegCap(Report &r, const Process &proc, const Where &where,
-            const Capability &cap, const Capability &root)
+checkRootCap(Report &r, const Process &proc, const RootSite &site,
+             const Capability &cap, const Capability &root)
 {
     if (!cap.tag())
         return;
@@ -76,8 +75,8 @@ checkRegCap(Report &r, const Process &proc, const Where &where,
     if (!representable(cap)) {
         r.violations.push_back(
             {"cap-representability",
-             fmt("pid %" PRIu64 " %s: %s", proc.pid(), where().c_str(),
-                 cap.toString().c_str())});
+             fmt("pid %" PRIu64 " %s: %s", proc.pid(),
+                 site.toString().c_str(), cap.toString().c_str())});
     }
     if (isSealer(cap))
         return;
@@ -85,31 +84,9 @@ checkRegCap(Report &r, const Process &proc, const Where &where,
         r.violations.push_back(
             {"cap-containment",
              fmt("pid %" PRIu64 " %s: %s outside root %s", proc.pid(),
-                 where().c_str(), cap.toString().c_str(),
+                 site.toString().c_str(), cap.toString().c_str(),
                  root.toString().c_str())});
     }
-}
-
-/** Rules 1+2 for a register file; @p ctx() names it ("regs",
- *  "tid 3"), formatted only on violation like checkRegCap's slot. */
-template <typename Ctx>
-void
-checkRegs(Report &r, const Process &proc, const Ctx &ctx,
-          const ThreadRegs &regs, const Capability &root)
-{
-    checkRegCap(r, proc, [&] { return ctx() + " pcc"; }, regs.pcc, root);
-    checkRegCap(r, proc, [&] { return ctx() + " ddc"; }, regs.ddc, root);
-    for (unsigned i = 0; i < numCapRegs; ++i) {
-        checkRegCap(r, proc, [&] { return ctx() + fmt(" c%u", i); },
-                    regs.c[i], root);
-    }
-}
-
-/** A constant slot name for checkRegs/checkRegCap. */
-auto
-named(const char *name)
-{
-    return [name] { return std::string(name); };
 }
 
 /** Rules 1-3 for one tagged capability resident in @p proc's memory —
@@ -178,21 +155,13 @@ Invariants::check(Kernel &kern)
         ++r.processes;
         const Capability &root = proc.as().rederivationRoot();
 
-        // Capability state: current register file, switched-out thread
-        // contexts, and the startup capability slots (Figure 1).
-        checkRegs(r, proc, named("regs"), proc.regs(), root);
-        proc.forEachThread([&](const ThreadRecord &t) {
-            auto thread = [&] { return fmt("tid %" PRIu64, t.tid); };
-            checkRegs(r, proc, thread, t.saved, root);
-            checkRegCap(r, proc, [&] { return thread() + " stack"; },
-                        t.stackCap, root);
+        // Capability state outside the page tables: every kernel-held
+        // root (register files, thread and signal-frame contexts,
+        // startup slots, kevent udata; Figure 1).
+        kern.forEachRootCap(proc, [&](const RootSite &site,
+                                      const Capability &cap) {
+            checkRootCap(r, proc, site, cap, root);
         });
-        checkRegCap(r, proc, named("stackCap"), proc.stackCap, root);
-        checkRegCap(r, proc, named("argvCap"), proc.argvCap, root);
-        checkRegCap(r, proc, named("envvCap"), proc.envvCap, root);
-        checkRegCap(r, proc, named("auxvCap"), proc.auxvCap, root);
-        checkRegCap(r, proc, named("trampolineCap"), proc.trampolineCap,
-                    root);
 
         // Rule 7: a revocation epoch that closed at this exact
         // quiescent point promises absence — no tagged capability into
@@ -206,23 +175,18 @@ Invariants::check(Kernel &kern)
                               ep->closeSeq == kern.quiescentCount() &&
                               !ep->closedRanges.empty();
         // Swap tag metadata keeps each tagged granule's pattern with the
-        // tag stripped, so it is checked as is; registers and startup
-        // slots may hold untagged values, which promise nothing.
-        auto survivorPattern = [&](std::vector<Violation> &out,
-                                   const char *where, u64 at,
-                                   const Capability &cap) {
-            if (!capInSortedRanges(cap, ep->closedRanges))
-                return;
+        // tag stripped, so it is tested as is; memory and roots may hold
+        // untagged values, which promise nothing.
+        auto revoked = [&](const Capability &cap) {
+            return capInSortedRanges(cap, ep->closedRanges);
+        };
+        auto survivor = [&](std::vector<Violation> &out, const char *where,
+                            u64 at, const Capability &cap) {
             out.push_back({"revoked-cap-survives",
                            fmt("pid %" PRIu64 " %s @0x%" PRIx64
                                ": %s survived closed epoch %" PRIu64,
                                proc.pid(), where, at,
                                cap.toString().c_str(), ep->id)});
-        };
-        auto survivor = [&](std::vector<Violation> &out, const char *where,
-                            u64 at, const Capability &cap) {
-            if (cap.tag())
-                survivorPattern(out, where, at, cap);
         };
 
         // One walk over the page table checks the memory capabilities
@@ -231,7 +195,7 @@ Invariants::check(Kernel &kern)
         // frame or a slot can break a rule, so only those are visited.
         // The report keeps the order of separate passes: memory
         // capabilities, then PTE rules, then rule 7 over memory, swap,
-        // and registers.
+        // and the roots.
         std::vector<Violation> pteViolations;
         std::vector<Violation> memSurvivors;
         std::vector<Violation> swapSurvivors;
@@ -258,14 +222,15 @@ Invariants::check(Kernel &kern)
                     kern.swapDevice().forEachTaggedInSlot(
                         pte.swapSlot,
                         [&](u64 off, const Capability &pattern) {
-                            survivorPattern(swapSurvivors, "swap",
-                                            pte.va + off, pattern);
+                            if (revoked(pattern))
+                                survivor(swapSurvivors, "swap",
+                                         pte.va + off, pattern);
                         });
                 }
             },
             [&](u64 va, const Capability &cap) {
                 checkMemoryCap(r, proc, root, va, cap);
-                if (epochClosedNow)
+                if (epochClosedNow && revoked(cap))
                     survivor(memSurvivors, "mem", va, cap);
             });
         for (std::vector<Violation> *list :
@@ -276,38 +241,12 @@ Invariants::check(Kernel &kern)
         }
 
         if (epochClosedNow) {
-            auto sweepRegs = [&](const char *where,
-                                 const ThreadRegs &regs) {
-                survivor(r.violations, where, regs.pcc.address(),
-                         regs.pcc);
-                survivor(r.violations, where, regs.ddc.address(),
-                         regs.ddc);
-                for (const Capability &c : regs.c)
-                    survivor(r.violations, where, c.address(), c);
-            };
-            sweepRegs("regs", proc.regs());
-            proc.forEachThread([&](const ThreadRecord &t) {
-                sweepRegs("thread-saved", t.saved);
-                survivor(r.violations, "thread-stack", t.stackCap.address(),
-                         t.stackCap);
+            kern.forEachRootCap(proc, [&](const RootSite &site,
+                                          const Capability &cap) {
+                if (cap.tag() && revoked(cap))
+                    survivor(r.violations, site.toString().c_str(),
+                             cap.address(), cap);
             });
-            for (const SigFrame *frame : proc.liveSigFrames)
-                sweepRegs("sigframe", frame->saved);
-            survivor(r.violations, "stackCap", proc.stackCap.address(),
-                     proc.stackCap);
-            survivor(r.violations, "argvCap", proc.argvCap.address(),
-                     proc.argvCap);
-            survivor(r.violations, "envvCap", proc.envvCap.address(),
-                     proc.envvCap);
-            survivor(r.violations, "auxvCap", proc.auxvCap.address(),
-                     proc.auxvCap);
-            survivor(r.violations, "trampolineCap",
-                     proc.trampolineCap.address(), proc.trampolineCap);
-            kern.forEachKeventUdata(
-                proc.pid(), [&](const Capability &udata) {
-                    survivor(r.violations, "kevent-udata", udata.address(),
-                             udata);
-                });
         }
     });
 

@@ -12,10 +12,11 @@
  *
  * The invariant list (also documented in DESIGN.md, "Checking layer"):
  *
- *  1. Capability representability: every tagged capability — in
- *     registers, thread contexts, startup slots, and tagged memory —
- *     has bounds that CHERI-Concentrate re-decompression reproduces
- *     exactly for its format.
+ *  1. Capability representability: every tagged capability — in the
+ *     kernel-held roots (Kernel::forEachRootCap: register files,
+ *     thread contexts, live signal frames, startup slots, kevent
+ *     udata) and in tagged memory — has bounds that CHERI-Concentrate
+ *     re-decompression reproduces exactly for its format.
  *  2. Capability containment: every tagged data capability lies within
  *     its process's rederivation root in bounds and (for memory caps)
  *     permissions.  Sealing authorities (PERM_SEAL/PERM_UNSEAL) are
@@ -38,9 +39,9 @@
  *  7. Revocation completeness: when a revocation epoch closed at this
  *     exact quiescent point (closeSeq equals the quiescent clock), no
  *     tagged capability into its revoked ranges survives anywhere the
- *     kernel can see — tagged memory, swapped-out tag metadata, the
- *     register file, saved thread contexts, live signal frames,
- *     startup capability slots, or kevent udata.
+ *     kernel can see — tagged memory, swapped-out tag metadata, or any
+ *     kernel-held root (the same forEachRootCap walk the close sweep
+ *     clears).
  *
  * Documented deviation: a tagged capability may refer to a range that
  * is no longer *mapped* — CheriABI provides spatial, not temporal,

@@ -98,21 +98,6 @@ SwapDevice::retain(u64 slot_id)
         ++it->second.refs;
 }
 
-u64
-SwapDevice::revokeMatchingInSlot(
-    u64 slot_id, const std::function<bool(const Capability &)> &pred)
-{
-    auto it = slots.find(slot_id);
-    if (it == slots.end())
-        return 0;
-    auto &meta = it->second.tagMeta;
-    u64 before = meta.size();
-    std::erase_if(meta, [&](const std::pair<u64, Capability> &e) {
-        return pred(e.second);
-    });
-    return before - meta.size();
-}
-
 bool
 SwapDevice::sweepSlot(u64 slot_id,
                       const std::function<bool(const Capability &)> &pred,

@@ -119,21 +119,15 @@ class SwapDevice
     }
 
     /**
-     * Revocation support: drop recorded tag metadata in @p slot for
-     * patterns whose base lies in [lo, hi), so the capability is not
-     * rederived at swap-in.  Returns entries dropped.
-     */
-    u64 revokeMatchingInSlot(
-        u64 slot, const std::function<bool(const Capability &)> &pred);
-
-    /**
-     * Epoch-sweep variant of revokeMatchingInSlot: the sweep must read
-     * the slot's metadata back from the device, so this reports a
-     * SweepScan event to the injector and can fail like any device
-     * read.  On success stores entries dropped in @p revoked and the
-     * tag-metadata entries left in @p remaining (both nullable) and
-     * returns true; on an injected failure the slot is untouched and
-     * the scan can be retried.  An unknown slot scans as empty.
+     * Revocation sweep of @p slot: drop recorded tag metadata for
+     * patterns matching @p pred, so the capability is not rederived at
+     * swap-in.  The sweep must read the slot's metadata back from the
+     * device, so this reports a SweepScan event to the injector and
+     * can fail like any device read.  On success stores entries
+     * dropped in @p revoked and the tag-metadata entries left in
+     * @p remaining (both nullable) and returns true; on an injected
+     * failure the slot is untouched and the scan can be retried.  An
+     * unknown slot scans as empty.
      */
     bool sweepSlot(u64 slot,
                    const std::function<bool(const Capability &)> &pred,

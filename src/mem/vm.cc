@@ -663,24 +663,6 @@ AddressSpace::swappedPages() const
 }
 
 u64
-AddressSpace::revokeCapsMatching(
-    const std::function<bool(const Capability &)> &pred)
-{
-    // Revocation mutates tag state under any cached translation; a TLB
-    // must not keep serving pre-sweep capability loads from its frame
-    // pointer without re-walking (decode caches also flush).
-    notifyInvalidateAll();
-    u64 revoked = 0;
-    // Direct (non-epoch) sweep: every content page, swap scans not
-    // injectable, so this path keeps its historical cannot-fail
-    // contract.  Proving pages clean along the way is free.
-    eachPte(*this, [&](u64 va, Pte &) {
-        revoked += sweepPageImpl(va, 0, pred, false).revoked;
-    });
-    return revoked;
-}
-
-u64
 AddressSpace::contentPages() const
 {
     u64 n = 0;
@@ -710,9 +692,8 @@ AddressSpace::sweepWorklist(bool force_full) const
 }
 
 AddressSpace::PageSweep
-AddressSpace::sweepPageImpl(
-    u64 va, u64 epoch_id,
-    const std::function<bool(const Capability &)> &pred, bool injectable)
+AddressSpace::sweepPage(u64 va, u64 epoch_id,
+                        const std::function<bool(const Capability &)> &pred)
 {
     PageSweep r;
     Pte *found = findPte(va);
@@ -726,15 +707,9 @@ AddressSpace::sweepPageImpl(
         // Swapped pages are scanned through their tag metadata without
         // paging them in; the device read is what can fail.
         u64 remaining = 0;
-        if (injectable) {
-            if (!swap.sweepSlot(pte.swapSlot, pred, &r.revoked,
-                                &remaining)) {
-                r.deviceFailed = true;
-                return r;
-            }
-        } else {
-            r.revoked = swap.revokeMatchingInSlot(pte.swapSlot, pred);
-            remaining = swap.slotTagCount(pte.swapSlot);
+        if (!swap.sweepSlot(pte.swapSlot, pred, &r.revoked, &remaining)) {
+            r.deviceFailed = true;
+            return r;
         }
         r.granules = granulesPerPage;
         if (remaining == 0 && !pte.shared) {
@@ -756,14 +731,13 @@ AddressSpace::sweepPageImpl(
             pte.capDirty = false;
             r.provenClean = true;
         }
-        // Once proven clean, a cached cap-store-permitted dTLB entry
-        // would let the next capability store dodge the dirty bit; and
-        // revoked tags must not be served from stale entries either.
-        // Inside an epoch the entry goes unconditionally: a cached
-        // capWritable for a scanned-but-still-dirty page would let a
-        // later cap store bypass the re-queue in markCapStore.
-        if (epoch_id != 0 || r.provenClean || r.revoked != 0)
-            notifyInvalidatePage(pageTrunc(va));
+        // The cached entry goes unconditionally: revoked tags must not
+        // be served from a stale entry, a cap-store-permitted entry for
+        // a page proven clean would let the next capability store dodge
+        // the dirty bit, and a cached capWritable for a
+        // scanned-but-still-dirty page would let a later cap store in
+        // this epoch bypass the re-queue in markCapStore.
+        notifyInvalidatePage(pageTrunc(va));
     } else {
         // Demand-zero page: trivially holds no capabilities.
         if (!pte.shared) {
@@ -771,21 +745,11 @@ AddressSpace::sweepPageImpl(
             r.provenClean = true;
         }
     }
-    if (epoch_id != 0 && !r.deviceFailed) {
-        pte.sweptEpoch = epoch_id;
-        // The queued visit is satisfied; a later cap store in the same
-        // epoch re-queues through markCapStore.
-        pte.queuedEpoch = 0;
-    }
+    pte.sweptEpoch = epoch_id;
+    // The queued visit is satisfied; a later cap store in the same
+    // epoch re-queues through markCapStore.
+    pte.queuedEpoch = 0;
     return r;
-}
-
-AddressSpace::PageSweep
-AddressSpace::sweepPageForRevocation(
-    u64 va, u64 epoch_id,
-    const std::function<bool(const Capability &)> &pred)
-{
-    return sweepPageImpl(va, epoch_id, pred, true);
 }
 
 AddressSpace::SharedSweep
@@ -796,9 +760,10 @@ AddressSpace::sweepSharedPagesForClose(
     eachContentPte(*this, [&](u64 va, const Pte &pte) {
         if (!pte.shared)
             return;
-        // Non-injectable like the direct sweep: the close barrier must
-        // not fail (shared pages are never swapped out anyway).
-        PageSweep r = sweepPageImpl(va, epoch_id, pred, false);
+        // Shared pages are never swapped out (and restore rejects a
+        // shared swapped page), so the device scan that could fail is
+        // never reached and the close barrier cannot fail.
+        PageSweep r = sweepPage(va, epoch_id, pred);
         ++total.pages;
         total.granules += r.granules;
         total.revoked += r.revoked;
@@ -838,14 +803,6 @@ AddressSpace::takeRedirtiedPages()
     std::vector<u64> out = std::move(redirtied);
     redirtied.clear();
     return out;
-}
-
-u64
-AddressSpace::revokeCapsInRange(u64 lo, u64 hi)
-{
-    return revokeCapsMatching([lo, hi](const Capability &cap) {
-        return cap.base() >= lo && cap.base() < hi;
-    });
 }
 
 u64

@@ -286,18 +286,6 @@ class AddressSpace
     /** Swapped-out page count (slots this space holds). */
     u64 swappedPages() const;
 
-    /**
-     * Revocation sweep support: clear the tag of every capability in
-     * this address space matching @p pred — resident pages and
-     * swapped-out pages (via swap tag metadata) alike, in ONE pass.
-     * Returns the number of tags cleared.
-     */
-    u64 revokeCapsMatching(
-        const std::function<bool(const Capability &)> &pred);
-
-    /** Convenience: revoke capabilities whose base is in [lo, hi). */
-    u64 revokeCapsInRange(u64 lo, u64 hi);
-
     /** @name Capability-dirty tracking + epoch sweeps (Cornucopia)
      * Each PTE carries a sticky cap-dirty bit meaning "this page may
      * hold tagged capabilities": set at the capability-store choke
@@ -346,13 +334,12 @@ class AddressSpace
     /**
      * Sweep one page: clear every capability matching @p pred (resident
      * tags or swap tag metadata), prove the page clean when possible,
-     * and stamp it as swept in epoch @p epoch_id (0 = no epoch).  The
+     * and stamp it as swept in epoch @p epoch_id (nonzero).  The
      * swap-metadata scan is fault-injectable (FaultPoint::SweepScan);
      * on deviceFailed nothing was modified.
      */
-    PageSweep sweepPageForRevocation(
-        u64 va, u64 epoch_id,
-        const std::function<bool(const Capability &)> &pred);
+    PageSweep sweepPage(u64 va, u64 epoch_id,
+                        const std::function<bool(const Capability &)> &pred);
 
     /**
      * Close-barrier rescan: sweep every shared content page once more,
@@ -604,13 +591,6 @@ class AddressSpace
     /** Capability-store choke point: mark the page cap-dirty and, when
      *  it was already swept in the open epoch, queue it for re-scan. */
     void markCapStore(Pte &pte, u64 page_va);
-
-    /** Shared sweep body; @p injectable routes the swap-metadata scan
-     *  through the fault injector (epoch path) or not (direct path). */
-    PageSweep sweepPageImpl(
-        u64 va, u64 epoch_id,
-        const std::function<bool(const Capability &)> &pred,
-        bool injectable);
 
     u64 findFree(u64 hint, u64 len) const;
 

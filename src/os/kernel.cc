@@ -53,7 +53,6 @@ Kernel::Kernel(KernelConfig cfg)
     swap.setCorruptionHook([this](FaultPoint point, u64 slot) {
         noteMachineCheck(point, slot);
     });
-    registerDefaultRevocationScans(*this);
     initVfs();
     // Registered last, after every subsystem is whole: this kernel now
     // owns CHERI_KASSERT failures for its lifetime (innermost wins).
@@ -564,28 +563,6 @@ Kernel::sysSbrk(Process &proc, s64 delta)
     }
     proc.brkCur += static_cast<u64>(delta);
     return SysResult::ok(old_brk);
-}
-
-void
-Kernel::forEachKeventUdata(u64 pid,
-                           const std::function<void(Capability &)> &fn)
-{
-    auto kq = kqueues.find(pid);
-    if (kq == kqueues.end())
-        return;
-    for (KEvent &ev : kq->second)
-        fn(ev.udata);
-}
-
-void
-Kernel::forEachKeventUdata(
-    u64 pid, const std::function<void(const Capability &)> &fn) const
-{
-    auto kq = kqueues.find(pid);
-    if (kq == kqueues.end())
-        return;
-    for (const KEvent &ev : kq->second)
-        fn(ev.udata);
 }
 
 SysResult

@@ -22,6 +22,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "os/counters.h"
@@ -531,8 +532,9 @@ class Kernel : private panic::Sink
     /**
      * The unified revocation syscall (revoke2): run an epoch-based
      * sweep over a set of [lo, hi) ranges — resident and swapped pages
-     * (cap-dirty only, unless REVOKE_FORCE_FULL), then every
-     * kernel-held capability store via the RevocationScan registry.
+     * (cap-dirty only, unless REVOKE_FORCE_FULL), then, at close, the
+     * shared pages once more and every kernel-held root
+     * (forEachRootCap).
      *
      *   REVOKE_SYNC        whole epoch now; result = tags revoked.
      *                      Empty range set: drain an open epoch.
@@ -549,14 +551,6 @@ class Kernel : private panic::Sink
     SysResult sysRevoke2(Process &proc,
                          const std::vector<std::pair<u64, u64>> &ranges,
                          u32 flags);
-
-    /**
-     * Register a kernel capability store with the revocation sweep.
-     * The default scans (thread register files, startup capabilities,
-     * live signal frames, kevent udata) are installed by the
-     * constructor; subsystems added later register here too.
-     */
-    void registerRevocationScan(std::unique_ptr<RevocationScan> scan);
 
     /** This process's revocation epoch state (created on demand). */
     RevocationEpoch &revocationEpoch(u64 pid) { return revEpochs[pid]; }
@@ -578,14 +572,17 @@ class Kernel : private panic::Sink
      *  into the revoked ranges) moves the clock past it. */
     u64 quiescentCount() const { return quiescentSeq; }
 
-    /** Visit every kevent udata capability registered by @p pid —
-     *  mutably (the revocation sweep clears tags in place)... */
-    void forEachKeventUdata(u64 pid,
-                            const std::function<void(Capability &)> &fn);
-    /** ...and read-only (the invariant oracle). */
-    void forEachKeventUdata(
-        u64 pid,
-        const std::function<void(const Capability &)> &fn) const;
+    /**
+     * The one list of kernel-held capability roots of @p proc — every
+     * capability the kernel keeps outside the page tables.  Calls
+     * @p fn(const RootSite &, Capability &) for the running register
+     * file, each thread record's saved registers and stack capability,
+     * the interrupted contexts of live signal frames, the five startup
+     * slots and the kevent udata, in that order.  The revocation close
+     * sweep clears tags through it; the invariant oracle (rules 1, 2
+     * and 7) checks the same list, passing a const Process.
+     */
+    template <typename P, typename Fn> void forEachRootCap(P &proc, Fn &&fn);
 
     /**
      * Allocate a range of @p count object types to the process,
@@ -669,9 +666,9 @@ class Kernel : private panic::Sink
      * openEpoch validates the range set and builds the worklist;
      * runRevocationSlice scans up to @p max_pages from it (absorbing
      * re-dirtied pages) and closes the epoch when the worklist drains —
-     * closing is where kernel-held stores are swept, via the
-     * RevocationScan registry.  driveEpochToClose loops slices for the
-     * SYNC path; pumpRevocation is the per-dispatch incremental tick;
+     * closing is where kernel-held roots are swept (forEachRootCap).
+     * driveEpochToClose loops slices for the SYNC path; pumpRevocation
+     * is the per-dispatch incremental tick;
      * abortRevocationEpoch tears down an open epoch when its process's
      * address space is about to vanish (exit, execve, OOM kill).
      */
@@ -732,7 +729,6 @@ class Kernel : private panic::Sink
     std::map<int, ShmSegment> shmSegments;
     std::map<u64, std::vector<KEvent>> kqueues; // by pid
     std::vector<std::pair<u64, u64>> attached; // (debugger, target)
-    std::vector<std::unique_ptr<RevocationScan>> revScans;
     std::map<u64, RevocationEpoch> revEpochs; // by pid
     /** Kernel-global epoch id allocator (ids never reused). */
     u64 nextEpochId = 0;
@@ -757,6 +753,37 @@ class Kernel : private panic::Sink
      */
     bool kernelReady = true;
 };
+
+template <typename P, typename Fn>
+void
+Kernel::forEachRootCap(P &proc, Fn &&fn)
+{
+    auto regFile = [&](const char *kind, u64 index, auto &regs) {
+        fn(RootSite{kind, index, RootSite::Pcc}, regs.pcc);
+        fn(RootSite{kind, index, RootSite::Ddc}, regs.ddc);
+        for (unsigned i = 0; i < numCapRegs; ++i)
+            fn(RootSite{kind, index, static_cast<int>(i)}, regs.c[i]);
+    };
+    regFile("regs", RootSite::noIndex, proc.regs());
+    using Thread = std::conditional_t<std::is_const_v<P>,
+                                      const ThreadRecord, ThreadRecord>;
+    proc.forEachThread([&](Thread &t) {
+        regFile("tid", t.tid, t.saved);
+        fn(RootSite{"tid", t.tid, RootSite::Stack}, t.stackCap);
+    });
+    for (u64 i = 0; i < proc.liveSigFrames.size(); ++i)
+        regFile("sigframe", i, proc.liveSigFrames[i]->saved);
+    fn(RootSite{"stackCap"}, proc.stackCap);
+    fn(RootSite{"argvCap"}, proc.argvCap);
+    fn(RootSite{"envvCap"}, proc.envvCap);
+    fn(RootSite{"auxvCap"}, proc.auxvCap);
+    fn(RootSite{"trampolineCap"}, proc.trampolineCap);
+    auto kq = kqueues.find(proc.pid());
+    if (kq == kqueues.end())
+        return;
+    for (u64 i = 0; i < kq->second.size(); ++i)
+        fn(RootSite{"kevent-udata", i}, kq->second[i].udata);
+}
 
 /** Map PROT_* bits to the capability permissions mmap grants. */
 u32 protToPerms(u32 prot);

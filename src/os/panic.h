@@ -18,9 +18,10 @@
  * never serialized into snapshots and never consulted by execution, so
  * recording cannot perturb replay determinism.
  *
- * The sink registry is header-only (inline) on purpose: src/mem sits
- * below src/os in the link graph, and converting its asserts must not
- * drag cheri_os into cheri_mem's dependents.
+ * The sink registry is header-only (inline) on purpose: src/cap and
+ * src/mem sit below src/os in the link graph, and converting their
+ * asserts must not drag cheri_os into their dependents.  This header
+ * therefore includes nothing above cap/types.h.
  */
 
 #ifndef CHERI_OS_PANIC_H

@@ -1,7 +1,7 @@
 /**
  * @file
  * Epoch-based revocation: the revoke2 syscall, the sweep scheduler,
- * and the default kernel capability-store scans.
+ * and the close sweep over the kernel-held capability roots.
  *
  * See os/revocation.h for the model.  The scheduler's soundness
  * argument, for any page P and revoked range R:
@@ -33,6 +33,16 @@
 
 namespace cheri
 {
+
+namespace
+{
+
+/** Modelled cost of the close sweep over the kernel-held roots: four
+ *  capability operations for each root group (register files, startup
+ *  slots, signal frames, kevent udata), however many roots each holds. */
+constexpr u64 rootSweepCapOps = 4 * 4;
+
+} // namespace
 
 bool
 capInSortedRanges(const Capability &cap,
@@ -68,98 +78,29 @@ coalesceRanges(std::vector<std::pair<u64, u64>> &ranges)
     ranges = std::move(merged);
 }
 
-namespace
+std::string
+RootSite::toString() const
 {
-
-void
-visitRegs(ThreadRegs &regs, const std::function<void(Capability &)> &fn)
-{
-    fn(regs.pcc);
-    fn(regs.ddc);
-    for (Capability &c : regs.c)
-        fn(c);
-}
-
-/** The running thread's register file plus every switched-out
- *  thread's saved context and stack capability. */
-class ThreadRegScan : public RevocationScan
-{
-  public:
-    std::string_view name() const override { return "thread-regs"; }
-    void
-    forEachCap(Kernel &, Process &proc,
-               const std::function<void(Capability &)> &fn) override
-    {
-        visitRegs(proc.regs(), fn);
-        proc.forEachThread([&](ThreadRecord &t) {
-            visitRegs(t.saved, fn);
-            fn(t.stackCap);
-        });
+    std::string out = kind;
+    if (index != noIndex)
+        out += " " + std::to_string(index);
+    switch (slot) {
+      case Whole:
+        break;
+      case Pcc:
+        out += " pcc";
+        break;
+      case Ddc:
+        out += " ddc";
+        break;
+      case Stack:
+        out += " stack";
+        break;
+      default:
+        out += " c" + std::to_string(slot);
+        break;
     }
-};
-
-/** The execve-installed startup capabilities the kernel keeps for
- *  fork and introspection. */
-class StartupCapScan : public RevocationScan
-{
-  public:
-    std::string_view name() const override { return "startup-caps"; }
-    void
-    forEachCap(Kernel &, Process &proc,
-               const std::function<void(Capability &)> &fn) override
-    {
-        fn(proc.stackCap);
-        fn(proc.argvCap);
-        fn(proc.envvCap);
-        fn(proc.auxvCap);
-        fn(proc.trampolineCap);
-    }
-};
-
-/** Interrupted contexts spilled for in-flight signal handlers: the
- *  capabilities sigreturn will restore live here, not in registers. */
-class SigFrameScan : public RevocationScan
-{
-  public:
-    std::string_view name() const override { return "sigframes"; }
-    void
-    forEachCap(Kernel &, Process &proc,
-               const std::function<void(Capability &)> &fn) override
-    {
-        for (SigFrame *frame : proc.liveSigFrames)
-            visitRegs(frame->saved, fn);
-    }
-};
-
-/** kevent udata: user pointers held in kernel structures for extended
- *  periods (paper section 4). */
-class KeventUdataScan : public RevocationScan
-{
-  public:
-    std::string_view name() const override { return "kevent-udata"; }
-    void
-    forEachCap(Kernel &kern, Process &proc,
-               const std::function<void(Capability &)> &fn) override
-    {
-        kern.forEachKeventUdata(proc.pid(), fn);
-    }
-};
-
-} // namespace
-
-void
-registerDefaultRevocationScans(Kernel &kern)
-{
-    kern.registerRevocationScan(std::make_unique<ThreadRegScan>());
-    kern.registerRevocationScan(std::make_unique<StartupCapScan>());
-    kern.registerRevocationScan(std::make_unique<SigFrameScan>());
-    kern.registerRevocationScan(std::make_unique<KeventUdataScan>());
-}
-
-void
-Kernel::registerRevocationScan(std::unique_ptr<RevocationScan> scan)
-{
-    revScans.push_back(std::move(scan));
+    return out;
 }
 
 SysResult
@@ -208,8 +149,7 @@ Kernel::runRevocationSlice(Process &proc, RevocationEpoch &ep,
     while (scanned < max_pages && !ep.worklist.empty()) {
         u64 va = ep.worklist.front();
         ep.worklist.pop_front();
-        AddressSpace::PageSweep r =
-            proc.as().sweepPageForRevocation(va, ep.id, pred);
+        AddressSpace::PageSweep r = proc.as().sweepPage(va, ep.id, pred);
         if (r.deviceFailed) {
             // Re-queue behind the rest; end the slice so a persistently
             // failing device cannot spin inside one dispatch.
@@ -264,15 +204,13 @@ Kernel::closeRevocationEpoch(Process &proc, RevocationEpoch &ep)
     stats->revocation.tagsRevoked += sh.revoked;
 
     u64 root_revoked = 0;
-    for (auto &scan : revScans) {
-        scan->forEachCap(*this, proc, [&](Capability &c) {
-            if (c.tag() && capInSortedRanges(c, ep.ranges)) {
-                c = c.withoutTag();
-                ++root_revoked;
-            }
-        });
-    }
-    proc.cost().capManip(4 * revScans.size());
+    forEachRootCap(proc, [&](const RootSite &, Capability &c) {
+        if (c.tag() && capInSortedRanges(c, ep.ranges)) {
+            c = c.withoutTag();
+            ++root_revoked;
+        }
+    });
+    proc.cost().capManip(rootSweepCapOps);
     ep.revoked += root_revoked;
     proc.as().endSweepEpoch();
     ep.open = false;

@@ -1,6 +1,7 @@
 /**
  * @file
- * The unified revocation interface: epoch state machine + kernel scans.
+ * The unified revocation interface: epoch state machine + kernel-held
+ * capability roots.
  *
  * Revocation is the "new interface" the paper's temporal-safety future
  * work calls for (section 6), implemented here in the Cornucopia
@@ -18,19 +19,19 @@
  * subsequent dispatch() calls so guest syscall latency stays flat.
  *
  * Kernel-held capability stores (the paper: user pointers "may be held
- * in kernel structures for extended periods") are reached through the
- * RevocationScan registry below instead of ad-hoc loops: thread
- * register files, startup capabilities, in-flight signal frames, and
- * kevent udata each register a scan, and any future kernel store is
- * one registration away from being swept.
+ * in kernel structures for extended periods") are the *roots* the page
+ * tables cannot see: the register files, switched-out thread contexts,
+ * live signal frames, startup capabilities and kevent udata.  They are
+ * listed once, in Kernel::forEachRootCap; the close sweep clears them
+ * and the invariant oracle checks them through that same walk, so a new
+ * kernel store is added to both by adding it there.
  */
 
 #ifndef CHERI_OS_REVOCATION_H
 #define CHERI_OS_REVOCATION_H
 
 #include <deque>
-#include <functional>
-#include <string_view>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -38,9 +39,6 @@
 
 namespace cheri
 {
-
-class Kernel;
-class Process;
 
 /** Flags for the unified revocation syscall (revoke2). */
 enum RevokeFlags : u32
@@ -65,21 +63,36 @@ enum RevokeFlags : u32
 };
 
 /**
- * One kernel subsystem's registration against the revocation sweep.
- * The visitor receives a mutable reference to every kernel- or
- * register-held capability belonging to the process and clears tags in
- * place; scans run when an epoch closes, after every page is proven
- * scanned (a register may hold a capability loaded before its page's
- * scan, so sweeping roots earlier would be unsound).
+ * Where Kernel::forEachRootCap found a capability: the root kind, the
+ * instance within it and the register slot.  Formatted only on demand,
+ * so a clean oracle pass builds no strings.
  */
-class RevocationScan
+struct RootSite
 {
-  public:
-    virtual ~RevocationScan() = default;
-    virtual std::string_view name() const = 0;
-    virtual void
-    forEachCap(Kernel &kern, Process &proc,
-               const std::function<void(Capability &)> &fn) = 0;
+    /** Slot values other than a capability register number. */
+    enum Slot : int
+    {
+        /** The root is one capability, not a register file. */
+        Whole = -1,
+        Pcc = -2,
+        Ddc = -3,
+        /** A thread's stack capability. */
+        Stack = -4,
+    };
+    static constexpr u64 noIndex = ~u64{0};
+
+    /** "regs", "tid", "sigframe", "kevent-udata", or a startup slot
+     *  ("stackCap", "argvCap", "envvCap", "auxvCap", "trampolineCap"). */
+    const char *kind;
+    /** Thread id, signal-frame depth or kevent index; noIndex for the
+     *  kinds with one instance per process. */
+    u64 index = noIndex;
+    /** Capability register number (>= 0) or a Slot. */
+    int slot = Whole;
+
+    /** e.g. "regs pcc", "tid 3 c5", "tid 3 stack", "sigframe 0 ddc",
+     *  "kevent-udata 2", "argvCap". */
+    std::string toString() const;
 };
 
 /** Per-process revocation epoch state (Idle <-> Open). */
@@ -122,10 +135,6 @@ bool capInSortedRanges(const Capability &cap,
 /** Sort @p ranges and merge overlapping/adjacent entries in place, the
  *  normal form capInSortedRanges requires. */
 void coalesceRanges(std::vector<std::pair<u64, u64>> &ranges);
-
-/** Install the default kernel scans (thread register files, startup
- *  capabilities, live signal frames, kevent udata) on @p kern. */
-void registerDefaultRevocationScans(Kernel &kern);
 
 } // namespace cheri
 

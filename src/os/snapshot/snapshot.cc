@@ -590,6 +590,9 @@ struct Access
         ar.ref(pte.frame, ar.frames, "corrupt frame id", true);
         ar.u32(pte.prot);
         ar.boolean(pte.cow, pte.shared, pte.swapped);
+        // The kernel never swaps a shared page out, and the revocation
+        // close barrier, which must not fail, relies on that.
+        ar.check(!(pte.shared && pte.swapped), "corrupt shared swapped page");
         ar.u64(pte.swapSlot, pte.lastUse);
         ar.boolean(pte.capDirty);
         ar.u64(pte.sweptEpoch, pte.queuedEpoch);

@@ -170,13 +170,22 @@ TEST_F(AccessTest, RevocationSweepIsVisibleThroughTheTlb)
     u64 va = mapAnon(pageSize);
     Capability c = as.capForRange(va, 64, PROT_READ | PROT_WRITE);
     ASSERT_FALSE(mem.writeCap(va, c).has_value());
-    // Prime the read path so a stale cached view would be tempting.
+    // Opening the epoch flushes every TLB; prime the read path inside
+    // it so a stale cached view would be tempting after the sweep.
+    EXPECT_EQ(as.beginSweepEpoch(1, false), std::vector<u64>{va});
     ASSERT_TRUE(mem.readCap(va).ok());
-    u64 cleared = as.revokeCapsInRange(va, va + 64);
-    EXPECT_GE(cleared, 1u);
+    AddressSpace::PageSweep swept =
+        as.sweepPage(va, 1, [va](const Capability &cap) {
+            return cap.base() >= va && cap.base() < va + 64;
+        });
+    as.endSweepEpoch();
+    EXPECT_EQ(swept.revoked, 1u);
+    u64 misses = mem.stats().dataMisses;
     Result<Capability> r = mem.readCap(va);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r.value().tag());
+    EXPECT_EQ(mem.stats().dataMisses, misses + 1)
+        << "the sweep must drop the page's cached translation";
 }
 
 TEST_F(AccessTest, CapRoundTripIsBitForBitOnTheHitPath)

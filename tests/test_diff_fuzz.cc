@@ -4,9 +4,10 @@
  * oracle (src/check).  The fixed seed corpus keeps a small slice of the
  * fuzzer's search space in every CI run; CHERI_TEST_FUZZ_SEEDS widens
  * or pins it without a rebuild.  The oracle tests prove the checker is
- * not vacuous: a deliberately planted slot-refcount corruption and a
- * hand-built slot leak must both be reported, with seed-reproducible
- * output for the fuzzer-driven one.
+ * not vacuous: a deliberately planted slot-refcount corruption, a
+ * hand-built slot leak and out-of-root capabilities in kernel-held
+ * roots must all be reported, with seed-reproducible output for the
+ * fuzzer-driven one.
  */
 
 #include <gtest/gtest.h>
@@ -197,6 +198,52 @@ TEST(DiffFuzzOracle, ReportTextIsPinned)
               "slot-refcount: slot 0: device refcount 2 but 1 PTEs "
               "reference it\n");
     EXPECT_EQ(rep.violations.size(), 4u);
+}
+
+// Rules 1-2 walk the same kernel-held roots as the revocation sweep,
+// including kevent udata and the interrupted context of a live signal
+// frame, which is checked from inside the handler while it is live.
+TEST(DiffFuzzOracle, KeventUdataAndLiveSigframeAreContained)
+{
+    GuestSystem sys(Abi::CheriAbi);
+    Process &proc = *sys.proc;
+    Capability rogue = Capability::root()
+                           .setAddress(AddressSpace::userTop * 2)
+                           .setBounds(0x100)
+                           .value()
+                           .andPerms(PERM_GLOBAL | PERM_LOAD | PERM_STORE)
+                           .value();
+    ASSERT_GT(rogue.top(), proc.as().rederivationRoot().top());
+    auto expectContainment = [&](const check::Report &rep,
+                                 const std::string &site) {
+        ASSERT_EQ(rep.violations.size(), 1u) << rep.toString();
+        EXPECT_EQ(rep.violations[0].rule, "cap-containment");
+        const std::string prefix =
+            "pid " + std::to_string(proc.pid()) + " " + site + ": ";
+        EXPECT_EQ(rep.violations[0].detail.substr(0, prefix.size()), prefix)
+            << rep.toString();
+    };
+    check::Report clean = check::Invariants::check(sys.kern);
+    ASSERT_TRUE(clean.ok()) << clean.toString();
+
+    KEvent reg;
+    reg.filter = KFilter::User;
+    reg.udata = rogue;
+    ASSERT_EQ(sys.kern.sysKevent(proc, {reg}, nullptr, 0).error, E_OK);
+    expectContainment(check::Invariants::check(sys.kern), "kevent-udata 0");
+    reg.udata = Capability();
+    ASSERT_EQ(sys.kern.sysKevent(proc, {reg}, nullptr, 0).error, E_OK);
+
+    check::Report inHandler;
+    u64 hid = proc.registerHandler([&](Process &, SigFrame &frame) {
+        frame.saved.c[5] = rogue;
+        inHandler = check::Invariants::check(sys.kern);
+        frame.saved.c[5] = Capability();
+    });
+    sys.kern.sysSigaction(proc, SIG_USR1, {SigAction::Kind::Handler, hid});
+    ASSERT_EQ(sys.kern.sysKill(proc, proc.pid(), SIG_USR1).error, E_OK);
+    ASSERT_EQ(sys.kern.deliverSignals(proc), 1u);
+    expectContainment(inHandler, "sigframe 0 c5");
 }
 
 } // namespace

@@ -5,13 +5,14 @@
  * absence rule.  The allocator-level quarantine behaviour is covered
  * in test_extensions.cc; this file targets the kernel API: flag
  * validation, busy/retry semantics, incremental slicing, the dispatch
- * pump, epoch aborts, fork-shared swap slots, and device failures
- * mid-epoch.
+ * pump, epoch aborts, fork-shared swap slots, device failures
+ * mid-epoch, and the close sweep over every kernel-held root kind.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -222,20 +223,123 @@ TEST_F(Revoke2Test, SweepScanFailureLeavesEpochOpenAndRetryable)
     EXPECT_FALSE(ctx().loadPtr(table, 0).cap.tag());
 }
 
-TEST_F(Revoke2Test, SavedThreadContextSwept)
+/**
+ * One kernel-held root kind: plant @p cap there, call @p sweep (which
+ * drives a SYNC epoch over the victim's range to close), and return
+ * what the root holds afterwards.
+ */
+struct RootRow
 {
-    GuestPtr victim = heap.malloc(64);
-    proc().regs().c[9] = victim.cap;
-    SysResult t = kern().sysThrNew(proc());
-    ASSERT_FALSE(t.failed());
-    // Switching out spills the main thread's register file (with the
-    // stale capability) into its ThreadRecord.
-    ASSERT_EQ(kern().sysThrSwitch(proc(), t.value).error, E_OK);
-    ASSERT_TRUE(heap.free(victim));
-    heap.forceSweep();
-    ASSERT_EQ(kern().sysThrSwitch(proc(), 0).error, E_OK);
-    EXPECT_FALSE(proc().regs().c[9].tag())
-        << "revocation must reach switched-out thread contexts";
+    const char *root;
+    std::function<Capability(GuestSystem &sys, const Capability &cap,
+                             const std::function<void()> &sweep)>
+        roundTrip;
+};
+
+/** A startup slot as a RootRow. */
+RootRow
+startupRow(const char *name, Capability Process::*slot)
+{
+    return {name, [slot](GuestSystem &sys, const Capability &cap,
+                         const std::function<void()> &sweep) {
+                sys.proc->*slot = cap;
+                sweep();
+                return sys.proc->*slot;
+            }};
+}
+
+TEST_F(Revoke2Test, ClosedEpochSweepsEveryRootKind)
+{
+    /** A spawned, never-run thread: its record is switched out. */
+    auto newThread = [](GuestSystem &sys) {
+        SysResult t = sys.kern.sysThrNew(*sys.proc);
+        EXPECT_FALSE(t.failed());
+        return sys.proc->threadById(t.value);
+    };
+    const RootRow rows[] = {
+        {"current regs",
+         [](GuestSystem &sys, const Capability &cap, const auto &sweep) {
+             sys.proc->regs().c[9] = cap;
+             sweep();
+             return sys.proc->regs().c[9];
+         }},
+        // Switching to a new thread spills the main thread's register
+        // file into its ThreadRecord; switching back restores it.
+        {"thread saved regs",
+         [&](GuestSystem &sys, const Capability &cap, const auto &sweep) {
+             Process &p = *sys.proc;
+             u64 tid = newThread(sys)->tid;
+             p.regs().c[9] = cap;
+             EXPECT_EQ(sys.kern.sysThrSwitch(p, tid).error, E_OK);
+             p.regs().c[9] = Capability();
+             sweep();
+             EXPECT_EQ(sys.kern.sysThrSwitch(p, 0).error, E_OK);
+             return p.regs().c[9];
+         }},
+        {"thread stackCap",
+         [&](GuestSystem &sys, const Capability &cap, const auto &sweep) {
+             ThreadRecord *t = newThread(sys);
+             t->stackCap = cap;
+             sweep();
+             return t->stackCap;
+         }},
+        startupRow("stackCap", &Process::stackCap),
+        startupRow("argvCap", &Process::argvCap),
+        startupRow("envvCap", &Process::envvCap),
+        startupRow("auxvCap", &Process::auxvCap),
+        startupRow("trampolineCap", &Process::trampolineCap),
+        // While a handler runs, the interrupted context lives in the
+        // kernel's copy of the signal frame.
+        {"live sigframe",
+         [](GuestSystem &sys, const Capability &cap, const auto &sweep) {
+             Process &p = *sys.proc;
+             Capability out;
+             u64 hid = p.registerHandler([&](Process &, SigFrame &f) {
+                 f.saved.c[9] = cap;
+                 sweep();
+                 out = f.saved.c[9];
+                 f.saved.c[9] = Capability();
+             });
+             sys.kern.sysSigaction(p, SIG_USR1,
+                                   {SigAction::Kind::Handler, hid});
+             EXPECT_EQ(sys.kern.sysKill(p, p.pid(), SIG_USR1).error, E_OK);
+             EXPECT_EQ(sys.kern.deliverSignals(p), 1u);
+             return out;
+         }},
+        {"kevent udata",
+         [](GuestSystem &sys, const Capability &cap, const auto &sweep) {
+             KEvent reg;
+             reg.filter = KFilter::User;
+             reg.udata = cap;
+             EXPECT_EQ(sys.kern.sysKevent(*sys.proc, {reg}, nullptr, 0)
+                           .error,
+                       E_OK);
+             sweep();
+             std::vector<KEvent> events;
+             EXPECT_EQ(
+                 sys.kern.sysKevent(*sys.proc, {}, &events, 1).error, E_OK);
+             return events.empty() ? Capability() : events[0].udata;
+         }},
+    };
+    for (const RootRow &row : rows) {
+        SCOPED_TRACE(row.root);
+        GuestSystem sys{Abi::CheriAbi};
+        GuestPtr victim = sys.ctx->mmap(pageSize);
+        GuestPtr keeper = sys.ctx->mmap(pageSize);
+        auto sweep = [&] {
+            SysResult r =
+                sys.kern.sysRevoke2(*sys.proc, rangeOf(victim), REVOKE_SYNC);
+            EXPECT_FALSE(r.failed());
+            const RevocationEpoch *ep =
+                sys.kern.findRevocationEpoch(sys.proc->pid());
+            ASSERT_NE(ep, nullptr);
+            EXPECT_FALSE(ep->open);
+        };
+        EXPECT_FALSE(row.roundTrip(sys, victim.cap, sweep).tag())
+            << "a closed epoch must clear a revoked capability here";
+        EXPECT_EQ(row.roundTrip(sys, keeper.cap, sweep), keeper.cap)
+            << "a capability outside the revoked range must survive";
+    }
 }
 
 TEST_F(Revoke2Test, ExecveAbortsOpenEpoch)
@@ -320,7 +424,7 @@ TEST_F(Revoke2Test, OracleChecksClosedEpochAbsence)
     EXPECT_EQ(where, (std::vector<std::string>{
                          at("mem", stash.addr()),
                          at("swap", stash.addr() + pageSize),
-                         at("regs", victim.cap.address())}))
+                         at("regs c9", victim.cap.address())}))
         << bad.toString();
 }
 

@@ -788,6 +788,12 @@ TEST(SnapshotTest, RestoreRejectsEachCorruptField)
     // Swap slot: id, page bytes (first word planted), ...
     const size_t slot1 = findUnique(img, le64(slotSentinel1)) - 8;
     const size_t slot2 = findUnique(img, le64(slotSentinel2)) - 8;
+    // Swapped page record: ..., frame id (none), prot (rw), cow,
+    // shared, swapped, slot id.
+    const size_t sharedFlag =
+        findUnique(img, cat(std::vector<u8>{0, 0, 0, 0, 3, 0, 0, 0, 0, 0, 1},
+                            le64(get64At(img, slot1)))) +
+        9;
     // Shm segment: size, frame count, frame ids.
     const size_t shm =
         findUnique(img, cat(le64(5 * pageSize), le64(5))) + 16;
@@ -862,6 +868,8 @@ TEST(SnapshotTest, RestoreRejectsEachCorruptField)
          "corrupt current-thread id"},
         {"shm frame id", false, [&](auto &b) { put32At(b, shm, 0); },
          "corrupt shm frame id"},
+        {"shared swapped page", false, [&](auto &b) { b[sharedFlag] = 1; },
+         "corrupt shared swapped page"},
         {"context pid", true, [&](auto &b) { put64At(b, ctxA, 999); },
          "context references unknown pid"},
         {"duplicate context", true,
