@@ -1,11 +1,11 @@
 #include "check/diff_fuzzer.h"
 
 #include <cinttypes>
-#include <cstdarg>
 #include <cstdio>
 #include <random>
 
 #include "check/replay.h"
+#include "check/strfmt.h"
 #include "isa/assembler.h"
 #include "isa/interp.h"
 #include "obs/json.h"
@@ -19,17 +19,6 @@ namespace cheri::check
 
 namespace
 {
-
-std::string
-fmt(const char *f, ...)
-{
-    char buf[320];
-    va_list ap;
-    va_start(ap, f);
-    std::vsnprintf(buf, sizeof(buf), f, ap);
-    va_end(ap);
-    return buf;
-}
 
 /**
  * One abstract instruction of a generated guest program.  Memory ops

@@ -2,12 +2,11 @@
 
 #include <array>
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <unordered_map>
 #include <unordered_set>
 
 #include "cap/capability.h"
+#include "check/strfmt.h"
 #include "obs/metrics.h"
 #include "os/kernel.h"
 
@@ -16,17 +15,6 @@ namespace cheri::check
 
 namespace
 {
-
-std::string
-fmt(const char *f, ...)
-{
-    char buf[256];
-    va_list ap;
-    va_start(ap, f);
-    std::vsnprintf(buf, sizeof(buf), f, ap);
-    va_end(ap);
-    return buf;
-}
 
 /** Per-frame holders seen while sweeping the page tables. */
 struct FrameUse

@@ -1,10 +1,9 @@
 #include "check/replay.h"
 
 #include <cinttypes>
-#include <cstdarg>
-#include <cstdio>
 #include <cstring>
 
+#include "check/strfmt.h"
 #include "os/kernel.h"
 #include "os/sysnum.h"
 
@@ -83,8 +82,9 @@ hashRegs(const ThreadRegs &r)
     return h;
 }
 
-/** Digest of the kernel's public observable counters — the cheap
- *  whole-system fingerprint checked at every quiescent point. */
+/** Digest of the kernel's observable counters — the cheap whole-system
+ *  fingerprint checked at every quiescent point.  It covers every
+ *  KernelCounters field, by walking the blocks' field lists. */
 u64
 hashStats(Kernel &kern)
 {
@@ -92,50 +92,11 @@ hashStats(Kernel &kern)
     fnv(h, kern.physMem().totalAllocated());
     fnv(h, kern.physMem().failedAllocs());
     fnv(h, kern.physMem().reclaimRequests());
-    const KernelCounters &k = kern.counters();
-    const MemPressureStats &mp = k.pressure;
-    fnv(h, mp.reclaimPasses);
-    fnv(h, mp.pagesReclaimed);
-    fnv(h, mp.oomKills);
-    fnv(h, mp.enomemErrors);
-    const FdIoStats &fdio = k.fd;
-    fnv(h, fdio.blocks);
-    fnv(h, fdio.wakes);
-    fnv(h, fdio.eagainErrors);
-    fnv(h, fdio.epipeErrors);
-    fnv(h, fdio.partialWrites);
-    fnv(h, fdio.selectTimeouts);
-    const RevocationStats &rv = k.revocation;
-    fnv(h, rv.epochsOpened);
-    fnv(h, rv.epochsClosed);
-    fnv(h, rv.epochsAborted);
-    fnv(h, rv.pagesScanned);
-    fnv(h, rv.tagsRevoked);
-    const HardeningStats &hd = k.hardening;
-    fnv(h, hd.panics);
-    fnv(h, hd.deadlocksDetected);
-    fnv(h, hd.deadlocksKilled);
-    fnv(h, hd.machineChecks);
-    if (kern.scheduler()) {
-        const SchedStats &ss = k.sched;
-        fnv(h, ss.contextSwitches);
-        fnv(h, ss.preemptions);
-        fnv(h, ss.slices);
-        fnv(h, ss.wakes);
-        fnv(h, ss.stepsExecuted);
-    }
+    auto block = [&](const auto &b) {
+        forEachField(b, [&](const auto &, u64 v) { fnv(h, v); });
+    };
+    forEachBlock(block, kern.counters());
     return h;
-}
-
-std::string
-fmt(const char *f, ...)
-{
-    char buf[320];
-    va_list ap;
-    va_start(ap, f);
-    std::vsnprintf(buf, sizeof(buf), f, ap);
-    va_end(ap);
-    return buf;
 }
 
 std::string

@@ -68,7 +68,10 @@ class ReplaySession : public FaultTap
         Replay,
     };
 
-    static constexpr u32 logVersion = 1;
+    /** Bumped whenever what the digest covers changes, even when the
+     *  layout does not: another version's log would load and then
+     *  diverge at its first digest. */
+    static constexpr u32 logVersion = 2;
 
     explicit ReplaySession(Mode mode) : _mode(mode) {}
 
@@ -89,9 +92,10 @@ class ReplaySession : public FaultTap
 
     /**
      * Quiescent-point digest at a syscall dispatch: hashes @p proc's
-     * full register file (capability tags included) and the kernel's
-     * observable counters.  Record: appended to the log.  Replay:
-     * checked against the recording; the first mismatch becomes the
+     * full register file (capability tags included) and every
+     * KernelCounters field, walked through the blocks' field lists
+     * (os/counters.h).  Record: appended to the log.  Replay: checked
+     * against the recording; the first mismatch becomes the
      * divergence report's attribution point.
      */
     void quiesce(Kernel &kern, Process &proc, u64 code);

@@ -104,13 +104,8 @@ Metrics::captureCost(std::string label, const CostModel &cost)
     CostSnapshot snap;
     snap.label = std::move(label);
     snap.abi = cost.abi();
-    snap.instructions = cost.instructions();
-    snap.cycles = cost.cycles();
-    snap.l1dMisses = cost.l1dMisses();
-    snap.l2Misses = cost.l2Misses();
-    snap.codeBytes = cost.codeBytes();
-    snap.itlbMisses = cost.itlbMisses();
-    snap.dtlbMisses = cost.dtlbMisses();
+    for (const CostField &f : costFields)
+        snap.*f.member = (cost.*f.read)();
     costs.push_back(std::move(snap));
 }
 
@@ -186,7 +181,29 @@ emitHistogram(JsonWriter &w, const Histogram &h)
     w.endObject();
 }
 
+/** Every field of counter block @p s under its list key, into the
+ *  open JSON object. */
+template <class S>
+JsonWriter &
+emitFields(JsonWriter &w, const S &s)
+{
+    forEachField(s, [&](const auto &f, u64 v) { w.key(f.key).value(v); });
+    return w;
+}
+
 constexpr Abi allAbis[] = {Abi::Mips64, Abi::CheriAbi, Abi::Hybrid};
+
+/** TlbCounter names, indexed by the counter. */
+constexpr std::array<std::string_view, numTlbCounters> tlbNames = {
+    "data_hits", "data_misses", "fetch_hits", "fetch_misses",
+    "invalidations"};
+
+/** No counter of an ABI's TLB block has moved. */
+bool
+idle(const std::array<u64, numTlbCounters> &blk)
+{
+    return std::all_of(blk.begin(), blk.end(), [](u64 v) { return !v; });
+}
 
 } // namespace
 
@@ -260,13 +277,8 @@ Metrics::toJson() const
         w.beginObject();
         w.key("label").value(std::string_view(c.label));
         w.key("abi").value(abiName(c.abi));
-        w.key("instructions").value(c.instructions);
-        w.key("cycles").value(c.cycles);
-        w.key("l1d_misses").value(c.l1dMisses);
-        w.key("l2_misses").value(c.l2Misses);
-        w.key("code_bytes").value(c.codeBytes);
-        w.key("itlb_misses").value(c.itlbMisses);
-        w.key("dtlb_misses").value(c.dtlbMisses);
+        for (const CostField &f : costFields)
+            w.key(f.key).value(c.*f.member);
         w.endObject();
     }
     w.endArray();
@@ -275,66 +287,28 @@ Metrics::toJson() const
     w.key("tlb").beginArray();
     for (Abi abi : allAbis) {
         const auto &blk = tlb[abiIndex(abi)];
-        u64 total = 0;
-        for (u64 v : blk)
-            total += v;
-        if (!total)
+        if (idle(blk))
             continue;
         w.beginObject();
         w.key("abi").value(abiName(abi));
-        w.key("data_hits").value(blk[TlbDataHit]);
-        w.key("data_misses").value(blk[TlbDataMiss]);
-        w.key("fetch_hits").value(blk[TlbFetchHit]);
-        w.key("fetch_misses").value(blk[TlbFetchMiss]);
-        w.key("invalidations").value(blk[TlbInvalidation]);
+        for (unsigned c = 0; c < numTlbCounters; ++c)
+            w.key(tlbNames[c]).value(blk[c]);
         w.endObject();
     }
     w.endArray();
 
     const KernelCounters k = kernelCounters();
-    const MemPressureStats &mem = k.pressure;
-    const RevocationStats &rev = k.revocation;
-    const SchedStats &schd = k.sched;
-    const FdIoStats &fdio = k.fd;
-    const HardeningStats &hard = k.hardening;
 
     // Memory-pressure counters (v3 schema addition).
-    w.key("memory").beginObject();
-    w.key("reclaim_passes").value(mem.reclaimPasses);
-    w.key("pages_reclaimed").value(mem.pagesReclaimed);
-    w.key("oom_kills").value(mem.oomKills);
-    w.key("enomem").value(mem.enomemErrors);
-    w.endObject();
+    emitFields(w.key("memory").beginObject(), k.pressure).endObject();
 
     // Revocation-epoch counters (v5 schema addition).
-    w.key("revocation").beginObject();
-    w.key("epochs_opened").value(rev.epochsOpened);
-    w.key("epochs_closed").value(rev.epochsClosed);
-    w.key("epochs_aborted").value(rev.epochsAborted);
-    w.key("pages_scanned").value(rev.pagesScanned);
-    w.key("pages_skipped_clean").value(rev.pagesSkippedClean);
-    w.key("granules_visited").value(rev.granulesVisited);
-    w.key("tags_revoked").value(rev.tagsRevoked);
-    w.key("incremental_slices").value(rev.incrementalSlices);
-    w.key("sync_sweeps").value(rev.syncSweeps);
-    w.key("cycles_in_epochs").value(rev.cyclesInEpochs);
-    w.endObject();
+    emitFields(w.key("revocation").beginObject(), k.revocation).endObject();
 
     // Scheduler counters (v6 schema addition).  decode_hit_rate is the
     // fraction of instruction fetches served by the per-context decode
     // micro-caches — the retention the unified engine buys.
-    w.key("sched").beginObject();
-    w.key("context_switches").value(schd.contextSwitches);
-    w.key("preemptions").value(schd.preemptions);
-    w.key("slices").value(schd.slices);
-    w.key("blocks_wait4").value(schd.blocksWait4);
-    w.key("blocks_event").value(schd.blocksEvent);
-    w.key("blocks_sleep").value(schd.blocksSleep);
-    w.key("blocks_fd").value(schd.blocksFd);
-    w.key("wakes").value(schd.wakes);
-    w.key("max_run_queue_depth").value(schd.maxRunQueueDepth);
-    w.key("idle_advances").value(schd.idleAdvances);
-    w.key("steps_executed").value(schd.stepsExecuted);
+    emitFields(w.key("sched").beginObject(), k.sched);
     {
         u64 hits = 0, misses = 0;
         for (Abi abi : allAbis) {
@@ -360,43 +334,17 @@ Metrics::toJson() const
 
     // Blocking FD I/O counters (v7 schema addition): how often the
     // pipe/pty/select paths parked, woke, or degraded to E_AGAIN.
-    w.key("fd").beginObject();
-    w.key("blocks").value(fdio.blocks);
-    w.key("wakes").value(fdio.wakes);
-    w.key("eagain_errors").value(fdio.eagainErrors);
-    w.key("epipe_errors").value(fdio.epipeErrors);
-    w.key("partial_writes").value(fdio.partialWrites);
-    w.key("select_timeouts").value(fdio.selectTimeouts);
-    w.endObject();
+    emitFields(w.key("fd").beginObject(), k.fd).endObject();
 
     // Checking-layer counters (v4 schema addition).
-    w.key("check").beginObject();
-    w.key("oracle_runs").value(chk.oracleRuns);
-    w.key("oracle_violations").value(chk.oracleViolations);
-    w.key("fuzz_cases").value(chk.fuzzCases);
-    w.key("fuzz_divergences").value(chk.fuzzDivergences);
-    w.endObject();
+    emitFields(w.key("check").beginObject(), chk).endObject();
 
     // Snapshot/replay counters (v8 schema addition).
-    w.key("snapshot").beginObject();
-    w.key("snapshots_taken").value(snp.snapshotsTaken);
-    w.key("snapshot_bytes").value(snp.snapshotBytes);
-    w.key("restores").value(snp.restores);
-    w.key("restore_failures").value(snp.restoreFailures);
-    w.key("records").value(snp.records);
-    w.key("replays").value(snp.replays);
-    w.key("replay_divergences").value(snp.replayDivergences);
-    w.key("log_entries").value(snp.logEntries);
-    w.endObject();
+    emitFields(w.key("snapshot").beginObject(), snp).endObject();
 
     // Kernel-hardening counters (v9 schema addition): structured
     // panics, deadlock-watchdog verdicts, machine-check degradations.
-    w.key("hardening").beginObject();
-    w.key("panics").value(hard.panics);
-    w.key("deadlocks_detected").value(hard.deadlocksDetected);
-    w.key("deadlocks_killed").value(hard.deadlocksKilled);
-    w.key("machine_checks").value(hard.machineChecks);
-    w.endObject();
+    emitFields(w.key("hardening").beginObject(), k.hardening).endObject();
 
     w.key("derives").beginObject();
     for (unsigned s = 0; s < numDeriveSources; ++s) {
@@ -440,33 +388,21 @@ Metrics::toCsv() const
         }
     }
     // Second table: per-ABI software-TLB counters (v2 addition).
-    bool any_tlb = false;
+    std::string tlbRows;
     for (Abi abi : allAbis) {
-        for (u64 v : tlb[abiIndex(abi)])
-            any_tlb = any_tlb || v != 0;
+        const auto &blk = tlb[abiIndex(abi)];
+        if (idle(blk))
+            continue;
+        tlbRows += abiName(abi);
+        for (u64 v : blk)
+            tlbRows += "," + std::to_string(v);
+        tlbRows += '\n';
     }
-    if (any_tlb) {
-        out += "\nabi,tlb_data_hits,tlb_data_misses,tlb_fetch_hits,"
-               "tlb_fetch_misses,tlb_invalidations\n";
-        for (Abi abi : allAbis) {
-            const auto &blk = tlb[abiIndex(abi)];
-            u64 total = 0;
-            for (u64 v : blk)
-                total += v;
-            if (!total)
-                continue;
-            char buf[192];
-            std::snprintf(
-                buf, sizeof(buf), "%.*s,%llu,%llu,%llu,%llu,%llu\n",
-                static_cast<int>(abiName(abi).size()),
-                abiName(abi).data(),
-                static_cast<unsigned long long>(blk[TlbDataHit]),
-                static_cast<unsigned long long>(blk[TlbDataMiss]),
-                static_cast<unsigned long long>(blk[TlbFetchHit]),
-                static_cast<unsigned long long>(blk[TlbFetchMiss]),
-                static_cast<unsigned long long>(blk[TlbInvalidation]));
-            out += buf;
-        }
+    if (!tlbRows.empty()) {
+        out += "\nabi";
+        for (std::string_view name : tlbNames)
+            out.append(",tlb_").append(name);
+        out += "\n" + tlbRows;
     }
     return out;
 }

@@ -128,6 +128,21 @@ struct SnapshotCounters
     u64 logEntries = 0;        ///< replay-log entries written or read
 };
 
+constexpr auto
+counterFields(std::type_identity<SnapshotCounters>)
+{
+    return std::to_array<CounterField<SnapshotCounters>>({
+        {&SnapshotCounters::snapshotsTaken, "snapshots_taken"},
+        {&SnapshotCounters::snapshotBytes, "snapshot_bytes"},
+        {&SnapshotCounters::restores, "restores"},
+        {&SnapshotCounters::restoreFailures, "restore_failures"},
+        {&SnapshotCounters::records, "records"},
+        {&SnapshotCounters::replays, "replays"},
+        {&SnapshotCounters::replayDivergences, "replay_divergences"},
+        {&SnapshotCounters::logEntries, "log_entries"},
+    });
+}
+
 /** Checking-layer telemetry (src/check): oracle runs and fuzzer
  *  progress, exported in the "check" section of the v4 schema. */
 struct CheckCounters
@@ -137,6 +152,17 @@ struct CheckCounters
     u64 fuzzCases = 0;        ///< differential cases executed
     u64 fuzzDivergences = 0;  ///< cases whose ABI runs diverged
 };
+
+constexpr auto
+counterFields(std::type_identity<CheckCounters>)
+{
+    return std::to_array<CounterField<CheckCounters>>({
+        {&CheckCounters::oracleRuns, "oracle_runs"},
+        {&CheckCounters::oracleViolations, "oracle_violations"},
+        {&CheckCounters::fuzzCases, "fuzz_cases"},
+        {&CheckCounters::fuzzDivergences, "fuzz_divergences"},
+    });
+}
 
 /** Labelled snapshot of a process's cost model and cache counters. */
 struct CostSnapshot
@@ -150,6 +176,26 @@ struct CostSnapshot
     u64 codeBytes = 0;
     u64 itlbMisses = 0;
     u64 dtlbMisses = 0;
+};
+
+/** One u64 field of a CostSnapshot: its member and JSON key, and the
+ *  CostModel reading that captureCost copies into it. */
+struct CostField
+{
+    u64 CostSnapshot::*member;
+    const char *key;
+    u64 (CostModel::*read)() const;
+};
+
+/** The u64 fields of a CostSnapshot, in declaration order. */
+inline constexpr CostField costFields[] = {
+    {&CostSnapshot::instructions, "instructions", &CostModel::instructions},
+    {&CostSnapshot::cycles, "cycles", &CostModel::cycles},
+    {&CostSnapshot::l1dMisses, "l1d_misses", &CostModel::l1dMisses},
+    {&CostSnapshot::l2Misses, "l2_misses", &CostModel::l2Misses},
+    {&CostSnapshot::codeBytes, "code_bytes", &CostModel::codeBytes},
+    {&CostSnapshot::itlbMisses, "itlb_misses", &CostModel::itlbMisses},
+    {&CostSnapshot::dtlbMisses, "dtlb_misses", &CostModel::dtlbMisses},
 };
 
 class Metrics : public TraceSink

@@ -1,6 +1,7 @@
 /**
  * @file
- * The kernel's event counters: one definition, one owner.
+ * The kernel's event counters: one definition, one owner, one field
+ * list.
  *
  * Every counter the kernel and its scheduler keep lives in one
  * KernelCounters block, owned by the Kernel (through a shared_ptr) and
@@ -12,17 +13,79 @@
  * snapshot writer serializes the block with the rest of the kernel.
  * The shared ownership lets a registry outlive a kernel (or the
  * reverse) without a dangling read.
+ *
+ * Each block's fields are listed once, with their metrics-JSON keys,
+ * by its counterFields overload.  The sum, the snapshot transfer, the
+ * metrics JSON and the replay digest all walk that list, so a new
+ * counter is one member plus one list entry; a member missing from
+ * the list fails the build.
  */
 
 #ifndef CHERI_OS_COUNTERS_H
 #define CHERI_OS_COUNTERS_H
 
 #include <algorithm>
+#include <array>
+#include <type_traits>
 
 #include "cap/types.h"
 
 namespace cheri
 {
+
+/** One entry of a counter block's field list. */
+template <class S>
+struct CounterField
+{
+    u64 S::*member;
+    /** The field's key in its metrics-JSON section. */
+    const char *key;
+    /** A high-water mark: blocks combine by max, not by sum. */
+    bool highWater = false;
+};
+
+/** An all-u64 struct whose field list,
+ *  counterFields(std::type_identity<S>), is found by ADL. */
+template <class S>
+concept CounterBlock = requires { counterFields(std::type_identity<S>{}); };
+
+/** The field list of @p S, checked to name each member exactly once. */
+template <class S>
+consteval auto
+checkedFields()
+{
+    constexpr auto fields = counterFields(std::type_identity<S>{});
+    static_assert(fields.size() == sizeof(S) / sizeof(u64),
+                  "a counter is missing from its block's field list");
+    for (std::size_t i = 0; i < fields.size(); ++i)
+        for (std::size_t j = 0; j < i; ++j)
+            if (fields[i].member == fields[j].member)
+                throw "a counter is listed twice";
+    return fields;
+}
+
+template <CounterBlock S> inline constexpr auto fieldsOf = checkedFields<S>();
+
+/** Call @p fn(entry, value) for each field of block @p s, in list order;
+ *  @p value refers into @p s. */
+template <class S, class Fn>
+constexpr void
+forEachField(S &s, Fn &&fn)
+{
+    for (const auto &f : fieldsOf<std::remove_const_t<S>>)
+        fn(f, s.*f.member);
+}
+
+/** Sums every count; a high-water mark combines by max. */
+template <CounterBlock S>
+constexpr S &
+operator+=(S &s, const S &o)
+{
+    forEachField(s, [&](const auto &f, u64 &v) {
+        v = f.highWater ? std::max(v, o.*f.member) : v + o.*f.member;
+    });
+    return s;
+}
 
 /** Memory-pressure accounting (reclaim passes, OOM kills). */
 struct MemPressureStats
@@ -33,17 +96,18 @@ struct MemPressureStats
     u64 oomKills = 0;
     /** Syscall-level E_NOMEM failures caused by memory pressure. */
     u64 enomemErrors = 0;
-
-    MemPressureStats &
-    operator+=(const MemPressureStats &o)
-    {
-        reclaimPasses += o.reclaimPasses;
-        pagesReclaimed += o.pagesReclaimed;
-        oomKills += o.oomKills;
-        enomemErrors += o.enomemErrors;
-        return *this;
-    }
 };
+
+constexpr auto
+counterFields(std::type_identity<MemPressureStats>)
+{
+    return std::to_array<CounterField<MemPressureStats>>({
+        {&MemPressureStats::reclaimPasses, "reclaim_passes"},
+        {&MemPressureStats::pagesReclaimed, "pages_reclaimed"},
+        {&MemPressureStats::oomKills, "oom_kills"},
+        {&MemPressureStats::enomemErrors, "enomem"},
+    });
+}
 
 /** Blocking-FD-I/O accounting (pipe/pty/select paths). */
 struct FdIoStats
@@ -62,19 +126,20 @@ struct FdIoStats
     u64 partialWrites = 0;
     /** Blocked selects woken by their timeout, not readiness. */
     u64 selectTimeouts = 0;
-
-    FdIoStats &
-    operator+=(const FdIoStats &o)
-    {
-        blocks += o.blocks;
-        wakes += o.wakes;
-        eagainErrors += o.eagainErrors;
-        epipeErrors += o.epipeErrors;
-        partialWrites += o.partialWrites;
-        selectTimeouts += o.selectTimeouts;
-        return *this;
-    }
 };
+
+constexpr auto
+counterFields(std::type_identity<FdIoStats>)
+{
+    return std::to_array<CounterField<FdIoStats>>({
+        {&FdIoStats::blocks, "blocks"},
+        {&FdIoStats::wakes, "wakes"},
+        {&FdIoStats::eagainErrors, "eagain_errors"},
+        {&FdIoStats::epipeErrors, "epipe_errors"},
+        {&FdIoStats::partialWrites, "partial_writes"},
+        {&FdIoStats::selectTimeouts, "select_timeouts"},
+    });
+}
 
 /** Revocation accounting: the ablation axis is pagesScanned vs
  *  pagesSkippedClean (what cap-dirty tracking saves) and
@@ -94,23 +159,24 @@ struct RevocationStats
     u64 syncSweeps = 0;
     /** Modelled cycles charged inside epochs (open to close). */
     u64 cyclesInEpochs = 0;
-
-    RevocationStats &
-    operator+=(const RevocationStats &o)
-    {
-        epochsOpened += o.epochsOpened;
-        epochsClosed += o.epochsClosed;
-        epochsAborted += o.epochsAborted;
-        pagesScanned += o.pagesScanned;
-        pagesSkippedClean += o.pagesSkippedClean;
-        granulesVisited += o.granulesVisited;
-        tagsRevoked += o.tagsRevoked;
-        incrementalSlices += o.incrementalSlices;
-        syncSweeps += o.syncSweeps;
-        cyclesInEpochs += o.cyclesInEpochs;
-        return *this;
-    }
 };
+
+constexpr auto
+counterFields(std::type_identity<RevocationStats>)
+{
+    return std::to_array<CounterField<RevocationStats>>({
+        {&RevocationStats::epochsOpened, "epochs_opened"},
+        {&RevocationStats::epochsClosed, "epochs_closed"},
+        {&RevocationStats::epochsAborted, "epochs_aborted"},
+        {&RevocationStats::pagesScanned, "pages_scanned"},
+        {&RevocationStats::pagesSkippedClean, "pages_skipped_clean"},
+        {&RevocationStats::granulesVisited, "granules_visited"},
+        {&RevocationStats::tagsRevoked, "tags_revoked"},
+        {&RevocationStats::incrementalSlices, "incremental_slices"},
+        {&RevocationStats::syncSweeps, "sync_sweeps"},
+        {&RevocationStats::cyclesInEpochs, "cycles_in_epochs"},
+    });
+}
 
 /** Kernel-hardening accounting: structured panics, deadlock-watchdog
  *  verdicts, machine-check degradations.  Survives the panic path's
@@ -129,17 +195,18 @@ struct HardeningStats
     /** Injected memory corruption events detected and degraded to a
      *  guest-visible CapFault::MachineCheck. */
     u64 machineChecks = 0;
-
-    HardeningStats &
-    operator+=(const HardeningStats &o)
-    {
-        panics += o.panics;
-        deadlocksDetected += o.deadlocksDetected;
-        deadlocksKilled += o.deadlocksKilled;
-        machineChecks += o.machineChecks;
-        return *this;
-    }
 };
+
+constexpr auto
+counterFields(std::type_identity<HardeningStats>)
+{
+    return std::to_array<CounterField<HardeningStats>>({
+        {&HardeningStats::panics, "panics"},
+        {&HardeningStats::deadlocksDetected, "deadlocks_detected"},
+        {&HardeningStats::deadlocksKilled, "deadlocks_killed"},
+        {&HardeningStats::machineChecks, "machine_checks"},
+    });
+}
 
 /** Scheduler accounting (src/os/sched).  Restarts from zero with each
  *  scheduler the kernel installs. */
@@ -164,25 +231,25 @@ struct SchedStats
     u64 idleAdvances = 0;
     /** Guest instructions retired under the scheduler. */
     u64 stepsExecuted = 0;
-
-    /** Sums every count; a high-water mark combines by max. */
-    SchedStats &
-    operator+=(const SchedStats &o)
-    {
-        contextSwitches += o.contextSwitches;
-        preemptions += o.preemptions;
-        slices += o.slices;
-        blocksWait4 += o.blocksWait4;
-        blocksEvent += o.blocksEvent;
-        blocksSleep += o.blocksSleep;
-        blocksFd += o.blocksFd;
-        wakes += o.wakes;
-        maxRunQueueDepth = std::max(maxRunQueueDepth, o.maxRunQueueDepth);
-        idleAdvances += o.idleAdvances;
-        stepsExecuted += o.stepsExecuted;
-        return *this;
-    }
 };
+
+constexpr auto
+counterFields(std::type_identity<SchedStats>)
+{
+    return std::to_array<CounterField<SchedStats>>({
+        {&SchedStats::contextSwitches, "context_switches"},
+        {&SchedStats::preemptions, "preemptions"},
+        {&SchedStats::slices, "slices"},
+        {&SchedStats::blocksWait4, "blocks_wait4"},
+        {&SchedStats::blocksEvent, "blocks_event"},
+        {&SchedStats::blocksSleep, "blocks_sleep"},
+        {&SchedStats::blocksFd, "blocks_fd"},
+        {&SchedStats::wakes, "wakes"},
+        {&SchedStats::maxRunQueueDepth, "max_run_queue_depth", true},
+        {&SchedStats::idleAdvances, "idle_advances"},
+        {&SchedStats::stepsExecuted, "steps_executed"},
+    });
+}
 
 /** Every kernel-owned counter, in one block. */
 struct KernelCounters
@@ -192,18 +259,27 @@ struct KernelCounters
     RevocationStats revocation;
     HardeningStats hardening;
     SchedStats sched;
-
-    KernelCounters &
-    operator+=(const KernelCounters &o)
-    {
-        pressure += o.pressure;
-        fd += o.fd;
-        revocation += o.revocation;
-        hardening += o.hardening;
-        sched += o.sched;
-        return *this;
-    }
 };
+
+/** Call @p fn with the same block of each of @p ks, block by block in
+ *  declaration order: the one list of KernelCounters' blocks. */
+template <class Fn, class... K>
+constexpr void
+forEachBlock(Fn &&fn, K &...ks)
+{
+    fn(ks.pressure...);
+    fn(ks.fd...);
+    fn(ks.revocation...);
+    fn(ks.hardening...);
+    fn(ks.sched...);
+}
+
+inline KernelCounters &
+operator+=(KernelCounters &k, const KernelCounters &o)
+{
+    forEachBlock([](auto &a, const auto &b) { a += b; }, k, o);
+    return k;
+}
 
 } // namespace cheri
 

@@ -837,39 +837,13 @@ struct Access
         ar.u32(of.flags);
     }
 
-    // ---- kernel counters and tables ----
+    // ---- counter blocks, kernel tables ----
 
-    template <class Ar> static void transfer(Ar &ar, MemPressureStats &c)
+    /** Every counter block (os/counters.h, obs/metrics.h): its field
+     *  list, in order. */
+    template <class Ar, CounterBlock S> static void transfer(Ar &ar, S &c)
     {
-        ar.u64(c.reclaimPasses, c.pagesReclaimed, c.oomKills,
-               c.enomemErrors);
-    }
-
-    template <class Ar> static void transfer(Ar &ar, FdIoStats &c)
-    {
-        ar.u64(c.blocks, c.wakes, c.eagainErrors, c.epipeErrors,
-               c.partialWrites, c.selectTimeouts);
-    }
-
-    template <class Ar> static void transfer(Ar &ar, RevocationStats &c)
-    {
-        ar.u64(c.epochsOpened, c.epochsClosed, c.epochsAborted,
-               c.pagesScanned, c.pagesSkippedClean, c.granulesVisited,
-               c.tagsRevoked, c.incrementalSlices, c.syncSweeps,
-               c.cyclesInEpochs);
-    }
-
-    template <class Ar> static void transfer(Ar &ar, HardeningStats &c)
-    {
-        ar.u64(c.panics, c.deadlocksDetected, c.deadlocksKilled,
-               c.machineChecks);
-    }
-
-    template <class Ar> static void transfer(Ar &ar, SchedStats &c)
-    {
-        ar.u64(c.contextSwitches, c.preemptions, c.slices, c.blocksWait4,
-               c.blocksEvent, c.blocksSleep, c.blocksFd, c.wakes,
-               c.maxRunQueueDepth, c.idleAdvances, c.stepsExecuted);
+        forEachField(c, [&](const auto &, u64 &v) { ar.u64(v); });
     }
 
     template <class Ar> static void transfer(Ar &ar, Kernel::ShmSegment &seg)
@@ -923,27 +897,12 @@ struct Access
         ar.boolean(f.provenanceKnown);
     }
 
-    template <class Ar> static void transfer(Ar &ar, obs::CheckCounters &c)
-    {
-        ar.u64(c.oracleRuns, c.oracleViolations, c.fuzzCases,
-               c.fuzzDivergences);
-    }
-
-    template <class Ar>
-    static void
-    transfer(Ar &ar, obs::SnapshotCounters &c)
-    {
-        ar.u64(c.snapshotsTaken, c.snapshotBytes, c.restores,
-               c.restoreFailures, c.records, c.replays, c.replayDivergences,
-               c.logEntries);
-    }
-
     template <class Ar> static void transfer(Ar &ar, obs::CostSnapshot &c)
     {
         ar.str(c.label);
         ar.enumeration(c.abi, 2, "cost abi");
-        ar.u64(c.instructions, c.cycles, c.l1dMisses, c.l2Misses,
-               c.codeBytes, c.itlbMisses, c.dtlbMisses);
+        for (const obs::CostField &f : obs::costFields)
+            ar.u64(c.*f.member);
     }
 
     template <class Ar> static void transfer(Ar &ar, obs::Metrics &m)

@@ -14,6 +14,7 @@
 
 #include "check/diff_fuzzer.h"
 #include "check/invariants.h"
+#include "check/strfmt.h"
 #include "obs/metrics.h"
 #include "rng_util.h"
 #include "test_util.h"
@@ -54,6 +55,18 @@ TEST_P(DiffFuzz, SeededCorpusAgreesAcrossAbisWithCleanOracle)
 INSTANTIATE_TEST_SUITE_P(
     Seeds, DiffFuzz,
     ::testing::ValuesIn(test::seedsFromEnv("CHERI_TEST_FUZZ_SEEDS", 3)));
+
+TEST(StrFmt, LongLineKeptWhole)
+{
+    // A compute-event divergence line with two long register dumps.
+    std::string mips(600, 'm'), cheri(600, 'c');
+    std::string line = check::fmt("event %d: mips64 '%s' vs cheriabi '%s'",
+                                  7, mips.c_str(), cheri.c_str());
+    EXPECT_EQ(line,
+              "event 7: mips64 '" + mips + "' vs cheriabi '" + cheri + "'");
+    EXPECT_GT(line.size(), 1000u);
+    EXPECT_EQ(check::fmt("%s", ""), "");
+}
 
 // Fault-injected runs skip the differential comparison by design (the
 // two ABIs hit periodic schedules at different points), but the kernel

@@ -186,6 +186,25 @@ TEST(ReplayTest, CorruptLogRejectedCleanly)
     EXPECT_TRUE(good.load(log, &err)) << err;
 }
 
+TEST(ReplayTest, VersionOneLogRejected)
+{
+    // Version 2 changed what the quiesce digest covers, not the layout:
+    // a version-1 log would load and then diverge at its first digest.
+    ReplaySession rec(ReplaySession::Mode::Record);
+    rec.finish();
+    std::vector<u8> log = rec.serialize(baseOptions());
+    ReplaySession ok(ReplaySession::Mode::Replay);
+    std::string err;
+    ASSERT_TRUE(ok.load(log, &err)) << err;
+
+    // The version word follows the 8-byte magic, little-endian.
+    ASSERT_EQ(log[8], ReplaySession::logVersion);
+    log[8] = 1;
+    ReplaySession old(ReplaySession::Mode::Replay);
+    EXPECT_FALSE(old.load(log, &err));
+    EXPECT_EQ(err, "unsupported log version");
+}
+
 TEST(ReplayTest, SessionsRecordedInMetrics)
 {
     FuzzOptions opts = baseOptions();
