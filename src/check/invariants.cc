@@ -236,6 +236,23 @@ Invariants::check(Kernel &kern)
                              cap.address(), cap);
             });
         }
+
+        // Rule 8: the teardown left an ended process holding nothing.
+        if (proc.exited()) {
+            u64 maps = 0;
+            proc.as().forEachMapping([&](const Mapping &) { ++maps; });
+            u64 slots = proc.as().swappedPages();
+            bool epoch = ep && ep->open;
+            if (maps || slots || proc.fdCount() || epoch) {
+                r.violations.push_back(
+                    {"dead-process-holds",
+                     fmt("pid %" PRIu64 " exited but holds %" PRIu64
+                         " mappings, %" PRIu64 " swap slots, %" PRIu64
+                         " descriptors%s",
+                         proc.pid(), maps, slots, proc.fdCount(),
+                         epoch ? ", an open epoch" : "")});
+            }
+        }
     });
 
     // SysV segments pin their frames independently of any mapping.

@@ -42,6 +42,9 @@
  *     kernel can see — tagged memory, swapped-out tag metadata, or any
  *     kernel-held root (the same forEachRootCap walk the close sweep
  *     clears).
+ *  8. A dead process holds nothing: a zombie has no mappings, swap
+ *     slots, open descriptors or open revocation epoch — every death
+ *     runs the kernel's one teardown (Kernel::endProcess).
  *
  * Documented deviation: a tagged capability may refer to a range that
  * is no longer *mapped* — CheriABI provides spatial, not temporal,

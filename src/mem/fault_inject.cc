@@ -107,13 +107,4 @@ FaultInjector::injected(FaultPoint point) const
     return arms[index(point)].fired;
 }
 
-u64
-FaultInjector::totalInjected() const
-{
-    u64 n = 0;
-    for (const Arm &a : arms)
-        n += a.fired;
-    return n;
-}
-
 } // namespace cheri

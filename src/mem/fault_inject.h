@@ -130,9 +130,6 @@ class FaultInjector
     /** Failures injected at @p point. */
     u64 injected(FaultPoint point) const;
 
-    /** Failures injected across all points. */
-    u64 totalInjected() const;
-
   private:
     /** Checkpoint/restore serializes the per-point arm state. */
     friend struct snap::Access;

@@ -184,9 +184,6 @@ class SwapDevice
     }
     /// @}
 
-    /** Total swap-out operations performed. */
-    u64 totalSwapOuts() const { return swapOuts; }
-
     /** Tagged granules recorded across all swap-outs so far. */
     u64 totalTagsPreserved() const { return tagsPreserved; }
 

@@ -670,14 +670,6 @@ AddressSpace::contentPages() const
     return n;
 }
 
-u64
-AddressSpace::capDirtyPageCount() const
-{
-    u64 n = 0;
-    eachPte(*this, [&](u64, const Pte &pte) { n += pte.capDirty; });
-    return n;
-}
-
 std::vector<u64>
 AddressSpace::sweepWorklist(bool force_full) const
 {
@@ -833,17 +825,6 @@ AddressSpace::verifyCapContainment() const
         violations += !ok;
     });
     return violations;
-}
-
-u64
-AddressSpace::taggedGranules() const
-{
-    u64 n = 0;
-    eachContentPte(*this, [&](u64, const Pte &pte) {
-        if (pte.frame)
-            n += pte.frame->taggedCount();
-    });
-    return n;
 }
 
 } // namespace cheri

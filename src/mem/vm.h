@@ -324,9 +324,6 @@ class AddressSpace
      *  sweep universe. */
     u64 contentPages() const;
 
-    /** Pages currently marked cap-dirty. */
-    u64 capDirtyPageCount() const;
-
     /** Page VAs a sweep must visit: cap-dirty pages only, or every
      *  content page under @p force_full. */
     std::vector<u64> sweepWorklist(bool force_full) const;
@@ -438,9 +435,6 @@ class AddressSpace
 
     /** Page-table entries (mapped pages, resident or not). */
     u64 mappedPages() const;
-
-    /** Total tagged granules across resident pages (trace support). */
-    u64 taggedGranules() const;
 
     /**
      * Abstract-capability containment invariant (paper section 3:

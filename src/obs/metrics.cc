@@ -115,8 +115,6 @@ Metrics::derive(DeriveSource source, const Capability &cap)
     ++deriveCounts[static_cast<unsigned>(source)];
     if (cap.tag())
         provenance[{cap.base(), cap.length()}] = source;
-    if (next)
-        next->derive(source, cap);
 }
 
 void

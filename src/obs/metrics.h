@@ -350,12 +350,11 @@ class Metrics : public TraceSink
 
     /** @name TraceSink: provenance learning
      * Install a Metrics as the kernel's (and interpreter's) trace sink
-     * and it remembers where each capability was minted, counts derive
-     * events per source, and forwards to an optional chained sink.
+     * and it remembers where each capability was minted and counts
+     * derive events per source.
      */
     /// @{
     void derive(DeriveSource source, const Capability &cap) override;
-    void chainTo(TraceSink *sink) { next = sink; }
     u64 deriveCount(DeriveSource s) const
     {
         return deriveCounts[static_cast<unsigned>(s)];
@@ -406,7 +405,6 @@ class Metrics : public TraceSink
     std::array<u64, numDeriveSources> deriveCounts{};
     /** (base, length) of tagged capabilities seen at derive sites. */
     std::map<std::pair<u64, u64>, DeriveSource> provenance;
-    TraceSink *next = nullptr;
     OpNamer opNamer = nullptr;
     u64 currentSys = 0;
 };

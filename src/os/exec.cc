@@ -235,9 +235,7 @@ Kernel::execve(Process &proc, const SelfObject &program,
     // the fresh principal).
     abortRevocationEpoch(proc);
     // Replace the address space: a fresh abstract principal.
-    proc._as = std::make_unique<AddressSpace>(
-        phys, swap, newPrincipal(), cfg.capFormat,
-        cfg.aslrSeed ? cfg.aslrSeed + proc.pid() : 0);
+    proc._as = freshAddressSpace(proc.pid());
     // Re-target the process's access path at the fresh space before
     // any image bytes are loaded.
     proc.mem().bind(*proc._as);

@@ -131,18 +131,7 @@ Kernel::oomKill(Process &victim)
     di.signal = SIG_KILL;
     di.fault = CapFault::MemoryExhausted;
     di.detail = "out of memory (oom-killed)";
-    victim.die(di);
-    // An open revocation epoch dies with the address space it was
-    // sweeping; it never closes (nothing was proven revoked).
-    abortRevocationEpoch(victim);
-    victim.closeAllFds(); // fires channel wake edges (EOF/EPIPE)
-    // Reclaim everything immediately — frames and swap slots — rather
-    // than waiting for the zombie to be reaped.
-    victim.as().releaseAll();
-    if (Process *parent = findProcess(victim.ppid()))
-        parent->raiseSignal(SIG_CHLD);
-    if (schedIface)
-        schedIface->onProcessDead(victim);
+    endProcess(victim, di);
 }
 
 SysResult
@@ -152,19 +141,36 @@ Kernel::failNoMem()
     return SysResult::fail(E_NOMEM);
 }
 
+std::unique_ptr<AddressSpace>
+Kernel::freshAddressSpace(u64 pid)
+{
+    return std::make_unique<AddressSpace>(
+        phys, swap, newPrincipal(), cfg.capFormat,
+        cfg.aslrSeed ? cfg.aslrSeed + pid : 0);
+}
+
+Process *
+Kernel::addProcess(u64 pid, u64 ppid, Abi abi, const std::string &name,
+                   std::unique_ptr<AddressSpace> as)
+{
+    auto &p = procs[pid] = std::make_unique<Process>(
+        *this, pid, ppid, abi, name, std::move(as), cfg.features);
+    bindTlbCounters(*p);
+    return p.get();
+}
+
+void
+Kernel::bindTlbCounters(Process &proc)
+{
+    proc.mem().setCounterBlock(mx ? mx->tlbCounterBlock(proc.abi())
+                                  : nullptr);
+}
+
 Process *
 Kernel::spawn(Abi abi, const std::string &name)
 {
     u64 pid = nextPid++;
-    auto as = std::make_unique<AddressSpace>(
-        phys, swap, newPrincipal(), cfg.capFormat,
-        cfg.aslrSeed ? cfg.aslrSeed + pid : 0);
-    auto proc = std::make_unique<Process>(*this, pid, 0, abi, name,
-                                          std::move(as), cfg.features);
-    Process *p = proc.get();
-    p->mem().setCounterBlock(mx ? mx->tlbCounterBlock(abi) : nullptr);
-    procs.emplace(pid, std::move(proc));
-    return p;
+    return addProcess(pid, 0, abi, name, freshAddressSpace(pid));
 }
 
 void
@@ -173,10 +179,8 @@ Kernel::setMetrics(obs::Metrics *m)
     mx = m;
     if (mx)
         mx->attach(stats);
-    for (auto &[pid, p] : procs) {
-        p->mem().setCounterBlock(mx ? mx->tlbCounterBlock(p->abi())
-                                    : nullptr);
-    }
+    for (auto &[pid, p] : procs)
+        bindTlbCounters(*p);
 }
 
 Process *
@@ -190,14 +194,8 @@ Kernel::fork(Process &parent)
         return nullptr;
     }
     u64 pid = nextPid++;
-    auto as = parent.as().forkCopy(newPrincipal());
-    auto child = std::make_unique<Process>(*this, pid, parent.pid(),
-                                           parent.abi(), parent.name(),
-                                           std::move(as), cfg.features);
-    Process *c = child.get();
-    c->mem().setCounterBlock(mx ? mx->tlbCounterBlock(c->abi())
-                                : nullptr);
-    procs.emplace(pid, std::move(child));
+    Process *c = addProcess(pid, parent.pid(), parent.abi(), parent.name(),
+                            parent.as().forkCopy(newPrincipal()));
     // The child starts as an exact register-state copy: capabilities in
     // registers survive fork architecturally (tags included).
     c->regs() = parent.regs();
@@ -287,28 +285,6 @@ Kernel::wait4(Process &parent, u64 pid)
 }
 
 void
-Kernel::exitProcess(Process &proc, int status)
-{
-    proc.exit(status);
-    abortRevocationEpoch(proc);
-    // Close the file table now, not at reap: an exiting writer must
-    // EOF its pipes immediately (waking blocked readers), and an
-    // exiting reader must break them (waking blocked writers).
-    proc.closeAllFds();
-    // Eager teardown: a zombie keeps its pid and exit status for wait4,
-    // but its frames and swap slots go back to the pools immediately so
-    // memory pressure is relieved without waiting for the reap.
-    proc.as().releaseAll();
-    if (Process *parent = findProcess(proc.ppid()))
-        parent->raiseSignal(SIG_CHLD);
-    // The wake-up edge for blocking wait4: retire the dead process's
-    // contexts and move any parent blocked in wait4 back to the run
-    // queue.
-    if (schedIface)
-        schedIface->onProcessDead(proc);
-}
-
-void
 Kernel::faultProcess(Process &proc, const DeathInfo &info)
 {
     // A capability fault becomes SIG_PROT; a handler may catch it,
@@ -319,28 +295,47 @@ Kernel::faultProcess(Process &proc, const DeathInfo &info)
                         info.faultCapKnown ? &info.faultCap : nullptr,
                         proc.abi());
     }
-    SigAction &act = proc.sigaction(info.signal ? info.signal : SIG_PROT);
     DeathInfo di = info;
     if (di.signal == 0)
         di.signal = SIG_PROT;
-    if (act.kind == SigAction::Kind::Handler) {
+    if (proc.sigaction(di.signal).kind == SigAction::Kind::Handler) {
         proc.raiseSignal(di.signal);
         deliverSignals(proc);
         return;
     }
-    proc.die(di);
+    endProcess(proc, di, 0, true);
+}
+
+void
+Kernel::endProcess(Process &proc, const std::optional<DeathInfo> &death,
+                   int status, bool core)
+{
+    // kill(2) of a zombie changes nothing: the first death stands.
+    if (proc.exited())
+        return;
+    if (death)
+        proc.die(*death);
+    else
+        proc.exit(status);
+    // An open revocation epoch never closes: nothing was proven revoked.
     abortRevocationEpoch(proc);
-    proc.closeAllFds(); // fires channel wake edges (EOF/EPIPE)
-    // Post-mortem: dump the capability register file and memory map
-    // (paper section 4: register values are stored in core dumps).
-    std::string core_path = "/cores/" + proc.name() + "." +
-                            std::to_string(proc.pid()) + ".core";
-    if (VNodeRef node = fs.createFile(core_path))
-        writeCoreFile(proc, *node);
-    // Release only after the core dump: writing it reads guest memory.
+    // Close the file table now, not at reap, so blocked peers wake at
+    // once: readers to EOF, writers to EPIPE.
+    proc.closeAllFds();
+    // Post-mortem: the capability register file and memory map (paper
+    // section 4), written before the release below empties the map.
+    if (core) {
+        std::string core_path = "/cores/" + proc.name() + "." +
+                                std::to_string(proc.pid()) + ".core";
+        if (VNodeRef node = fs.createFile(core_path))
+            writeCoreFile(proc, *node);
+    }
+    // A zombie keeps only its pid and exit status for wait4: frames and
+    // swap slots go back to the pools now, not at the reap.
     proc.as().releaseAll();
     if (Process *parent = findProcess(proc.ppid()))
         parent->raiseSignal(SIG_CHLD);
+    // Retire its contexts and wake a parent parked in wait4.
     if (schedIface)
         schedIface->onProcessDead(proc);
 }
@@ -870,17 +865,9 @@ Kernel::deadlockKill(Process &victim, const std::string &why)
     di.signal = SIG_KILL;
     di.deadlock = true;
     di.detail = why;
-    victim.die(di);
-    // Same teardown as an OOM kill: the epoch dies unsound, the file
-    // table closes (firing the wake edges that unblock the rest of the
-    // cycle), and memory goes back to the pools before the reap.
-    abortRevocationEpoch(victim);
-    victim.closeAllFds();
-    victim.as().releaseAll();
-    if (Process *parent = findProcess(victim.ppid()))
-        parent->raiseSignal(SIG_CHLD);
-    if (schedIface)
-        schedIface->onProcessDead(victim);
+    // The teardown closes the victim's file table, firing the wake
+    // edges that unblock the rest of the cycle.
+    endProcess(victim, di);
 }
 
 SysResult

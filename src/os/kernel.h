@@ -254,10 +254,16 @@ class Kernel : private panic::Sink
     /** Reap a zombie child; returns its pid or an errno. */
     SysResult wait4(Process &parent, u64 pid);
 
-    /** Terminate with status (exit(2)). */
-    void exitProcess(Process &proc, int status);
+    /** exit(2) through the one teardown (endProcess); no effect on a
+     *  process that already ended. */
+    void exitProcess(Process &proc, int status)
+    {
+        endProcess(proc, std::nullopt, status);
+    }
 
-    /** Kill with a capability fault (SIG_PROT delivery or death). */
+    /** A capability fault (or SIG_PIPE): a handler registered for the
+     *  signal (SIG_PROT unless @p info names one) runs; otherwise the
+     *  process dies through the one teardown, leaving a core file. */
     void faultProcess(Process &proc, const DeathInfo &info);
 
     /** Account a context switch to @p proc (cost model + counters). */
@@ -382,9 +388,9 @@ class Kernel : private panic::Sink
     /** Record one watchdog detection of @p stuck_contexts stuck
      *  contexts (metrics + flight recorder). */
     void noteDeadlockDetected(u64 stuck_contexts);
-    /** Break a deadlock by killing @p victim (SIG_KILL, OOM-kill
-     *  teardown); its parent's wait4 reports E_DEADLK.  @p why is the
-     *  wait-for attribution recorded in the DeathInfo. */
+    /** Break a deadlock by killing @p victim with SIG_KILL through the
+     *  one process teardown; its parent's wait4 reports E_DEADLK.
+     *  @p why is the wait-for attribution recorded in the DeathInfo. */
     void deadlockKill(Process &victim, const std::string &why);
     /// @}
 
@@ -641,6 +647,22 @@ class Kernel : private panic::Sink
     /** Count a pressure-induced E_NOMEM and return it as a SysResult. */
     SysResult failNoMem();
     /// @}
+
+    /** @name Process birth: a new principal's address space (spawn,
+     *  execve); a table entry with its TLB counters wired (spawn, fork). */
+    /// @{
+    std::unique_ptr<AddressSpace> freshAddressSpace(u64 pid);
+    Process *addProcess(u64 pid, u64 ppid, Abi abi, const std::string &name,
+                        std::unique_ptr<AddressSpace> as);
+    void bindTlbCounters(Process &proc);
+    /// @}
+
+    /** The one teardown every death runs (DESIGN.md, "Process
+     *  lifecycle"): record @p death or @p status, abort the revocation
+     *  epoch, close the fds, write a core file when @p core, release
+     *  memory and swap, SIG_CHLD, scheduler.  No-op once ended. */
+    void endProcess(Process &proc, const std::optional<DeathInfo> &death,
+                    int status = 0, bool core = false);
 
     /** Charge @p n_ptr_args syscall overhead to the process. */
     void chargeSyscall(Process &proc, u64 n_ptr_args);

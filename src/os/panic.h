@@ -149,8 +149,6 @@ class FlightRecorder
         head = 0;
     }
 
-    u64 ringDepth() const { return depth; }
-
     void
     record(EventKind k, u64 a = 0, u64 b = 0, u64 c = 0)
     {

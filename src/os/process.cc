@@ -145,8 +145,7 @@ Process::exit(int status)
 void
 Process::die(const DeathInfo &info)
 {
-    _exited = true;
-    _exitStatus = 128 + info.signal;
+    exit(128 + info.signal);
     _death = info;
 }
 

@@ -149,13 +149,11 @@ class Process
     u64 sigMask = 0;
     /// @}
 
-    /** @name Lifecycle */
+    /** @name Lifecycle (a process ends only through Kernel::endProcess) */
     /// @{
     bool exited() const { return _exited; }
     int exitStatus() const { return _exitStatus; }
     const std::optional<DeathInfo> &death() const { return _death; }
-    void exit(int status);
-    void die(const DeathInfo &info);
     /// @}
 
     /** Image linked into this process by execve. */
@@ -201,6 +199,8 @@ class Process
     Kernel &kernel() { return kern; }
 
   private:
+    void exit(int status);
+    void die(const DeathInfo &info);
     Kernel &kern;
     u64 _pid;
     u64 _ppid;

@@ -18,8 +18,9 @@
  * Preemption is a time-slice step budget (KernelConfig::timeSliceSteps)
  * raised as an interpreter Preempted result, so it only ever lands
  * between instructions.  Blocking syscalls (wait4, ev_wait, sleep) park
- * their context off the queue; wake-up edges come from exitProcess,
- * ev_post, and the virtual clock (total guest instructions retired).
+ * their context off the queue; wake-up edges come from the kernel's
+ * process teardown (every death, not only exit), ev_post, and the
+ * virtual clock (total guest instructions retired).
  * Slice boundaries run the kernel's background work (revocation pump,
  * frame reclaim) and an optional hook the fuzzer points at the
  * invariant oracle.

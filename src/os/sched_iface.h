@@ -83,7 +83,8 @@ class SchedulerIface
     virtual bool blockCurrent(Process &proc, BlockKind kind, u64 arg,
                               bool restart) = 0;
 
-    /** @p proc exited/died: retire its contexts, wake Wait4 waiters. */
+    /** @p proc ended: retire its contexts, wake Wait4 waiters.  Called
+     *  exactly once per process, from Kernel::endProcess. */
     virtual void onProcessDead(Process &proc) = 0;
     /** @p pid was reaped by wait4: its Process object is gone. */
     virtual void onProcessReaped(u64 pid) = 0;

@@ -39,11 +39,11 @@ constexpr u64 numFrameCaps = 2 + numCapRegs;
 
 /** A signal frame that cannot be spilled or restored (the stack page's
  *  swap-in failed, or frame allocation was exhausted) is a guest fault,
- *  never a host abort: record it and kill the process with the precise
- *  cause.  Delivery dies directly rather than re-entering the SIG_PROT
+ *  never a host abort: record it and return the death, with its precise
+ *  cause.  Delivery kills directly rather than re-entering the SIG_PROT
  *  path — a recursive delivery would need the same unwritable stack. */
-void
-sigFrameFault(obs::Metrics *mx, Process &proc, int sig, u64 va,
+DeathInfo
+sigFrameDeath(obs::Metrics *mx, const Process &proc, int sig, u64 va,
               CapFault cause, const char *what)
 {
     if (mx) {
@@ -55,7 +55,7 @@ sigFrameFault(obs::Metrics *mx, Process &proc, int sig, u64 va,
     di.fault = cause;
     di.faultAddr = va;
     di.detail = what;
-    proc.die(di);
+    return di;
 }
 
 } // namespace
@@ -85,7 +85,7 @@ Kernel::sysKill(Process &proc, u64 pid, int sig)
         DeathInfo killed;
         killed.signal = SIG_KILL;
         killed.detail = "killed";
-        target->die(killed);
+        endProcess(*target, killed);
         return SysResult::ok();
     }
     target->raiseSignal(sig);
@@ -137,8 +137,8 @@ Kernel::pushSigFrame(Process &proc, SigFrame &frame)
         err = proc.mem().write(xbase, regs.x.data(), numCapRegs * 8);
     }
     if (err) {
-        sigFrameFault(mx, proc, frame.signo, va, *err,
-                      "signal frame spill failed");
+        endProcess(proc, sigFrameDeath(mx, proc, frame.signo, va, *err,
+                                       "signal frame spill failed"));
         return false;
     }
     frame.saved = regs;
@@ -204,8 +204,8 @@ Kernel::popSigFrame(Process &proc, const SigFrame &frame)
     if (fail != CapFault::None) {
         // Registers stay untouched: a half-restored file would be
         // unobservable anyway, the process is dead on return.
-        sigFrameFault(mx, proc, frame.signo, va, fail,
-                      "signal frame restore failed");
+        endProcess(proc, sigFrameDeath(mx, proc, frame.signo, va, fail,
+                                       "signal frame restore failed"));
         return false;
     }
     proc.regs() = regs;
@@ -231,7 +231,7 @@ Kernel::deliverSignals(Process &proc)
                 DeathInfo death;
                 death.signal = sig;
                 death.detail = "default action";
-                proc.die(death);
+                endProcess(proc, death);
             }
             continue;
           case SigAction::Kind::Handler: {

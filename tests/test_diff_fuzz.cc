@@ -154,6 +154,29 @@ TEST(DiffFuzzOracle, HandPlantedExtraSlotRefIsReported)
     sys.kern.swapDevice().discard(slot);
 }
 
+TEST(DiffFuzzOracle, MappingPlantedInZombieIsReported)
+{
+    GuestSystem sys(Abi::CheriAbi);
+    Process *child = sys.kern.fork(*sys.proc);
+    ASSERT_NE(child, nullptr);
+    sys.kern.exitProcess(*child, 0);
+    check::Report clean = check::Invariants::check(sys.kern);
+    EXPECT_TRUE(clean.ok()) << clean.toString();
+
+    // Memory mapped below the syscall layer after the teardown ran:
+    // a dead process that holds something.
+    ASSERT_NE(child->as().map(0, pageSize, PROT_READ | PROT_WRITE,
+                              MappingKind::Data),
+              0u);
+    check::Report rep = check::Invariants::check(sys.kern);
+    ASSERT_EQ(rep.violations.size(), 1u) << rep.toString();
+    EXPECT_EQ(rep.violations[0].rule, "dead-process-holds");
+    EXPECT_EQ(rep.violations[0].detail,
+              "pid " + std::to_string(child->pid()) +
+                  " exited but holds 1 mappings, 0 swap slots, "
+                  "0 descriptors");
+}
+
 // The oracle builds each diagnostic only when it records a violation.
 // Pin the whole rendering — rule names, detail text and order — for
 // planted faults in a switched-out thread's register file, a startup

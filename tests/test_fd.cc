@@ -32,6 +32,7 @@
 #include "obs/metrics.h"
 #include "os/kernel.h"
 #include "os/sched/sched.h"
+#include "sched_util.h"
 #include "test_util.h"
 
 namespace cheri
@@ -39,7 +40,11 @@ namespace cheri
 namespace
 {
 
+using test::admitProgram;
+using test::makeGuest;
+using test::presetBufArg;
 using test::GuestSystem;
+using test::SchedGuest;
 
 class FdBothAbis : public ::testing::TestWithParam<Abi>
 {
@@ -203,61 +208,6 @@ INSTANTIATE_TEST_SUITE_P(Abis, FdBothAbis,
                          });
 
 // --- Scheduled (interpreted) blocking behavior ---
-
-struct SchedGuest
-{
-    Process *proc = nullptr;
-    u64 code = 0;
-    u64 data = 0;
-};
-
-SchedGuest
-makeGuest(Kernel &kern, Abi abi, const char *name)
-{
-    SelfObject prog;
-    prog.name = name;
-    Process *proc = kern.spawn(abi, name);
-    if (kern.execve(*proc, prog, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
-    u64 code = proc->as().map(0, pageSize,
-                              PROT_READ | PROT_WRITE | PROT_EXEC,
-                              MappingKind::Text);
-    u64 data = proc->as().map(0, pageSize, PROT_READ | PROT_WRITE,
-                              MappingKind::Data);
-    return {proc, code, data};
-}
-
-sched::ExecContext &
-admitProgram(sched::Scheduler &s, SchedGuest &g, isa::Assembler &prog)
-{
-    prog.writeTo(g.proc->as(), g.code);
-    sched::ExecContext &cx = s.context(*g.proc);
-    if (g.proc->abi() == Abi::CheriAbi) {
-        cx.interp->setEntry(g.proc->as()
-                                .capForRange(g.code, pageSize,
-                                             PROT_READ | PROT_EXEC,
-                                             false)
-                                .setAddress(g.code));
-    } else {
-        cx.interp->setEntry(Capability::fromAddress(g.code));
-    }
-    cx.stepLimit = 65536;
-    s.ready(cx);
-    return cx;
-}
-
-/** Point a guest's buffer argument register (x5 for mips64, c5 for
- *  CheriABI) at its own data page. */
-void
-presetBufArg(SchedGuest &g, sched::ExecContext &cx)
-{
-    cx.interp->regs().x[5] = g.data;
-    cx.interp->regs().c[5] =
-        g.proc->as()
-            .capForRange(g.data, pageSize, PROT_READ | PROT_WRITE,
-                         false)
-            .setAddress(g.data);
-}
 
 /** Install the shared pipe ends into both guests' fd tables; returns
  *  (read fd, write fd) — identical slots in both processes. */

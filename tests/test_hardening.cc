@@ -36,6 +36,7 @@
 #include "os/sched/sched.h"
 #include "os/snapshot/snapshot.h"
 #include "os/sys_invoke.h"
+#include "sched_util.h"
 #include "test_util.h"
 
 namespace cheri
@@ -43,60 +44,10 @@ namespace cheri
 namespace
 {
 
-/** Spawn + execve a process with an RWX code page and a data page. */
-struct SchedGuest
-{
-    Process *proc = nullptr;
-    u64 code = 0;
-    u64 data = 0;
-};
-
-SchedGuest
-makeGuest(Kernel &kern, Abi abi, const char *name)
-{
-    SelfObject prog;
-    prog.name = name;
-    Process *proc = kern.spawn(abi, name);
-    if (kern.execve(*proc, prog, {name}, {}) != E_OK)
-        throw std::runtime_error("execve failed");
-    u64 code = proc->as().map(0, pageSize,
-                              PROT_READ | PROT_WRITE | PROT_EXEC,
-                              MappingKind::Text);
-    u64 data = proc->as().map(0, pageSize, PROT_READ | PROT_WRITE,
-                              MappingKind::Data);
-    return {proc, code, data};
-}
-
-sched::ExecContext &
-admitProgram(sched::Scheduler &s, SchedGuest &g, isa::Assembler &prog)
-{
-    prog.writeTo(g.proc->as(), g.code);
-    sched::ExecContext &cx = s.context(*g.proc);
-    if (g.proc->abi() == Abi::CheriAbi) {
-        cx.interp->setEntry(g.proc->as()
-                                .capForRange(g.code, pageSize,
-                                             PROT_READ | PROT_EXEC,
-                                             false)
-                                .setAddress(g.code));
-    } else {
-        cx.interp->setEntry(Capability::fromAddress(g.code));
-    }
-    cx.stepLimit = 65536;
-    s.ready(cx);
-    return cx;
-}
-
-/** Point a guest's buffer argument register at its own data page. */
-void
-presetBufArg(SchedGuest &g, sched::ExecContext &cx)
-{
-    cx.interp->regs().x[5] = g.data;
-    cx.interp->regs().c[5] =
-        g.proc->as()
-            .capForRange(g.data, pageSize, PROT_READ | PROT_WRITE,
-                         false)
-            .setAddress(g.data);
-}
+using test::admitProgram;
+using test::makeGuest;
+using test::presetBufArg;
+using test::SchedGuest;
 
 /** Count flight-recorder events of @p kind. */
 u64

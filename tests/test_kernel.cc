@@ -157,6 +157,24 @@ TEST_P(KernelBothAbis, WaitReapsZombie)
     EXPECT_EQ(kern().findProcess(cpid), nullptr);
 }
 
+TEST_P(KernelBothAbis, KillOfZombieChangesNothing)
+{
+    // POSIX: kill(2) of a zombie succeeds and has no effect.  The
+    // child's first death (exit status 7) must stand until the reap.
+    Process *child = kern().fork(proc());
+    u64 cpid = child->pid();
+    kern().exitProcess(*child, 7);
+    proc().clearPending(SIG_CHLD);
+    EXPECT_EQ(kern().sysKill(proc(), cpid, SIG_KILL).error, E_OK);
+    EXPECT_EQ(child->exitStatus(), 7);
+    EXPECT_FALSE(child->death().has_value());
+    EXPECT_EQ(proc().pendingSignals() & (u64{1} << SIG_CHLD), 0u)
+        << "a second death raised SIG_CHLD again";
+    SysResult r = kern().wait4(proc(), cpid);
+    EXPECT_EQ(r.error, E_OK);
+    EXPECT_EQ(r.value, cpid);
+}
+
 TEST_P(KernelBothAbis, GetpidGetppid)
 {
     EXPECT_EQ(kern().sysGetpid(proc()).value, proc().pid());

@@ -976,6 +976,11 @@ TEST(SnapshotTest, RoundTripFillsEverySection)
     ASSERT_EQ(kern.sysThrNew(proc).error, E_OK);
     ASSERT_EQ(kern.sysEvPost(proc, proc.pid()).error, E_OK);
 
+    // A zombie killed by an unhandled capability fault: the kernel
+    // records the fault (attributed to the capability's provenance),
+    // keeps the DeathInfo and writes a core file.
+    mx.captureCost("planted", proc.cost());
+    mx.derive(DeriveSource::Stack, session.cap);
     Process *victim = kern.spawn(Abi::CheriAbi, "victim");
     DeathInfo death;
     death.signal = SIG_PROT;
@@ -984,12 +989,8 @@ TEST(SnapshotTest, RoundTripFillsEverySection)
     death.detail = "planted";
     death.faultCap = session.cap;
     death.faultCapKnown = true;
-    victim->die(death);
-
-    mx.captureCost("planted", proc.cost());
-    mx.derive(DeriveSource::Stack, session.cap);
-    mx.recordFault(CapFault::LengthViolation, 0x400, death.faultAddr,
-                   &session.cap, Abi::CheriAbi);
+    kern.faultProcess(*victim, death);
+    ASSERT_TRUE(victim->exited());
 
     // A tagged page swapped out: its slot carries tag metadata.
     GuestPtr swapped = sys.ctx->mmap(pageSize);

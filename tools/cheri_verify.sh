@@ -61,6 +61,10 @@ CHERI_TEST_FRAME_BUDGET=48 CHERI_TEST_SLOT_BUDGET=128 \
 "$build_dir/tools/abi_fuzz" --seed 1 --cases 50 --check-every 1
 CHERI_TEST_FRAME_BUDGET=48 CHERI_TEST_SLOT_BUDGET=128 \
     "$build_dir/tools/abi_fuzz" --seed 1 --cases 50 --check-every 1
+# Injected frame and swap failures make signal frames fail to spill or
+# restore, so this run puts those deaths (and their teardown) under the
+# oracle at every syscall boundary.
+"$build_dir/tools/abi_fuzz" --seed 1 --cases 50 --check-every 1 --inject
 # Multi-process scheduler fuzzing: 2-4 preemptively time-sliced guests
 # per case running generated programs (sleep/thr_new/thr_switch in the
 # mix), the invariant oracle at every slice boundary, and the
