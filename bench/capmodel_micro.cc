@@ -11,6 +11,7 @@
 
 #include "cap/capability.h"
 #include "machine/cache.h"
+#include "machine/cost_model.h"
 #include "mem/vm.h"
 
 using namespace cheri;
@@ -117,6 +118,66 @@ BM_CacheHierarchyAccess(benchmark::State &state)
     }
 }
 BENCHMARK(BM_CacheHierarchyAccess);
+
+// Sequential 8-byte loads: 7 in 8 repeat the previous line and hit the
+// last-way probe; the 8th scans its set.
+void
+BM_CacheHierarchySequential8(benchmark::State &state)
+{
+    CacheHierarchy cache;
+    u64 addr = 0;
+    for (auto _ : state) {
+        HitLevel lvl = cache.access(addr & 0x3FFF, 8, Access::DataLoad);
+        benchmark::DoNotOptimize(lvl);
+        addr += 8;
+    }
+}
+BENCHMARK(BM_CacheHierarchySequential8);
+
+// CostModel::load, the charge behind every guest load: one fetched
+// instruction plus the data access.  Arg 8 walks an L1-resident buffer
+// 8 bytes at a time (probe hits, no line crossed by the fetch); arg 64
+// strides a 512 KiB buffer a line at a time (every access scans, fills
+// and evicts in L1 and L2).
+void
+BM_CostModelLoad(benchmark::State &state)
+{
+    CostModel cost(Abi::CheriAbi);
+    const u64 stride = static_cast<u64>(state.range(0));
+    const u64 mask = stride == 8 ? 0x3FFF : 0x7FFFF;
+    u64 addr = 0;
+    for (auto _ : state) {
+        cost.load(0x100000 + (addr & mask), 8);
+        addr += stride;
+    }
+    benchmark::DoNotOptimize(cost.cycles());
+}
+BENCHMARK(BM_CostModelLoad)->Arg(8)->Arg(64);
+
+// A new process's cost model, and CostModel::reset() of a used one.
+void
+BM_CostModelConstruct(benchmark::State &state)
+{
+    for (auto _ : state) {
+        CostModel cost(Abi::CheriAbi);
+        benchmark::DoNotOptimize(&cost);
+    }
+}
+BENCHMARK(BM_CostModelConstruct);
+
+void
+BM_CostModelReset(benchmark::State &state)
+{
+    CostModel cost(Abi::CheriAbi);
+    u64 addr = 0;
+    for (auto _ : state) {
+        for (int i = 0; i < 64; ++i, addr += 4096)
+            cost.load(addr & 0xFFFFFF, 8);
+        cost.reset();
+    }
+    benchmark::DoNotOptimize(cost.cycles());
+}
+BENCHMARK(BM_CostModelReset);
 
 void
 BM_SwapOutIn(benchmark::State &state)

@@ -1,5 +1,7 @@
 #include "machine/cost_model.h"
 
+#include <algorithm>
+
 namespace cheri
 {
 
@@ -10,36 +12,22 @@ CostModel::CostModel(Abi abi, MachineFeatures features,
 }
 
 void
-CostModel::fetchAndCount(u64 n)
+CostModel::fetchLines(u64 n)
 {
-    _instructions += n;
-    _cycles += n;
-    _codeBytes += n * 4;
-    // Stream the fetch through the L1I, one access per 64-byte line.
-    for (u64 i = 0; i < n; ++i) {
-        u64 fetch_pc = pc;
-        pc += 4;
-        if (pc >= 0x120000000 + codeFootprint)
-            pc = 0x120000000;
-        if ((fetch_pc & 63) == 0) {
-            HitLevel lvl =
-                cacheHier.access(fetch_pc, 4, Access::InstrFetch);
-            if (lvl == HitLevel::L2)
-                _cycles += penalties.l2Hit;
-            else if (lvl == HitLevel::Memory)
-                _cycles += penalties.memory;
-        }
+    // The closed form of fetching one instruction at a time: the first
+    // instruction of a line fetches it, then the run steps to the end
+    // of the line (or of n) at once.  codeFootprint is whole lines, so
+    // the wrap back to codeBase falls on a line end.
+    while (n) {
+        u64 off = pc % cacheLineBytes;
+        if (off == 0)
+            charge(cacheHier.access(pc, insnBytes, Access::InstrFetch));
+        u64 step = std::min(n, (cacheLineBytes - off) / insnBytes);
+        n -= step;
+        pc += step * insnBytes;
+        if (pc >= codeBase + codeFootprint)
+            pc = codeBase;
     }
-}
-
-void
-CostModel::dataAccess(u64 va, u64 size, Access kind)
-{
-    HitLevel lvl = cacheHier.access(va, size, kind);
-    if (lvl == HitLevel::L2)
-        _cycles += penalties.l2Hit;
-    else if (lvl == HitLevel::Memory)
-        _cycles += penalties.memory;
 }
 
 void
@@ -51,24 +39,6 @@ CostModel::asanCheck(u64 va)
     // libraries) is instrumented, as in the paper's 3.29x measurement.
     fetchAndCount(18);
     dataAccess((va >> 3) + 0x7fff8000, 1, Access::DataLoad);
-}
-
-void
-CostModel::load(u64 va, u64 size)
-{
-    if (_features.asanInstrumentation)
-        asanCheck(va);
-    fetchAndCount(1);
-    dataAccess(va, size, Access::DataLoad);
-}
-
-void
-CostModel::store(u64 va, u64 size)
-{
-    if (_features.asanInstrumentation)
-        asanCheck(va);
-    fetchAndCount(1);
-    dataAccess(va, size, Access::DataStore);
 }
 
 void
@@ -134,7 +104,7 @@ CostModel::copyLoop(u64 src_va, u64 dst_va, u64 len)
     u64 words = (len + 7) / 8;
     fetchAndCount(2 * words + 8);
     // Touch each cache line of both streams once.
-    for (u64 off = 0; off < len; off += 64) {
+    for (u64 off = 0; off < len; off += cacheLineBytes) {
         dataAccess(src_va + off, 8, Access::DataLoad);
         dataAccess(dst_va + off, 8, Access::DataStore);
     }
@@ -164,9 +134,8 @@ CostModel::reset()
     _itlbMisses = 0;
     _dtlbAccesses = 0;
     _dtlbMisses = 0;
-    pc = 0x120000000;
-    cacheHier.flush();
-    cacheHier = CacheHierarchy();
+    pc = codeBase;
+    cacheHier.reset();
 }
 
 } // namespace cheri

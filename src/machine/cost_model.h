@@ -123,10 +123,24 @@ class CostModel
     }
 
     /** A data load of @p size bytes at guest address @p va. */
-    void load(u64 va, u64 size);
+    void
+    load(u64 va, u64 size)
+    {
+        if (_features.asanInstrumentation)
+            asanCheck(va);
+        fetchAndCount(1);
+        dataAccess(va, size, Access::DataLoad);
+    }
 
     /** A data store of @p size bytes at guest address @p va. */
-    void store(u64 va, u64 size);
+    void
+    store(u64 va, u64 size)
+    {
+        if (_features.asanInstrumentation)
+            asanCheck(va);
+        fetchAndCount(1);
+        dataAccess(va, size, Access::DataStore);
+    }
 
     /**
      * Access to a global through the GOT entry at @p got_va.  mips64:
@@ -211,11 +225,56 @@ class CostModel
     /** Checkpoint/restore preserves cost accounting bit-exactly. */
     friend struct snap::Access;
 
-    /** Fetch @p n instructions through the L1I and count them. */
-    void fetchAndCount(u64 n);
+    /** Guest instructions are 4 bytes; the synthetic PC starts at
+     *  codeBase and wraps within codeFootprint, a whole number of
+     *  cache lines. */
+    static constexpr u64 insnBytes = 4;
+    static constexpr u64 codeBase = 0x120000000;
+    static constexpr u64 codeFootprint = 16 * 1024;
+    static_assert(codeBase % cacheLineBytes == 0 &&
+                  codeFootprint % cacheLineBytes == 0);
+
+    /**
+     * Fetch @p n instructions through the L1I and count them.  Each
+     * instruction that starts a cache line fetches that line; the
+     * others are free.  A run that starts inside a line and ends by
+     * its end is the common case and touches no cache.
+     */
+    void
+    fetchAndCount(u64 n)
+    {
+        _instructions += n;
+        _cycles += n;
+        _codeBytes += n * insnBytes;
+        u64 off = pc % cacheLineBytes;
+        if (off != 0 && n <= (cacheLineBytes - off) / insnBytes) {
+            pc += n * insnBytes;
+            if (pc == codeBase + codeFootprint)
+                pc = codeBase;
+            return;
+        }
+        fetchLines(n);
+    }
+
+    /** fetchAndCount's stream, one cache line per step. */
+    void fetchLines(u64 n);
+
+    /** Charge the miss penalty of a hierarchy outcome. */
+    void
+    charge(HitLevel lvl)
+    {
+        if (lvl == HitLevel::L2)
+            _cycles += penalties.l2Hit;
+        else if (lvl == HitLevel::Memory)
+            _cycles += penalties.memory;
+    }
 
     /** Charge the cache outcome of a data access. */
-    void dataAccess(u64 va, u64 size, Access kind);
+    void
+    dataAccess(u64 va, u64 size, Access kind)
+    {
+        charge(cacheHier.access(va, size, kind));
+    }
 
     /** ASan shadow check for an access at @p va. */
     void asanCheck(u64 va);
@@ -232,9 +291,9 @@ class CostModel
     u64 _itlbMisses = 0;
     u64 _dtlbAccesses = 0;
     u64 _dtlbMisses = 0;
-    u64 pc = 0x120000000;
-    /** Hot-loop code footprint the synthetic PC wraps within. */
-    u64 codeFootprint = 16 * 1024;
+    /** Synthetic PC: 4-byte aligned, in [codeBase, codeBase +
+     *  codeFootprint). */
+    u64 pc = codeBase;
 };
 
 } // namespace cheri

@@ -285,11 +285,11 @@ Kernel::wait4(Process &parent, u64 pid)
 }
 
 void
-Kernel::faultProcess(Process &proc, const DeathInfo &info)
+Kernel::faultProcess(Process &proc, const DeathInfo &info, bool recorded)
 {
     // A capability fault becomes SIG_PROT; a handler may catch it,
     // otherwise the process dies with the fault recorded.
-    if (mx && info.fault != CapFault::None) {
+    if (mx && info.fault != CapFault::None && !recorded) {
         mx->recordFault(info.fault, proc.regs().pcc.address(),
                         info.faultAddr,
                         info.faultCapKnown ? &info.faultCap : nullptr,

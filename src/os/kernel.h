@@ -263,8 +263,11 @@ class Kernel : private panic::Sink
 
     /** A capability fault (or SIG_PIPE): a handler registered for the
      *  signal (SIG_PROT unless @p info names one) runs; otherwise the
-     *  process dies through the one teardown, leaving a core file. */
-    void faultProcess(Process &proc, const DeathInfo &info);
+     *  process dies through the one teardown, leaving a core file.
+     *  The fault goes to the metrics registry unless @p recorded says
+     *  the trapping layer already put it there. */
+    void faultProcess(Process &proc, const DeathInfo &info,
+                      bool recorded = false);
 
     /** Account a context switch to @p proc (cost model + counters). */
     void contextSwitchTo(Process &proc);

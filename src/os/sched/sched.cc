@@ -439,10 +439,22 @@ Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
         ctx.last = r;
         switch (r.status) {
           case isa::InterpResult::Status::Halted:
-          case isa::InterpResult::Status::Fault:
           case isa::InterpResult::Status::StepLimit:
             ctx.state = ExecContext::State::Done;
             break;
+          case isa::InterpResult::Status::Fault: {
+            ctx.state = ExecContext::State::Done;
+            // SIG_PROT, as for a trap in host code (runGuest): a
+            // handler runs, otherwise the process dies through the one
+            // teardown.  The interpreter has recorded the fault.
+            DeathInfo info;
+            info.signal = SIG_PROT;
+            info.fault = r.fault;
+            info.faultAddr = r.faultAddr;
+            info.detail = std::string(isa::opName(r.faultOp)) + " faulted";
+            kern.faultProcess(proc, info, true);
+            break;
+          }
           case isa::InterpResult::Status::Preempted:
             if (ctx.state == ExecContext::State::Blocked) {
                 if (ctx.restartOnWake) {

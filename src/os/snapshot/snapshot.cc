@@ -670,30 +670,87 @@ struct Access
     template <class Ar> static void transfer(Ar &ar, Cache &c)
     {
         // The geometry comes from the config: the image must agree.
-        u64 lineBytes = c.lineBytes;
+        u64 lineBytes = u64{1} << c.lineShift;
         u64 numSets = c.numSets;
         u32 ways = c.ways;
         ar.u64(lineBytes, numSets);
         ar.u32(ways);
-        ar.check(lineBytes == c.lineBytes && numSets == c.numSets &&
-                     ways == c.ways,
+        ar.check(lineBytes == u64{1} << c.lineShift &&
+                     numSets == c.numSets && ways == c.ways,
                  "cache geometry mismatch");
         ar.u64(c.tick, c._hits, c._misses);
-        u64 nWays = c.sets.size();
+        u64 nWays = c.numSets * c.ways;
         ar.u64(nWays);
-        ar.check(nWays == c.sets.size(), "cache way-array size mismatch");
-        for (Cache::Way &way : c.sets) {
-            ar.u64(way.tag);
-            ar.boolean(way.valid);
-            ar.u64(way.lru);
+        ar.check(nWays == c.numSets * c.ways,
+                 "cache way-array size mismatch");
+
+        // The image keeps a valid flag per way.  The cache holds only
+        // each set's filled suffix; the ways before it are written as
+        // {0, false, 0}, and a restore must find exactly that form.
+        struct Record
+        {
+            u64 tag = 0;
+            bool valid = false;
+            u64 lru = 0;
+        };
+        std::vector<Record> set(c.ways);
+        if constexpr (Ar::loading)
+            c.flush();
+        for (u64 s = 0; s < c.numSets; ++s) {
+            if constexpr (!Ar::loading) {
+                const Cache::Way *base = &c.slots[s << c.wayShift];
+                for (u32 w = 0; w < c.ways; ++w) {
+                    set[w] = w < c.ways - c.fill[s]
+                                 ? Record{}
+                                 : Record{base[w].tag, true, base[w].lru};
+                }
+            }
+            for (Record &r : set) {
+                ar.u64(r.tag);
+                ar.boolean(r.valid);
+                ar.u64(r.lru);
+            }
+            if constexpr (Ar::loading) {
+                u32 first = c.ways;
+                while (first > 0 && set[first - 1].valid)
+                    --first;
+                for (u32 w = 0; w < first; ++w) {
+                    const Record &r = set[w];
+                    ar.check(!r.valid, "cache valid ways are not a suffix "
+                                       "of their set");
+                    ar.check(!r.tag && !r.lru, "corrupt empty cache way");
+                }
+                for (u32 w = first; w < c.ways; ++w) {
+                    ar.check(set[w].lru <= c.tick,
+                             "cache way used after the cache's clock");
+                    // The last-way probe assumes one way per tag.
+                    for (u32 o = first; o < w; ++o)
+                        ar.check(set[o].tag != set[w].tag,
+                                 "duplicate tag in a cache set");
+                }
+                for (u32 w = c.ways; w-- > first;) {
+                    Cache::Way &way = c.fillWay(s);
+                    way.tag = set[w].tag;
+                    way.lru = set[w].lru;
+                }
+            }
         }
     }
 
     template <class Ar> static void transfer(Ar &ar, CostModel &cm)
     {
+        // The code footprint is a constant the image still records; the
+        // PC walks it in whole instructions.
+        u64 footprint = CostModel::codeFootprint;
         ar.u64(cm._instructions, cm._cycles, cm._codeBytes,
                cm._itlbAccesses, cm._itlbMisses, cm._dtlbAccesses,
-               cm._dtlbMisses, cm.pc, cm.codeFootprint);
+               cm._dtlbMisses, cm.pc, footprint);
+        ar.check(footprint == CostModel::codeFootprint,
+                 "code footprint mismatch");
+        ar.check(cm.pc % CostModel::insnBytes == 0 &&
+                     cm.pc >= CostModel::codeBase &&
+                     cm.pc - CostModel::codeBase < CostModel::codeFootprint,
+                 "corrupt fetch pc");
         transfer(ar, cm.cacheHier.l1i);
         transfer(ar, cm.cacheHier.l1d);
         transfer(ar, cm.cacheHier.l2);

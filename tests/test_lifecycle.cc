@@ -273,6 +273,53 @@ TEST_P(ProcessDeath, RunsTheOneTeardown)
     EXPECT_EQ(f.kern->findProcess(vpid), nullptr) << "victim not reaped";
 }
 
+TEST(ProcessDeathUnderScheduler, InterpretedCapabilityFaultRunsTheTeardown)
+{
+    // The victim runs interpreted code that loads a capability through
+    // c0, the NULL DDC of a CheriABI process: SIG_PROT with no handler.
+    // Checked in the slice the victim dies in, before its parent runs
+    // again and reaps it (the reap also drops the victim's context).
+    Family f(Abi::CheriAbi);
+    ASSERT_EQ(f.cx->state, sched::ExecContext::State::Blocked);
+    const u64 vpid = f.victim->pid();
+    sched::Scheduler &s = sched::schedulerFor(*f.kern);
+    isa::Assembler a;
+    a.clc(5, 0, 0).halt();
+    SchedGuest victim{f.victim, f.parent.code, f.parent.data};
+    sched::ExecContext &vcx = admitProgram(s, victim, a);
+
+    bool sawDeath = false;
+    s.setSliceHook([&](Process &p) {
+        if (p.pid() != vpid)
+            return;
+        sawDeath = true;
+        EXPECT_EQ(vcx.last.status, isa::InterpResult::Status::Fault);
+        ASSERT_TRUE(p.exited());
+        ASSERT_TRUE(p.death());
+        EXPECT_EQ(p.death()->signal, SIG_PROT);
+        EXPECT_NE(p.death()->fault, CapFault::None);
+        EXPECT_EQ(p.exitStatus(), 128 + SIG_PROT);
+        EXPECT_EQ(mappingCount(p), 0u) << "memory outlived the death";
+        SysResult rd = f.kern->sysRead(*f.parent.proc, f.rfd,
+                                       f.dataPtr(*f.parent.proc), 8);
+        EXPECT_EQ(rd.error, E_OK) << "the pipe peer must read EOF";
+        EXPECT_EQ(rd.value, 0u);
+        EXPECT_TRUE(f.parent.proc->pendingSignals() & (u64{1} << SIG_CHLD));
+        check::Report rep = check::Invariants::check(*f.kern);
+        EXPECT_TRUE(rep.ok()) << rep.toString();
+    });
+    f.kern->runUntilIdle();
+    s.setSliceHook(nullptr);
+
+    EXPECT_TRUE(sawDeath);
+    // The teardown woke the parked parent; its wait4 reaped the victim.
+    ASSERT_EQ(f.cx->last.status, isa::InterpResult::Status::Halted);
+    const ThreadRegs &r = f.cx->interp->regs();
+    EXPECT_EQ(r.x[regSysErr], 0u);
+    EXPECT_EQ(r.x[regRetVal], vpid);
+    EXPECT_EQ(f.kern->findProcess(vpid), nullptr) << "victim not reaped";
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Causes, ProcessDeath,
     ::testing::Combine(::testing::Values(Abi::Mips64, Abi::CheriAbi),

@@ -7,13 +7,18 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <ostream>
+#include <random>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "machine/cache.h"
 #include "machine/cost_model.h"
 #include "machine/host_pool.h"
 #include "machine/regs.h"
+#include "os/kernel.h"
+#include "os/snapshot/snapshot.h"
 
 namespace cheri
 {
@@ -60,7 +65,496 @@ TEST(Cache, GeometryWithoutACompleteSetIsRejected)
     EXPECT_THROW(Cache(3 * 64, 4, 64), std::invalid_argument);
     EXPECT_THROW(Cache(32 * 1024, 0, 64), std::invalid_argument);
     EXPECT_THROW(Cache(32 * 1024, 4, 0), std::invalid_argument);
+    EXPECT_THROW(Cache(2 * 64, 4, 64), std::invalid_argument);
     EXPECT_NO_THROW(Cache(4 * 64, 4, 64));
+}
+
+TEST(Cache, GeometryThatIsNotAPowerOfTwoIsRejected)
+{
+    // Sets are indexed with shifts and masks.
+    EXPECT_THROW(Cache(48 * 1024, 4, 64), std::invalid_argument); // size
+    EXPECT_THROW(Cache(24 * 1024, 3, 64), std::invalid_argument); // ways
+    EXPECT_THROW(Cache(32 * 1024, 6, 64), std::invalid_argument); // ways
+    EXPECT_THROW(Cache(32 * 1024, 4, 48), std::invalid_argument); // line
+    EXPECT_THROW(Cache(3 * 128, 1, 128), std::invalid_argument);  // size
+    EXPECT_NO_THROW(Cache(64, 1, 64));
+    EXPECT_NO_THROW(Cache(8 * 1024, 2, 256));
+}
+
+// --- Lock-step against a reference model ------------------------------
+
+/**
+ * The cache model in its plainest form, the reference Cache is held
+ * to: div/mod indexing, a valid bit per way, a scan of the whole set
+ * on every access and the original victim loop.  Keep it naive.
+ */
+class RefCache
+{
+  public:
+    RefCache(u64 size_bytes, u32 ways, u64 line_bytes = 64)
+        : lineBytes(line_bytes), numSets(size_bytes / (ways * line_bytes)),
+          ways(ways), sets(numSets * ways)
+    {
+    }
+
+    bool
+    access(u64 addr)
+    {
+        ++tick;
+        u64 line = addr / lineBytes;
+        u64 set = line % numSets;
+        u64 tag = line / numSets;
+        Way *base = &sets[set * ways];
+        for (u32 w = 0; w < ways; ++w) {
+            if (base[w].valid && base[w].tag == tag) {
+                base[w].lru = tick;
+                ++hits;
+                return true;
+            }
+        }
+        // Miss: fill into the LRU way.
+        Way *victim = base;
+        for (u32 w = 1; w < ways; ++w) {
+            if (!base[w].valid || base[w].lru < victim->lru)
+                victim = &base[w];
+        }
+        victim->valid = true;
+        victim->tag = tag;
+        victim->lru = tick;
+        ++misses;
+        return false;
+    }
+
+    void
+    flush()
+    {
+        for (Way &w : sets)
+            w.valid = false;
+    }
+
+    u64 tick = 0;
+    u64 hits = 0;
+    u64 misses = 0;
+
+  private:
+    struct Way
+    {
+        u64 tag = 0;
+        bool valid = false;
+        u64 lru = 0;
+    };
+
+    u64 lineBytes;
+    u64 numSets;
+    u32 ways;
+    std::vector<Way> sets;
+};
+
+/** CacheHierarchy's reference: one L1 then L2 lookup per line. */
+struct RefHierarchy
+{
+    HitLevel
+    access(u64 addr, u64 size, Access kind)
+    {
+        HitLevel worst = HitLevel::L1;
+        const u64 line = 64;
+        u64 first = addr / line;
+        u64 last = (addr + (size ? size - 1 : 0)) / line;
+        for (u64 l = first; l <= last; ++l) {
+            u64 a = l * line;
+            RefCache &l1 = kind == Access::InstrFetch ? l1i : l1d;
+            if (l1.access(a))
+                continue;
+            if (l2.access(a)) {
+                if (worst == HitLevel::L1)
+                    worst = HitLevel::L2;
+                continue;
+            }
+            worst = HitLevel::Memory;
+        }
+        return worst;
+    }
+
+    RefCache l1i{32 * 1024, 4};
+    RefCache l1d{32 * 1024, 4};
+    RefCache l2{256 * 1024, 8};
+};
+
+/** CostModel's charging, with the instruction fetch stream walked one
+ *  instruction per loop trip. */
+struct RefCost
+{
+    explicit RefCost(bool asan = false) : asan(asan) {}
+
+    void
+    fetchAndCount(u64 n)
+    {
+        instructions += n;
+        cycles += n;
+        codeBytes += n * 4;
+        for (u64 i = 0; i < n; ++i) {
+            u64 fetch_pc = pc;
+            pc += 4;
+            if (pc >= 0x120000000 + codeFootprint)
+                pc = 0x120000000;
+            if ((fetch_pc & 63) == 0) {
+                HitLevel lvl = h.access(fetch_pc, 4, Access::InstrFetch);
+                if (lvl == HitLevel::L2)
+                    cycles += 10;
+                else if (lvl == HitLevel::Memory)
+                    cycles += 80;
+            }
+        }
+    }
+
+    void
+    dataAccess(u64 va, u64 size, Access kind)
+    {
+        HitLevel lvl = h.access(va, size, kind);
+        if (lvl == HitLevel::L2)
+            cycles += 10;
+        else if (lvl == HitLevel::Memory)
+            cycles += 80;
+    }
+
+    void
+    memOp(u64 va, u64 size, Access kind)
+    {
+        if (asan) {
+            fetchAndCount(18);
+            dataAccess((va >> 3) + 0x7fff8000, 1, Access::DataLoad);
+        }
+        fetchAndCount(1);
+        dataAccess(va, size, kind);
+    }
+
+    void
+    copyLoop(u64 src_va, u64 dst_va, u64 len)
+    {
+        u64 words = (len + 7) / 8;
+        fetchAndCount(2 * words + 8);
+        for (u64 off = 0; off < len; off += 64) {
+            dataAccess(src_va + off, 8, Access::DataLoad);
+            dataAccess(dst_va + off, 8, Access::DataStore);
+        }
+    }
+
+    bool asan;
+    RefHierarchy h;
+    u64 instructions = 0;
+    u64 cycles = 0;
+    u64 codeBytes = 0;
+    u64 pc = 0x120000000;
+    u64 codeFootprint = 16 * 1024;
+};
+
+struct Geometry
+{
+    u64 size;
+    u32 ways;
+    u64 line;
+};
+
+void
+PrintTo(const Geometry &g, std::ostream *os)
+{
+    *os << g.size << " bytes, " << g.ways << " ways of " << g.line
+        << "-byte lines";
+}
+
+std::string
+geometryName(const ::testing::TestParamInfo<Geometry> &info)
+{
+    const Geometry &g = info.param;
+    return std::to_string(g.size) + "B_" + std::to_string(g.ways) + "way_" +
+           std::to_string(g.line) + "Bline";
+}
+
+/** Seeded address streams: sequential 8-byte accesses, strides that
+ *  land in one set or walk all of them, and random addresses with a
+ *  hot subset, over a few times the capacity. */
+std::vector<u64>
+sequentialStream(u64 span)
+{
+    std::vector<u64> out;
+    for (u64 a = 0x10000; a < 0x10000 + span; a += 8)
+        out.push_back(a);
+    return out;
+}
+
+std::vector<u64>
+strideStream(const Geometry &g)
+{
+    std::vector<u64> out;
+    u64 setSpan = g.size / g.ways;
+    for (u64 stride : {g.line, g.line + 8, u64{520}, u64{4096}, setSpan,
+                       setSpan + g.line, 2 * setSpan}) {
+        for (u64 i = 0; i < 3000; ++i)
+            out.push_back(0x200000 + (i % 700) * stride);
+    }
+    return out;
+}
+
+std::vector<u64>
+randomStream(u64 seed, u64 span, std::size_t n)
+{
+    std::mt19937_64 rng(seed);
+    std::vector<u64> out;
+    for (std::size_t i = 0; i < n; ++i) {
+        u64 r = rng();
+        if (r % 4 == 0)
+            out.push_back(0x400000 + (r >> 8) % 4096); // hot
+        else
+            out.push_back((r >> 8) % (4 * span));
+    }
+    return out;
+}
+
+class CacheReference : public ::testing::TestWithParam<Geometry>
+{
+  protected:
+    /** Drive both models with @p addrs, comparing after every access;
+     *  false after the first difference. */
+    static bool
+    lockStep(Cache &c, RefCache &ref, const std::vector<u64> &addrs,
+             const char *phase)
+    {
+        for (u64 a : addrs) {
+            bool hit = c.access(a);
+            bool refHit = ref.access(a);
+            if (hit != refHit || c.hits() != ref.hits ||
+                c.misses() != ref.misses) {
+                ADD_FAILURE() << phase << ": access 0x" << std::hex << a
+                              << std::dec << " hit " << hit << " (ref "
+                              << refHit << "), hits " << c.hits()
+                              << " (ref " << ref.hits << "), misses "
+                              << c.misses() << " (ref " << ref.misses
+                              << ")";
+                return false;
+            }
+            // Every access advances the clock exactly once.
+            if (c.hits() + c.misses() != ref.tick) {
+                ADD_FAILURE() << phase << ": clock moved apart";
+                return false;
+            }
+        }
+        return true;
+    }
+};
+
+TEST_P(CacheReference, LockStepOverSeededStreams)
+{
+    const Geometry g = GetParam();
+    Cache c(g.size, g.ways, g.line);
+    RefCache ref(g.size, g.ways, g.line);
+    ASSERT_TRUE(lockStep(c, ref, sequentialStream(3 * g.size), "seq"));
+    std::vector<u64> strides = strideStream(g);
+    ASSERT_TRUE(lockStep(c, ref, strides, "stride"));
+    // A flush mid-stream empties every set; the clock runs on.  The
+    // line accessed last before it misses.
+    c.flush();
+    ref.flush();
+    ASSERT_TRUE(lockStep(c, ref, {strides.back()}, "flush"));
+    ASSERT_TRUE(lockStep(c, ref, randomStream(1, g.size, 20000), "flush"));
+    ASSERT_TRUE(lockStep(c, ref, sequentialStream(g.size / 2), "refill"));
+
+    // A copy carries on exactly where its source was, independently.
+    RefCache refCopy = ref;
+    Cache copy = c;
+    ASSERT_TRUE(lockStep(copy, refCopy, randomStream(2, g.size, 20000),
+                         "copy"));
+    ASSERT_TRUE(lockStep(c, ref, strideStream(g), "source after copy"));
+    // Copy assignment replaces a cache of another geometry entirely.
+    Cache assigned(64, 1, 64);
+    assigned.access(0);
+    assigned = c;
+    ASSERT_TRUE(lockStep(assigned, ref, randomStream(3, g.size, 20000),
+                         "assigned"));
+}
+
+TEST_P(CacheReference, LockStepThroughRepeatedFlushes)
+{
+    const Geometry g = GetParam();
+    Cache c(g.size, g.ways, g.line);
+    RefCache ref(g.size, g.ways, g.line);
+    std::vector<u64> addrs = randomStream(4, g.size, 4000);
+    for (int round = 0; round < 5; ++round) {
+        std::vector<u64> part(addrs.begin() + round * 800,
+                              addrs.begin() + (round + 1) * 800);
+        ASSERT_TRUE(lockStep(c, ref, part, "round"));
+        c.flush();
+        ref.flush();
+        ASSERT_TRUE(lockStep(c, ref, {part.back(), part.back()}, "again"));
+    }
+}
+
+TEST_P(CacheReference, RecycledStorageStartsEmpty)
+{
+    // A cache built on the storage of a used one (the host pool and
+    // malloc hand it back) sees none of the old lines.
+    const Geometry g = GetParam();
+    std::vector<u64> addrs = randomStream(5, g.size, 5000);
+    {
+        Cache used(g.size, g.ways, g.line);
+        for (u64 a : addrs)
+            used.access(a);
+    }
+    Cache c(g.size, g.ways, g.line);
+    RefCache ref(g.size, g.ways, g.line);
+    std::reverse(addrs.begin(), addrs.end());
+    ASSERT_TRUE(lockStep(c, ref, addrs, "recycled"));
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Geometries, CacheReference,
+    ::testing::Values(Geometry{32 * 1024, 4, 64},
+                      Geometry{256 * 1024, 8, 64}, Geometry{4 * 64, 4, 64},
+                      Geometry{1024, 1, 64}, Geometry{4096, 2, 128},
+                      Geometry{64, 1, 64}),
+    geometryName);
+
+/** True when every CostModel result matches the reference's. */
+::testing::AssertionResult
+sameCost(CostModel &m, const RefCost &r)
+{
+    const CacheHierarchy &h = m.cache();
+    const RefHierarchy &rh = r.h;
+    u64 refL1 = rh.l1i.hits + rh.l1i.misses + rh.l1d.hits + rh.l1d.misses;
+    if (m.instructions() == r.instructions && m.cycles() == r.cycles &&
+        m.codeBytes() == r.codeBytes && h.l1iMisses() == rh.l1i.misses &&
+        h.l1dMisses() == rh.l1d.misses && h.l2Misses() == rh.l2.misses &&
+        h.l1Accesses() == refL1)
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << "instructions " << m.instructions() << " (ref "
+           << r.instructions << "), cycles " << m.cycles() << " (ref "
+           << r.cycles << "), l1i/l1d/l2 misses " << h.l1iMisses() << "/"
+           << h.l1dMisses() << "/" << h.l2Misses() << " (ref "
+           << rh.l1i.misses << "/" << rh.l1d.misses << "/" << rh.l2.misses
+           << ")";
+}
+
+/** One seeded stream of charges: instruction runs of 1-200 (so the
+ *  synthetic PC starts mid-line and wraps), loads and stores of 1-300
+ *  bytes (many cross lines), and copy loops. */
+::testing::AssertionResult
+driveCost(CostModel &m, RefCost &r, u64 seed, int ops)
+{
+    std::mt19937_64 rng(seed);
+    for (int i = 0; i < ops; ++i) {
+        u64 x = rng();
+        u64 va = (x >> 16) % (1u << 20);
+        u64 size = 1 + (x >> 40) % 300;
+        switch (x % 8) {
+          case 0:
+          case 1:
+          case 2: {
+            u64 n = 1 + (x >> 8) % 200;
+            m.alu(n);
+            r.fetchAndCount(n);
+            break;
+          }
+          case 3:
+            m.load(va & ~u64{7}, 8);
+            r.memOp(va & ~u64{7}, 8, Access::DataLoad);
+            break;
+          case 4:
+            m.load(va, size);
+            r.memOp(va, size, Access::DataLoad);
+            break;
+          case 5:
+            m.store(va, size);
+            r.memOp(va, size, Access::DataStore);
+            break;
+          case 6:
+            m.store(va & ~u64{7}, 8);
+            r.memOp(va & ~u64{7}, 8, Access::DataStore);
+            break;
+          case 7:
+            m.copyLoop(va, va + 0x80000, size * 4);
+            r.copyLoop(va, va + 0x80000, size * 4);
+            break;
+        }
+        ::testing::AssertionResult same = sameCost(m, r);
+        if (!same)
+            return same << " after op " << i << " of seed " << seed;
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(CostModelReference, EveryRunLengthFromEveryLineOffset)
+{
+    // n = 1..200 back to back: each run starts where the last one
+    // ended, so starts cover every offset in a line, and the 40,200
+    // instructions wrap the 16 KiB footprint nearly ten times.
+    CostModel m(Abi::Mips64);
+    RefCost r;
+    for (int pass = 0; pass < 2; ++pass) {
+        for (u64 n = 1; n <= 200; ++n) {
+            m.alu(n);
+            r.fetchAndCount(n);
+            ASSERT_TRUE(sameCost(m, r)) << "n " << n << " pass " << pass;
+        }
+    }
+    m.alu(0);
+    r.fetchAndCount(0);
+    EXPECT_TRUE(sameCost(m, r));
+    // Short runs of one length, past the wrap twice: every phase of
+    // the run against the line and footprint ends, the end included.
+    for (u64 n : {1, 2, 3, 5, 16, 17}) {
+        for (u64 i = 0; i < 2 * 16 * 1024 / 4 / n + 7; ++i) {
+            m.alu(n);
+            r.fetchAndCount(n);
+            ASSERT_TRUE(sameCost(m, r)) << "n " << n << " run " << i;
+        }
+    }
+}
+
+TEST(CostModelReference, LockStepOverSeededCharges)
+{
+    for (bool asan : {false, true}) {
+        SCOPED_TRACE(asan ? "asan" : "plain");
+        CostModel m(Abi::CheriAbi, {.asanInstrumentation = asan});
+        RefCost r(asan);
+        ASSERT_TRUE(driveCost(m, r, 11, 4000));
+        // A copy carries on exactly where its source was.
+        CostModel copy = m;
+        RefCost refCopy = r;
+        ASSERT_TRUE(driveCost(copy, refCopy, 12, 4000));
+        ASSERT_TRUE(driveCost(m, r, 13, 2000));
+        // reset() clears in place: the state of a new model.
+        m.reset();
+        RefCost fresh(asan);
+        EXPECT_EQ(m.instructions(), 0u);
+        EXPECT_EQ(m.cache().l1Accesses(), 0u);
+        ASSERT_TRUE(driveCost(m, fresh, 14, 4000));
+    }
+}
+
+TEST(CostModelReference, SnapshotRoundTripMidStream)
+{
+    // A process's cost model saved mid-stream and restored into
+    // another kernel carries on in lock step, and the restored
+    // kernel saves the same bytes.
+    Kernel kern;
+    Process *proc = kern.spawn(Abi::CheriAbi, "cost-stream");
+    CostModel &m = proc->cost();
+    m.reset();
+    RefCost r;
+    ASSERT_TRUE(driveCost(m, r, 21, 3000));
+    std::string err;
+    std::vector<u8> image = snap::save(kern, &err);
+    ASSERT_FALSE(image.empty()) << err;
+
+    Kernel restored;
+    ASSERT_TRUE(snap::restore(restored, image, &err)) << err;
+    EXPECT_EQ(snap::save(restored, &err), image);
+    Process *again = restored.findProcess(proc->pid());
+    ASSERT_NE(again, nullptr);
+    RefCost refCopy = r;
+    ASSERT_TRUE(driveCost(again->cost(), refCopy, 22, 3000));
+    // The source is untouched by the save.
+    ASSERT_TRUE(driveCost(m, r, 22, 3000));
 }
 
 TEST(Hierarchy, L2CatchesL1Misses)

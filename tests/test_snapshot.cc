@@ -811,6 +811,17 @@ TEST(SnapshotTest, RestoreRejectsEachCorruptField)
     // signal actions, sigPending and sigMask.
     const size_t victimPid = findUnique(img, strBytes(victimName)) - 17;
     const size_t l1iLine = findUnique(img, le64(regSentinel)) + 8 + 72;
+    // The cost model's last two words: the fetch PC, the code
+    // footprint.  The L1i header: line size, set count, ways (u32),
+    // tick, hits, misses, way count; then 17-byte way records {tag,
+    // valid, lru}.  The victim never ran, so its L1i is empty.
+    const size_t fetchPc = l1iLine - 16;
+    const size_t footprint = l1iLine - 8;
+    const size_t l1iTick = l1iLine + 20;
+    auto wayAt = [&](u32 w) { return l1iLine + 52 + 17 * size_t{w}; };
+    EXPECT_EQ(get64At(img, l1iTick), 0u);
+    for (u32 w = 0; w < 4; ++w)
+        EXPECT_EQ(img[wayAt(w) + 8], 0) << "way " << w;
     const size_t curThread =
         findUnique(img, le64(maskSentinel)) - 8 - numSignals * 9 - 16;
     const size_t lastFd = curThread - 8 - 4;
@@ -862,6 +873,35 @@ TEST(SnapshotTest, RestoreRejectsEachCorruptField)
         {"cache geometry", false,
          [&](auto &b) { put64At(b, l1iLine, get64At(b, l1iLine) * 2); },
          "cache geometry mismatch"},
+        {"cache ways not a suffix", false,
+         [&](auto &b) { b[wayAt(0) + 8] = 1; },
+         "cache valid ways are not a suffix of their set"},
+        {"empty cache way", false, [&](auto &b) { put64At(b, wayAt(1), 5); },
+         "corrupt empty cache way"},
+        {"cache way lru", false,
+         [&](auto &b) {
+             b[wayAt(3) + 8] = 1;
+             put64At(b, wayAt(3) + 9, get64At(b, l1iTick) + 1);
+         },
+         "cache way used after the cache's clock"},
+        {"duplicate cache tag", false,
+         [&](auto &b) {
+             b[wayAt(2) + 8] = 1;
+             b[wayAt(3) + 8] = 1;
+         },
+         "duplicate tag in a cache set"},
+        {"code footprint", false,
+         [&](auto &b) { put64At(b, footprint, get64At(b, footprint) / 2); },
+         "code footprint mismatch"},
+        {"fetch pc", false,
+         [&](auto &b) { put64At(b, fetchPc, get64At(b, fetchPc) + 2); },
+         "corrupt fetch pc"},
+        {"fetch pc past the footprint", false,
+         [&](auto &b) {
+             put64At(b, fetchPc,
+                     get64At(b, fetchPc) + get64At(b, footprint));
+         },
+         "corrupt fetch pc"},
         {"fd table", false, [&](auto &b) { put32At(b, lastFd, 0xffff); },
          "corrupt open-file id"},
         {"current thread", false, [&](auto &b) { put64At(b, curThread, 1); },
