@@ -15,8 +15,8 @@ constexpr u128 fullTop = u128{1} << 64;
 
 Capability::Capability(bool tag, u64 base, u128 top, u64 address, u32 perms,
                        OType otype, compress::CapFormat fmt)
-    : _tag(tag), _base(base), _top(top), _address(address), _perms(perms),
-      _otype(otype), _format(fmt)
+    : _top(top), _base(base), _address(address), _perms(perms),
+      _otype(otype), _tag(tag), _format(fmt)
 {
 }
 
@@ -44,32 +44,11 @@ Capability::length() const
 }
 
 bool
-Capability::inBounds(u64 addr, u64 size) const
+Capability::keepsTagAt(u64 addr) const
 {
-    return addr >= _base && u128{addr} + size <= _top;
-}
-
-Capability
-Capability::setAddress(u64 addr) const
-{
-    Capability out = *this;
-    out._address = addr;
-    if (!_tag)
-        return out;
     // Sealed capabilities are immutable; mutating one strips validity.
-    if (sealed()) {
-        out._tag = false;
-        return out;
-    }
-    if (!compress::addressRepresentable(_base, _top, addr, _format))
-        out._tag = false;
-    return out;
-}
-
-Capability
-Capability::incAddress(s64 delta) const
-{
-    return setAddress(_address + static_cast<u64>(delta));
+    return !sealed() &&
+           compress::addressRepresentable(_base, _top, addr, _format);
 }
 
 Result<Capability>
@@ -187,7 +166,7 @@ Capability::build(const Capability &authority, const Capability &bits)
 }
 
 CapCheck
-Capability::checkAccess(u64 addr, u64 size, u32 req_perms) const
+Capability::checkAccessSlow(u64 addr, u64 size, u32 req_perms) const
 {
     if (!_tag)
         return CapFault::TagViolation;

@@ -68,8 +68,13 @@ class Capability
     bool isNull() const { return !_tag && _address == 0; }
     /// @}
 
-    /** True when [addr, addr+size) lies within bounds. */
-    bool inBounds(u64 addr, u64 size) const;
+    /** True when [addr, addr+size) lies within bounds.  The sum is
+     *  taken in 128 bits, so an access wrapping past 2^64 is out. */
+    bool
+    inBounds(u64 addr, u64 size) const
+    {
+        return addr >= _base && u128{addr} + size <= _top;
+    }
 
     /** True when this capability has every permission in @p mask. */
     bool hasPerms(u32 mask) const { return (_perms & mask) == mask; }
@@ -79,11 +84,27 @@ class Capability
      * if the capability is sealed or the address leaves the representable
      * space; bounds and permissions are unchanged (C pointer arithmetic
      * never widens privilege).
+     *
+     * Inline: an untagged value, or a tagged, unsealed cursor staying
+     * in [base, top], needs no representability test (compression.h:
+     * every in-bounds address, top included, is representable).
      */
-    Capability setAddress(u64 addr) const;
+    Capability
+    setAddress(u64 addr) const
+    {
+        Capability out = *this;
+        out._address = addr;
+        if (_tag && (sealed() || addr < _base || u128{addr} > _top))
+            out._tag = keepsTagAt(addr);
+        return out;
+    }
 
     /** CIncOffset: pointer arithmetic — setAddress(address() + delta). */
-    Capability incAddress(s64 delta) const;
+    Capability
+    incAddress(s64 delta) const
+    {
+        return setAddress(_address + static_cast<u64>(delta));
+    }
 
     /**
      * CSetBounds: narrow bounds to [address, address+len), rounded
@@ -129,8 +150,18 @@ class Capability
      * Full access check as performed by a capability load/store/fetch:
      * tag set, unsealed, [addr, addr+size) within bounds, and all of
      * @p req_perms present.  Returns the fault or std::nullopt.
+     *
+     * Inline: an access that passes every check returns at once; any
+     * other input takes checkAccessSlow, which tests each rule in
+     * priority order, so the reported cause never depends on the path.
      */
-    CapCheck checkAccess(u64 addr, u64 size, u32 req_perms) const;
+    CapCheck
+    checkAccess(u64 addr, u64 size, u32 req_perms) const
+    {
+        if (_tag && !sealed() && hasPerms(req_perms) && inBounds(addr, size))
+            return std::nullopt;
+        return checkAccessSlow(addr, size, req_perms);
+    }
 
     /**
      * In-memory representation (16 bytes; the tag travels out of band).
@@ -161,13 +192,18 @@ class Capability
     Capability(bool tag, u64 base, u128 top, u64 address, u32 perms,
                OType otype, compress::CapFormat fmt);
 
-    bool _tag = false;
-    u64 _base = 0;
+    /** Out-of-line half of setAddress: whether this tagged capability
+     *  keeps its tag with its cursor at @p addr (unsealed and
+     *  representable). */
+    bool keepsTagAt(u64 addr) const;
+
+    /** The full access check, one rule at a time in priority order. */
+    CapCheck checkAccessSlow(u64 addr, u64 size, u32 req_perms) const;
+
+    // Widest fields first: 64 bytes with no padding hole.
     u128 _top = 0;
+    u64 _base = 0;
     u64 _address = 0;
-    u32 _perms = 0;
-    OType _otype = otypeUnsealed;
-    compress::CapFormat _format = compress::CapFormat::Cap128;
     /**
      * For untagged patterns loaded from memory: the verbatim second
      * 8 bytes.  Hardware capability loads of untagged data preserve all
@@ -175,8 +211,15 @@ class Capability
      * byte-exact for non-pointer payloads.
      */
     u64 _rawMeta = 0;
+    u32 _perms = 0;
+    OType _otype = otypeUnsealed;
+    bool _tag = false;
     bool _hasRawMeta = false;
+    compress::CapFormat _format = compress::CapFormat::Cap128;
 };
+
+// Every Frame holds one per granule, and every pointer step copies one.
+static_assert(sizeof(Capability) == 64);
 
 } // namespace cheri
 

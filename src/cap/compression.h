@@ -31,8 +31,9 @@
 namespace cheri::compress
 {
 
-/** Capability in-memory formats supported by the model. */
-enum class CapFormat
+/** Capability in-memory formats supported by the model (one byte, so
+ *  Capability packs into 64 bytes). */
+enum class CapFormat : u8
 {
     /** 128-bit compressed format (benchmarked format in the paper). */
     Cap128,

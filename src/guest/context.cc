@@ -18,78 +18,11 @@ retOrNegErrno(const SysResult &r)
 
 } // namespace
 
-const Capability &
-GuestContext::authorityFor(const GuestPtr &p) const
-{
-    // CheriABI: the pointer *is* the authority.  mips64: the pointer is
-    // an integer; the implicit authority is DDC.  Hybrid: annotated
-    // (tagged) pointers carry their own authority, unannotated ones
-    // fall back to DDC.
-    if (isCheri())
-        return p.cap;
-    if (abi() == Abi::Hybrid && p.cap.tag())
-        return p.cap;
-    return _proc.ddc();
-}
-
 void
-GuestContext::read(const GuestPtr &p, void *buf, u64 len)
+GuestContext::trap(CapFault fault, u64 addr, const Capability &via,
+                   const char *what)
 {
-    const Capability &via = authorityFor(p);
-    if (CapCheck chk = via.checkAccess(p.addr(), len, PERM_LOAD))
-        throw CapTrap(*chk, p.addr(), via, "guest load");
-    cost().load(p.addr(), len);
-    if (CapCheck fault = _proc.mem().read(p.addr(), buf, len))
-        throw CapTrap(*fault, p.addr(), via, "guest load");
-}
-
-void
-GuestContext::write(const GuestPtr &p, const void *buf, u64 len)
-{
-    const Capability &via = authorityFor(p);
-    if (CapCheck chk = via.checkAccess(p.addr(), len, PERM_STORE))
-        throw CapTrap(*chk, p.addr(), via, "guest store");
-    cost().store(p.addr(), len);
-    if (CapCheck fault = _proc.mem().write(p.addr(), buf, len))
-        throw CapTrap(*fault, p.addr(), via, "guest store");
-}
-
-GuestPtr
-GuestContext::loadPtr(const GuestPtr &p, s64 off)
-{
-    GuestPtr at = p + off;
-    if (isCheri()) {
-        const Capability &via = at.cap;
-        if (CapCheck chk = via.checkAccess(at.addr(), capSize,
-                                           PERM_LOAD | PERM_LOAD_CAP)) {
-            throw CapTrap(*chk, at.addr(), via, "pointer load");
-        }
-        cost().load(at.addr(), capSize);
-        Result<Capability> r = _proc.mem().readCap(at.addr());
-        if (!r.ok())
-            throw CapTrap(r.fault(), at.addr(), via, "pointer load");
-        return GuestPtr(r.value());
-    }
-    u64 addr = load<u64>(at);
-    return GuestPtr(Capability::fromAddress(addr));
-}
-
-void
-GuestContext::storePtr(const GuestPtr &p, s64 off, const GuestPtr &v)
-{
-    GuestPtr at = p + off;
-    if (isCheri()) {
-        const Capability &via = at.cap;
-        if (CapCheck chk = via.checkAccess(at.addr(), capSize,
-                                           PERM_STORE | PERM_STORE_CAP)) {
-            throw CapTrap(*chk, at.addr(), via, "pointer store");
-        }
-        cost().store(at.addr(), capSize);
-        if (CapCheck fault = _proc.mem().writeCap(at.addr(), v.cap))
-            throw CapTrap(*fault, at.addr(), via, "pointer store");
-        return;
-    }
-    store<u64>(at, 0, v.addr());
+    throw CapTrap(fault, addr, via, what);
 }
 
 GuestPtr

@@ -51,8 +51,27 @@ class GuestContext
 
     /** @name Checked raw access (throws CapTrap on violation) */
     /// @{
-    void read(const GuestPtr &p, void *buf, u64 len);
-    void write(const GuestPtr &p, const void *buf, u64 len);
+    void
+    read(const GuestPtr &p, void *buf, u64 len)
+    {
+        const Capability &via = authorityFor(p);
+        if (CapCheck chk = via.checkAccess(p.addr(), len, PERM_LOAD))
+            trap(*chk, p.addr(), via, "guest load");
+        cost().load(p.addr(), len);
+        if (CapCheck fault = _proc.mem().read(p.addr(), buf, len))
+            trap(*fault, p.addr(), via, "guest load");
+    }
+
+    void
+    write(const GuestPtr &p, const void *buf, u64 len)
+    {
+        const Capability &via = authorityFor(p);
+        if (CapCheck chk = via.checkAccess(p.addr(), len, PERM_STORE))
+            trap(*chk, p.addr(), via, "guest store");
+        cost().store(p.addr(), len);
+        if (CapCheck fault = _proc.mem().write(p.addr(), buf, len))
+            trap(*fault, p.addr(), via, "guest store");
+    }
     /// @}
 
     /** @name Typed scalar access */
@@ -78,8 +97,39 @@ class GuestContext
 
     /** @name Pointer-in-memory access (ABI width, tag-preserving) */
     /// @{
-    GuestPtr loadPtr(const GuestPtr &p, s64 off = 0);
-    void storePtr(const GuestPtr &p, s64 off, const GuestPtr &v);
+    GuestPtr
+    loadPtr(const GuestPtr &p, s64 off = 0)
+    {
+        GuestPtr at = p + off;
+        if (!isCheri())
+            return GuestPtr(Capability::fromAddress(load<u64>(at)));
+        const Capability &via = at.cap;
+        if (CapCheck chk = via.checkAccess(at.addr(), capSize,
+                                           PERM_LOAD | PERM_LOAD_CAP))
+            trap(*chk, at.addr(), via, "pointer load");
+        cost().load(at.addr(), capSize);
+        Result<Capability> r = _proc.mem().readCap(at.addr());
+        if (!r.ok())
+            trap(r.fault(), at.addr(), via, "pointer load");
+        return GuestPtr(r.value());
+    }
+
+    void
+    storePtr(const GuestPtr &p, s64 off, const GuestPtr &v)
+    {
+        GuestPtr at = p + off;
+        if (!isCheri()) {
+            store<u64>(at, 0, v.addr());
+            return;
+        }
+        const Capability &via = at.cap;
+        if (CapCheck chk = via.checkAccess(at.addr(), capSize,
+                                           PERM_STORE | PERM_STORE_CAP))
+            trap(*chk, at.addr(), via, "pointer store");
+        cost().store(at.addr(), capSize);
+        if (CapCheck fault = _proc.mem().writeCap(at.addr(), v.cap))
+            trap(*fault, at.addr(), via, "pointer store");
+    }
     /// @}
 
     /** Charge @p n plain ALU instructions (compute between accesses). */
@@ -87,14 +137,13 @@ class GuestContext
 
     /**
      * Cast an integer back to a pointer — the "integer provenance"
-     * idiom.  Under CheriABI the result is untagged and traps on use;
-     * under mips64 it works, as it always (unsafely) did.
+     * idiom.  The result is untagged under every ABI: under CheriABI it
+     * traps on use; under mips64 it works, as it always (unsafely) did,
+     * because the access is checked against DDC instead.
      */
     GuestPtr
     ptrFromInt(u64 addr) const
     {
-        if (isCheri())
-            return GuestPtr(Capability::fromAddress(addr));
         return GuestPtr(Capability::fromAddress(addr));
     }
 
@@ -181,7 +230,24 @@ class GuestContext
 
   private:
     /** The capability actually checked for an access through @p p. */
-    const Capability &authorityFor(const GuestPtr &p) const;
+    const Capability &
+    authorityFor(const GuestPtr &p) const
+    {
+        // CheriABI: the pointer *is* the authority.  mips64: the pointer
+        // is an integer; the implicit authority is DDC.  Hybrid:
+        // annotated (tagged) pointers carry their own authority,
+        // unannotated ones fall back to DDC.
+        if (isCheri())
+            return p.cap;
+        if (abi() == Abi::Hybrid && p.cap.tag())
+            return p.cap;
+        return _proc.ddc();
+    }
+
+    /** Raise @p fault as a CapTrap (out of line, so the inline access
+     *  paths build no strings). */
+    [[noreturn]] static void trap(CapFault fault, u64 addr,
+                                  const Capability &via, const char *what);
 
     Kernel &kern;
     Process &_proc;

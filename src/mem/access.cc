@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstring>
 
-#include "machine/cost_model.h"
-
 namespace cheri
 {
 
@@ -38,16 +36,6 @@ MemAccess::detach()
     dtlb.fill(Entry{});
     itlb.fill(Entry{});
     ++_fetchGen;
-}
-
-void
-MemAccess::countDataHit()
-{
-    ++st.dataHits;
-    if (counters)
-        ++counters[TlbDataHit];
-    if (cost)
-        cost->tlbAccess(false, true);
 }
 
 void
@@ -108,7 +96,7 @@ MemAccess::missFetch(u64 page_va)
 }
 
 CapCheck
-MemAccess::read(u64 va, void *buf, u64 len)
+MemAccess::readSlow(u64 va, void *buf, u64 len)
 {
     u8 *out = static_cast<u8 *>(buf);
     bool first = true;
@@ -141,7 +129,7 @@ MemAccess::read(u64 va, void *buf, u64 len)
 }
 
 CapCheck
-MemAccess::write(u64 va, const void *buf, u64 len)
+MemAccess::writeSlow(u64 va, const void *buf, u64 len)
 {
     const u8 *in = static_cast<const u8 *>(buf);
     while (len > 0) {

@@ -33,12 +33,11 @@
 
 #include "cap/capability.h"
 #include "cap/fault.h"
+#include "machine/cost_model.h"
 #include "mem/vm.h"
 
 namespace cheri
 {
-
-class CostModel;
 
 /**
  * Indices into the per-ABI TLB counter block exported by obs::Metrics.
@@ -86,10 +85,54 @@ class MemAccess
      * MemoryExhausted, SwapInFailure).  Like AddressSpace::writeBytes,
      * write() is not atomic across pages: on a mid-range fault, bytes
      * up to the faulting page boundary have already been stored.
+     *
+     * read() and write() are inline for a non-empty access within one
+     * page that hits the dTLB (for a write: a cached-writable, non-
+     * executable page).  They count the hit, probe the injector and
+     * copy exactly as the general loop does; everything else — an
+     * empty or page-crossing access, a miss, a COW or executable page,
+     * a detached space — takes readSlow()/writeSlow().
      */
     /// @{
-    CapCheck read(u64 va, void *buf, u64 len);
-    CapCheck write(u64 va, const void *buf, u64 len);
+    CapCheck
+    read(u64 va, void *buf, u64 len)
+    {
+        const u64 off = va & pageMask;
+        const u64 page = va - off;
+        const Entry &e = dtlb[indexOf(page)];
+        if (len - 1 < pageSize - off && e.pageVa == page &&
+            (e.prot & PROT_READ) && as) {
+            countDataHit();
+            // Corruption probe after translation, as in readSlow.
+            if (as->physMem().injectDataLoadCorruption(va))
+                return CapFault::MachineCheck;
+            e.frame->read(off, buf, len);
+            return std::nullopt;
+        }
+        return readSlow(va, buf, len);
+    }
+
+    CapCheck
+    write(u64 va, const void *buf, u64 len)
+    {
+        const u64 off = va & pageMask;
+        const u64 page = va - off;
+        const Entry &e = dtlb[indexOf(page)];
+        if (len - 1 < pageSize - off && e.pageVa == page && e.writable &&
+            !(e.prot & PROT_EXEC) && as) {
+            countDataHit();
+            e.frame->write(off, buf, len);
+            return std::nullopt;
+        }
+        return writeSlow(va, buf, len);
+    }
+
+    /** The general page-at-a-time loops behind read() and write()
+     *  (public so tests can run them in lock step with the inline
+     *  path). */
+    CapCheck readSlow(u64 va, void *buf, u64 len);
+    CapCheck writeSlow(u64 va, const void *buf, u64 len);
+
     /** Instruction fetch: like read(), but through the iTLB. */
     CapCheck fetch(u64 va, void *buf, u64 len);
     /** Capability load/store: capSize-aligned. */
@@ -191,7 +234,15 @@ class MemAccess
         return as ? as->lastWalkFault() : CapFault::PageFault;
     }
 
-    void countDataHit();
+    void
+    countDataHit()
+    {
+        ++st.dataHits;
+        if (counters)
+            ++counters[TlbDataHit];
+        if (cost)
+            cost->tlbAccess(false, true);
+    }
 
     AddressSpace *as;
     CostModel *cost = nullptr;

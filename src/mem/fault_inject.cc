@@ -44,9 +44,8 @@ FaultInjector::disarmAll()
 }
 
 bool
-FaultInjector::shouldFail(FaultPoint point)
+FaultInjector::decide(Arm &a, FaultPoint point)
 {
-    Arm &a = arms[index(point)];
     ++a.seen;
     bool fire = false;
     switch (a.mode) {
@@ -64,15 +63,7 @@ FaultInjector::shouldFail(FaultPoint point)
         fire = (a.lcg >> 33) % a.period == 0;
         break;
     }
-    // The tap's answer is authoritative: record logs `fire` and passes
-    // it through; replay substitutes the logged decision, so the fired
-    // counter tracks what the choke point actually saw.
-    if (tap)
-        fire = tap->onFault(point, fire);
-    a.fired += fire;
-    if (observer)
-        observer(point, fire);
-    return fire;
+    return settle(a, point, fire);
 }
 
 bool
@@ -80,12 +71,21 @@ FaultInjector::confirm(FaultPoint point, bool decision)
 {
     Arm &a = arms[index(point)];
     ++a.seen;
+    return settle(a, point, decision);
+}
+
+bool
+FaultInjector::settle(Arm &a, FaultPoint point, bool fire)
+{
+    // The tap's answer is authoritative: record logs `fire` and passes
+    // it through; replay substitutes the logged decision, so the fired
+    // counter tracks what the choke point actually saw.
     if (tap)
-        decision = tap->onFault(point, decision);
-    a.fired += decision;
-    if (observer)
-        observer(point, decision);
-    return decision;
+        fire = tap->onFault(point, fire);
+    a.fired += fire;
+    if (fire && observer)
+        observer(point);
+    return fire;
 }
 
 void

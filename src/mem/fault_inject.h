@@ -94,8 +94,19 @@ class FaultInjector
      * decides this event fails.  Called by the choke points themselves;
      * counts events even while disarmed so Nth-event arming composes
      * with prior traffic predictably.
+     *
+     * Inline: a disarmed point with no tap only counts the event.
      */
-    bool shouldFail(FaultPoint point);
+    bool
+    shouldFail(FaultPoint point)
+    {
+        Arm &a = arms[index(point)];
+        if (a.mode == Mode::Off && !tap) {
+            ++a.seen;
+            return false;
+        }
+        return decide(a, point);
+    }
 
     /**
      * Report a decision the KERNEL already made at @p point (e.g. the
@@ -111,11 +122,12 @@ class FaultInjector
     void setTap(FaultTap *t) { tap = t; }
 
     /**
-     * Observational hook called with every final decision (after tap
-     * substitution); the kernel's flight recorder uses it.  Unlike the
-     * tap it has no authority over the decision.
+     * Observational hook called with every decision that fires (after
+     * tap substitution); the kernel's flight recorder uses it.  Declined
+     * decisions, one per guest load, are not reported.  Unlike the tap
+     * it has no authority over the decision.
      */
-    void setObserver(std::function<void(FaultPoint, bool)> fn)
+    void setObserver(std::function<void(FaultPoint)> fn)
     {
         observer = std::move(fn);
     }
@@ -156,9 +168,15 @@ class FaultInjector
 
     static unsigned index(FaultPoint p) { return static_cast<unsigned>(p); }
 
+    /** shouldFail for an armed point or under a tap. */
+    bool decide(Arm &a, FaultPoint point);
+
+    /** Count a final decision; tell the observer if it fired. */
+    bool settle(Arm &a, FaultPoint point, bool fire);
+
     std::array<Arm, numFaultPoints> arms{};
     FaultTap *tap = nullptr;
-    std::function<void(FaultPoint, bool)> observer;
+    std::function<void(FaultPoint)> observer;
 };
 
 } // namespace cheri

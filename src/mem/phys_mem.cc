@@ -14,25 +14,6 @@ Frame::copyFrom(const Frame &other)
 }
 
 void
-Frame::read(u64 off, void *buf, u64 len) const
-{
-    CHERI_KASSERT(off + len <= pageSize, "frame read within page");
-    std::memcpy(buf, data.data() + off, len);
-}
-
-void
-Frame::write(u64 off, const void *buf, u64 len)
-{
-    CHERI_KASSERT(off + len <= pageSize, "frame write within page");
-    std::memcpy(data.data() + off, buf, len);
-    // A data store invalidates every capability granule it overlaps.
-    u64 first = off / capSize;
-    u64 last = (off + len - 1) / capSize;
-    for (u64 g = first; g <= last; ++g)
-        tags.reset(g);
-}
-
-void
 Frame::clear()
 {
     data.fill(0);
@@ -125,19 +106,15 @@ PhysMem::corruptCapLoad(Frame &frame, u64 off, u64 va)
     // completes, so the corrupted pattern can never decode back into a
     // dereferenceable capability.
     frame.clearTagAt(off);
-    if (corruption)
-        corruption(FaultPoint::TagBitFlip, va);
+    noteCorruption(FaultPoint::TagBitFlip, va);
     return true;
 }
 
-bool
-PhysMem::corruptDataLoad(u64 va)
+void
+PhysMem::noteCorruption(FaultPoint point, u64 va)
 {
-    if (!injector->shouldFail(FaultPoint::DataBitFlip))
-        return false;
     if (corruption)
-        corruption(FaultPoint::DataBitFlip, va);
-    return true;
+        corruption(point, va);
 }
 
 } // namespace cheri

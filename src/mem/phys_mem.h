@@ -31,6 +31,7 @@
 #include "cap/types.h"
 #include "machine/host_pool.h"
 #include "mem/fault_inject.h"
+#include "os/panic.h"
 
 namespace cheri
 {
@@ -77,10 +78,25 @@ class Frame
     void copyFrom(const Frame &other);
 
     /** Read bytes; never affects tags. */
-    void read(u64 off, void *buf, u64 len) const;
+    void
+    read(u64 off, void *buf, u64 len) const
+    {
+        CHERI_KASSERT(off + len <= pageSize, "frame read within page");
+        std::memcpy(buf, data.data() + off, len);
+    }
 
     /** Write bytes, clearing the tag of every granule touched. */
-    void write(u64 off, const void *buf, u64 len);
+    void
+    write(u64 off, const void *buf, u64 len)
+    {
+        CHERI_KASSERT(off + len <= pageSize, "frame write within page");
+        std::memcpy(data.data() + off, buf, len);
+        // A data store invalidates every capability granule it overlaps.
+        u64 first = off / capSize;
+        u64 last = (off + len - 1) / capSize;
+        for (u64 g = first; g <= last; ++g)
+            tags.reset(g);
+    }
 
     /** Zero the page and clear all tags. */
     void clear();
@@ -206,11 +222,15 @@ class PhysMem
 
     /** DataBitFlip arm for a plain data load at @p va.  Fires at most
      *  once per access; data bytes are left intact (detection is
-     *  modeled as ECC catching the flip), the access machine-checks. */
+     *  modeled as ECC catching the flip), the access machine-checks.
+     *  Inline down to the injector's disarmed-point count. */
     bool
     injectDataLoadCorruption(u64 va)
     {
-        return injector && corruptDataLoad(va);
+        if (!injector || !injector->shouldFail(FaultPoint::DataBitFlip))
+            return false;
+        noteCorruption(FaultPoint::DataBitFlip, va);
+        return true;
     }
 
     /** Frames currently live (allocated and not yet destroyed). */
@@ -243,9 +263,10 @@ class PhysMem
     /** Run reclaim if needed so @p n more frames fit; true on success. */
     bool makeRoom(u64 n, const void *requester);
 
-    /** Out-of-line halves of the corruption probes (injector != null). */
+    /** Out-of-line half of the tag probe (injector != null). */
     bool corruptCapLoad(Frame &frame, u64 off, u64 va);
-    bool corruptDataLoad(u64 va);
+    /** Tell the corruption hook, if any, that @p point fired at @p va. */
+    void noteCorruption(FaultPoint point, u64 va);
 
     u64 allocated = 0;
     std::shared_ptr<u64> live = std::make_shared<u64>(0);

@@ -36,13 +36,12 @@ Kernel::Kernel(KernelConfig cfg)
         return reclaimFrames(wanted, requester);
     });
     recorder.setDepth(cfg.flightRecorderDepth);
-    // Injector decisions that fire land in the flight recorder;
-    // declined probes are one-per-access and carry no diagnostic
-    // weight, so they are not retained.
-    injector.setObserver([this](FaultPoint point, bool fired) {
-        if (fired)
-            recorder.record(panic::EventKind::FaultDecision,
-                            static_cast<u64>(point), 1);
+    // Injector decisions that fire land in the flight recorder (the
+    // injector reports no declined ones: they are one per access and
+    // carry no diagnostic weight).
+    injector.setObserver([this](FaultPoint point) {
+        recorder.record(panic::EventKind::FaultDecision,
+                        static_cast<u64>(point), 1);
     });
     // Injected memory corruption is *detected* at these hooks and
     // degraded to a counted machine check — never a forged capability,

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include "machine/cost_model.h"
 #include "mem/access.h"
 #include "obs/metrics.h"
 #include "test_util.h"
@@ -389,6 +390,318 @@ TEST_F(AccessTest, RandomizedStressAgainstWalkGroundTruth)
     EXPECT_EQ(got, shadow);
     ASSERT_FALSE(as.readBytes(va, got.data(), got.size()).has_value());
     EXPECT_EQ(got, shadow);
+}
+
+/**
+ * One address space with everything the access path reports to: its
+ * own physical memory, fault injector, cost model and per-ABI counter
+ * block.  Two rigs driven by the same operations, one through the
+ * inline read()/write() and one through readSlow()/writeSlow(), must
+ * agree on every observable after every step.
+ */
+struct Rig
+{
+    PhysMem phys;
+    SwapDevice swap;
+    FaultInjector inj;
+    std::unique_ptr<AddressSpace> as =
+        std::make_unique<AddressSpace>(phys, swap, 1);
+    MemAccess mem{*as};
+    CostModel cost{Abi::CheriAbi};
+    std::array<u64, numTlbCounters> block{};
+    std::vector<std::unique_ptr<AddressSpace>> children;
+    const bool slow;
+
+    explicit Rig(bool slow_path) : slow(slow_path)
+    {
+        phys.setFaultInjector(&inj);
+        mem.setCostModel(&cost);
+        mem.setCounterBlock(block.data());
+    }
+
+    CapCheck
+    read(u64 va, void *buf, u64 len)
+    {
+        return slow ? mem.readSlow(va, buf, len) : mem.read(va, buf, len);
+    }
+
+    CapCheck
+    write(u64 va, const void *buf, u64 len)
+    {
+        return slow ? mem.writeSlow(va, buf, len)
+                    : mem.write(va, buf, len);
+    }
+};
+
+void
+expectSameCounters(const Rig &fast, const Rig &slow)
+{
+    const MemAccess::Stats &f = fast.mem.stats(), &s = slow.mem.stats();
+    EXPECT_EQ(f.dataHits, s.dataHits);
+    EXPECT_EQ(f.dataMisses, s.dataMisses);
+    EXPECT_EQ(f.fetchHits, s.fetchHits);
+    EXPECT_EQ(f.fetchMisses, s.fetchMisses);
+    EXPECT_EQ(f.invalidations, s.invalidations);
+    EXPECT_EQ(fast.block, slow.block);
+    EXPECT_EQ(fast.cost.dtlbAccesses(), slow.cost.dtlbAccesses());
+    EXPECT_EQ(fast.cost.dtlbMisses(), slow.cost.dtlbMisses());
+    EXPECT_EQ(fast.cost.cycles(), slow.cost.cycles());
+    EXPECT_EQ(fast.mem.fetchGen(), slow.mem.fetchGen());
+    for (FaultPoint p : {FaultPoint::DataBitFlip, FaultPoint::FrameAlloc}) {
+        EXPECT_EQ(fast.inj.events(p), slow.inj.events(p));
+        EXPECT_EQ(fast.inj.injected(p), slow.inj.injected(p));
+    }
+}
+
+/** Every byte and tag of [va, va + len) in @p as, made readable. */
+void
+expectSameContents(AddressSpace &a, AddressSpace &b, u64 va, u64 len)
+{
+    const u32 rw = PROT_READ | PROT_WRITE;
+    ASSERT_TRUE(a.protect(va, len, rw));
+    ASSERT_TRUE(b.protect(va, len, rw));
+    std::vector<u8> x(len), y(len);
+    ASSERT_FALSE(a.readBytes(va, x.data(), len).has_value());
+    ASSERT_FALSE(b.readBytes(va, y.data(), len).has_value());
+    EXPECT_EQ(x, y);
+    for (u64 g = va; g < va + len; g += capSize) {
+        Result<Capability> ca = a.readCap(g), cb = b.readCap(g);
+        ASSERT_TRUE(ca.ok() && cb.ok());
+        ASSERT_EQ(ca.value().tag(), cb.value().tag()) << std::hex << g;
+        ASSERT_EQ(ca.value(), cb.value()) << std::hex << g;
+    }
+}
+
+TEST(AccessLockStep, InlinePathMatchesTheGeneralLoop)
+{
+    Rig fast(false), slow(true);
+    Rig *rigs[] = {&fast, &slow};
+    // 72 data pages, so indices 64-71 evict 0-7 from the direct-mapped
+    // dTLB; plus no-access, write-only, executable and read-only pages.
+    struct Region
+    {
+        u64 va, len;
+        u32 prot;
+    };
+    const std::pair<u64, u32> shapes[] = {
+        {72 * pageSize, PROT_READ | PROT_WRITE},
+        {pageSize, PROT_NONE},
+        {pageSize, PROT_WRITE},
+        {2 * pageSize, PROT_READ | PROT_WRITE | PROT_EXEC},
+        {pageSize, PROT_READ},
+    };
+    std::vector<Region> regions;
+    for (auto [len, prot] : shapes) {
+        MappingKind kind =
+            prot & PROT_EXEC ? MappingKind::Text : MappingKind::Data;
+        u64 va = fast.as->map(0, len, prot, kind);
+        ASSERT_NE(va, 0u);
+        ASSERT_EQ(slow.as->map(0, len, prot, kind), va);
+        regions.push_back({va, len, prot});
+    }
+
+    Lcg rng{2024};
+    u64 pid = 2;
+    std::vector<u8> in(3 * pageSize), out_fast(in.size()),
+        out_slow(in.size());
+    for (int step = 0; step < 6000; ++step) {
+        SCOPED_TRACE("step " + std::to_string(step));
+        const Region &r = regions[rng.next() % regions.size()];
+        // Offsets run up to 32 bytes past either end of the region.
+        u64 va = r.va - 32 + rng.next() % (r.len + 64);
+        u64 len;
+        switch (rng.next() % 6) {
+          case 0:
+            len = 0;
+            break;
+          case 1: // crosses the next page boundary
+            va = pageTrunc(va) + pageSize - 1 - rng.next() % 16;
+            len = 2 + rng.next() % 64;
+            break;
+          case 2:
+            len = pageSize + rng.next() % (2 * pageSize);
+            break;
+          default:
+            len = u64{1} << (rng.next() % 5);
+            break;
+        }
+        switch (rng.next() % 16) {
+          case 0: case 1: case 2: case 3: case 4: case 5: { // load
+            std::fill(out_fast.begin(), out_fast.end(), 0xEE);
+            std::fill(out_slow.begin(), out_slow.end(), 0xEE);
+            CapCheck a = fast.read(va, out_fast.data(), len);
+            CapCheck b = slow.read(va, out_slow.data(), len);
+            ASSERT_EQ(a, b);
+            ASSERT_EQ(out_fast, out_slow);
+            break;
+          }
+          case 6: case 7: case 8: case 9: { // store
+            for (u64 i = 0; i < len; ++i)
+                in[i] = static_cast<u8>(rng.next() >> 56);
+            ASSERT_EQ(fast.write(va, in.data(), len),
+                      slow.write(va, in.data(), len));
+            break;
+          }
+          case 10: { // a tagged capability, for data stores to clear
+            u64 at = va & ~(capSize - 1);
+            for (Rig *g : rigs) {
+                Capability c = g->as->capForRange(r.va, r.len,
+                                                  PROT_READ | PROT_WRITE);
+                (void)g->mem.writeCap(at, c);
+            }
+            break;
+          }
+          case 11: // fork: every private page turns copy-on-write
+            if (fast.children.size() == 3) {
+                fast.children.erase(fast.children.begin());
+                slow.children.erase(slow.children.begin());
+            }
+            for (Rig *g : rigs)
+                g->children.push_back(g->as->forkCopy(pid));
+            ++pid;
+            break;
+          case 12:
+            for (Rig *g : rigs)
+                g->as->swapOutPage(pageTrunc(va));
+            break;
+          case 13: { // flip one page's protection, or restore it
+            static const u32 prots[] = {PROT_NONE, PROT_READ, PROT_WRITE,
+                                        PROT_READ | PROT_WRITE};
+            u32 prot = rng.next() % 2 ? r.prot
+                                      : prots[rng.next() % 4];
+            u64 page = r.va + pageTrunc(rng.next() % r.len);
+            for (Rig *g : rigs)
+                ASSERT_TRUE(g->as->protect(page, pageSize, prot));
+            break;
+          }
+          default: { // capability load on the same address
+            Result<Capability> a = fast.mem.readCap(va & ~(capSize - 1));
+            Result<Capability> b = slow.mem.readCap(va & ~(capSize - 1));
+            ASSERT_EQ(a.ok(), b.ok());
+            if (a.ok()) {
+                ASSERT_EQ(a.value(), b.value());
+            }
+            break;
+          }
+        }
+        expectSameCounters(fast, slow);
+        if (HasFailure())
+            return;
+    }
+    // Both paths took hits and misses, and reached the executable page.
+    EXPECT_GT(fast.mem.stats().dataHits, 1000u);
+    EXPECT_GT(fast.mem.stats().dataMisses, 100u);
+    EXPECT_GT(fast.mem.fetchGen(), 100u);
+
+    for (const Region &r : regions)
+        expectSameContents(*fast.as, *slow.as, r.va, r.len);
+    for (size_t i = 0; i < fast.children.size(); ++i) {
+        for (const Region &r : regions)
+            expectSameContents(*fast.children[i], *slow.children[i], r.va,
+                               r.len);
+    }
+
+    // A detached access path: every access is a page fault, counted as
+    // a miss, on both paths.
+    u64 va = regions[0].va;
+    for (Rig *g : rigs)
+        g->as.reset();
+    u64 v = 1;
+    for (u64 len : {u64{0}, u64{8}, pageSize + 8}) {
+        EXPECT_EQ(fast.read(va, &in[0], len), slow.read(va, &in[0], len));
+        EXPECT_EQ(fast.write(va, &v, 8), slow.write(va, &v, 8));
+    }
+    EXPECT_EQ(fast.read(va, &v, 8), CapFault::PageFault);
+    EXPECT_EQ(slow.read(va, &v, 8), CapFault::PageFault);
+    expectSameCounters(fast, slow);
+}
+
+TEST(AccessLockStep, DisarmedProbeCountsEveryLoad)
+{
+    Rig rig(false);
+    u64 va = rig.as->map(0, 80 * pageSize, PROT_READ | PROT_WRITE,
+                         MappingKind::Data);
+    ASSERT_NE(va, 0u);
+    Lcg rng{7};
+    u8 buf[64];
+    u64 loads = 0;
+    for (int i = 0; i < 5000; ++i) {
+        u64 at = va + rng.next() % (80 * pageSize - sizeof(buf));
+        u64 len = 1 + rng.next() % sizeof(buf);
+        ASSERT_FALSE(rig.mem.read(at, buf, len).has_value());
+        ++loads;
+        // Empty accesses are not loads: no probe.
+        ASSERT_FALSE(rig.mem.read(at, buf, 0).has_value());
+    }
+    EXPECT_EQ(rig.inj.events(FaultPoint::DataBitFlip), loads);
+    EXPECT_EQ(rig.inj.injected(FaultPoint::DataBitFlip), 0u);
+    EXPECT_EQ(rig.mem.stats().dataHits + rig.mem.stats().dataMisses,
+              rig.cost.dtlbAccesses());
+}
+
+TEST(AccessLockStep, NthArmedLoadMachineChecksOnBothPaths)
+{
+    for (u64 nth : {u64{1}, u64{2}, u64{37}}) {
+        Rig fast(false), slow(true);
+        u64 va = 0;
+        for (Rig *g : {&fast, &slow}) {
+            va = g->as->map(0, 4 * pageSize, PROT_READ | PROT_WRITE,
+                            MappingKind::Data);
+            g->inj.failAfter(FaultPoint::DataBitFlip, nth);
+        }
+        for (u64 i = 1; i <= 2 * nth + 2; ++i) {
+            u64 at = va + (i * 40) % (4 * pageSize - 8);
+            u64 a = 0, b = 0;
+            CapCheck ra = fast.read(at, &a, 8), rb = slow.read(at, &b, 8);
+            ASSERT_EQ(ra, rb);
+            if (i == nth)
+                EXPECT_EQ(ra, CapFault::MachineCheck) << "load " << i;
+            else
+                EXPECT_FALSE(ra.has_value()) << "load " << i;
+        }
+        expectSameCounters(fast, slow);
+        EXPECT_EQ(fast.inj.injected(FaultPoint::DataBitFlip), 1u);
+    }
+}
+
+/** The kernel's flight recorder keeps fired decisions only: one armed
+ *  data flip leaves exactly a decision and its machine check. */
+TEST(AccessLockStep, NthArmedGuestLoadLeavesOneDecisionInTheRecorder)
+{
+    for (Abi abi : {Abi::Mips64, Abi::CheriAbi}) {
+        GuestSystem sys{abi};
+        GuestContext &ctx = *sys.ctx;
+        GuestPtr buf = ctx.mmap(2 * pageSize);
+        ctx.store<u64>(buf, 0, 5);
+        const u64 nth = 5;
+        const u64 recorded = sys.kern.flightRecorder().eventsRecorded();
+        const u64 checks = sys.kern.counters().hardening.machineChecks;
+        sys.kern.faultInjector().failAfter(FaultPoint::DataBitFlip, nth);
+        u64 trapped_at = 0;
+        for (u64 i = 1; i <= 2 * nth; ++i) {
+            try {
+                (void)ctx.load<u64>(buf, static_cast<s64>(i * 512));
+            } catch (const CapTrap &t) {
+                EXPECT_EQ(t.fault(), CapFault::MachineCheck);
+                EXPECT_EQ(trapped_at, 0u);
+                trapped_at = i;
+            }
+        }
+        EXPECT_EQ(trapped_at, nth);
+        EXPECT_EQ(sys.kern.counters().hardening.machineChecks, checks + 1);
+        const auto &fr = sys.kern.flightRecorder();
+        ASSERT_EQ(fr.eventsRecorded(), recorded + 2);
+        std::vector<panic::Event> ev = fr.entries();
+        ASSERT_GE(ev.size(), 2u);
+        const panic::Event &decision = ev[ev.size() - 2];
+        const panic::Event &check = ev.back();
+        EXPECT_EQ(decision.kind, panic::EventKind::FaultDecision);
+        EXPECT_EQ(decision.a, static_cast<u64>(FaultPoint::DataBitFlip));
+        EXPECT_EQ(decision.b, 1u);
+        EXPECT_EQ(check.kind, panic::EventKind::MachineCheck);
+        EXPECT_EQ(check.a, buf.addr() + nth * 512);
+        EXPECT_EQ(check.b, static_cast<u64>(FaultPoint::DataBitFlip));
+    }
 }
 
 class AccessKernelBothAbis : public ::testing::TestWithParam<Abi>
