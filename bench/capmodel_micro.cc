@@ -12,6 +12,7 @@
 #include "cap/capability.h"
 #include "machine/cache.h"
 #include "machine/cost_model.h"
+#include "mem/access.h"
 #include "mem/vm.h"
 
 using namespace cheri;
@@ -153,6 +154,55 @@ BM_CostModelLoad(benchmark::State &state)
     benchmark::DoNotOptimize(cost.cycles());
 }
 BENCHMARK(BM_CostModelLoad)->Arg(8)->Arg(64);
+
+// Instruction fetch on a warm L1I (past its first lap of the code
+// footprint): one ALU instruction at a time, and the 120-instruction
+// trap entry/exit of CostModel::syscall.
+void
+BM_CostModelWarmAlu1(benchmark::State &state)
+{
+    CostModel cost(Abi::CheriAbi);
+    cost.alu(16 * 1024);
+    for (auto _ : state)
+        cost.alu(1);
+    benchmark::DoNotOptimize(cost.cycles());
+}
+BENCHMARK(BM_CostModelWarmAlu1);
+
+void
+BM_CostModelWarmSyscall(benchmark::State &state)
+{
+    CostModel cost(Abi::CheriAbi);
+    cost.alu(16 * 1024);
+    for (auto _ : state)
+        cost.syscall(0);
+    benchmark::DoNotOptimize(cost.cycles());
+}
+BENCHMARK(BM_CostModelWarmSyscall);
+
+// A capability load of a tagged granule through MemAccess that hits
+// the dTLB, with a disarmed fault injector installed as the kernel
+// always has: 16 granules of one page, round robin.
+void
+BM_MemAccessReadCapHit(benchmark::State &state)
+{
+    PhysMem phys;
+    FaultInjector inj;
+    phys.setFaultInjector(&inj);
+    SwapDevice swap;
+    AddressSpace as(phys, swap, 1);
+    u64 va = as.map(0, pageSize, PROT_READ | PROT_WRITE, MappingKind::Data);
+    Capability c = as.capForRange(va, 64, PROT_READ | PROT_WRITE);
+    MemAccess mem(as);
+    for (u64 g = 0; g < 16; ++g)
+        (void)mem.writeCap(va + g * capSize, c);
+    u64 g = 0;
+    for (auto _ : state) {
+        Result<Capability> r = mem.readCap(va + (g++ & 15) * capSize);
+        benchmark::DoNotOptimize(r);
+    }
+}
+BENCHMARK(BM_MemAccessReadCapHit);
 
 // A new process's cost model, and CostModel::reset() of a used one.
 void

@@ -89,6 +89,8 @@ class Cache
     /** Checkpoint/restore preserves way state so post-restore cycle
      *  counts match an uninterrupted run bit-for-bit. */
     friend struct snap::Access;
+    /** The cost model writes a warm L1I's deferred hits and stamps. */
+    friend class CostModel;
 
     struct Way
     {
@@ -183,6 +185,7 @@ class CacheHierarchy
 
   private:
     friend struct snap::Access;
+    friend class CostModel;
 
     /** Lines @p first to @p last (none when last < first: an access
      *  that wraps the address space). */

@@ -17,17 +17,45 @@ CostModel::fetchLines(u64 n)
     // The closed form of fetching one instruction at a time: the first
     // instruction of a line fetches it, then the run steps to the end
     // of the line (or of n) at once.  codeFootprint is whole lines, so
-    // the wrap back to codeBase falls on a line end.
+    // the wrap back to codeBase falls on a line end.  Each miss loads
+    // a footprint line for good; after the last one the rest of the
+    // run is warm.
     while (n) {
         u64 off = pc % cacheLineBytes;
-        if (off == 0)
-            charge(cacheHier.access(pc, insnBytes, Access::InstrFetch));
+        if (off == 0) {
+            HitLevel lvl = cacheHier.access(pc, insnBytes, Access::InstrFetch);
+            if (lvl != HitLevel::L1) {
+                charge(lvl);
+                --l1iColdLines;
+            }
+        }
         u64 step = std::min(n, (cacheLineBytes - off) / insnBytes);
         n -= step;
         pc += step * insnBytes;
         if (pc >= codeBase + codeFootprint)
             pc = codeBase;
+        if (l1iColdLines == 0) {
+            fetchWarm(n);
+            return;
+        }
     }
+}
+
+void
+CostModel::settleL1I()
+{
+    if (l1iPending == 0)
+        return;
+    Cache &c = cacheHier.l1i;
+    c.tick += l1iPending;
+    c._hits += l1iPending;
+    l1iPending = 0;
+    u64 last = lastFetchedLine();
+    forEachL1ILine([&](Cache::Way &way, u64 line) {
+        way.lru = warmStamp(line);
+        if (line == last)
+            c.probe = static_cast<u64>(&way - &c.slots[0]);
+    });
 }
 
 void
@@ -135,6 +163,8 @@ CostModel::reset()
     _dtlbAccesses = 0;
     _dtlbMisses = 0;
     pc = codeBase;
+    l1iColdLines = codeLines;
+    l1iPending = 0;
     cacheHier.reset();
 }
 

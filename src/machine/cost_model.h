@@ -28,7 +28,9 @@
  *    security-sha got faster).
  *
  * Cycles = instructions (1 IPC ideal) + per-level miss penalties, with
- * instruction fetch streamed through the L1I.
+ * instruction fetch streamed through the L1I.  Once the L1I holds the
+ * whole synthetic code footprint it can never miss again, and fetch
+ * counts its hits in closed form (see DESIGN.md, "Warm L1I").
  */
 
 #ifndef CHERI_MACHINE_COST_MODEL_H
@@ -219,7 +221,18 @@ class CostModel
 
     void reset();
 
-    CacheHierarchy &cache() { return cacheHier; }
+    /** The hierarchy, with the warm L1I's deferred hits and LRU stamps
+     *  written in. */
+    const CacheHierarchy &
+    cache()
+    {
+        settleL1I();
+        return cacheHier;
+    }
+
+    /** True once the L1I holds every line of the code footprint: from
+     *  then until the next reset, fetch runs in closed form. */
+    bool instructionCacheWarm() const { return l1iColdLines == 0; }
 
   private:
     /** Checkpoint/restore preserves cost accounting bit-exactly. */
@@ -233,12 +246,17 @@ class CostModel
     static constexpr u64 codeFootprint = 16 * 1024;
     static_assert(codeBase % cacheLineBytes == 0 &&
                   codeFootprint % cacheLineBytes == 0);
+    static constexpr u64 codeInsns = codeFootprint / insnBytes;
+    static constexpr u64 codeLines = codeFootprint / cacheLineBytes;
+    static constexpr u64 insnsPerLine = cacheLineBytes / insnBytes;
+    static_assert((codeInsns & (codeInsns - 1)) == 0 &&
+                  (codeLines & (codeLines - 1)) == 0);
 
     /**
      * Fetch @p n instructions through the L1I and count them.  Each
      * instruction that starts a cache line fetches that line; the
-     * others are free.  A run that starts inside a line and ends by
-     * its end is the common case and touches no cache.
+     * others are free.  Past the first lap of the footprint since a
+     * reset, the L1I is warm and this is one O(1) step.
      */
     void
     fetchAndCount(u64 n)
@@ -246,18 +264,79 @@ class CostModel
         _instructions += n;
         _cycles += n;
         _codeBytes += n * insnBytes;
-        u64 off = pc % cacheLineBytes;
-        if (off != 0 && n <= (cacheLineBytes - off) / insnBytes) {
-            pc += n * insnBytes;
-            if (pc == codeBase + codeFootprint)
-                pc = codeBase;
-            return;
-        }
-        fetchLines(n);
+        if (l1iColdLines == 0)
+            fetchWarm(n);
+        else
+            fetchLines(n);
     }
 
-    /** fetchAndCount's stream, one cache line per step. */
+    /** fetchAndCount's stream, one cache line per step, until the L1I
+     *  is warm. */
     void fetchLines(u64 n);
+
+    /**
+     * fetchAndCount on a warm L1I.  The L1I holds the whole footprint
+     * (two lines per 4-way set, so nothing evicts them) and only fetch
+     * touches it: every line start in [pc, pc + 4n) is a hit.  They
+     * are counted here and written into the cache by settleL1I().
+     */
+    void
+    fetchWarm(u64 n)
+    {
+        u64 first = (pc - codeBase) / insnBytes;
+        u64 end = first + n;
+        l1iPending += (end + insnsPerLine - 1) / insnsPerLine -
+                      (first + insnsPerLine - 1) / insnsPerLine;
+        pc = codeBase + (end % codeInsns) * insnBytes;
+    }
+
+    /**
+     * Write the warm L1I's pending hits into its counters and clock,
+     * and its LRU stamps into its ways: the line d lines behind the
+     * last one fetched was accessed at tick - d.  A no-op while
+     * nothing is pending, so the cache is exactly what the per-line
+     * stream would have left.
+     */
+    void settleL1I();
+
+    /** Footprint index of the line the last fetch touched: the one
+     *  holding the instruction before pc. */
+    u64
+    lastFetchedLine() const
+    {
+        u64 prev = ((pc - codeBase) / insnBytes + codeInsns - 1) % codeInsns;
+        return prev / insnsPerLine;
+    }
+
+    /** LRU stamp of footprint line @p line in a warm, settled L1I. */
+    u64
+    warmStamp(u64 line) const
+    {
+        return cacheHier.l1i.tick -
+               ((lastFetchedLine() - line) & (codeLines - 1));
+    }
+
+    /**
+     * Visit each way the L1I holds as (way, footprint index of its
+     * line), the index being codeLines for a line outside the
+     * footprint (which no fetch can load).
+     */
+    template <typename Fn>
+    void
+    forEachL1ILine(Fn &&fn)
+    {
+        Cache &c = cacheHier.l1i;
+        for (u64 set = 0; set < c.numSets; ++set) {
+            for (u32 w = c.ways - c.fill[set]; w < c.ways; ++w) {
+                Cache::Way &way = c.slots[(set << c.wayShift) + w];
+                u64 addrLine = way.tag << c.setShift | set;
+                u64 line = addrLine - codeBase / cacheLineBytes;
+                bool inFootprint = (addrLine >> c.setShift) == way.tag &&
+                                   line < codeLines;
+                fn(way, inFootprint ? line : codeLines);
+            }
+        }
+    }
 
     /** Charge the miss penalty of a hierarchy outcome. */
     void
@@ -294,6 +373,12 @@ class CostModel
     /** Synthetic PC: 4-byte aligned, in [codeBase, codeBase +
      *  codeFootprint). */
     u64 pc = codeBase;
+    /** Footprint lines the L1I does not hold yet; fetch is in closed
+     *  form at 0.  Each L1I miss loads one more line. */
+    u64 l1iColdLines = codeLines;
+    /** Warm L1I hits not yet written into the cache; each is also a
+     *  tick of its clock. */
+    u64 l1iPending = 0;
 };
 
 } // namespace cheri

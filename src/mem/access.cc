@@ -186,7 +186,7 @@ MemAccess::fetch(u64 va, void *buf, u64 len)
 }
 
 Result<Capability>
-MemAccess::readCap(u64 va)
+MemAccess::readCapSlow(u64 va)
 {
     if (va % capAlign != 0)
         return CapFault::AlignmentViolation;

@@ -127,16 +127,37 @@ class MemAccess
         return writeSlow(va, buf, len);
     }
 
-    /** The general page-at-a-time loops behind read() and write()
-     *  (public so tests can run them in lock step with the inline
-     *  path). */
+    /**
+     * Capability load: capSize-aligned.  Inline for an aligned load
+     * that hits the dTLB, as read(); only a tagged granule probes the
+     * injector, as in readCapSlow().
+     */
+    Result<Capability>
+    readCap(u64 va)
+    {
+        const u64 off = va & pageMask;
+        const u64 page = va - off;
+        const Entry &e = dtlb[indexOf(page)];
+        if (va % capAlign == 0 && e.pageVa == page &&
+            (e.prot & PROT_READ) && as) {
+            countDataHit();
+            if (e.frame->tagAt(off) &&
+                as->physMem().injectCapLoadCorruption(*e.frame, off, va))
+                return CapFault::MachineCheck;
+            return e.frame->readCap(off);
+        }
+        return readCapSlow(va);
+    }
+
+    /** The general paths behind read(), write() and readCap() (public
+     *  so tests can run them in lock step with the inline path). */
     CapCheck readSlow(u64 va, void *buf, u64 len);
     CapCheck writeSlow(u64 va, const void *buf, u64 len);
+    Result<Capability> readCapSlow(u64 va);
 
     /** Instruction fetch: like read(), but through the iTLB. */
     CapCheck fetch(u64 va, void *buf, u64 len);
-    /** Capability load/store: capSize-aligned. */
-    Result<Capability> readCap(u64 va);
+    /** Capability store: capSize-aligned. */
     CapCheck writeCap(u64 va, const Capability &cap);
     /// @}
 

@@ -97,17 +97,14 @@ PhysMem::liveFrames() const
     return *live;
 }
 
-bool
+void
 PhysMem::corruptCapLoad(Frame &frame, u64 off, u64 va)
 {
-    if (!injector->shouldFail(FaultPoint::TagBitFlip))
-        return false;
     // The modeled bit flip: the granule's tag is gone before the load
     // completes, so the corrupted pattern can never decode back into a
     // dereferenceable capability.
     frame.clearTagAt(off);
     noteCorruption(FaultPoint::TagBitFlip, va);
-    return true;
 }
 
 void

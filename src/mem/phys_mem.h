@@ -211,13 +211,15 @@ class PhysMem
      * corrupted granule can never surface as a forged capability: its
      * tag is gone before any load completes.
      *
-     * The injector-null fast path is inline so uninstrumented builds
-     * pay one predictable branch on the access hot path.
+     * Inline down to the injector's disarmed-point count.
      */
     bool
     injectCapLoadCorruption(Frame &frame, u64 off, u64 va)
     {
-        return injector && corruptCapLoad(frame, off, va);
+        if (!injector || !injector->shouldFail(FaultPoint::TagBitFlip))
+            return false;
+        corruptCapLoad(frame, off, va);
+        return true;
     }
 
     /** DataBitFlip arm for a plain data load at @p va.  Fires at most
@@ -263,8 +265,8 @@ class PhysMem
     /** Run reclaim if needed so @p n more frames fit; true on success. */
     bool makeRoom(u64 n, const void *requester);
 
-    /** Out-of-line half of the tag probe (injector != null). */
-    bool corruptCapLoad(Frame &frame, u64 off, u64 va);
+    /** The tag probe's fired half: flip the tag and report it. */
+    void corruptCapLoad(Frame &frame, u64 off, u64 va);
     /** Tell the corruption hook, if any, that @p point fired at @p va. */
     void noteCorruption(FaultPoint point, u64 va);
 

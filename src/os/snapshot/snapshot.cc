@@ -740,7 +740,10 @@ struct Access
     template <class Ar> static void transfer(Ar &ar, CostModel &cm)
     {
         // The code footprint is a constant the image still records; the
-        // PC walks it in whole instructions.
+        // PC walks it in whole instructions.  A warm L1I's deferred hits
+        // go into the image as the per-line stream would have left them.
+        if constexpr (!Ar::loading)
+            cm.settleL1I();
         u64 footprint = CostModel::codeFootprint;
         ar.u64(cm._instructions, cm._cycles, cm._codeBytes,
                cm._itlbAccesses, cm._itlbMisses, cm._dtlbAccesses,
@@ -752,6 +755,25 @@ struct Access
                      cm.pc - CostModel::codeBase < CostModel::codeFootprint,
                  "corrupt fetch pc");
         transfer(ar, cm.cacheHier.l1i);
+        if constexpr (Ar::loading) {
+            // Only fetch fills the L1I, with footprint lines.  It is
+            // warm iff it holds all of them (two per set), and then its
+            // stamps are the closed form of the image's clock and pc.
+            u64 held = 0;
+            cm.forEachL1ILine([&](Cache::Way &, u64 line) {
+                ar.check(line < CostModel::codeLines,
+                         "L1I line outside the code footprint");
+                ++held;
+            });
+            cm.l1iColdLines = CostModel::codeLines - held;
+            cm.l1iPending = 0;
+            if (cm.instructionCacheWarm()) {
+                cm.forEachL1ILine([&](Cache::Way &way, u64 line) {
+                    ar.check(way.lru == cm.warmStamp(line),
+                             "warm L1I stamps do not match its clock");
+                });
+            }
+        }
         transfer(ar, cm.cacheHier.l1d);
         transfer(ar, cm.cacheHier.l2);
     }

@@ -396,7 +396,7 @@ TEST_F(AccessTest, RandomizedStressAgainstWalkGroundTruth)
  * One address space with everything the access path reports to: its
  * own physical memory, fault injector, cost model and per-ABI counter
  * block.  Two rigs driven by the same operations, one through the
- * inline read()/write() and one through readSlow()/writeSlow(), must
+ * inline read()/write()/readCap() and one through the slow paths, must
  * agree on every observable after every step.
  */
 struct Rig
@@ -431,6 +431,12 @@ struct Rig
         return slow ? mem.writeSlow(va, buf, len)
                     : mem.write(va, buf, len);
     }
+
+    Result<Capability>
+    readCap(u64 va)
+    {
+        return slow ? mem.readCapSlow(va) : mem.readCap(va);
+    }
 };
 
 void
@@ -447,7 +453,8 @@ expectSameCounters(const Rig &fast, const Rig &slow)
     EXPECT_EQ(fast.cost.dtlbMisses(), slow.cost.dtlbMisses());
     EXPECT_EQ(fast.cost.cycles(), slow.cost.cycles());
     EXPECT_EQ(fast.mem.fetchGen(), slow.mem.fetchGen());
-    for (FaultPoint p : {FaultPoint::DataBitFlip, FaultPoint::FrameAlloc}) {
+    for (FaultPoint p : {FaultPoint::DataBitFlip, FaultPoint::TagBitFlip,
+                         FaultPoint::FrameAlloc}) {
         EXPECT_EQ(fast.inj.events(p), slow.inj.events(p));
         EXPECT_EQ(fast.inj.injected(p), slow.inj.injected(p));
     }
@@ -574,12 +581,16 @@ TEST(AccessLockStep, InlinePathMatchesTheGeneralLoop)
                 ASSERT_TRUE(g->as->protect(page, pageSize, prot));
             break;
           }
-          default: { // capability load on the same address
-            Result<Capability> a = fast.mem.readCap(va & ~(capSize - 1));
-            Result<Capability> b = slow.mem.readCap(va & ~(capSize - 1));
+          default: { // capability load, aligned or not
+            u64 at = rng.next() % 4 ? va & ~(capSize - 1) : va;
+            Result<Capability> a = fast.readCap(at);
+            Result<Capability> b = slow.readCap(at);
             ASSERT_EQ(a.ok(), b.ok());
             if (a.ok()) {
+                ASSERT_EQ(a.value().tag(), b.value().tag());
                 ASSERT_EQ(a.value(), b.value());
+            } else {
+                ASSERT_EQ(a.fault(), b.fault());
             }
             break;
           }
@@ -613,6 +624,8 @@ TEST(AccessLockStep, InlinePathMatchesTheGeneralLoop)
     }
     EXPECT_EQ(fast.read(va, &v, 8), CapFault::PageFault);
     EXPECT_EQ(slow.read(va, &v, 8), CapFault::PageFault);
+    EXPECT_EQ(fast.readCap(va).fault(), CapFault::PageFault);
+    EXPECT_EQ(slow.readCap(va).fault(), CapFault::PageFault);
     expectSameCounters(fast, slow);
 }
 
@@ -661,6 +674,51 @@ TEST(AccessLockStep, NthArmedLoadMachineChecksOnBothPaths)
         }
         expectSameCounters(fast, slow);
         EXPECT_EQ(fast.inj.injected(FaultPoint::DataBitFlip), 1u);
+    }
+}
+
+TEST(AccessLockStep, NthArmedTaggedCapLoadMachineChecksOnBothPaths)
+{
+    // Granules alternate tagged and untagged; only tagged loads probe
+    // the injector, and exactly the nth of them machine-checks, its
+    // tag cleared, on both paths.
+    for (u64 nth : {u64{1}, u64{2}, u64{37}}) {
+        Rig fast(false), slow(true);
+        u64 va = 0;
+        for (Rig *g : {&fast, &slow}) {
+            va = g->as->map(0, 4 * pageSize, PROT_READ | PROT_WRITE,
+                            MappingKind::Data);
+            Capability c =
+                g->as->capForRange(va, pageSize, PROT_READ | PROT_WRITE);
+            for (u64 off = 0; off < 4 * pageSize; off += 2 * capSize)
+                ASSERT_FALSE(g->mem.writeCap(va + off, c).has_value());
+            g->inj.failAfter(FaultPoint::TagBitFlip, nth);
+        }
+        u64 tagged = 0;
+        for (u64 i = 0; tagged < 2 * nth + 2; ++i) {
+            u64 at = va + (i * 7 * capSize) % (4 * pageSize);
+            bool isTagged = (at - va) % (2 * capSize) == 0;
+            tagged += isTagged;
+            Result<Capability> a = fast.readCap(at), b = slow.readCap(at);
+            ASSERT_EQ(a.ok(), b.ok());
+            if (isTagged && tagged == nth) {
+                EXPECT_EQ(a.fault(), CapFault::MachineCheck) << "load " << i;
+                EXPECT_EQ(b.fault(), CapFault::MachineCheck) << "load " << i;
+                // The flipped tag stays flipped: a second load of the
+                // granule returns the bytes, untagged.
+                Result<Capability> again = fast.readCap(at);
+                (void)slow.readCap(at);
+                ASSERT_TRUE(again.ok());
+                EXPECT_FALSE(again.value().tag());
+                continue;
+            }
+            ASSERT_TRUE(a.ok()) << "load " << i;
+            EXPECT_EQ(a.value(), b.value());
+            EXPECT_EQ(a.value().tag(), isTagged);
+        }
+        expectSameCounters(fast, slow);
+        EXPECT_EQ(fast.inj.injected(FaultPoint::TagBitFlip), 1u);
+        EXPECT_EQ(fast.inj.events(FaultPoint::TagBitFlip), tagged);
     }
 }
 

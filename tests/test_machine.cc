@@ -132,6 +132,20 @@ class RefCache
             w.valid = false;
     }
 
+    /** The (tag, LRU stamp) of each valid way of @p set, sorted. */
+    std::vector<std::pair<u64, u64>>
+    contents(u64 set) const
+    {
+        std::vector<std::pair<u64, u64>> out;
+        for (u32 w = 0; w < ways; ++w) {
+            const Way &way = sets[set * ways + w];
+            if (way.valid)
+                out.emplace_back(way.tag, way.lru);
+        }
+        std::sort(out.begin(), out.end());
+        return out;
+    }
+
     u64 tick = 0;
     u64 hits = 0;
     u64 misses = 0;
@@ -555,6 +569,250 @@ TEST(CostModelReference, SnapshotRoundTripMidStream)
     ASSERT_TRUE(driveCost(again->cost(), refCopy, 22, 3000));
     // The source is untouched by the save.
     ASSERT_TRUE(driveCost(m, r, 22, 3000));
+}
+
+// --- The warm L1I: fetch in closed form after the first lap ---
+
+/** Instructions from a reset to the fetch of the footprint's last line
+ *  (line 255 starts at instruction 4080): the L1I is warm after it. */
+constexpr u64 firstLapInsns = 16 * 1024 / 4 - 16 + 1;
+
+/** Marks the start of a process's cost model in a saved image: the
+ *  model follows the register file, which ends with x[31]. */
+constexpr u64 costSentinel = 0x7e657e657e657e65ull;
+
+/** A kernel holding one CheriABI process whose cost model, reset, the
+ *  tests drive; x[31] holds costSentinel. */
+struct CostKernel
+{
+    CostKernel()
+    {
+        proc = kern.spawn(Abi::CheriAbi, "cost-stream");
+        proc->regs().x[31] = costSentinel;
+        proc->cost().reset();
+    }
+
+    CostModel &cost() { return proc->cost(); }
+
+    std::vector<u8>
+    save()
+    {
+        std::string err;
+        std::vector<u8> image = snap::save(kern, &err);
+        EXPECT_FALSE(image.empty()) << err;
+        return image;
+    }
+
+    Kernel kern;
+    Process *proc;
+};
+
+/** Restore @p image into @p kern; the cost model of its process
+ *  @p pid carries on from the saved one (null if the restore failed). */
+CostModel *
+restoredCost(Kernel &kern, const std::vector<u8> &image, u64 pid)
+{
+    std::string err;
+    EXPECT_TRUE(snap::restore(kern, image, &err)) << err;
+    Process *p = kern.findProcess(pid);
+    return p ? &p->cost() : nullptr;
+}
+
+u64
+le64At(const std::vector<u8> &img, size_t off)
+{
+    u64 v = 0;
+    for (int i = 0; i < 8; ++i)
+        v |= static_cast<u64>(img[off + i]) << (8 * i);
+    return v;
+}
+
+/**
+ * True when the L1I that @p image holds for the costSentinel process
+ * is the reference's: the same clock and counts, and per set the same
+ * lines with the same LRU stamps.  This reads the stamps a warm L1I
+ * writes out only when something asks for them.
+ */
+::testing::AssertionResult
+sameL1I(const std::vector<u8> &img, const RefCost &r)
+{
+    u8 mark[8];
+    for (int i = 0; i < 8; ++i)
+        mark[i] = static_cast<u8>(costSentinel >> (8 * i));
+    auto at = std::search(img.begin(), img.end(), mark, mark + 8);
+    if (at == img.end())
+        return ::testing::AssertionFailure() << "no cost sentinel";
+    // x[31], the cost model's nine words, then the L1I: line size, set
+    // count, ways (u32), tick, hits, misses, way count, and per set
+    // its 17-byte way records {tag, valid, lru}.
+    size_t l1i = static_cast<size_t>(at - img.begin()) + 8 + 72;
+    const RefCache &ref = r.h.l1i;
+    u64 tick = le64At(img, l1i + 20), hits = le64At(img, l1i + 28),
+        misses = le64At(img, l1i + 36);
+    if (tick != ref.tick || hits != ref.hits || misses != ref.misses)
+        return ::testing::AssertionFailure()
+               << "L1I tick/hits/misses " << tick << "/" << hits << "/"
+               << misses << " (ref " << ref.tick << "/" << ref.hits << "/"
+               << ref.misses << ")";
+    for (u64 set = 0; set < 128; ++set) {
+        std::vector<std::pair<u64, u64>> ways;
+        for (u64 w = 0; w < 4; ++w) {
+            size_t rec = l1i + 52 + 17 * (4 * set + w);
+            if (img[rec + 8])
+                ways.emplace_back(le64At(img, rec), le64At(img, rec + 9));
+        }
+        std::sort(ways.begin(), ways.end());
+        if (ways != ref.contents(set))
+            return ::testing::AssertionFailure()
+                   << "L1I set " << set << " differs from the reference";
+    }
+    return ::testing::AssertionSuccess();
+}
+
+TEST(WarmL1I, EngagesAtTheLastFootprintLine)
+{
+    CostModel m(Abi::Mips64);
+    RefCost r;
+    for (u64 i = 1; i <= firstLapInsns + 40; ++i) {
+        m.alu(1);
+        r.fetchAndCount(1);
+        ASSERT_EQ(m.instructionCacheWarm(), i >= firstLapInsns) << i;
+        ASSERT_TRUE(sameCost(m, r)) << "instruction " << i;
+    }
+    EXPECT_EQ(r.h.l1i.misses, 256u);
+}
+
+TEST(WarmL1I, ManyLapsMatchTheReference)
+{
+    // Runs up to several laps long, and loads and stores that never
+    // reach the L1I, compared only every few dozen charges so the warm
+    // hits pile up between the reads that settle them.
+    CostModel m(Abi::CheriAbi);
+    RefCost r;
+    std::mt19937_64 rng(31);
+    const u64 lens[] = {1, 2, 15, 16, 17, 120, 4095, 4096, 4097, 30011};
+    for (int i = 0; i < 3000; ++i) {
+        u64 x = rng();
+        if (x % 5 == 0) {
+            u64 va = (x >> 20) % (1u << 20);
+            m.load(va, 8);
+            r.memOp(va, 8, Access::DataLoad);
+        } else {
+            u64 n = x % 3 == 0 ? lens[(x >> 8) % 10] : 1 + (x >> 8) % 200;
+            m.alu(n);
+            r.fetchAndCount(n);
+        }
+        if (i % 37 == 0) {
+            ASSERT_TRUE(sameCost(m, r)) << "charge " << i;
+        }
+    }
+    EXPECT_TRUE(m.instructionCacheWarm());
+    EXPECT_GT(r.instructions, 200 * 16 * 1024 / 4);
+    EXPECT_EQ(r.h.l1i.misses, 256u);
+    EXPECT_TRUE(sameCost(m, r));
+}
+
+TEST(WarmL1I, AFetchOfAnyLengthIsOneStep)
+{
+    // A per-line loop would step 2^36 lines here.
+    CostModel m(Abi::CheriAbi);
+    m.alu(firstLapInsns + 3);
+    ASSERT_TRUE(m.instructionCacheWarm());
+    u64 accesses = m.cache().l1Accesses();
+    u64 cycles = m.cycles();
+    m.alu(u64{1} << 40);
+    EXPECT_EQ(m.cache().l1Accesses(), accesses + (u64{1} << 36));
+    EXPECT_EQ(m.cycles(), cycles + (u64{1} << 40));
+    EXPECT_EQ(m.cache().l2Misses(), 256u);
+    // The pc came back to where it was: the next fetches match a model
+    // that never ran the long one.
+    CostModel n(Abi::CheriAbi);
+    n.alu(firstLapInsns + 3);
+    m.alu(100);
+    n.alu(100);
+    EXPECT_EQ(m.cache().l1Accesses() - n.cache().l1Accesses(),
+              u64{1} << 36);
+}
+
+TEST(WarmL1I, CopiesAndImagesAroundTheFirstLap)
+{
+    // Copies and images taken at each step from just before the L1I
+    // is warm to just after the pc first wraps carry on in lock step,
+    // and each image holds the reference's L1I.
+    CostKernel k;
+    RefCost r;
+    k.cost().alu(firstLapInsns - 3);
+    r.fetchAndCount(firstLapInsns - 3);
+    for (u64 i = firstLapInsns - 3; i <= 16 * 1024 / 4 + 2; ++i) {
+        SCOPED_TRACE("instruction " + std::to_string(i));
+        ASSERT_EQ(k.cost().instructionCacheWarm(), i >= firstLapInsns);
+        std::vector<u8> image = k.save();
+        ASSERT_TRUE(sameL1I(image, r));
+        Kernel restored;
+        CostModel *again = restoredCost(restored, image, k.proc->pid());
+        ASSERT_NE(again, nullptr);
+        EXPECT_EQ(again->instructionCacheWarm(), i >= firstLapInsns);
+        CostModel copy = k.cost();
+        RefCost refCopy = r;
+        RefCost refAgain = r;
+        ASSERT_TRUE(driveCost(copy, refCopy, 40 + i, 300));
+        ASSERT_TRUE(driveCost(*again, refAgain, 40 + i, 300));
+        k.cost().alu(1);
+        r.fetchAndCount(1);
+    }
+}
+
+TEST(WarmL1I, ResetAfterWarmUpWarmsUpAgain)
+{
+    CostModel m(Abi::CheriAbi);
+    m.alu(20 * 16 * 1024);
+    ASSERT_TRUE(m.instructionCacheWarm());
+    m.reset();
+    EXPECT_FALSE(m.instructionCacheWarm());
+    EXPECT_EQ(m.cache().l1Accesses(), 0u);
+    RefCost r;
+    for (u64 n : {firstLapInsns - 1, u64{1}, u64{3 * 4096 + 5}}) {
+        m.alu(n);
+        r.fetchAndCount(n);
+        ASSERT_TRUE(sameCost(m, r));
+    }
+    EXPECT_TRUE(m.instructionCacheWarm());
+    EXPECT_EQ(r.h.l1i.misses, 256u);
+    ASSERT_TRUE(driveCost(m, r, 51, 2000));
+}
+
+TEST(WarmL1I, RestoredWarmImageStaysInClosedForm)
+{
+    // Saved with warm hits pending, restored warm, and still in lock
+    // step after many more laps; both kernels then save the same bytes.
+    CostKernel k;
+    RefCost r;
+    ASSERT_TRUE(driveCost(k.cost(), r, 61, 2000));
+    k.cost().alu(5 * 4096 + 9);
+    r.fetchAndCount(5 * 4096 + 9);
+    ASSERT_TRUE(k.cost().instructionCacheWarm());
+    std::vector<u8> image = k.save();
+    ASSERT_TRUE(sameL1I(image, r));
+    Kernel restored;
+    CostModel *again = restoredCost(restored, image, k.proc->pid());
+    ASSERT_NE(again, nullptr);
+    ASSERT_TRUE(again->instructionCacheWarm());
+    RefCost refAgain = r;
+    // A CheriABI syscall with three pointer arguments: 120 + 3 * 3.
+    for (CostModel *m : {&k.cost(), again}) {
+        m->alu(7 * 4096 + 33);
+        m->syscall(3);
+    }
+    for (RefCost *ref : {&r, &refAgain}) {
+        ref->fetchAndCount(7 * 4096 + 33);
+        ref->fetchAndCount(120 + 9);
+    }
+    std::string err;
+    std::vector<u8> afterRestore = snap::save(restored, &err);
+    EXPECT_EQ(afterRestore, k.save());
+    EXPECT_TRUE(sameL1I(afterRestore, refAgain));
+    ASSERT_TRUE(driveCost(*again, refAgain, 62, 2000));
+    ASSERT_TRUE(driveCost(k.cost(), r, 62, 2000));
 }
 
 TEST(Hierarchy, L2CatchesL1Misses)

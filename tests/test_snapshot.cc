@@ -745,6 +745,23 @@ sentinelImage(u64 *tagBase, u64 *firstPid)
     return img;
 }
 
+/** One process whose cost model has fetched its code footprint three
+ *  times over, so its L1I is full and warm; x[31] holds regSentinel. */
+std::vector<u8>
+warmL1IImage()
+{
+    Kernel kern;
+    Process *proc = kern.spawn(Abi::CheriAbi, "warm-l1i");
+    proc->regs().x[31] = regSentinel;
+    proc->cost().reset();
+    proc->cost().alu(3 * 16 * 1024 / 4 + 9);
+    EXPECT_TRUE(proc->cost().instructionCacheWarm());
+    std::string err;
+    std::vector<u8> img = snap::save(kern, &err);
+    EXPECT_FALSE(img.empty()) << err;
+    return img;
+}
+
 /** Two admitted, never-run contexts (run queue: A, B). */
 std::vector<u8>
 schedSentinelImage()
@@ -771,8 +788,10 @@ TEST(SnapshotTest, RestoreRejectsEachCorruptField)
     u64 firstPid = 0;
     const std::vector<u8> img = sentinelImage(&tagBase, &firstPid);
     const std::vector<u8> schedImg = schedSentinelImage();
+    const std::vector<u8> warmImg = warmL1IImage();
     ASSERT_FALSE(img.empty());
     ASSERT_FALSE(schedImg.empty());
+    ASSERT_FALSE(warmImg.empty());
 
     // Config header: ..., page size, cap format, swap policy, two
     // feature booleans, stack size, ASLR seed.
@@ -830,102 +849,124 @@ TEST(SnapshotTest, RestoreRejectsEachCorruptField)
     const size_t ctxA = findUnique(schedImg, le64(ctxSentinelA)) - 18;
     const size_t ctxB = findUnique(schedImg, le64(ctxSentinelB)) - 18;
     const size_t runq = ctxB + 104 + 8;
+    // The warm L1I, laid out as above: set 0 holds footprint line 0 in
+    // way 3 and line 128 in way 2.
+    const size_t warmL1I = findUnique(warmImg, le64(regSentinel)) + 8 + 72;
+    auto warmWayAt = [&](u32 w) { return warmL1I + 52 + 17 * size_t{w}; };
+    EXPECT_EQ(warmImg[warmWayAt(2) + 8], 1);
+    EXPECT_EQ(warmImg[warmWayAt(3) + 8], 1);
 
     struct Row
     {
         const char *what;
-        bool sched;
+        const std::vector<u8> *image;
         std::function<void(std::vector<u8> &)> corrupt;
         const char *error;
     };
     const Row rows[] = {
-        {"layout constant", false,
+        {"layout constant", &img,
          [&](auto &b) { put32At(b, layout, numSysNums + 1); },
          "layout-constant mismatch"},
-        {"page size", false,
+        {"page size", &img,
          [&](auto &b) { put64At(b, pageSizeAt, 2 * pageSize); },
          "page-size mismatch"},
-        {"cap format", false, [&](auto &b) { b[capFormat] = 7; },
+        {"cap format", &img, [&](auto &b) { b[capFormat] = 7; },
          "corrupt enum value: cap format"},
-        {"feature flag", false, [&](auto &b) { b[feature] = 2; },
+        {"feature flag", &img, [&](auto &b) { b[feature] = 2; },
          "corrupt boolean"},
-        {"frame tag offset", false,
+        {"frame tag offset", &img,
          [&](auto &b) { put64At(b, tagAt, pageSize); },
          "corrupt tag offset"},
-        {"duplicate swap slot", false,
+        {"duplicate swap slot", &img,
          [&](auto &b) { put64At(b, slot2, get64At(b, slot1)); },
          "duplicate swap slot"},
-        {"vnode read channel", false,
+        {"vnode read channel", &img,
          [&](auto &b) { put32At(b, readCh, 0xffff); },
          "corrupt channel id"},
-        {"vfs root", false,
+        {"vfs root", &img,
          [&](auto &b) { put32At(b, rootId, get32At(b, fileNode)); },
          "vfs root is not a directory"},
-        {"open file's vnode", false,
+        {"open file's vnode", &img,
          [&](auto &b) { put32At(b, fileNode, 0xffff); },
          "corrupt vnode id"},
-        {"duplicate pid", false,
+        {"duplicate pid", &img,
          [&](auto &b) { put64At(b, victimPid, firstPid); },
          "duplicate pid"},
-        {"page frame id", false,
+        {"page frame id", &img,
          [&](auto &b) { put32At(b, page2 + 8, 0x7fffffff); },
          "corrupt frame id"},
-        {"cache geometry", false,
+        {"cache geometry", &img,
          [&](auto &b) { put64At(b, l1iLine, get64At(b, l1iLine) * 2); },
          "cache geometry mismatch"},
-        {"cache ways not a suffix", false,
+        {"cache ways not a suffix", &img,
          [&](auto &b) { b[wayAt(0) + 8] = 1; },
          "cache valid ways are not a suffix of their set"},
-        {"empty cache way", false, [&](auto &b) { put64At(b, wayAt(1), 5); },
+        {"empty cache way", &img, [&](auto &b) { put64At(b, wayAt(1), 5); },
          "corrupt empty cache way"},
-        {"cache way lru", false,
+        {"cache way lru", &img,
          [&](auto &b) {
              b[wayAt(3) + 8] = 1;
              put64At(b, wayAt(3) + 9, get64At(b, l1iTick) + 1);
          },
          "cache way used after the cache's clock"},
-        {"duplicate cache tag", false,
+        {"duplicate cache tag", &img,
          [&](auto &b) {
              b[wayAt(2) + 8] = 1;
              b[wayAt(3) + 8] = 1;
          },
          "duplicate tag in a cache set"},
-        {"code footprint", false,
+        {"code footprint", &img,
          [&](auto &b) { put64At(b, footprint, get64At(b, footprint) / 2); },
          "code footprint mismatch"},
-        {"fetch pc", false,
+        {"fetch pc", &img,
          [&](auto &b) { put64At(b, fetchPc, get64At(b, fetchPc) + 2); },
          "corrupt fetch pc"},
-        {"fetch pc past the footprint", false,
+        {"fetch pc past the footprint", &img,
          [&](auto &b) {
              put64At(b, fetchPc,
                      get64At(b, fetchPc) + get64At(b, footprint));
          },
          "corrupt fetch pc"},
-        {"fd table", false, [&](auto &b) { put32At(b, lastFd, 0xffff); },
+        {"fd table", &img, [&](auto &b) { put32At(b, lastFd, 0xffff); },
          "corrupt open-file id"},
-        {"current thread", false, [&](auto &b) { put64At(b, curThread, 1); },
+        {"current thread", &img, [&](auto &b) { put64At(b, curThread, 1); },
          "corrupt current-thread id"},
-        {"shm frame id", false, [&](auto &b) { put32At(b, shm, 0); },
+        {"shm frame id", &img, [&](auto &b) { put32At(b, shm, 0); },
          "corrupt shm frame id"},
-        {"shared swapped page", false, [&](auto &b) { b[sharedFlag] = 1; },
+        {"shared swapped page", &img, [&](auto &b) { b[sharedFlag] = 1; },
          "corrupt shared swapped page"},
-        {"context pid", true, [&](auto &b) { put64At(b, ctxA, 999); },
+        {"context pid", &schedImg, [&](auto &b) { put64At(b, ctxA, 999); },
          "context references unknown pid"},
-        {"duplicate context", true,
+        {"duplicate context", &schedImg,
          [&](auto &b) {
              put64At(b, ctxB, get64At(b, ctxA));
              put64At(b, ctxB + 8, get64At(b, ctxA + 8));
          },
          "duplicate scheduler context"},
-        {"run queue entry", true, [&](auto &b) { put64At(b, runq, 999); },
+        {"run queue entry", &schedImg, [&](auto &b) { put64At(b, runq, 999); },
          "queue references unknown context: run queue"},
+        {"L1I line outside the code footprint", &warmImg,
+         [&](auto &b) {
+             put64At(b, warmWayAt(2), get64At(b, warmWayAt(2)) + 2);
+         },
+         "L1I line outside the code footprint"},
+        {"L1I tag that wraps onto a footprint line", &warmImg,
+         [&](auto &b) {
+             put64At(b, warmWayAt(2),
+                     get64At(b, warmWayAt(2)) + (u64{1} << 60));
+         },
+         "L1I line outside the code footprint"},
+        {"warm L1I stamp", &warmImg,
+         [&](auto &b) {
+             put64At(b, warmWayAt(3) + 9, get64At(b, warmWayAt(3) + 9) - 1);
+         },
+         "warm L1I stamps do not match its clock"},
     };
     Kernel kern2;
     std::string err;
     for (const Row &row : rows) {
         SCOPED_TRACE(row.what);
-        std::vector<u8> bad = row.sched ? schedImg : img;
+        std::vector<u8> bad = *row.image;
         row.corrupt(bad);
         err.clear();
         EXPECT_FALSE(snap::restore(kern2, bad, &err));
@@ -933,12 +974,88 @@ TEST(SnapshotTest, RestoreRejectsEachCorruptField)
     }
     // The untouched images restore, byte-stable, into the kernel the
     // rejections reset.
-    for (const std::vector<u8> *good : {&img, &schedImg}) {
+    for (const std::vector<u8> *good : {&img, &schedImg, &warmImg}) {
         ASSERT_TRUE(snap::restore(kern2, *good, &err)) << err;
         EXPECT_EQ(snap::save(kern2, &err), *good);
         expectOracleClean(kern2);
     }
     expectUsable(kern2);
+}
+
+// --- Cost-model images pinned by digest ---
+
+/** FNV-1a over @p image. */
+u64
+fnv1a(const std::vector<u8> &image)
+{
+    u64 h = 0xcbf29ce484222325ull;
+    for (u8 b : image)
+        h = (h ^ b) * 0x100000001b3ull;
+    return h;
+}
+
+/** From a reset through the first L1I lap (the footprint's last line
+ *  is fetched by instruction 4081), with L1D and L2 traffic. */
+void
+chargeFirstLap(CostModel &m)
+{
+    m.reset();
+    m.alu(2000);
+    m.load(0x10000, 8);
+    m.store(0x20010, 16);
+    m.call(0x7ffff000, 2, 3, true);
+    m.alu(2100);
+}
+
+/** About seventeen more laps of mixed charges. */
+void
+chargeLaterLaps(CostModel &m)
+{
+    for (u64 i = 0; i < 400; ++i) {
+        m.alu(1 + i % 97);
+        m.load(0x30000 + 24 * i, 8);
+        m.syscall(i % 4);
+        m.gotLoad(0x40000 + 8 * (i % 64));
+        if (i % 50 == 0)
+            m.copyLoop(0x50000, 0x60000 + i, 300);
+    }
+}
+
+TEST(SnapshotTest, WarmCostModelImagesArePinned)
+{
+    // Every byte of these images, the L1I's clock and LRU stamps
+    // included, is what the per-line fetch stream leaves: the digests
+    // were taken from a build that streamed every fetch through the
+    // L1I.  A change to the image format or to any modelled number
+    // moves them.
+    struct Pin
+    {
+        Abi abi;
+        u64 firstLap;
+        u64 laterLaps;
+    };
+    const Pin pins[] = {
+        {Abi::Mips64, 0x214c21e066f39c6aull, 0x72f9810b4e9addfaull},
+        {Abi::CheriAbi, 0x784661c04d319b81ull, 0xd73558df6a2d0f5bull},
+        {Abi::Hybrid, 0xbeecba42a85ad8f0ull, 0xadd71e69366b7aa0ull},
+    };
+    for (const Pin &pin : pins) {
+        SCOPED_TRACE(static_cast<int>(pin.abi));
+        Kernel kern;
+        Process *proc = kern.spawn(pin.abi, "warm-pin");
+        ASSERT_NE(proc, nullptr);
+        CostModel &m = proc->cost();
+        std::string err;
+        chargeFirstLap(m);
+        EXPECT_TRUE(m.instructionCacheWarm());
+        std::vector<u8> image = snap::save(kern, &err);
+        ASSERT_FALSE(image.empty()) << err;
+        EXPECT_EQ(fnv1a(image), pin.firstLap);
+        chargeLaterLaps(m);
+        image = snap::save(kern, &err);
+        ASSERT_FALSE(image.empty()) << err;
+        EXPECT_EQ(fnv1a(image), pin.laterLaps);
+    }
 }
 
 // --- One image that fills every section ---
