@@ -1,16 +1,19 @@
 /**
  * @file
- * The bench harness.  Every bench in bench/ except the google-benchmark
- * capmodel_micro states each number once, as a record
- * `{bench, case, metric, unit, value, iqr, deterministic}`: `case` is
- * the row label, `metric` the column.  The human tables, the `--json`
- * output (one `cheri.bench.v1` record per line) and the `--check`
- * verdict all come from that list.
+ * The bench harness.  Every bench in bench/ states each number once, as
+ * a record `{bench, case, metric, unit, value, iqr, deterministic}`:
+ * `case` is the row label, `metric` the column.  The human tables, the
+ * `--json` output (one `cheri.bench.v1` record per line) and the
+ * `--check` verdict all come from that list.
  *
  * Deterministic records are modelled numbers (simulated instructions,
  * cycles, counts, and what is derived only from them): identical on
  * every run and host, and gated against the committed BENCH_sim.json
  * by tools/bench_all.  Host wall-clock numbers are marked `.host`.
+ *
+ * It is also the only host timer in bench/: timeNs() (repeat and
+ * median, with keep() as its sink) and now()/secondsSince() for one
+ * timed run.  No bench reads a clock of its own.
  */
 
 #ifndef CHERI_BENCH_BENCH_UTIL_H
@@ -19,7 +22,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <cstdarg>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
@@ -27,9 +29,11 @@
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
+#include "check/strfmt.h"
 #include "obs/json.h"
 
 namespace cheri::bench
@@ -78,24 +82,56 @@ interleavedMedians(int trials,
     return out;
 }
 
-inline double
-secondsSince(std::chrono::steady_clock::time_point t0)
+using Instant = std::chrono::steady_clock::time_point;
+
+inline Instant
+now()
 {
-    return std::chrono::duration<double>(
-               std::chrono::steady_clock::now() - t0)
-        .count();
+    return std::chrono::steady_clock::now();
 }
 
-/** printf into a std::string. */
-__attribute__((format(printf, 1, 2))) inline std::string
-format(const char *fmt, ...)
+inline double
+secondsSince(Instant t0)
 {
-    char buf[512];
-    va_list ap;
-    va_start(ap, fmt);
-    std::vsnprintf(buf, sizeof(buf), fmt, ap);
-    va_end(ap);
-    return buf;
+    return std::chrono::duration<double>(now() - t0).count();
+}
+
+/**
+ * One trial: host ns per run of @p body over @p reps runs.  Flattened,
+ * so the header fast paths the body calls are timed inlined, as their
+ * callers run them, whatever inlining budget the bench left.
+ */
+template <typename Body>
+[[gnu::flatten]] double
+nsPerRun(u64 reps, Body &body)
+{
+    Instant t0 = now();
+    for (u64 i = 0; i < reps; ++i)
+        body();
+    return secondsSince(t0) * 1e9 / static_cast<double>(reps);
+}
+
+/** The repeat-and-median timer: the median and IQR of host ns per run
+ *  of @p body over @p trials trials of @p reps runs. */
+template <typename Body>
+Trials
+timeNs(int trials, u64 reps, Body &&body)
+{
+    std::vector<double> ns;
+    for (int t = 0; t < trials; ++t)
+        ns.push_back(nsPerRun(reps, body));
+    return {median(ns), iqr(ns)};
+}
+
+/** A timed body's sink: the compiler must compute @p v, as if read. */
+template <typename T>
+inline void
+keep(const T &v)
+{
+    if constexpr (std::is_trivially_copyable_v<T> && sizeof(T) <= 8)
+        asm volatile("" : : "r"(v) : "memory");
+    else
+        asm volatile("" : : "m"(v) : "memory");
 }
 
 /** How a record is reported; designated-initialise what differs. */
@@ -172,7 +208,7 @@ class Report
         // gated number must not lose a digit its table prints.
         double r = round(value, style.places);
         if (!style.host && r != std::trunc(r) &&
-            std::strtod(format("%.4g", r).c_str(), nullptr) != r)
+            std::strtod(check::fmt("%.4g", r).c_str(), nullptr) != r)
             throw std::logic_error(name + ": " + kase + "/" + metric +
                                    " needs fewer places or another unit");
         items.push_back({'r', {}, {kase, metric, value, style}});
@@ -232,7 +268,7 @@ class Report
     static std::string
     cell(double v, int places, bool sign, const std::string &unit)
     {
-        return format(sign ? "%+.*f" : "%.*f", places, v) +
+        return check::fmt(sign ? "%+.*f" : "%.*f", places, v) +
                (isSuffix(unit) ? unit : "");
     }
 

@@ -19,7 +19,6 @@
  * generous, host-noise tolerant) bound.
  */
 
-#include <chrono>
 #include <vector>
 
 #include "bench_util.h"
@@ -64,11 +63,10 @@ dispatchRate(u64 ring_depth)
     // Warm-up, then the timed loop.
     for (int i = 0; i < 1000; ++i)
         sysInvoke(kern, *p, SysNum::Getpid, {});
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kDispatchReps; ++i)
+    double ns = bench::timeNs(1, kDispatchReps, [&] {
         sysInvoke(kern, *p, SysNum::Getpid, {});
-    double sec = bench::secondsSince(t0);
-    return sec > 0 ? kDispatchReps / sec : 0;
+    }).median;
+    return ns > 0 ? 1e9 / ns : 0;
 }
 
 /**
@@ -112,16 +110,12 @@ watchdogScanNs()
         kern.counters().hardening.deadlocksKilled != 0)
         return {-1, 0}; // wakeable parks must never trip the watchdog
 
-    std::vector<double> trialNs;
-    for (int t = 0; t < kScanTrials; ++t) {
-        auto t0 = std::chrono::steady_clock::now();
-        for (int i = 0; i < kScanReps; ++i)
-            kern.runUntilIdle(); // nothing runnable: idle pass + one scan
-        trialNs.push_back(bench::secondsSince(t0) * 1e9 / kScanReps);
-    }
+    // Nothing runnable: each run is an idle pass and one scan.
+    bench::Trials ns = bench::timeNs(kScanTrials, kScanReps,
+                                     [&] { kern.runUntilIdle(); });
     if (kern.counters().hardening.deadlocksDetected != 0)
         return {-1, 0};
-    return {bench::median(trialNs), bench::iqr(trialNs)};
+    return ns;
 }
 
 } // namespace

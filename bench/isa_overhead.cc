@@ -11,8 +11,6 @@
  * reports interpreter throughput on the host.
  */
 
-#include <chrono>
-
 #include "apps/workloads.h"
 #include "bench_util.h"
 #include "isa/assembler.h"
@@ -110,18 +108,17 @@ runKernel(Abi abi, bool capability_form, u64 words, obs::Metrics *mx,
     }
     proc->cost().reset();
     u64 base = interp.retired();
-    auto t0 = std::chrono::steady_clock::now();
+    bench::Instant t0 = bench::now();
     cx.stepLimit = 100'000'000;
     s2.ready(cx);
     kern.runUntilIdle();
-    auto t1 = std::chrono::steady_clock::now();
+    double secs = bench::secondsSince(t0);
     if (cx.last.status != InterpResult::Status::Halted)
         throw std::runtime_error("kernel did not halt");
     RunStats s;
     s.retired = interp.retired() - base;
     s.simInstr = proc->cost().instructions();
     s.simCycles = proc->cost().cycles();
-    double secs = std::chrono::duration<double>(t1 - t0).count();
     s.hostMips = secs > 0 ? s.retired / secs / 1e6 : 0;
     if (mx)
         mx->captureCost(label, proc->cost());

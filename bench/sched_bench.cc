@@ -30,7 +30,6 @@
  * scaling stays flat.
  */
 
-#include <chrono>
 #include <vector>
 
 #include "bench_util.h"
@@ -43,8 +42,6 @@ using namespace cheri;
 
 namespace
 {
-
-using Clock = std::chrono::steady_clock;
 
 /** Loop iterations per guest program. */
 constexpr u64 kLoops = 4000;
@@ -95,9 +92,8 @@ makeGuest(Kernel &kern, const char *name)
 }
 
 double
-stepsPerSec(u64 steps, Clock::duration d)
+stepsPerSec(u64 steps, double secs)
 {
-    double secs = std::chrono::duration<double>(d).count();
     return secs > 0 ? static_cast<double>(steps) / secs : 0;
 }
 
@@ -112,12 +108,12 @@ runScheduled(unsigned n, SchedStats *out = nullptr)
     sched::Scheduler &s = sched::schedulerFor(kern);
     for (unsigned i = 0; i < n; ++i)
         s.admit(*makeGuest(kern, "sched-guest").proc);
-    auto t0 = Clock::now();
+    bench::Instant t0 = bench::now();
     kern.runUntilIdle();
-    auto t1 = Clock::now();
+    double secs = bench::secondsSince(t0);
     if (out)
         *out = s.stats();
-    return stepsPerSec(s.stats().stepsExecuted, t1 - t0);
+    return stepsPerSec(s.stats().stepsExecuted, secs);
 }
 
 /**
@@ -137,7 +133,7 @@ runRecreated(unsigned n)
     for (unsigned i = 0; i < n; ++i)
         guests.push_back(makeGuest(kern, "recreate-guest"));
     u64 steps = 0;
-    auto t0 = Clock::now();
+    bench::Instant t0 = bench::now();
     for (bool any = true; any;) {
         any = false;
         for (unsigned i = 0; i < n; ++i) {
@@ -156,8 +152,7 @@ runRecreated(unsigned n)
                 halted[i] = true;
         }
     }
-    auto t1 = Clock::now();
-    return stepsPerSec(steps, t1 - t0);
+    return stepsPerSec(steps, bench::secondsSince(t0));
 }
 
 /** Host nanoseconds of pure switch overhead per context switch. */
@@ -168,15 +163,13 @@ switchCostNs()
     // two one-process drains has (almost) no switches.  The timing
     // delta divided by the switch count isolates the per-switch cost.
     SchedStats pair;
-    auto t0 = Clock::now();
+    bench::Instant t0 = bench::now();
     runScheduled(2, &pair);
-    auto t1 = Clock::now();
-    auto t2 = Clock::now();
+    double paired = bench::secondsSince(t0);
+    t0 = bench::now();
     runScheduled(1);
     runScheduled(1);
-    auto t3 = Clock::now();
-    double paired = std::chrono::duration<double>(t1 - t0).count();
-    double serial = std::chrono::duration<double>(t3 - t2).count();
+    double serial = bench::secondsSince(t0);
     double delta = paired - serial;
     if (delta < 0)
         delta = 0;

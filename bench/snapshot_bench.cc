@@ -19,7 +19,6 @@
  * save, or a failed restore, ends the run with an error.
  */
 
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -100,20 +99,15 @@ main(int argc, char **argv)
     if (image.empty())
         throw std::runtime_error("snapshot_bench: save failed: " + err);
 
-    auto t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i) {
+    double saveNs = bench::timeNs(1, kReps, [&] {
         if (snap::save(kern, &err).size() != image.size())
             throw std::runtime_error("snapshot_bench: unstable image");
-    }
-    double saveSec = bench::secondsSince(t0);
-
-    t0 = std::chrono::steady_clock::now();
-    for (int i = 0; i < kReps; ++i) {
+    }).median;
+    double restoreNs = bench::timeNs(1, kReps, [&] {
         if (!snap::restore(kern, image, &err))
             throw std::runtime_error("snapshot_bench: restore failed: " +
                                      err);
-    }
-    double restoreSec = bench::secondsSince(t0);
+    }).median;
 
     double mb = static_cast<double>(image.size()) / (1024.0 * 1024.0);
     report.section("Snapshot: checkpoint/restore throughput (" +
@@ -123,7 +117,7 @@ main(int argc, char **argv)
     report.add("image", "size", image.size(), {.unit = "B"});
     report.note("");
     bench::Style mbs{.unit = "MB/s", .places = 1, .host = true};
-    report.add("save", "throughput", mb * kReps / saveSec, mbs);
-    report.add("restore", "throughput", mb * kReps / restoreSec, mbs);
+    report.add("save", "throughput", mb * 1e9 / saveNs, mbs);
+    report.add("restore", "throughput", mb * 1e9 / restoreNs, mbs);
     return report.finish();
 }

@@ -57,7 +57,7 @@ main(int argc, char **argv)
     for (const RegressCase &c : cases) {
         if (c.outcome == RegressCase::Outcome::Pass)
             continue;
-        report.note(bench::format(
+        report.note(check::fmt(
             "  %-28s %s %s", c.name.c_str(),
             c.outcome == RegressCase::Outcome::Fail ? "FAIL" : "SKIP",
             c.detail.c_str()));

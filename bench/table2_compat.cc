@@ -34,11 +34,11 @@ main(int argc, char **argv)
     report.add("corpus", "behaved as the taxonomy predicts", consistent);
 
     report.section("Per-idiom evidence");
-    report.note(bench::format("%-38s %-14s %5s %11s %11s %11s", "idiom",
-                              "component", "class", "legacy/mips",
-                              "legacy/cheri", "fixed/cheri"));
+    report.note(check::fmt("%-38s %-14s %5s %11s %11s %11s", "idiom",
+                           "component", "class", "legacy/mips",
+                           "legacy/cheri", "fixed/cheri"));
     for (const IdiomResult &r : results) {
-        report.note(bench::format(
+        report.note(check::fmt(
             "%-38s %-14s %5s %11s %11s %11s", r.idiom->name.c_str(),
             componentName(r.idiom->component),
             compatClassName(r.idiom->cls), r.legacyOkMips ? "ok" : "BROKEN",

@@ -29,7 +29,6 @@
  */
 
 #include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -46,8 +45,6 @@ using namespace cheri;
 namespace
 {
 
-using Clock = std::chrono::steady_clock;
-
 constexpr u64 kRegionBytes = 4u << 20; // 4 MiB, prefaulted
 constexpr u64 kWordsPerPass = kRegionBytes / 8;
 
@@ -62,9 +59,8 @@ struct PatternResult
 };
 
 double
-mibPerSec(u64 bytes, Clock::duration d)
+mibPerSec(u64 bytes, double secs)
 {
-    double secs = std::chrono::duration<double>(d).count();
     return secs > 0 ? bytes / (1024.0 * 1024.0) / secs : 0;
 }
 
@@ -92,16 +88,17 @@ runPattern(const std::string &name, AddressSpace &as, MemAccess &mem,
     r.name = name;
     u64 bytes = offsets.size() * 8;
 
-    auto t0 = Clock::now();
+    bench::Instant t0 = bench::now();
     u64 walk_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
         return as.readBytes(va, buf, len).has_value();
     });
-    auto t1 = Clock::now();
+    double walkSec = bench::secondsSince(t0);
     MemAccess::Stats before = mem.stats();
+    t0 = bench::now();
     u64 tlb_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
         return mem.read(va, buf, len).has_value();
     });
-    auto t2 = Clock::now();
+    double tlbSec = bench::secondsSince(t0);
     r.tlbHits = mem.stats().dataHits - before.dataHits;
     r.tlbMisses = mem.stats().dataMisses - before.dataMisses;
 
@@ -112,8 +109,8 @@ runPattern(const std::string &name, AddressSpace &as, MemAccess &mem,
                      static_cast<unsigned long long>(tlb_sum));
         std::exit(2);
     }
-    r.walkMiBs = mibPerSec(bytes, t1 - t0);
-    r.tlbMiBs = mibPerSec(bytes, t2 - t1);
+    r.walkMiBs = mibPerSec(bytes, walkSec);
+    r.tlbMiBs = mibPerSec(bytes, tlbSec);
     return r;
 }
 
@@ -137,7 +134,7 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
     const int iters = 400;
     // Legacy shape: one readBytes per byte until the NUL (what the
     // kernel did before the page-chunked reader).
-    auto t0 = Clock::now();
+    bench::Instant t0 = bench::now();
     u64 legacy_len = 0;
     for (int i = 0; i < iters; ++i) {
         legacy_len = 0;
@@ -150,8 +147,9 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
             ++legacy_len;
         }
     }
-    auto t1 = Clock::now();
+    double legacySec = bench::secondsSince(t0);
     MemAccess::Stats before = mem.stats();
+    t0 = bench::now();
     std::string out;
     u64 chunked_len = 0;
     for (int i = 0; i < iters; ++i) {
@@ -160,14 +158,14 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
             std::abort();
         chunked_len = out.size();
     }
-    auto t2 = Clock::now();
+    double chunkedSec = bench::secondsSince(t0);
     r.tlbHits = mem.stats().dataHits - before.dataHits;
     r.tlbMisses = mem.stats().dataMisses - before.dataMisses;
 
     if (legacy_len != chunked_len || chunked_len != str_len)
         std::exit(2);
-    r.walkMiBs = mibPerSec(u64{iters} * (str_len + 1), t1 - t0);
-    r.tlbMiBs = mibPerSec(u64{iters} * (str_len + 1), t2 - t1);
+    r.walkMiBs = mibPerSec(u64{iters} * (str_len + 1), legacySec);
+    r.tlbMiBs = mibPerSec(u64{iters} * (str_len + 1), chunkedSec);
     return r;
 }
 
@@ -188,9 +186,9 @@ runForkChurn(PhysMem &phys, SwapDevice &swap)
     }
 
     const int iters = 50;
-    auto t0 = Clock::now();
-    for (int i = 0; i < iters; ++i) {
-        std::unique_ptr<AddressSpace> child = as.forkCopy(200 + i);
+    int i = 0;
+    bench::Trials t = bench::timeNs(1, iters, [&] {
+        std::unique_ptr<AddressSpace> child = as.forkCopy(200 + i++);
         MemAccess child_mem(*child);
         for (u64 p = 0; p < pages; p += 2) {
             u64 v = (u64{0xF00D} << 16) | p;
@@ -210,10 +208,8 @@ runForkChurn(PhysMem &phys, SwapDevice &swap)
             if (mem.write(base + p * pageSize, &v, 8))
                 std::abort();
         }
-    }
-    auto t1 = Clock::now();
-    return std::chrono::duration<double>(t1 - t0).count() * 1000.0 /
-           iters;
+    });
+    return t.median / 1e6;
 }
 
 /** Constrained-memory phase: drive a working set several times larger
@@ -264,7 +260,7 @@ runPressure(u64 frame_budget, u64 slot_budget)
         r.maxLiveFrames = std::max(r.maxLiveFrames, phys.liveFrames());
         r.maxUsedSlots = std::max(r.maxUsedSlots, swap.usedSlots());
     };
-    auto t0 = Clock::now();
+    bench::Instant t0 = bench::now();
     for (u64 p = 0; p < r.pages; ++p) {
         u64 v = p * 2654435761u;
         if (mem.write(base + p * pageSize, &v, 8))
@@ -281,8 +277,7 @@ runPressure(u64 frame_budget, u64 slot_budget)
             return r; // reclaim corrupted the working set
         sample();
     }
-    auto t1 = Clock::now();
-    r.ms = std::chrono::duration<double>(t1 - t0).count() * 1000.0;
+    r.ms = bench::secondsSince(t0) * 1000.0;
     r.completed = true;
     return r;
 }
@@ -326,34 +321,25 @@ runGuestAccess(Abi abi, const std::string &name)
     const MemAccess::Stats before = proc->mem().stats();
     const FaultInjector &inj = kern.faultInjector();
     const u64 probes = inj.events(FaultPoint::DataBitFlip);
-    std::vector<double> load_ns, store_ns;
-    u64 sum = 0;
-    for (int rep = 0; rep < kReps; ++rep) {
-        auto t0 = Clock::now();
-        for (u64 i = 0; i < kIters; ++i)
-            sum += ctx.load<u64>(buf, static_cast<s64>((i % kWords) * 8));
-        auto t1 = Clock::now();
-        // Rewrite the values already there, so every rep loads the
-        // same checksum.
-        for (u64 i = 0; i < kIters; ++i) {
-            u64 w = i % kWords;
-            ctx.store<u64>(buf, static_cast<s64>(w * 8),
-                           w % 512 == 0 ? w / 512 + 1 : 0);
-        }
-        auto t2 = Clock::now();
-        load_ns.push_back(std::chrono::duration<double, std::nano>(t1 - t0)
-                              .count() /
-                          kIters);
-        store_ns.push_back(
-            std::chrono::duration<double, std::nano>(t2 - t1).count() /
-            kIters);
-    }
-    auto median = [](std::vector<double> v) {
-        std::sort(v.begin(), v.end());
-        return v[v.size() / 2];
+    // Each rep is a whole number of laps over the buffer.  The stores
+    // rewrite the values already there, so every rep loads the same
+    // checksum.
+    u64 sum = 0, loaded = 0, stored = 0;
+    auto load = [&] {
+        sum += ctx.load<u64>(buf, static_cast<s64>((loaded++ % kWords) * 8));
     };
-    r.loadNs = median(load_ns);
-    r.storeNs = median(store_ns);
+    auto store = [&] {
+        u64 w = stored++ % kWords;
+        ctx.store<u64>(buf, static_cast<s64>(w * 8),
+                       w % 512 == 0 ? w / 512 + 1 : 0);
+    };
+    std::vector<double> load_ns, store_ns;
+    for (int rep = 0; rep < kReps; ++rep) {
+        load_ns.push_back(bench::timeNs(1, kIters, load).median);
+        store_ns.push_back(bench::timeNs(1, kIters, store).median);
+    }
+    r.loadNs = bench::median(load_ns);
+    r.storeNs = bench::median(store_ns);
     r.loads = kReps * kIters;
     r.tlbHits = proc->mem().stats().dataHits - before.dataHits;
     r.tlbMisses = proc->mem().stats().dataMisses - before.dataMisses;
