@@ -164,21 +164,24 @@ main(int argc, char **argv)
 
     {
         // A capability load of a tagged granule through MemAccess that
-        // hits the dTLB, with a disarmed fault injector installed as
-        // the kernel always has: 16 granules of one page, round robin.
+        // hits the dTLB, with a disarmed fault injector and a cost
+        // model (which counts the dTLB events) installed as the kernel
+        // always has: 16 granules of one page, round robin.
         constexpr u64 kReps = 1 << 19;
         FaultInjector inj;
         Space s(pageSize, &inj);
         MemAccess mem(s.as);
+        CostModel cost(Abi::CheriAbi);
+        mem.setCostModel(&cost);
         for (u64 g = 0; g < 16; ++g)
             (void)mem.writeCap(s.va + g * capSize, s.cap);
-        const u64 misses = mem.stats().dataMisses;
+        const u64 misses = cost.dtlbMisses();
         const u64 probes = inj.events(FaultPoint::TagBitFlip);
         u64 g = 0;
         timeCase(report, "MemAccessReadCapHit", kReps, [&] {
             bench::keep(mem.readCap(s.va + (g++ & 15) * capSize));
         });
-        report.expect(mem.stats().dataMisses == misses,
+        report.expect(cost.dtlbMisses() == misses,
                       "MemAccessReadCapHit: no dTLB miss while timed");
         report.expect(inj.events(FaultPoint::TagBitFlip) - probes ==
                           kTrials * kReps,

@@ -4,9 +4,9 @@
  *
  * Before the scheduler, every driver that wanted to interleave guest
  * programs hand-rolled the same pattern per turn: construct an
- * isa::Interpreter, install the syscall hook, derive an entry
- * capability, run a bounded chunk, throw the interpreter away.  The
- * decode micro-cache died with every chunk.  The scheduler keeps one
+ * isa::Interpreter, derive an entry capability, run a bounded chunk,
+ * throw the interpreter away.  The decode micro-cache died with every
+ * chunk.  The scheduler keeps one
  * ExecContext per (process, thread) alive across slices, so the cache
  * stays warm however many times the context is preempted.
  *
@@ -120,9 +120,8 @@ runScheduled(unsigned n, SchedStats *out = nullptr)
  * The old per-driver pattern, exactly as the pre-scheduler DiffFuzzer
  * Compute op ran guest code on every dispatch: lower the program, write
  * it into guest memory, construct a fresh interpreter (cold decode
- * cache), install a fresh syscall hook, derive a fresh entry, run a
- * bounded chunk, throw it all away.  Interleaving @p n guests means
- * paying that per turn.
+ * cache), derive a fresh entry, run a bounded chunk, throw it all
+ * away.  Interleaving @p n guests means paying that per turn.
  */
 double
 runRecreated(unsigned n)
@@ -143,7 +142,6 @@ runRecreated(unsigned n)
             Process &proc = *guests[i].proc;
             buildLoop().writeTo(proc.as(), guests[i].codeVa);
             isa::Interpreter interp(proc);
-            isa::installDefaultSyscallHook(interp, kern);
             interp.setEntry(
                 Capability::fromAddress(proc.regs().pcc.address()));
             isa::InterpResult r = interp.run(kSlice);

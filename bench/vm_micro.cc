@@ -35,7 +35,9 @@
 
 #include "bench_util.h"
 #include "guest/context.h"
+#include "machine/cost_model.h"
 #include "mem/access.h"
+#include "mem/mem_events.h"
 #include "mem/phys_mem.h"
 #include "mem/swap.h"
 #include "mem/vm.h"
@@ -64,6 +66,20 @@ mibPerSec(u64 bytes, double secs)
     return secs > 0 ? bytes / (1024.0 * 1024.0) / secs : 0;
 }
 
+/** The dTLB hits and misses a CostModel has counted so far; the
+ *  difference of two is what the accesses between them took. */
+struct Dtlb
+{
+    u64 hits;
+    u64 misses;
+
+    explicit Dtlb(const CostModel &cost)
+        : hits(cost.dtlbAccesses() - cost.dtlbMisses()),
+          misses(cost.dtlbMisses())
+    {
+    }
+};
+
 /** One 8-byte read per offset through either path; returns a checksum
  *  the caller compares across paths (and which defeats the optimizer). */
 template <typename ReadFn>
@@ -80,27 +96,34 @@ sweep(const std::vector<u64> &offsets, u64 base, ReadFn &&rd)
     return sum;
 }
 
+/** One timed sweep each through the walk and the TLB path of @p mem,
+ *  whose dTLB events @p cost counts.  Timed through bench::timeNs, so
+ *  MemAccess::read is inlined into the sweep as its callers run it. */
 PatternResult
 runPattern(const std::string &name, AddressSpace &as, MemAccess &mem,
-           u64 base, const std::vector<u64> &offsets)
+           const CostModel &cost, u64 base, const std::vector<u64> &offsets)
 {
     PatternResult r;
     r.name = name;
     u64 bytes = offsets.size() * 8;
 
-    bench::Instant t0 = bench::now();
-    u64 walk_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
+    auto walk = [&](u64 va, void *buf, u64 len) {
         return as.readBytes(va, buf, len).has_value();
-    });
-    double walkSec = bench::secondsSince(t0);
-    MemAccess::Stats before = mem.stats();
-    t0 = bench::now();
-    u64 tlb_sum = sweep(offsets, base, [&](u64 va, void *buf, u64 len) {
+    };
+    auto tlb = [&](u64 va, void *buf, u64 len) {
         return mem.read(va, buf, len).has_value();
-    });
-    double tlbSec = bench::secondsSince(t0);
-    r.tlbHits = mem.stats().dataHits - before.dataHits;
-    r.tlbMisses = mem.stats().dataMisses - before.dataMisses;
+    };
+    u64 walk_sum = 0, tlb_sum = 0;
+    double walkSec =
+        bench::timeNs(1, 1, [&] { walk_sum = sweep(offsets, base, walk); })
+            .median / 1e9;
+    const Dtlb before(cost);
+    double tlbSec =
+        bench::timeNs(1, 1, [&] { tlb_sum = sweep(offsets, base, tlb); })
+            .median / 1e9;
+    const Dtlb after(cost);
+    r.tlbHits = after.hits - before.hits;
+    r.tlbMisses = after.misses - before.misses;
 
     if (walk_sum != tlb_sum) {
         std::fprintf(stderr, "%s: path divergence (%llx vs %llx)\n",
@@ -122,7 +145,8 @@ struct Lcg
 
 /** copyinstr shape: bytes scanned per second for a 2-page string. */
 PatternResult
-runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
+runCopyinstr(AddressSpace &as, MemAccess &mem, const CostModel &cost,
+             u64 base)
 {
     PatternResult r;
     r.name = "copyinstr";
@@ -148,7 +172,7 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
         }
     }
     double legacySec = bench::secondsSince(t0);
-    MemAccess::Stats before = mem.stats();
+    const Dtlb before(cost);
     t0 = bench::now();
     std::string out;
     u64 chunked_len = 0;
@@ -159,8 +183,9 @@ runCopyinstr(AddressSpace &as, MemAccess &mem, u64 base)
         chunked_len = out.size();
     }
     double chunkedSec = bench::secondsSince(t0);
-    r.tlbHits = mem.stats().dataHits - before.dataHits;
-    r.tlbMisses = mem.stats().dataMisses - before.dataMisses;
+    const Dtlb after(cost);
+    r.tlbHits = after.hits - before.hits;
+    r.tlbMisses = after.misses - before.misses;
 
     if (legacy_len != chunked_len || chunked_len != str_len)
         std::exit(2);
@@ -228,6 +253,28 @@ struct PressureResult
     bool completed = false;
 };
 
+/** The bench's stand-in for the kernel's LRU pass: evict a few pages
+ *  beyond the immediate need so every fault does not pay for a
+ *  reclaim.  No injector is armed, so no other event arrives. */
+struct Evictor final : MemEvents
+{
+    AddressSpace &as;
+    PressureResult &r;
+
+    Evictor(AddressSpace &as, PressureResult &r) : as(as), r(r) {}
+
+    u64
+    reclaim(u64 wanted, const void *) override
+    {
+        ++r.reclaimCalls;
+        u64 n = as.swapOutResident(wanted + 7);
+        r.pagesEvicted += n;
+        return n;
+    }
+    void machineCheck(FaultPoint, u64) override {}
+    void faultFired(FaultPoint) override {}
+};
+
 PressureResult
 runPressure(u64 frame_budget, u64 slot_budget)
 {
@@ -242,15 +289,8 @@ runPressure(u64 frame_budget, u64 slot_budget)
     swap.setSlotBudget(slot_budget);
     AddressSpace as(phys, swap, 1);
     MemAccess mem(as);
-    // The reclaim hook is the bench's stand-in for the kernel's LRU
-    // pass: evict a few pages beyond the immediate need so every fault
-    // does not pay for a reclaim.
-    phys.setReclaimHook([&](u64 wanted, const void *) {
-        ++r.reclaimCalls;
-        u64 n = as.swapOutResident(wanted + 7);
-        r.pagesEvicted += n;
-        return n;
-    });
+    Evictor evictor(as, r);
+    phys.setMemEvents(&evictor);
 
     u64 base = as.map(0, r.pages * pageSize, PROT_READ | PROT_WRITE,
                       MappingKind::Data);
@@ -318,7 +358,7 @@ runGuestAccess(Abi abi, const std::string &name)
     for (u64 p = 0; p < kPages; ++p)
         ctx.store<u64>(buf, static_cast<s64>(p * pageSize), p + 1);
 
-    const MemAccess::Stats before = proc->mem().stats();
+    const Dtlb before(proc->cost());
     const FaultInjector &inj = kern.faultInjector();
     const u64 probes = inj.events(FaultPoint::DataBitFlip);
     // Each rep is a whole number of laps over the buffer.  The stores
@@ -341,8 +381,9 @@ runGuestAccess(Abi abi, const std::string &name)
     r.loadNs = bench::median(load_ns);
     r.storeNs = bench::median(store_ns);
     r.loads = kReps * kIters;
-    r.tlbHits = proc->mem().stats().dataHits - before.dataHits;
-    r.tlbMisses = proc->mem().stats().dataMisses - before.dataMisses;
+    const Dtlb after(proc->cost());
+    r.tlbHits = after.hits - before.hits;
+    r.tlbMisses = after.misses - before.misses;
     r.probes = inj.events(FaultPoint::DataBitFlip) - probes;
     // Each lap over the buffer sums page p's first word, p + 1.
     r.loadsMatch =
@@ -360,6 +401,8 @@ main(int argc, char **argv)
     SwapDevice swap;
     AddressSpace as(phys, swap, 1);
     MemAccess mem(as);
+    CostModel cost(Abi::CheriAbi);
+    mem.setCostModel(&cost);
     u64 base = as.map(0, kRegionBytes, PROT_READ | PROT_WRITE,
                       MappingKind::Data);
     // Prefault with a nonzero pattern so the sweeps measure steady
@@ -386,10 +429,10 @@ main(int argc, char **argv)
         strided[i] = (i * 264) % kRegionBytes;
 
     std::vector<PatternResult> results;
-    results.push_back(runPattern("sequential", as, mem, base, seq));
-    results.push_back(runPattern("random", as, mem, base, rnd));
-    results.push_back(runPattern("strided", as, mem, base, strided));
-    results.push_back(runCopyinstr(as, mem, base));
+    results.push_back(runPattern("sequential", as, mem, cost, base, seq));
+    results.push_back(runPattern("random", as, mem, cost, base, rnd));
+    results.push_back(runPattern("strided", as, mem, cost, base, strided));
+    results.push_back(runCopyinstr(as, mem, cost, base));
     double fork_ms = runForkChurn(phys, swap);
     PressureResult pr = runPressure(report.option("--frames", 64),
                                     report.option("--slots", 256));

@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstring>
+#include <iterator>
 
 #include "check/strfmt.h"
 #include "os/kernel.h"
@@ -335,8 +336,7 @@ ReplaySession::finish()
 std::vector<u8>
 ReplaySession::serialize(const FuzzOptions &opts) const
 {
-    std::vector<u8> out;
-    out.insert(out.end(), logMagic, logMagic + sizeof(logMagic));
+    std::vector<u8> out(std::begin(logMagic), std::end(logMagic));
     put64(out, logVersion);
     put64(out, opts.seed);
     put64(out, opts.cases);

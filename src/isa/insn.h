@@ -81,7 +81,7 @@ enum class Op : u8
     // Capability control flow
     Cjr,  ///< PCC = cb (must be tagged, unsealed, executable)
     // Environment
-    Syscall, ///< invoke the host syscall hook with code = imm
+    Syscall, ///< Kernel::dispatch with code = imm
 };
 
 /** Decoded instruction. */

@@ -51,6 +51,23 @@ require(Result<Capability> r)
 
 } // namespace
 
+Interpreter::Interpreter(Process &proc, TraceSink *trace)
+    : proc(proc), traceSink(trace)
+{
+    attachMetrics();
+}
+
+void
+Interpreter::attachMetrics()
+{
+    mx = proc.kernel().metrics();
+    if (mx) {
+        mx->setOpNamer(+[](unsigned op) {
+            return opName(static_cast<Op>(op));
+        });
+    }
+}
+
 Insn
 Interpreter::fetch()
 {
@@ -336,8 +353,7 @@ Interpreter::step()
 
           case Op::Syscall:
             cost.syscall(0);
-            if (sysHook)
-                sysHook(*this, static_cast<u64>(i.imm));
+            proc.kernel().dispatch(proc, static_cast<u64>(i.imm));
             break;
         }
         // Advance PC within (or under mips64, despite) PCC.
@@ -358,27 +374,6 @@ Interpreter::step()
         }
         return res;
     }
-}
-
-void
-Interpreter::setMetrics(obs::Metrics *m)
-{
-    mx = m;
-    if (mx) {
-        mx->setOpNamer(+[](unsigned op) {
-            return opName(static_cast<Op>(op));
-        });
-    }
-}
-
-void
-installDefaultSyscallHook(Interpreter &interp, Kernel &kern)
-{
-    interp.setSyscallHook([&kern](Interpreter &ii, u64 code) {
-        kern.dispatch(ii.process(), code);
-    });
-    if (kern.metrics())
-        interp.setMetrics(kern.metrics());
 }
 
 InterpResult
@@ -405,6 +400,7 @@ Interpreter::run(u64 max_steps)
 InterpResult
 Interpreter::runSlice(u64 budget)
 {
+    attachMetrics();
     InterpResult r = run(budget);
     // A spent slice budget means "still runnable", not "out of steps":
     // report it as preemption so callers can requeue the context.

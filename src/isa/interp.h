@@ -17,7 +17,10 @@
  *    fault on violation;
  *  - every instruction is charged to the process's cost model, and
  *    capability derivations are reported to the trace sink — the same
- *    ISA-level trace pipeline the paper's Figure 5 uses via QEMU.
+ *    ISA-level trace pipeline the paper's Figure 5 uses via QEMU;
+ *  - Op::Syscall enters the process's kernel through Kernel::dispatch,
+ *    the one syscall path, which marshals arguments from the register
+ *    file and applies the errno register convention.
  *
  * Faults do not unwind the host: run() returns a Fault result with the
  * precise PC and cause, like a stopped debuggee.
@@ -27,7 +30,6 @@
 #define CHERI_ISA_INTERP_H
 
 #include <array>
-#include <functional>
 
 #include "isa/insn.h"
 #include "os/process.h"
@@ -74,27 +76,18 @@ struct InterpResult
 class Interpreter
 {
   public:
-    /** Executes with @p proc's register file, memory, and cost model. */
-    explicit Interpreter(Process &proc, TraceSink *trace = nullptr)
-        : proc(proc), traceSink(trace)
-    {
-    }
-
-    /** Syscall hook: called for Op::Syscall with the immediate code. */
-    using SyscallHook = std::function<void(Interpreter &, u64 code)>;
-    void setSyscallHook(SyscallHook hook) { sysHook = std::move(hook); }
-
     /**
-     * Attach the observability registry: every decoded instruction
-     * feeds the per-ABI instruction-mix profiler and every fault is
-     * recorded with its cause, PC, and offending capability (for
-     * provenance attribution).  Nullable; one branch when absent.
+     * Executes with @p proc's register file, memory, and cost model;
+     * syscalls go to @p proc's kernel.  The kernel's observability
+     * registry, if any, is attached now and again at every runSlice():
+     * every decoded instruction feeds the per-ABI instruction-mix
+     * profiler and every fault is recorded with its cause, PC, and
+     * offending capability (for provenance attribution).
      */
-    void setMetrics(obs::Metrics *m);
+    explicit Interpreter(Process &proc, TraceSink *trace = nullptr);
 
     /** The live register file (the process's current thread). */
     ThreadRegs &regs() { return proc.regs(); }
-    Process &process() { return proc; }
 
     /** Set PCC to @p entry (must already be an executable capability
      *  under CheriABI; an untagged address under mips64). */
@@ -112,13 +105,14 @@ class Interpreter
      * yields Status::Preempted (the context is runnable, not out of
      * steps).  Also returns Preempted as soon as a requestYield() is
      * observed — checked after each retired instruction, so preemption
-     * lands only at instruction boundaries.
+     * lands only at instruction boundaries.  Re-reads the kernel's
+     * registry first: it may have been attached since the last slice.
      */
     InterpResult runSlice(u64 budget);
 
     /**
      * Ask the run loop to stop at the next instruction boundary
-     * (Preempted).  Safe to call from inside a syscall hook: the
+     * (Preempted).  Safe to call from inside a syscall: the
      * in-flight instruction completes first, including its PC
      * writeback.  Cleared when honored.
      */
@@ -138,6 +132,9 @@ class Interpreter
     /** Fetch+decode at PCC; may fault. */
     Insn fetch();
 
+    /** Take the kernel's registry (nullable; one branch when absent). */
+    void attachMetrics();
+
     /**
      * Decoded-instruction micro-cache, keyed on (va, MemAccess fetch
      * generation): a hit skips both the memory read and the decode.
@@ -156,21 +153,11 @@ class Interpreter
 
     Process &proc;
     TraceSink *traceSink;
-    SyscallHook sysHook;
     obs::Metrics *mx = nullptr;
     u64 _retired = 0;
     bool yieldPending = false;
     std::array<DecodeEntry, decodeCacheSize> dcache{};
 };
-
-/**
- * The default syscall hook: route Op::Syscall through the kernel's
- * numbered dispatcher (Kernel::dispatch), which marshals arguments from
- * the register file and applies the errno register convention.  Also
- * wires the kernel's Metrics registry (if any) into the interpreter so
- * instruction-mix and fault telemetry accumulate in the same place.
- */
-void installDefaultSyscallHook(Interpreter &interp, Kernel &kern);
 
 } // namespace cheri::isa
 

@@ -41,7 +41,6 @@ MemAccess::detach()
 void
 MemAccess::countFetchHit()
 {
-    ++st.fetchHits;
     if (counters)
         ++counters[TlbFetchHit];
     if (cost)
@@ -51,7 +50,6 @@ MemAccess::countFetchHit()
 Frame *
 MemAccess::missData(u64 page_va, bool for_write, bool cap_store)
 {
-    ++st.dataMisses;
     if (counters)
         ++counters[TlbDataMiss];
     if (cost)
@@ -77,7 +75,6 @@ MemAccess::missData(u64 page_va, bool for_write, bool cap_store)
 Frame *
 MemAccess::missFetch(u64 page_va)
 {
-    ++st.fetchMisses;
     if (counters)
         ++counters[TlbFetchMiss];
     if (cost)
@@ -290,7 +287,6 @@ MemAccess::invalidatePage(u64 page_va)
     if (i.pageVa == page_va)
         i = Entry{};
     ++_fetchGen;
-    ++st.invalidations;
     if (counters)
         ++counters[TlbInvalidation];
 }
@@ -315,7 +311,6 @@ MemAccess::invalidateRange(u64 start, u64 len)
         }
     }
     ++_fetchGen;
-    ++st.invalidations;
     if (counters)
         ++counters[TlbInvalidation];
 }
@@ -326,7 +321,6 @@ MemAccess::invalidateAll()
     dtlb.fill(Entry{});
     itlb.fill(Entry{});
     ++_fetchGen;
-    ++st.invalidations;
     if (counters)
         ++counters[TlbInvalidation];
 }

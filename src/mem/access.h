@@ -202,17 +202,6 @@ class MemAccess
     void detach();
     /// @}
 
-    /** Local (per-object) statistics, independent of the Metrics block. */
-    struct Stats
-    {
-        u64 dataHits = 0;
-        u64 dataMisses = 0;
-        u64 fetchHits = 0;
-        u64 fetchMisses = 0;
-        u64 invalidations = 0;
-    };
-    const Stats &stats() const { return st; }
-
   private:
     struct Entry
     {
@@ -258,7 +247,6 @@ class MemAccess
     void
     countDataHit()
     {
-        ++st.dataHits;
         if (counters)
             ++counters[TlbDataHit];
         if (cost)
@@ -269,7 +257,6 @@ class MemAccess
     CostModel *cost = nullptr;
     u64 *counters = nullptr;
     u64 _fetchGen = 1;
-    Stats st;
     std::array<Entry, tlbSize> dtlb{};
     std::array<Entry, tlbSize> itlb{};
 };

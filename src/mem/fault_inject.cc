@@ -1,5 +1,7 @@
 #include "mem/fault_inject.h"
 
+#include "mem/mem_events.h"
+
 namespace cheri
 {
 
@@ -83,8 +85,8 @@ FaultInjector::settle(Arm &a, FaultPoint point, bool fire)
     if (tap)
         fire = tap->onFault(point, fire);
     a.fired += fire;
-    if (fire && observer)
-        observer(point);
+    if (fire && memEvents)
+        memEvents->faultFired(point);
     return fire;
 }
 

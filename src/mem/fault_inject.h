@@ -16,7 +16,6 @@
 #define CHERI_MEM_FAULT_INJECT_H
 
 #include <array>
-#include <functional>
 
 #include "cap/types.h"
 
@@ -27,6 +26,8 @@ namespace snap
 {
 struct Access;
 }
+
+class MemEvents;
 
 /** The choke points the injector can fail. */
 enum class FaultPoint : unsigned
@@ -121,16 +122,10 @@ class FaultInjector
     /** Install (or clear, with nullptr) the record/replay tap. */
     void setTap(FaultTap *t) { tap = t; }
 
-    /**
-     * Observational hook called with every decision that fires (after
-     * tap substitution); the kernel's flight recorder uses it.  Declined
-     * decisions, one per guest load, are not reported.  Unlike the tap
-     * it has no authority over the decision.
-     */
-    void setObserver(std::function<void(FaultPoint)> fn)
-    {
-        observer = std::move(fn);
-    }
+    /** Told of every decision that fires (MemEvents::faultFired);
+     *  nullable.  Unlike the tap it has no authority over the
+     *  decision. */
+    void setMemEvents(MemEvents *ev) { memEvents = ev; }
 
     /** Disarm every point and zero the seen/fired counters (panic
      *  reset: the rebuilt kernel starts from injector state zero). */
@@ -171,12 +166,12 @@ class FaultInjector
     /** shouldFail for an armed point or under a tap. */
     bool decide(Arm &a, FaultPoint point);
 
-    /** Count a final decision; tell the observer if it fired. */
+    /** Count a final decision; report it if it fired. */
     bool settle(Arm &a, FaultPoint point, bool fire);
 
     std::array<Arm, numFaultPoints> arms{};
     FaultTap *tap = nullptr;
-    std::function<void(FaultPoint)> observer;
+    MemEvents *memEvents = nullptr;
 };
 
 } // namespace cheri

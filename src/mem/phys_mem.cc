@@ -1,5 +1,6 @@
 #include "mem/phys_mem.h"
 
+#include "mem/mem_events.h"
 #include "os/panic.h"
 
 namespace cheri
@@ -50,9 +51,9 @@ PhysMem::makeRoom(u64 n, const void *requester)
 {
     if (capacity == 0 || *live + n <= capacity)
         return true;
-    if (reclaim) {
+    if (memEvents) {
         ++reclaims;
-        reclaim(*live + n - capacity, requester);
+        memEvents->reclaim(*live + n - capacity, requester);
     }
     return *live + n <= capacity;
 }
@@ -110,8 +111,8 @@ PhysMem::corruptCapLoad(Frame &frame, u64 off, u64 va)
 void
 PhysMem::noteCorruption(FaultPoint point, u64 va)
 {
-    if (corruption)
-        corruption(point, va);
+    if (memEvents)
+        memEvents->machineCheck(point, va);
 }
 
 } // namespace cheri

@@ -24,7 +24,6 @@
 #include <bitset>
 #include <cstddef>
 #include <cstring>
-#include <functional>
 #include <memory>
 
 #include "cap/capability.h"
@@ -152,27 +151,18 @@ using FrameRef = std::shared_ptr<Frame>;
  * forces a copy.
  *
  * With a capacity configured, the allocator enforces it: an allocation
- * that would exceed the budget first runs the reclaim hook (the kernel's
- * eviction pass) and then fails by returning nullptr — callers must turn
- * that into a guest-visible error, never a host abort.
+ * that would exceed the budget first asks MemEvents::reclaim (the
+ * kernel's eviction pass) and then fails by returning nullptr — callers
+ * must turn that into a guest-visible error, never a host abort.
  */
 class PhysMem
 {
   public:
     /**
-     * Asked to make room for @p wanted frames on behalf of
-     * @p requester (the AddressSpace whose fault is being serviced, or
-     * nullptr); returns frames actually freed.  The hook may evict from
-     * the requester itself — pages pinned by an in-flight fault are
-     * never evictable — but must not destroy it.
-     */
-    using ReclaimHook = std::function<u64(u64 wanted, const void *requester)>;
-
-    /**
      * Allocate a zeroed frame, or nullptr when the injector fires or
      * the capacity is exhausted even after reclaim.  @p requester
-     * identifies the address space being serviced so the reclaim hook
-     * can exempt it from destructive measures (OOM kill).
+     * identifies the address space being serviced so reclaim can
+     * exempt it from destructive measures (OOM kill).
      */
     FrameRef allocFrame(const void *requester = nullptr);
 
@@ -188,25 +178,19 @@ class PhysMem
     void setCapacity(u64 frames) { capacity = frames; }
     u64 frameCapacity() const { return capacity; }
 
-    void setReclaimHook(ReclaimHook hook) { reclaim = std::move(hook); }
     /** Nullable; checked on every allocation. */
     void setFaultInjector(FaultInjector *inj) { injector = inj; }
     FaultInjector *faultInjector() const { return injector; }
 
-    /** Notified of every injected corruption event as
-     *  (point, guest VA); the kernel counts machine checks and feeds
-     *  the flight recorder through it. */
-    using CorruptionHook = std::function<void(FaultPoint, u64 va)>;
-    void setCorruptionHook(CorruptionHook hook)
-    {
-        corruption = std::move(hook);
-    }
+    /** Where reclaim requests and detected corruption go (nullable:
+     *  no reclaim, and corruption still machine-checks the access). */
+    void setMemEvents(MemEvents *ev) { memEvents = ev; }
 
     /**
      * Consult the TagBitFlip arm for a capability load of a *tagged*
      * granule at @p off in @p frame (guest address @p va).  When the
      * injector fires, the granule's tag is cleared — the modeled bit
-     * flip — the hook is notified, and the caller must raise
+     * flip — a machine check is reported, and the caller must raise
      * CapFault::MachineCheck instead of returning a capability.  The
      * corrupted granule can never surface as a forged capability: its
      * tag is gone before any load completes.
@@ -244,11 +228,11 @@ class PhysMem
     /** Allocations refused (capacity or injection). */
     u64 failedAllocs() const { return failed; }
 
-    /** Times the reclaim hook was invoked. */
+    /** Times reclaim was asked for. */
     u64 reclaimRequests() const { return reclaims; }
 
     /** Zero the lifetime counters (panic reset: the rebuilt-empty
-     *  kernel restarts accounting from scratch).  Capacity and hook
+     *  kernel restarts accounting from scratch).  Capacity and
      *  wiring survive; live frames are owned by their references. */
     void resetAccounting()
     {
@@ -267,7 +251,7 @@ class PhysMem
 
     /** The tag probe's fired half: flip the tag and report it. */
     void corruptCapLoad(Frame &frame, u64 off, u64 va);
-    /** Tell the corruption hook, if any, that @p point fired at @p va. */
+    /** Report a machine check for @p point at @p va, if anyone listens. */
     void noteCorruption(FaultPoint point, u64 va);
 
     u64 allocated = 0;
@@ -275,9 +259,8 @@ class PhysMem
     u64 capacity = 0;
     u64 failed = 0;
     u64 reclaims = 0;
-    ReclaimHook reclaim;
     FaultInjector *injector = nullptr;
-    CorruptionHook corruption;
+    MemEvents *memEvents = nullptr;
 };
 
 } // namespace cheri

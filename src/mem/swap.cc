@@ -1,5 +1,7 @@
 #include "mem/swap.h"
 
+#include "mem/mem_events.h"
+
 namespace cheri
 {
 
@@ -55,8 +57,8 @@ SwapDevice::swapIn(u64 slot_id, Frame &frame, const Capability &root,
         // access.  The frame and the slot's references are untouched,
         // so the retried fault completes with that granule untagged.
         it->second.tagMeta.erase(it->second.tagMeta.begin());
-        if (corruption)
-            corruption(FaultPoint::TagBitFlip, slot_id);
+        if (memEvents)
+            memEvents->machineCheck(FaultPoint::TagBitFlip, slot_id);
         if (fault)
             *fault = CapFault::MachineCheck;
         ++swapInFailures;

@@ -111,12 +111,9 @@ class SwapDevice
     /** Nullable; checked on every swap-out and swap-in. */
     void setFaultInjector(FaultInjector *inj) { injector = inj; }
 
-    /** Notified of injected corruption of swapped tag metadata as
-     *  (point, slot id); mirrors PhysMem::setCorruptionHook. */
-    void setCorruptionHook(std::function<void(FaultPoint, u64)> hook)
-    {
-        corruption = std::move(hook);
-    }
+    /** Told of detected corruption of swapped tag metadata as a
+     *  machine check at (point, slot id); nullable. */
+    void setMemEvents(MemEvents *ev) { memEvents = ev; }
 
     /**
      * Revocation sweep of @p slot: drop recorded tag metadata for
@@ -233,7 +230,7 @@ class SwapDevice
     u64 sweepScanFailures = 0;
     u64 discards = 0;
     FaultInjector *injector = nullptr;
-    std::function<void(FaultPoint, u64)> corruption;
+    MemEvents *memEvents = nullptr;
 };
 
 } // namespace cheri

@@ -361,10 +361,11 @@ AddressSpace::walk(u64 va, bool for_write)
     if (!(pte.prot & need))
         return nullptr;
     // Allocation below may reenter this space through the kernel's
-    // reclaim hook.  That is safe: the pages being serviced here are
-    // never evictable at hook time (frame still null, or use_count > 1
-    // for a COW original), and reclaim only mutates Pte fields — it
-    // never maps or unmaps, so `r` and `pte` stay where they are.
+    // reclaim (MemEvents::reclaim).  That is safe: the pages being
+    // serviced here are never evictable then (frame still null, or
+    // use_count > 1 for a COW original), and reclaim only mutates Pte
+    // fields — it never maps or unmaps, so `r` and `pte` stay where
+    // they are.
     if (pte.swapped) {
         // Swap-in: restore bytes and rederive capabilities from this
         // principal's root.

@@ -30,28 +30,13 @@ Kernel::Kernel(KernelConfig cfg)
     swap.setSlotBudget(cfg.swapSlotBudget);
     phys.setFaultInjector(&injector);
     swap.setFaultInjector(&injector);
-    // Allocation pressure flows back into the kernel: evict LRU pages
-    // across processes, escalating to OOM kill when swap is full.
-    phys.setReclaimHook([this](u64 wanted, const void *requester) {
-        return reclaimFrames(wanted, requester);
-    });
+    // The memory layer reports up through MemEvents: allocation
+    // pressure (reclaim), fired injector decisions, and detected
+    // corruption (machine checks).
+    phys.setMemEvents(this);
+    swap.setMemEvents(this);
+    injector.setMemEvents(this);
     recorder.setDepth(cfg.flightRecorderDepth);
-    // Injector decisions that fire land in the flight recorder (the
-    // injector reports no declined ones: they are one per access and
-    // carry no diagnostic weight).
-    injector.setObserver([this](FaultPoint point) {
-        recorder.record(panic::EventKind::FaultDecision,
-                        static_cast<u64>(point), 1);
-    });
-    // Injected memory corruption is *detected* at these hooks and
-    // degraded to a counted machine check — never a forged capability,
-    // never a host abort.
-    phys.setCorruptionHook([this](FaultPoint point, u64 va) {
-        noteMachineCheck(point, va);
-    });
-    swap.setCorruptionHook([this](FaultPoint point, u64 slot) {
-        noteMachineCheck(point, slot);
-    });
     initVfs();
     // Registered last, after every subsystem is whole: this kernel now
     // owns CHERI_KASSERT failures for its lifetime (innermost wins).
@@ -75,7 +60,7 @@ Kernel::initVfs()
 }
 
 u64
-Kernel::reclaimFrames(u64 wanted, const void *requester)
+Kernel::reclaim(u64 wanted, const void *requester)
 {
     // LRU pass over every live process.  The requester's own space is
     // fair game for eviction — pages pinned by its in-flight fault are
@@ -623,7 +608,7 @@ Kernel::backgroundTick(Process &proc)
     // forced to.  The requester exemption keeps the running process
     // safe from its own background pass's OOM escalation.
     if (cfg.frameCapacity && phys.liveFrames() >= cfg.frameCapacity)
-        reclaimFrames(1, &proc.as());
+        reclaim(1, &proc.as());
 }
 
 SysResult
@@ -810,8 +795,20 @@ Kernel::panicReset()
 }
 
 void
-Kernel::noteMachineCheck(FaultPoint point, u64 addr)
+Kernel::faultFired(FaultPoint point)
 {
+    // The injector reports no declined decisions: they are one per
+    // access and carry no diagnostic weight.
+    recorder.record(panic::EventKind::FaultDecision,
+                    static_cast<u64>(point), 1);
+}
+
+void
+Kernel::machineCheck(FaultPoint point, u64 addr)
+{
+    // Injected memory corruption is detected below and degraded to a
+    // counted machine check: never a forged capability, never a host
+    // abort.
     ++stats->hardening.machineChecks;
     recorder.record(panic::EventKind::MachineCheck, addr,
                     static_cast<u64>(point));

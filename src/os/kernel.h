@@ -25,6 +25,7 @@
 #include <type_traits>
 #include <vector>
 
+#include "mem/mem_events.h"
 #include "os/counters.h"
 #include "os/panic.h"
 #include "os/process.h"
@@ -123,8 +124,6 @@ struct FiodgnameArg
  */
 enum class DeadlockPolicy
 {
-    /** No idle-time scans at all. */
-    Off,
     /** Count and flight-record the stuck set; leave it parked (a host
      *  driver may still intervene).  The default. */
     Report,
@@ -169,7 +168,7 @@ struct KernelConfig
     u64 flightRecorderDepth = 64;
 };
 
-class Kernel : private panic::Sink
+class Kernel : private panic::Sink, private MemEvents
 {
   public:
     explicit Kernel(KernelConfig cfg = {});
@@ -639,13 +638,13 @@ class Kernel : private panic::Sink
                      u32 perms);
 
     /** @name Memory-pressure machinery
-     * reclaimFrames is PhysMem's reclaim hook: evict LRU pages across
+     * reclaim is PhysMem's MemEvents::reclaim: evict LRU pages across
      * all processes; if that cannot free @p wanted frames (swap full or
      * nothing evictable), OOM-kill the largest process other than the
      * requester's.  Returns frames freed.
      */
     /// @{
-    u64 reclaimFrames(u64 wanted, const void *requester);
+    u64 reclaim(u64 wanted, const void *requester) override;
     void oomKill(Process &victim);
     /** Count a pressure-induced E_NOMEM and return it as a SysResult. */
     SysResult failNoMem();
@@ -680,9 +679,11 @@ class Kernel : private panic::Sink
     [[noreturn]] void onKassert(const panic::KassertInfo &info) override;
     SysResult dispatchInner(Process &proc, u64 code);
     std::string buildPanicReport(const panic::KassertInfo &info) const;
-    /** PhysMem/SwapDevice corruption-hook target: count the machine
-     *  check and feed the flight recorder. */
-    void noteMachineCheck(FaultPoint point, u64 addr);
+    /** MemEvents from PhysMem/SwapDevice and the injector: count a
+     *  detected corruption as a machine check, and feed the flight
+     *  recorder (a fired decision first, then its machine check). */
+    void machineCheck(FaultPoint point, u64 addr) override;
+    void faultFired(FaultPoint point) override;
     /** (Re)build the default VFS tree (constructor and panicReset). */
     void initVfs();
     /// @}

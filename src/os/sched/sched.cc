@@ -66,7 +66,6 @@ Scheduler::context(Process &proc, u64 tid)
     ctx->tid = tid;
     ctx->interp =
         std::make_unique<isa::Interpreter>(proc, kern.trace());
-    isa::installDefaultSyscallHook(*ctx->interp, kern);
     ExecContext &ref = *ctx;
     ctxs.emplace(key, std::move(ctx));
     return ref;
@@ -416,10 +415,6 @@ Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
         ++st.slices;
         ++ctx.slices;
     } else {
-        // The metrics registry may have been attached after this
-        // context's interpreter was created: re-wire it each slice.
-        obs::Metrics *mx = kern.metrics();
-        ctx.interp->setMetrics(mx);
         u64 budget = sliceBudget(ctx);
         u64 before = ctx.retired();
         isa::InterpResult r;
@@ -434,7 +429,7 @@ Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
         st.stepsExecuted += ran;
         ++st.slices;
         ++ctx.slices;
-        if (mx)
+        if (obs::Metrics *mx = kern.metrics())
             mx->recordThreadSteps(ctx.pid, ctx.tid, ran);
         ctx.last = r;
         switch (r.status) {
@@ -611,8 +606,7 @@ Scheduler::resetForPanic()
 bool
 Scheduler::watchdogScan()
 {
-    DeadlockPolicy policy = kern.config().deadlockPolicy;
-    if (policy == DeadlockPolicy::Off || blocked.empty())
+    if (blocked.empty())
         return false;
     // Candidate stuck set: every deadline-less blocked context (the
     // caller established there are no deadlines left).  A fixpoint
@@ -698,7 +692,7 @@ Scheduler::watchdogScan()
     // The kill decision goes through the fault-injection tap: record
     // mode logs it, replay substitutes it, so a victim dies at exactly
     // the same point bit-for-bit.
-    bool kill = policy == DeadlockPolicy::Kill;
+    bool kill = kern.config().deadlockPolicy == DeadlockPolicy::Kill;
     kill = kern.faultInjector().confirm(FaultPoint::DeadlockKill, kill);
     if (!kill)
         return false;

@@ -7,9 +7,9 @@
  * an interpreter loop.  Two kinds of context run on the same queue:
  *
  *  - *interpreted* contexts own an isa::Interpreter per (pid, tid):
- *    the decode micro-cache, step accounting, and syscall hook live in
- *    the ExecContext and survive across dispatches and context
- *    switches (a warm cache is the engine's main throughput win, see
+ *    the decode micro-cache and step accounting live in the
+ *    ExecContext and survive across dispatches and context switches
+ *    (a warm cache is the engine's main throughput win, see
  *    bench/sched_bench);
  *  - *hosted* contexts wrap a std::function driving syscalls from the
  *    host (runGuest bodies, workloads).  They run to completion in one
@@ -117,7 +117,7 @@ class Scheduler final : public SchedulerIface
     /**
      * Get-or-create the persistent context for @p proc's thread
      * @p tid (default: the current thread).  A fresh context gets an
-     * interpreter with the kernel's default syscall hook installed.
+     * interpreter whose syscalls enter Kernel::dispatch.
      */
     ExecContext &context(Process &proc);
     ExecContext &context(Process &proc, u64 tid);

@@ -1064,7 +1064,6 @@ struct Access
                 ar.check(proc != nullptr, "context references unknown pid");
                 ctx->interp =
                     std::make_unique<isa::Interpreter>(*proc, kern.traceSink);
-                isa::installDefaultSyscallHook(*ctx->interp, kern);
                 ctx->interp->_retired = retired;
             }
         };
@@ -1375,7 +1374,7 @@ struct Access
     }
 
     /** Tear down all restorable state, leaving environment (trace sink,
-     *  metrics pointer, check hook, injector tap, reclaim hook) wired. */
+     *  metrics pointer, check hook, injector tap, memory events) wired. */
     static void
     wipe(Kernel &kern)
     {

@@ -27,6 +27,13 @@ class AccessTest : public ::testing::Test
     SwapDevice swap;
     AddressSpace as{phys, swap, 1};
     MemAccess mem{as};
+    /** Counts the TLB events the access path takes. */
+    CostModel cost{Abi::CheriAbi};
+
+    AccessTest() { mem.setCostModel(&cost); }
+
+    u64 dataHits() const { return cost.dtlbAccesses() - cost.dtlbMisses(); }
+    u64 fetchHits() const { return cost.itlbAccesses() - cost.itlbMisses(); }
 
     u64
     mapAnon(u64 len, u32 prot = PROT_READ | PROT_WRITE)
@@ -58,10 +65,10 @@ TEST_F(AccessTest, HitAfterMissMatchesWalkPath)
     EXPECT_EQ(via_walk, v);
 
     // The second access to the same page must be a hit.
-    u64 misses = mem.stats().dataMisses;
+    u64 misses = cost.dtlbMisses();
     ASSERT_FALSE(mem.read(va + 128, &via_tlb, 8).has_value());
-    EXPECT_EQ(mem.stats().dataMisses, misses);
-    EXPECT_GT(mem.stats().dataHits, 0u);
+    EXPECT_EQ(cost.dtlbMisses(), misses);
+    EXPECT_GT(dataHits(), 0u);
 }
 
 TEST_F(AccessTest, UnmapInvalidatesCachedTranslation)
@@ -181,11 +188,11 @@ TEST_F(AccessTest, RevocationSweepIsVisibleThroughTheTlb)
         });
     as.endSweepEpoch();
     EXPECT_EQ(swept.revoked, 1u);
-    u64 misses = mem.stats().dataMisses;
+    u64 misses = cost.dtlbMisses();
     Result<Capability> r = mem.readCap(va);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r.value().tag());
-    EXPECT_EQ(mem.stats().dataMisses, misses + 1)
+    EXPECT_EQ(cost.dtlbMisses(), misses + 1)
         << "the sweep must drop the page's cached translation";
 }
 
@@ -253,10 +260,10 @@ TEST_F(AccessTest, FetchUsesTheInstructionTlb)
     ASSERT_NE(text, 0u);
     u64 insn = 0;
     ASSERT_FALSE(mem.fetch(text, &insn, 8).has_value());
-    u64 misses = mem.stats().fetchMisses;
+    u64 misses = cost.itlbMisses();
     ASSERT_FALSE(mem.fetch(text + 8, &insn, 8).has_value());
-    EXPECT_EQ(mem.stats().fetchMisses, misses);
-    EXPECT_GT(mem.stats().fetchHits, 0u);
+    EXPECT_EQ(cost.itlbMisses(), misses);
+    EXPECT_GT(fetchHits(), 0u);
 }
 
 TEST_F(AccessTest, ReadStringWithinAndAcrossPages)
@@ -442,15 +449,11 @@ struct Rig
 void
 expectSameCounters(const Rig &fast, const Rig &slow)
 {
-    const MemAccess::Stats &f = fast.mem.stats(), &s = slow.mem.stats();
-    EXPECT_EQ(f.dataHits, s.dataHits);
-    EXPECT_EQ(f.dataMisses, s.dataMisses);
-    EXPECT_EQ(f.fetchHits, s.fetchHits);
-    EXPECT_EQ(f.fetchMisses, s.fetchMisses);
-    EXPECT_EQ(f.invalidations, s.invalidations);
     EXPECT_EQ(fast.block, slow.block);
     EXPECT_EQ(fast.cost.dtlbAccesses(), slow.cost.dtlbAccesses());
     EXPECT_EQ(fast.cost.dtlbMisses(), slow.cost.dtlbMisses());
+    EXPECT_EQ(fast.cost.itlbAccesses(), slow.cost.itlbAccesses());
+    EXPECT_EQ(fast.cost.itlbMisses(), slow.cost.itlbMisses());
     EXPECT_EQ(fast.cost.cycles(), slow.cost.cycles());
     EXPECT_EQ(fast.mem.fetchGen(), slow.mem.fetchGen());
     for (FaultPoint p : {FaultPoint::DataBitFlip, FaultPoint::TagBitFlip,
@@ -600,8 +603,8 @@ TEST(AccessLockStep, InlinePathMatchesTheGeneralLoop)
             return;
     }
     // Both paths took hits and misses, and reached the executable page.
-    EXPECT_GT(fast.mem.stats().dataHits, 1000u);
-    EXPECT_GT(fast.mem.stats().dataMisses, 100u);
+    EXPECT_GT(fast.cost.dtlbAccesses() - fast.cost.dtlbMisses(), 1000u);
+    EXPECT_GT(fast.cost.dtlbMisses(), 100u);
     EXPECT_GT(fast.mem.fetchGen(), 100u);
 
     for (const Region &r : regions)
@@ -648,8 +651,6 @@ TEST(AccessLockStep, DisarmedProbeCountsEveryLoad)
     }
     EXPECT_EQ(rig.inj.events(FaultPoint::DataBitFlip), loads);
     EXPECT_EQ(rig.inj.injected(FaultPoint::DataBitFlip), 0u);
-    EXPECT_EQ(rig.mem.stats().dataHits + rig.mem.stats().dataMisses,
-              rig.cost.dtlbAccesses());
 }
 
 TEST(AccessLockStep, NthArmedLoadMachineChecksOnBothPaths)
@@ -722,43 +723,117 @@ TEST(AccessLockStep, NthArmedTaggedCapLoadMachineChecksOnBothPaths)
     }
 }
 
-/** The kernel's flight recorder keeps fired decisions only: one armed
- *  data flip leaves exactly a decision and its machine check. */
+/** The swap slot holding the swapped-out page at @p va. */
+u64
+slotOf(const AddressSpace &as, u64 va)
+{
+    u64 slot = 0;
+    as.forEachPte([&](const AddressSpace::PteView &v) {
+        if (v.va == va && v.swapped)
+            slot = v.swapSlot;
+    });
+    return slot;
+}
+
+/** Each corruption the memory layer detects reaches the kernel once:
+ *  one counted machine check, and in the flight recorder (which keeps
+ *  fired decisions only) the decision followed by its machine check. */
 TEST(AccessLockStep, NthArmedGuestLoadLeavesOneDecisionInTheRecorder)
 {
-    for (Abi abi : {Abi::Mips64, Abi::CheriAbi}) {
-        GuestSystem sys{abi};
-        GuestContext &ctx = *sys.ctx;
-        GuestPtr buf = ctx.mmap(2 * pageSize);
-        ctx.store<u64>(buf, 0, 5);
-        const u64 nth = 5;
-        const u64 recorded = sys.kern.flightRecorder().eventsRecorded();
-        const u64 checks = sys.kern.counters().hardening.machineChecks;
-        sys.kern.faultInjector().failAfter(FaultPoint::DataBitFlip, nth);
-        u64 trapped_at = 0;
-        for (u64 i = 1; i <= 2 * nth; ++i) {
-            try {
-                (void)ctx.load<u64>(buf, static_cast<s64>(i * 512));
-            } catch (const CapTrap &t) {
-                EXPECT_EQ(t.fault(), CapFault::MachineCheck);
-                EXPECT_EQ(trapped_at, 0u);
-                trapped_at = i;
+    constexpr u64 nth = 5;
+    constexpr u64 pages = 2 * nth;
+    struct Case
+    {
+        const char *name;
+        FaultPoint point;
+        /** Fill @p buf (pages pages); return where the kernel must be
+         *  told the nth load's corruption was found. */
+        u64 (*prepare)(GuestSystem &sys, GuestPtr buf);
+        /** Load @p i (1-based): each probes @p point once. */
+        CapCheck (*load)(GuestSystem &sys, GuestPtr buf, u64 i);
+    };
+    const Case cases[] = {
+        {"data load", FaultPoint::DataBitFlip,
+         [](GuestSystem &sys, GuestPtr buf) {
+             sys.ctx->store<u64>(buf, 0, 5);
+             return buf.addr() + nth * 512;
+         },
+         [](GuestSystem &sys, GuestPtr buf, u64 i) -> CapCheck {
+             try {
+                 (void)sys.ctx->load<u64>(buf, static_cast<s64>(i * 512));
+             } catch (const CapTrap &t) {
+                 return t.fault();
+             }
+             return std::nullopt;
+         }},
+        {"cap load", FaultPoint::TagBitFlip,
+         [](GuestSystem &sys, GuestPtr buf) {
+             AddressSpace &as = sys.proc->as();
+             Capability c = as.capForRange(buf.addr(), pages * pageSize,
+                                           PROT_READ | PROT_WRITE, false);
+             for (u64 i = 1; i <= pages; ++i)
+                 EXPECT_FALSE(sys.proc->mem()
+                                  .writeCap(buf.addr() + i * 512, c)
+                                  .has_value());
+             return buf.addr() + nth * 512;
+         },
+         [](GuestSystem &sys, GuestPtr buf, u64 i) -> CapCheck {
+             Result<Capability> r =
+                 sys.proc->mem().readCap(buf.addr() + i * 512);
+             return r.ok() ? CapCheck{} : CapCheck{r.fault()};
+         }},
+        {"swap-in", FaultPoint::TagBitFlip,
+         [](GuestSystem &sys, GuestPtr buf) {
+             AddressSpace &as = sys.proc->as();
+             Capability c = as.capForRange(buf.addr(), pages * pageSize,
+                                           PROT_READ | PROT_WRITE, false);
+             for (u64 p = 0; p < pages; ++p) {
+                 u64 va = buf.addr() + p * pageSize;
+                 EXPECT_FALSE(sys.proc->mem().writeCap(va, c).has_value());
+                 EXPECT_TRUE(as.swapOutPage(va));
+             }
+             return slotOf(as, buf.addr() + (nth - 1) * pageSize);
+         },
+         // A data load: the swap-in is the only TagBitFlip probe.
+         [](GuestSystem &sys, GuestPtr buf, u64 i) {
+             u64 v = 0;
+             return sys.proc->mem().read(buf.addr() + (i - 1) * pageSize,
+                                         &v, 8);
+         }},
+    };
+    for (const Case &c : cases) {
+        for (Abi abi : {Abi::Mips64, Abi::CheriAbi}) {
+            SCOPED_TRACE(c.name);
+            GuestSystem sys{abi};
+            GuestPtr buf = sys.ctx->mmap(pages * pageSize);
+            const u64 where = c.prepare(sys, buf);
+            const u64 recorded = sys.kern.flightRecorder().eventsRecorded();
+            const u64 checks = sys.kern.counters().hardening.machineChecks;
+            sys.kern.faultInjector().failAfter(c.point, nth);
+            u64 trapped_at = 0;
+            for (u64 i = 1; i <= pages; ++i) {
+                if (CapCheck f = c.load(sys, buf, i)) {
+                    EXPECT_EQ(*f, CapFault::MachineCheck);
+                    EXPECT_EQ(trapped_at, 0u);
+                    trapped_at = i;
+                }
             }
+            EXPECT_EQ(trapped_at, nth);
+            EXPECT_EQ(sys.kern.counters().hardening.machineChecks,
+                      checks + 1);
+            const auto &fr = sys.kern.flightRecorder();
+            ASSERT_EQ(fr.eventsRecorded(), recorded + 2);
+            std::vector<panic::Event> ev = fr.entries();
+            ASSERT_GE(ev.size(), 2u);
+            const panic::Event &decision = ev[ev.size() - 2];
+            const panic::Event &check = ev.back();
+            EXPECT_EQ(decision.kind, panic::EventKind::FaultDecision);
+            EXPECT_EQ(decision.a, static_cast<u64>(c.point));
+            EXPECT_EQ(decision.b, 1u);
+            EXPECT_EQ(check.kind, panic::EventKind::MachineCheck);
+            EXPECT_EQ(check.a, where);
+            EXPECT_EQ(check.b, static_cast<u64>(c.point));
         }
-        EXPECT_EQ(trapped_at, nth);
-        EXPECT_EQ(sys.kern.counters().hardening.machineChecks, checks + 1);
-        const auto &fr = sys.kern.flightRecorder();
-        ASSERT_EQ(fr.eventsRecorded(), recorded + 2);
-        std::vector<panic::Event> ev = fr.entries();
-        ASSERT_GE(ev.size(), 2u);
-        const panic::Event &decision = ev[ev.size() - 2];
-        const panic::Event &check = ev.back();
-        EXPECT_EQ(decision.kind, panic::EventKind::FaultDecision);
-        EXPECT_EQ(decision.a, static_cast<u64>(FaultPoint::DataBitFlip));
-        EXPECT_EQ(decision.b, 1u);
-        EXPECT_EQ(check.kind, panic::EventKind::MachineCheck);
-        EXPECT_EQ(check.a, buf.addr() + nth * 512);
-        EXPECT_EQ(check.b, static_cast<u64>(FaultPoint::DataBitFlip));
     }
 }
 

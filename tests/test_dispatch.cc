@@ -234,7 +234,6 @@ TEST(FaultTelemetry, InterpreterAttributesSyscallDerivedCapability)
                         .capForRange(code, pageSize,
                                      PROT_READ | PROT_EXEC, false)
                         .setAddress(code));
-    isa::installDefaultSyscallHook(interp, sys.kern);
 
     InterpResult r = interp.run();
     ASSERT_EQ(r.status, InterpResult::Status::Fault);

@@ -12,6 +12,7 @@
 
 #include "isa/assembler.h"
 #include "isa/interp.h"
+#include "obs/metrics.h"
 #include "test_util.h"
 
 namespace cheri::isa
@@ -236,31 +237,35 @@ TEST_P(IsaRun, SealedCapabilityFaultsOnUse)
     EXPECT_EQ(r.fault, CapFault::SealViolation);
 }
 
-TEST_P(IsaRun, SyscallHookFires)
+TEST_P(IsaRun, UnassignedSyscallFailsThroughDispatch)
 {
+    // A number no syscall owns still enters Kernel::dispatch: it comes
+    // back with the error flag set and E_NOSYS in the return register,
+    // and the registry counts it in the reserved-invalid row (row 0).
+    obs::Metrics m;
+    sys.kern.setMetrics(&m);
+    const u64 unassigned = numSysNums + 100;
+    ASSERT_EQ(syscallInfo(unassigned), nullptr);
     Assembler a;
-    a.li(1, 7).syscall(42).halt();
+    a.syscall(static_cast<s64>(unassigned)).halt();
     Interpreter interp = load(a);
-    u64 seen = 0;
-    interp.setSyscallHook([&](Interpreter &ii, u64 code) {
-        seen = code;
-        ii.regs().x[2] = ii.regs().x[1] * 2;
-    });
     InterpResult r = interp.run();
     ASSERT_EQ(r.status, InterpResult::Status::Halted);
-    EXPECT_EQ(seen, 42u);
-    EXPECT_EQ(interp.regs().x[2], 14u);
+    EXPECT_EQ(interp.regs().x[regSysErr], 1u);
+    EXPECT_EQ(interp.regs().x[regRetVal], static_cast<u64>(E_NOSYS));
+    EXPECT_EQ(m.syscall(0, GetParam()).calls, 1u);
+    EXPECT_EQ(m.syscall(0, GetParam()).errors, 1u);
+    sys.kern.setMetrics(nullptr);
 }
 
-TEST_P(IsaRun, DefaultSyscallHookDispatches)
+TEST_P(IsaRun, SyscallDispatchesThroughKernel)
 {
-    // The stock hook routes Op::Syscall through Kernel::dispatch and
-    // the numbered ABI's register convention: error flag clear, result
-    // in the return-value register.
+    // Op::Syscall goes through Kernel::dispatch and the numbered ABI's
+    // register convention: error flag clear, result in the
+    // return-value register.
     Assembler a;
     a.syscall(static_cast<s64>(SysNum::Getpid)).halt();
     Interpreter interp = load(a);
-    installDefaultSyscallHook(interp, sys.kern);
     InterpResult r = interp.run();
     ASSERT_EQ(r.status, InterpResult::Status::Halted);
     EXPECT_EQ(interp.regs().x[regSysErr], 0u);

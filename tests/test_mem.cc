@@ -12,6 +12,7 @@
 #include <set>
 #include <vector>
 
+#include "mem/mem_events.h"
 #include "mem/phys_mem.h"
 #include "mem/swap.h"
 #include "mem/vm.h"
@@ -514,28 +515,40 @@ TEST_F(MemTest, FrameCapacityEnforced)
     auto f2 = small.allocFrame();
     ASSERT_TRUE(f1 && f2);
     EXPECT_EQ(small.allocFrame(), nullptr)
-        << "allocation beyond capacity without a reclaim hook must fail";
+        << "allocation beyond capacity with no one to reclaim must fail";
     EXPECT_EQ(small.failedAllocs(), 1u);
     f1.reset();
     EXPECT_NE(small.allocFrame(), nullptr);
 }
 
-TEST_F(MemTest, ReclaimHookRunsOnPressure)
+/** Stands in for the kernel's reclaim pass: frees every held frame. */
+struct FreeAll final : MemEvents
+{
+    std::vector<FrameRef> held;
+    u64 asked = 0;
+
+    u64
+    reclaim(u64 wanted, const void *) override
+    {
+        asked += wanted;
+        held.clear();
+        return 2;
+    }
+    void machineCheck(FaultPoint, u64) override {}
+    void faultFired(FaultPoint) override {}
+};
+
+TEST_F(MemTest, ReclaimRunsOnPressure)
 {
     PhysMem small;
     small.setCapacity(2);
-    std::vector<FrameRef> held;
-    held.push_back(small.allocFrame());
-    held.push_back(small.allocFrame());
-    u64 asked = 0;
-    small.setReclaimHook([&](u64 wanted, const void *) {
-        asked += wanted;
-        held.clear(); // free everything
-        return u64{2};
-    });
+    FreeAll events;
+    events.held.push_back(small.allocFrame());
+    events.held.push_back(small.allocFrame());
+    small.setMemEvents(&events);
     FrameRef f = small.allocFrame();
     EXPECT_NE(f, nullptr) << "reclaim made room, alloc must succeed";
-    EXPECT_EQ(asked, 1u);
+    EXPECT_EQ(events.asked, 1u);
     EXPECT_EQ(small.reclaimRequests(), 1u);
 }
 

@@ -360,10 +360,10 @@ TEST(SchedTest, DecodeCacheSurvivesContextSwitches)
     // every slice: ~19 misses x ~280 slices.)
     constexpr u64 kDistinct = 16 + 3; // body + li/addi/bne (+halt)
     for (Process *p : {ga.proc, gb.proc}) {
-        const MemAccess::Stats &st = p->mem().stats();
-        EXPECT_LE(st.fetchMisses, kDistinct + 2)
+        const CostModel &cost = p->cost();
+        EXPECT_LE(cost.itlbMisses(), kDistinct + 2)
             << "decode cache was lost across a context switch";
-        EXPECT_GT(st.fetchHits, 8000u);
+        EXPECT_GT(cost.itlbAccesses() - cost.itlbMisses(), 8000u);
     }
 }
 

@@ -1,12 +1,13 @@
 #!/usr/bin/env bash
 # Strict verification pass: configure a scratch build tree with -Werror
 # and Address/UndefinedBehavior sanitizers, build everything, and run
-# the full test suite.  Exits non-zero on any warning, sanitizer
-# report, or test failure.
+# the full test suite; build a second -Werror tree without sanitizers.
+# Exits non-zero on any warning, sanitizer report, or test failure.
 set -euo pipefail
 
 src_dir="$(cd "$(dirname "$0")/.." && pwd)"
 build_dir="${CHERI_VERIFY_BUILD_DIR:-$src_dir/build-verify}"
+plain_dir="${CHERI_VERIFY_PLAIN_BUILD_DIR:-$src_dir/build-verify-plain}"
 
 # Raw-assert lint: nothing under src/ may fail through a host abort.
 # A failed check goes through a checked error instead (CHERI_KASSERT ->
@@ -30,6 +31,15 @@ cmake -S "$src_dir" -B "$build_dir" \
     -DCMAKE_BUILD_TYPE=RelWithDebInfo \
     -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON
 cmake --build "$build_dir" -j "$(nproc)"
+# The same -Werror build without sanitizers (build only): GCC's
+# optimizer-driven warnings (-Wstringop-overflow and kin) see code the
+# ASan instrumentation hides, so a warning only a plain build emits
+# fails the gate too.
+cmake -S "$src_dir" -B "$plain_dir" \
+    -DCHERI_WERROR=ON -DCHERI_SANITIZE=OFF \
+    -DCMAKE_BUILD_TYPE=RelWithDebInfo \
+    -DCMAKE_DISABLE_FIND_PACKAGE_benchmark=ON
+cmake --build "$plain_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # Constrained-memory pass: re-run the pressure and stress suites with
 # deliberately small frame/slot budgets so reclaim and OOM paths are
