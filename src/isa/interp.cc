@@ -85,6 +85,13 @@ Interpreter::fetch()
         mem.countFetchHit();
         return e.insn;
     }
+    return decodeInto(e, pc);
+}
+
+const Insn &
+Interpreter::decodeInto(DecodeEntry &e, u64 pc)
+{
+    MemAccess &mem = proc.mem();
     u64 word = 0;
     if (CapCheck mmu = mem.fetch(pc, &word, insnSize))
         faultAt(*mmu, pc);
@@ -94,275 +101,403 @@ Interpreter::fetch()
     return e.insn;
 }
 
-InterpResult
-Interpreter::step()
+namespace
 {
-    InterpResult res;
+
+/**
+ * The pcs at which fetch()'s PCC check passes, as [lo, lo + len).
+ * Among them a fetch needs no check of its own, and PCC's cursor can
+ * move without losing its tag (every in-bounds address is
+ * representable), so run() writes PCC back only at sync points.  Where
+ * the check does not apply (a mips64 or hybrid process with an
+ * untagged PCC) the window is every pc but ~0; a PCC that authorizes
+ * no fetch has an empty one.  A pc outside the window takes fetch(),
+ * which is exact everywhere.
+ */
+struct FetchWindow
+{
+    u64 lo = 0;
+    u64 len = 0;
+
+    bool contains(u64 pc) const { return pc - lo < len; }
+};
+
+FetchWindow
+fetchWindow(const Capability &pcc, Abi abi)
+{
+    if (abi != Abi::CheriAbi && !pcc.tag())
+        return {0, ~u64{0}};
+    if (!pcc.tag() || pcc.sealed() || !pcc.hasPerms(PERM_EXECUTE) ||
+        pcc.top() < u128{pcc.base()} + insnSize)
+        return {};
+    return {pcc.base(),
+            static_cast<u64>(pcc.top() - insnSize - pcc.base()) + 1};
+}
+
+} // namespace
+
+InterpResult
+Interpreter::run(u64 max_steps)
+{
     ThreadRegs &r = proc.regs();
     CostModel &cost = proc.cost();
+    MemAccess &mem = proc.mem();
+    Abi abi = proc.abi();
+    bool capCharged = cost.abi() != Abi::Mips64;
     u64 pc = r.pcc.address();
-    try {
-        Insn i = fetch();
-        if (mx)
-            mx->countInsn(static_cast<unsigned>(i.op), proc.abi());
-        // Default next PC; branches overwrite.
-        u64 next = pc + insnSize;
-        auto branch_to = [&](s64 insn_off) {
-            next = pc + insnSize +
-                   static_cast<u64>(insn_off * static_cast<s64>(insnSize));
-        };
-        auto legacy_access = [&](u64 addr, u64 len, u32 perm) {
-            // Legacy loads/stores are checked against DDC: NULL under
-            // CheriABI, so they trap there by construction.
-            if (CapCheck chk = r.ddc.checkAccess(addr, len, perm))
-                fault(*chk, r.ddc, addr);
-        };
-        auto cap_access = [&](const Capability &cb, u64 addr, u64 len,
-                              u32 perm) {
-            if (CapCheck chk = cb.checkAccess(addr, len, perm))
-                fault(*chk, cb, addr);
-        };
-        // MMU faults record the faulting effective address so the
-        // telemetry's provenance records are complete.
-        auto mmu = [&](u64 addr, CapCheck chk) {
-            if (chk)
-                faultAt(*chk, addr);
-        };
+    FetchWindow window = fetchWindow(r.pcc, abi);
+    u64 gen = mem.fetchGen();
+    u64 retired = _retired;
+    u64 left = max_steps;
+    // Deferred until the next sync point: ALU and capability-
+    // manipulation instructions to charge, and decode-cache hits to
+    // count as iTLB hits.
+    u64 alu = 0;
+    u64 fetchHits = 0;
+    // The step called out of the loop (or run() just began): the
+    // callee may have bumped the fetch generation or asked to yield.
+    bool calledOut = true;
 
-        switch (i.op) {
-          case Op::Halt:
-            res.status = InterpResult::Status::Halted;
-            res.steps = ++_retired;
-            cost.alu(1);
-            return res;
-          case Op::Nop: cost.alu(1); break;
-          case Op::Li: r.x[i.rd] = static_cast<u64>(i.imm); cost.alu(1); break;
-          case Op::Move: r.x[i.rd] = r.x[i.rs]; cost.alu(1); break;
-          case Op::Add: r.x[i.rd] = r.x[i.rs] + r.x[i.rt]; cost.alu(1); break;
-          case Op::Addi:
-            r.x[i.rd] = r.x[i.rs] + static_cast<u64>(i.imm);
-            cost.alu(1);
-            break;
-          case Op::Sub: r.x[i.rd] = r.x[i.rs] - r.x[i.rt]; cost.alu(1); break;
-          case Op::Mul: r.x[i.rd] = r.x[i.rs] * r.x[i.rt]; cost.alu(1); break;
-          case Op::And: r.x[i.rd] = r.x[i.rs] & r.x[i.rt]; cost.alu(1); break;
-          case Op::Or: r.x[i.rd] = r.x[i.rs] | r.x[i.rt]; cost.alu(1); break;
-          case Op::Xor: r.x[i.rd] = r.x[i.rs] ^ r.x[i.rt]; cost.alu(1); break;
-          case Op::Sll:
-            r.x[i.rd] = r.x[i.rs] << (i.imm & 63);
-            cost.alu(1);
-            break;
-          case Op::Srl:
-            r.x[i.rd] = r.x[i.rs] >> (i.imm & 63);
-            cost.alu(1);
-            break;
-          case Op::Slt:
-            r.x[i.rd] = r.x[i.rs] < r.x[i.rt];
-            cost.alu(1);
-            break;
-
-          case Op::Beq:
-            if (r.x[i.rs] == r.x[i.rt])
-                branch_to(i.imm);
-            cost.alu(1);
-            break;
-          case Op::Bne:
-            if (r.x[i.rs] != r.x[i.rt])
-                branch_to(i.imm);
-            cost.alu(1);
-            break;
-          case Op::J:
-            branch_to(i.imm);
-            cost.alu(1);
-            break;
-
-          case Op::Lb: {
-            u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-            legacy_access(addr, 1, PERM_LOAD);
-            u8 v = 0;
-            mmu(addr, proc.mem().read(addr, &v, 1));
-            r.x[i.rd] = v;
-            cost.load(addr, 1);
-            break;
-          }
-          case Op::Ld: {
-            u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-            legacy_access(addr, 8, PERM_LOAD);
-            u64 v = 0;
-            mmu(addr, proc.mem().read(addr, &v, 8));
-            r.x[i.rd] = v;
-            cost.load(addr, 8);
-            break;
-          }
-          case Op::Sb: {
-            u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-            legacy_access(addr, 1, PERM_STORE);
-            u8 v = static_cast<u8>(r.x[i.rd]);
-            mmu(addr, proc.mem().write(addr, &v, 1));
-            cost.store(addr, 1);
-            break;
-          }
-          case Op::Sd: {
-            u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-            legacy_access(addr, 8, PERM_STORE);
-            mmu(addr, proc.mem().write(addr, &r.x[i.rd], 8));
-            cost.store(addr, 8);
-            break;
-          }
-
-          case Op::CGetTag:
-            r.x[i.rd] = r.c[i.rs].tag();
-            cost.capManip(1);
-            break;
-          case Op::CGetLen:
-            r.x[i.rd] = r.c[i.rs].length();
-            cost.capManip(1);
-            break;
-          case Op::CGetAddr:
-            r.x[i.rd] = r.c[i.rs].address();
-            cost.capManip(1);
-            break;
-          case Op::CGetPerm:
-            r.x[i.rd] = r.c[i.rs].perms();
-            cost.capManip(1);
-            break;
-          case Op::CMove:
-            r.c[i.rd] = r.c[i.rs];
-            cost.capManip(1);
-            break;
-          case Op::CGetDDC:
-            r.c[i.rd] = r.ddc;
-            cost.capManip(1);
-            break;
-          case Op::CGetPCC:
-            r.c[i.rd] = r.pcc;
-            cost.capManip(1);
-            break;
-          case Op::CIncOffset:
-            r.c[i.rd] =
-                r.c[i.rs].incAddress(static_cast<s64>(r.x[i.rt]));
-            cost.capManip(1);
-            break;
-          case Op::CIncOffsetImm:
-            r.c[i.rd] = r.c[i.rs].incAddress(i.imm);
-            cost.capManip(1);
-            break;
-          case Op::CSetAddr:
-            r.c[i.rd] = r.c[i.rs].setAddress(r.x[i.rt]);
-            cost.capManip(1);
-            break;
-          case Op::CSetBounds:
-            r.c[i.rd] = require(r.c[i.rs].setBounds(r.x[i.rt]));
-            if (traceSink)
-                traceSink->derive(DeriveSource::Temp, r.c[i.rd]);
-            cost.capManip(1);
-            break;
-          case Op::CSetBoundsImm:
-            r.c[i.rd] = require(
-                r.c[i.rs].setBounds(static_cast<u64>(i.imm)));
-            if (traceSink)
-                traceSink->derive(DeriveSource::Temp, r.c[i.rd]);
-            cost.capManip(1);
-            break;
-          case Op::CAndPerm:
-            r.c[i.rd] = require(
-                r.c[i.rs].andPerms(static_cast<u32>(r.x[i.rt])));
-            cost.capManip(1);
-            break;
-          case Op::CClearTag:
-            r.c[i.rd] = r.c[i.rs].withoutTag();
-            cost.capManip(1);
-            break;
-          case Op::CSeal:
-            r.c[i.rd] = require(r.c[i.rs].seal(r.c[i.rt]));
-            cost.capManip(1);
-            break;
-          case Op::CUnseal:
-            r.c[i.rd] = require(r.c[i.rs].unseal(r.c[i.rt]));
-            cost.capManip(1);
-            break;
-
-          case Op::Clb: {
-            const Capability &cb = r.c[i.rs];
-            u64 addr = cb.address() + static_cast<u64>(i.imm);
-            cap_access(cb, addr, 1, PERM_LOAD);
-            u8 v = 0;
-            mmu(addr, proc.mem().read(addr, &v, 1));
-            r.x[i.rd] = v;
-            cost.load(addr, 1);
-            break;
-          }
-          case Op::Cld: {
-            const Capability &cb = r.c[i.rs];
-            u64 addr = cb.address() + static_cast<u64>(i.imm);
-            cap_access(cb, addr, 8, PERM_LOAD);
-            u64 v = 0;
-            mmu(addr, proc.mem().read(addr, &v, 8));
-            r.x[i.rd] = v;
-            cost.load(addr, 8);
-            break;
-          }
-          case Op::Csb: {
-            const Capability &cb = r.c[i.rs];
-            u64 addr = cb.address() + static_cast<u64>(i.imm);
-            cap_access(cb, addr, 1, PERM_STORE);
-            u8 v = static_cast<u8>(r.x[i.rd]);
-            mmu(addr, proc.mem().write(addr, &v, 1));
-            cost.store(addr, 1);
-            break;
-          }
-          case Op::Csd: {
-            const Capability &cb = r.c[i.rs];
-            u64 addr = cb.address() + static_cast<u64>(i.imm);
-            cap_access(cb, addr, 8, PERM_STORE);
-            mmu(addr, proc.mem().write(addr, &r.x[i.rd], 8));
-            cost.store(addr, 8);
-            break;
-          }
-          case Op::Clc: {
-            const Capability &cb = r.c[i.rs];
-            u64 addr = cb.address() + static_cast<u64>(i.imm);
-            cap_access(cb, addr, capSize, PERM_LOAD | PERM_LOAD_CAP);
-            Result<Capability> v = proc.mem().readCap(addr);
-            if (!v.ok())
-                faultAt(v.fault(), addr);
-            r.c[i.rd] = v.value();
-            cost.load(addr, capSize);
-            break;
-          }
-          case Op::Csc: {
-            const Capability &cb = r.c[i.rs];
-            u64 addr = cb.address() + static_cast<u64>(i.imm);
-            cap_access(cb, addr, capSize, PERM_STORE | PERM_STORE_CAP);
-            if (CapCheck w = proc.mem().writeCap(addr, r.c[i.rd]))
-                faultAt(*w, addr);
-            cost.store(addr, capSize);
-            break;
-          }
-
-          case Op::Cjr: {
-            const Capability &cb = r.c[i.rs];
-            if (CapCheck chk =
-                    cb.checkAccess(cb.address(), insnSize, PERM_EXECUTE))
-                fault(*chk);
-            r.pcc = cb;
-            next = cb.address();
-            cost.alu(1);
-            break;
-          }
-
-          case Op::Syscall:
-            cost.syscall(0);
-            proc.kernel().dispatch(proc, static_cast<u64>(i.imm));
-            break;
+    // A sync point: make PCC, the cost model, the TLB counters and
+    // retired() exactly what stepping one instruction at a time would
+    // have left before the current one.
+    auto sync = [&] {
+        if (r.pcc.address() != pc)
+            r.pcc = r.pcc.setAddress(pc);
+        if (alu) {
+            cost.alu(alu);
+            alu = 0;
         }
-        // Advance PC within (or under mips64, despite) PCC.
-        r.pcc = r.pcc.setAddress(next);
-        ++_retired;
-        res.status = InterpResult::Status::Running;
+        if (fetchHits) {
+            mem.countFetchHits(fetchHits);
+            fetchHits = 0;
+        }
+        _retired = retired;
+        calledOut = true;
+    };
+
+    InterpResult res;
+    try {
+        for (; left > 0; --left) {
+            Insn i;
+            if (window.contains(pc)) {
+                DecodeEntry &e =
+                    dcache[(pc / insnSize) & (decodeCacheSize - 1)];
+                if (e.va == pc && e.gen == gen) {
+                    ++fetchHits;
+                    i = e.insn;
+                } else {
+                    // A miss may walk the page table, and a walk can
+                    // reach the kernel (demand paging, reclaim).
+                    sync();
+                    i = decodeInto(e, pc);
+                }
+            } else {
+                // Faults, unless PCC's check does not apply here.
+                sync();
+                i = fetch();
+                window = fetchWindow(r.pcc, abi);
+            }
+            if (mx)
+                mx->countInsn(static_cast<unsigned>(i.op), abi);
+            // Default next PC; branches overwrite.
+            u64 next = pc + insnSize;
+            auto branch_to = [&](s64 insn_off) {
+                next = pc + insnSize +
+                       static_cast<u64>(insn_off *
+                                        static_cast<s64>(insnSize));
+            };
+            auto legacy_access = [&](u64 addr, u64 len, u32 perm) {
+                // Legacy loads/stores are checked against DDC: NULL
+                // under CheriABI, so they trap there by construction.
+                if (CapCheck chk = r.ddc.checkAccess(addr, len, perm))
+                    fault(*chk, r.ddc, addr);
+            };
+            auto cap_access = [&](const Capability &cb, u64 addr, u64 len,
+                                  u32 perm) {
+                if (CapCheck chk = cb.checkAccess(addr, len, perm))
+                    fault(*chk, cb, addr);
+            };
+            // MMU faults record the faulting effective address so the
+            // telemetry's provenance records are complete.
+            auto mmu = [&](u64 addr, CapCheck chk) {
+                if (chk)
+                    faultAt(*chk, addr);
+            };
+            auto cap_manip = [&] { alu += capCharged; };
+
+            switch (i.op) {
+              case Op::Halt:
+                ++alu;
+                ++retired;
+                sync();
+                res.status = InterpResult::Status::Halted;
+                res.steps = _retired;
+                return res;
+              case Op::Nop: ++alu; break;
+              case Op::Li: r.x[i.rd] = static_cast<u64>(i.imm); ++alu; break;
+              case Op::Move: r.x[i.rd] = r.x[i.rs]; ++alu; break;
+              case Op::Add: r.x[i.rd] = r.x[i.rs] + r.x[i.rt]; ++alu; break;
+              case Op::Addi:
+                r.x[i.rd] = r.x[i.rs] + static_cast<u64>(i.imm);
+                ++alu;
+                break;
+              case Op::Sub: r.x[i.rd] = r.x[i.rs] - r.x[i.rt]; ++alu; break;
+              case Op::Mul: r.x[i.rd] = r.x[i.rs] * r.x[i.rt]; ++alu; break;
+              case Op::And: r.x[i.rd] = r.x[i.rs] & r.x[i.rt]; ++alu; break;
+              case Op::Or: r.x[i.rd] = r.x[i.rs] | r.x[i.rt]; ++alu; break;
+              case Op::Xor: r.x[i.rd] = r.x[i.rs] ^ r.x[i.rt]; ++alu; break;
+              case Op::Sll:
+                r.x[i.rd] = r.x[i.rs] << (i.imm & 63);
+                ++alu;
+                break;
+              case Op::Srl:
+                r.x[i.rd] = r.x[i.rs] >> (i.imm & 63);
+                ++alu;
+                break;
+              case Op::Slt:
+                r.x[i.rd] = r.x[i.rs] < r.x[i.rt];
+                ++alu;
+                break;
+
+              case Op::Beq:
+                if (r.x[i.rs] == r.x[i.rt])
+                    branch_to(i.imm);
+                ++alu;
+                break;
+              case Op::Bne:
+                if (r.x[i.rs] != r.x[i.rt])
+                    branch_to(i.imm);
+                ++alu;
+                break;
+              case Op::J:
+                branch_to(i.imm);
+                ++alu;
+                break;
+
+              case Op::Lb: {
+                sync();
+                u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
+                legacy_access(addr, 1, PERM_LOAD);
+                u8 v = 0;
+                mmu(addr, mem.read(addr, &v, 1));
+                r.x[i.rd] = v;
+                cost.load(addr, 1);
+                break;
+              }
+              case Op::Ld: {
+                sync();
+                u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
+                legacy_access(addr, 8, PERM_LOAD);
+                u64 v = 0;
+                mmu(addr, mem.read(addr, &v, 8));
+                r.x[i.rd] = v;
+                cost.load(addr, 8);
+                break;
+              }
+              case Op::Sb: {
+                sync();
+                u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
+                legacy_access(addr, 1, PERM_STORE);
+                u8 v = static_cast<u8>(r.x[i.rd]);
+                mmu(addr, mem.write(addr, &v, 1));
+                cost.store(addr, 1);
+                break;
+              }
+              case Op::Sd: {
+                sync();
+                u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
+                legacy_access(addr, 8, PERM_STORE);
+                mmu(addr, mem.write(addr, &r.x[i.rd], 8));
+                cost.store(addr, 8);
+                break;
+              }
+
+              case Op::CGetTag:
+                r.x[i.rd] = r.c[i.rs].tag();
+                cap_manip();
+                break;
+              case Op::CGetLen:
+                r.x[i.rd] = r.c[i.rs].length();
+                cap_manip();
+                break;
+              case Op::CGetAddr:
+                r.x[i.rd] = r.c[i.rs].address();
+                cap_manip();
+                break;
+              case Op::CGetPerm:
+                r.x[i.rd] = r.c[i.rs].perms();
+                cap_manip();
+                break;
+              case Op::CMove:
+                r.c[i.rd] = r.c[i.rs];
+                cap_manip();
+                break;
+              case Op::CGetDDC:
+                r.c[i.rd] = r.ddc;
+                cap_manip();
+                break;
+              case Op::CGetPCC:
+                if (r.pcc.address() != pc)
+                    r.pcc = r.pcc.setAddress(pc);
+                r.c[i.rd] = r.pcc;
+                cap_manip();
+                break;
+              case Op::CIncOffset:
+                r.c[i.rd] =
+                    r.c[i.rs].incAddress(static_cast<s64>(r.x[i.rt]));
+                cap_manip();
+                break;
+              case Op::CIncOffsetImm:
+                r.c[i.rd] = r.c[i.rs].incAddress(i.imm);
+                cap_manip();
+                break;
+              case Op::CSetAddr:
+                r.c[i.rd] = r.c[i.rs].setAddress(r.x[i.rt]);
+                cap_manip();
+                break;
+              case Op::CSetBounds:
+                r.c[i.rd] = require(r.c[i.rs].setBounds(r.x[i.rt]));
+                if (traceSink)
+                    traceSink->derive(DeriveSource::Temp, r.c[i.rd]);
+                cap_manip();
+                break;
+              case Op::CSetBoundsImm:
+                r.c[i.rd] = require(
+                    r.c[i.rs].setBounds(static_cast<u64>(i.imm)));
+                if (traceSink)
+                    traceSink->derive(DeriveSource::Temp, r.c[i.rd]);
+                cap_manip();
+                break;
+              case Op::CAndPerm:
+                r.c[i.rd] = require(
+                    r.c[i.rs].andPerms(static_cast<u32>(r.x[i.rt])));
+                cap_manip();
+                break;
+              case Op::CClearTag:
+                r.c[i.rd] = r.c[i.rs].withoutTag();
+                cap_manip();
+                break;
+              case Op::CSeal:
+                r.c[i.rd] = require(r.c[i.rs].seal(r.c[i.rt]));
+                cap_manip();
+                break;
+              case Op::CUnseal:
+                r.c[i.rd] = require(r.c[i.rs].unseal(r.c[i.rt]));
+                cap_manip();
+                break;
+
+              case Op::Clb: {
+                sync();
+                const Capability &cb = r.c[i.rs];
+                u64 addr = cb.address() + static_cast<u64>(i.imm);
+                cap_access(cb, addr, 1, PERM_LOAD);
+                u8 v = 0;
+                mmu(addr, mem.read(addr, &v, 1));
+                r.x[i.rd] = v;
+                cost.load(addr, 1);
+                break;
+              }
+              case Op::Cld: {
+                sync();
+                const Capability &cb = r.c[i.rs];
+                u64 addr = cb.address() + static_cast<u64>(i.imm);
+                cap_access(cb, addr, 8, PERM_LOAD);
+                u64 v = 0;
+                mmu(addr, mem.read(addr, &v, 8));
+                r.x[i.rd] = v;
+                cost.load(addr, 8);
+                break;
+              }
+              case Op::Csb: {
+                sync();
+                const Capability &cb = r.c[i.rs];
+                u64 addr = cb.address() + static_cast<u64>(i.imm);
+                cap_access(cb, addr, 1, PERM_STORE);
+                u8 v = static_cast<u8>(r.x[i.rd]);
+                mmu(addr, mem.write(addr, &v, 1));
+                cost.store(addr, 1);
+                break;
+              }
+              case Op::Csd: {
+                sync();
+                const Capability &cb = r.c[i.rs];
+                u64 addr = cb.address() + static_cast<u64>(i.imm);
+                cap_access(cb, addr, 8, PERM_STORE);
+                mmu(addr, mem.write(addr, &r.x[i.rd], 8));
+                cost.store(addr, 8);
+                break;
+              }
+              case Op::Clc: {
+                sync();
+                const Capability &cb = r.c[i.rs];
+                u64 addr = cb.address() + static_cast<u64>(i.imm);
+                cap_access(cb, addr, capSize, PERM_LOAD | PERM_LOAD_CAP);
+                Result<Capability> v = mem.readCap(addr);
+                if (!v.ok())
+                    faultAt(v.fault(), addr);
+                r.c[i.rd] = v.value();
+                cost.load(addr, capSize);
+                break;
+              }
+              case Op::Csc: {
+                sync();
+                const Capability &cb = r.c[i.rs];
+                u64 addr = cb.address() + static_cast<u64>(i.imm);
+                cap_access(cb, addr, capSize, PERM_STORE | PERM_STORE_CAP);
+                if (CapCheck w = mem.writeCap(addr, r.c[i.rd]))
+                    faultAt(*w, addr);
+                cost.store(addr, capSize);
+                break;
+              }
+
+              case Op::Cjr: {
+                // PCC is replaced, not moved: nothing to write back.
+                const Capability &cb = r.c[i.rs];
+                if (CapCheck chk =
+                        cb.checkAccess(cb.address(), insnSize, PERM_EXECUTE))
+                    fault(*chk);
+                r.pcc = cb;
+                next = cb.address();
+                window = fetchWindow(r.pcc, abi);
+                ++alu;
+                break;
+              }
+
+              case Op::Syscall:
+                sync();
+                cost.syscall(0);
+                proc.kernel().dispatch(proc, static_cast<u64>(i.imm));
+                // The kernel may have replaced PCC (signal delivery,
+                // sigreturn, exec) and the ABI with it.  Advance the
+                // PCC it left, as a step would have.
+                r.pcc = r.pcc.setAddress(next);
+                retired = _retired;
+                abi = proc.abi();
+                capCharged = cost.abi() != Abi::Mips64;
+                window = fetchWindow(r.pcc, abi);
+                break;
+            }
+            pc = next;
+            ++retired;
+            if (calledOut) {
+                calledOut = false;
+                gen = mem.fetchGen();
+                if (yieldPending) {
+                    yieldPending = false;
+                    sync();
+                    res.status = InterpResult::Status::Preempted;
+                    res.steps = _retired;
+                    return res;
+                }
+            }
+        }
+        sync();
+        res.status = InterpResult::Status::StepLimit;
         res.steps = _retired;
         return res;
     } catch (const IsaFault &f) {
+        sync();
         res.status = InterpResult::Status::Fault;
         res.fault = f.cause;
         res.faultPc = pc;
@@ -370,31 +505,10 @@ Interpreter::step()
         res.steps = _retired;
         if (mx) {
             mx->recordFault(f.cause, pc, f.addr,
-                            f.hasVia ? &f.via : nullptr, proc.abi());
+                            f.hasVia ? &f.via : nullptr, abi);
         }
         return res;
     }
-}
-
-InterpResult
-Interpreter::run(u64 max_steps)
-{
-    u64 start = _retired;
-    while (_retired - start < max_steps) {
-        InterpResult r = step();
-        if (r.status != InterpResult::Status::Running)
-            return r;
-        if (yieldPending) {
-            yieldPending = false;
-            r.status = InterpResult::Status::Preempted;
-            r.steps = _retired;
-            return r;
-        }
-    }
-    InterpResult r;
-    r.status = InterpResult::Status::StepLimit;
-    r.steps = _retired;
-    return r;
 }
 
 InterpResult

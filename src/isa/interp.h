@@ -23,7 +23,10 @@
  *    file and applies the errno register convention.
  *
  * Faults do not unwind the host: run() returns a Fault result with the
- * precise PC and cause, like a stopped debuggee.
+ * precise PC and cause, like a stopped debuggee.  Everything run()
+ * defers (the PCC write-back, batched charges, the retired count) is
+ * settled before anything outside the loop can observe it, so its
+ * results are exactly those of executing one instruction at a time.
  */
 
 #ifndef CHERI_ISA_INTERP_H
@@ -97,7 +100,14 @@ class Interpreter
         proc.regs().pcc = entry;
     }
 
-    /** Execute until halt, fault, or @p max_steps. */
+    /**
+     * Execute until halt, fault, or @p max_steps.  One dispatch loop
+     * runs every instruction; the work around each one is hoisted out
+     * of it (see DESIGN.md, "The dispatch loop"): PCC is checked once
+     * per fetch window and written back only at sync points, and the
+     * fetch-hit and ALU charges are made in batches before anything
+     * outside the loop can see them.
+     */
     InterpResult run(u64 max_steps = 1'000'000);
 
     /**
@@ -118,9 +128,6 @@ class Interpreter
      */
     void requestYield() { yieldPending = true; }
 
-    /** Execute one instruction. */
-    InterpResult step();
-
     /** Instructions retired over this interpreter's lifetime. */
     u64 retired() const { return _retired; }
 
@@ -129,7 +136,8 @@ class Interpreter
      *  decode cache deliberately restarts cold — it is pure cache). */
     friend struct snap::Access;
 
-    /** Fetch+decode at PCC; may fault. */
+    /** Fetch+decode at PCC, checking PCC first; may fault.  run()
+     *  calls it for a pc outside its fetch window. */
     Insn fetch();
 
     /** Take the kernel's registry (nullable; one branch when absent). */
@@ -140,8 +148,11 @@ class Interpreter
      * generation): a hit skips both the memory read and the decode.
      * The generation increments on every TLB invalidation and on any
      * write to an executable page, so self-modifying code always
-     * re-fetches.  The PCC check still runs on every fetch — the cache
-     * only elides the MMU/decode work, never the capability check.
+     * re-fetches.  The cache only elides the MMU/decode work, never
+     * the capability check: run() serves it only to a pc inside PCC's
+     * fetch window.  A hit counts a modelled iTLB hit without
+     * consulting the iTLB, so only a cache of this shape keeps the
+     * modelled iTLB counts.
      */
     struct DecodeEntry
     {
@@ -150,6 +161,10 @@ class Interpreter
         Insn insn;
     };
     static constexpr u64 decodeCacheSize = 256;
+
+    /** A decode-cache miss: read and decode the instruction at @p pc
+     *  into @p e; may fault. */
+    const Insn &decodeInto(DecodeEntry &e, u64 pc);
 
     Process &proc;
     TraceSink *traceSink;

@@ -203,6 +203,9 @@ class CostModel
             }
         }
     }
+
+    /** @p n iTLB hits at once: tlbAccess(true, true) @p n times. */
+    void fetchTlbHits(u64 n) { _itlbAccesses += n; }
     /// @}
 
     /** @name Results */

@@ -38,15 +38,6 @@ MemAccess::detach()
     ++_fetchGen;
 }
 
-void
-MemAccess::countFetchHit()
-{
-    if (counters)
-        ++counters[TlbFetchHit];
-    if (cost)
-        cost->tlbAccess(true, true);
-}
-
 Frame *
 MemAccess::missData(u64 page_va, bool for_write, bool cap_store)
 {

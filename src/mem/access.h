@@ -185,9 +185,17 @@ class MemAccess
      */
     /// @{
     u64 fetchGen() const { return _fetchGen; }
-    /** Count a decode-cache hit as a modelled iTLB hit (the fetch never
-     *  reached memory but the translation was exercised). */
-    void countFetchHit();
+    /** Count @p n decode-cache hits as modelled iTLB hits (the fetch
+     *  never reached memory but the translation was exercised). */
+    void
+    countFetchHits(u64 n)
+    {
+        if (counters)
+            counters[TlbFetchHit] += n;
+        if (cost)
+            cost->fetchTlbHits(n);
+    }
+    void countFetchHit() { countFetchHits(1); }
     /// @}
 
     /** @name Invalidation interface (fired by AddressSpace) */

@@ -227,7 +227,7 @@ class Metrics : public TraceSink
     u64 faultCount(CapFault cause) const;
     /// @}
 
-    /** @name Instruction-mix profiler (fed by Interpreter::step) */
+    /** @name Instruction-mix profiler (fed by Interpreter::run) */
     /// @{
     void
     countInsn(unsigned op, Abi abi)
