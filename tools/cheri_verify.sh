@@ -60,7 +60,7 @@ CHERI_TEST_FRAME_BUDGET=48 CHERI_TEST_SLOT_BUDGET=128 \
 # least pages - frames slots), and pipe_bench under constrained memory:
 # parked contexts must not pin pages the reclaimer needs.
 for bench in vm_micro revocation_bench sched_bench pipe_bench \
-    hardening_bench capmodel_micro; do
+    hardening_bench capmodel_micro isa_overhead; do
     "$build_dir/bench/$bench" --json --check
 done
 "$build_dir/bench/vm_micro" --json --check --frames 48 --slots 160
