@@ -177,9 +177,12 @@ Interpreter::run(u64 max_steps)
     };
 
     InterpResult res;
+    Insn i;
+    // Set only while a fetch that can fault is under way: a fault then
+    // has no instruction to name.
+    bool fetching = false;
     try {
         for (; left > 0; --left) {
-            Insn i;
             if (window.contains(pc)) {
                 DecodeEntry &e =
                     dcache[(pc / insnSize) & (decodeCacheSize - 1)];
@@ -190,12 +193,16 @@ Interpreter::run(u64 max_steps)
                     // A miss may walk the page table, and a walk can
                     // reach the kernel (demand paging, reclaim).
                     sync();
+                    fetching = true;
                     i = decodeInto(e, pc);
+                    fetching = false;
                 }
             } else {
                 // Faults, unless PCC's check does not apply here.
                 sync();
+                fetching = true;
                 i = fetch();
+                fetching = false;
                 window = fetchWindow(r.pcc, abi);
             }
             if (mx)
@@ -502,6 +509,8 @@ Interpreter::run(u64 max_steps)
         res.fault = f.cause;
         res.faultPc = pc;
         res.faultAddr = f.addr;
+        if (!fetching)
+            res.faultOp = i.op;
         res.steps = _retired;
         if (mx) {
             mx->recordFault(f.cause, pc, f.addr,

@@ -33,6 +33,7 @@
 #define CHERI_ISA_INTERP_H
 
 #include <array>
+#include <optional>
 
 #include "isa/insn.h"
 #include "os/process.h"
@@ -73,7 +74,9 @@ struct InterpResult
     /** Effective address of the faulting access (0 when the fault did
      *  not involve one, e.g. a derivation failure). */
     u64 faultAddr = 0;
-    Op faultOp = Op::Halt;
+    /** Opcode of the faulting instruction; empty when no instruction
+     *  was fetched (a fetch fault) and when nothing faulted. */
+    std::optional<Op> faultOp;
 };
 
 class Interpreter

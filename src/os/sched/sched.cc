@@ -446,7 +446,9 @@ Scheduler::runOneSlice(ExecContext &ctx, Process &proc)
             info.signal = SIG_PROT;
             info.fault = r.fault;
             info.faultAddr = r.faultAddr;
-            info.detail = std::string(isa::opName(r.faultOp)) + " faulted";
+            info.detail = r.faultOp ? std::string(isa::opName(*r.faultOp)) +
+                                          " faulted"
+                                    : "instruction fetch faulted";
             kern.faultProcess(proc, info, true);
             break;
           }

@@ -480,7 +480,11 @@ struct Access
         ar.u64(res.steps);
         ar.enumeration(res.fault, maxCapFault, "fault");
         ar.u64(res.faultPc, res.faultAddr);
-        ar.u8(res.faultOp);
+        // One byte: the op, or Halt's for none (Halt never faults).
+        isa::Op op = res.faultOp.value_or(isa::Op::Halt);
+        ar.u8(op);
+        res.faultOp = op == isa::Op::Halt ? std::nullopt
+                                          : std::optional<isa::Op>(op);
     }
 
     template <class Ar> static void transfer(Ar &ar, obs::Histogram &h)

@@ -4,7 +4,8 @@
  * hoisted the per-step work out of the loop body.  It executes one
  * instruction per step(), checking PCC on every fetch, charging every
  * instruction and counting every decode-cache hit as it goes, and
- * writing PCC back after each instruction.  Its decode cache has the
+ * writing PCC back after each instruction (it also names the faulting
+ * instruction in InterpResult::faultOp).  Its decode cache has the
  * same shape as isa::Interpreter's (256 entries keyed on (va, fetch
  * generation)), because a hit counts a modelled iTLB hit without
  * consulting the iTLB: the two must agree on every hit for their
@@ -70,8 +71,11 @@ class RefStepper
         ThreadRegs &r = proc.regs();
         CostModel &cost = proc.cost();
         u64 pc = r.pcc.address();
+        Insn i;
+        bool fetched = false;
         try {
-            Insn i = fetch();
+            i = fetch();
+            fetched = true;
             if (mx)
                 mx->countInsn(static_cast<unsigned>(i.op), proc.abi());
             u64 next = pc + isa::insnSize;
@@ -337,6 +341,8 @@ class RefStepper
             res.fault = f.cause;
             res.faultPc = pc;
             res.faultAddr = f.addr;
+            if (fetched)
+                res.faultOp = i.op;
             res.steps = _retired;
             if (mx) {
                 mx->recordFault(f.cause, pc, f.addr,

@@ -172,6 +172,7 @@ TEST_P(IsaRun, BoundedCapabilityFaultsOutOfBounds)
     EXPECT_EQ(r.fault, CapFault::LengthViolation);
     EXPECT_EQ(r.faultPc, code_va + insnSize)
         << "the fault reports the precise PC";
+    EXPECT_EQ(r.faultOp, Op::Cld) << "and the faulting instruction";
 }
 
 TEST_P(IsaRun, MonotonicityFaultsAtCSetBounds)
@@ -358,6 +359,8 @@ TEST(IsaAbi, PccBoundsConfineControlFlow)
     ASSERT_EQ(r.status, InterpResult::Status::Fault);
     EXPECT_EQ(r.fault, CapFault::LengthViolation)
         << "fetch outside PCC bounds must fault";
+    EXPECT_FALSE(r.faultOp.has_value())
+        << "a fetch fault has no instruction to name";
 }
 
 TEST(IsaAbi, CjrRequiresExecutableCapability)

@@ -298,6 +298,7 @@ TEST(ProcessDeathUnderScheduler, InterpretedCapabilityFaultRunsTheTeardown)
         ASSERT_TRUE(p.death());
         EXPECT_EQ(p.death()->signal, SIG_PROT);
         EXPECT_NE(p.death()->fault, CapFault::None);
+        EXPECT_EQ(p.death()->detail, "clc faulted");
         EXPECT_EQ(p.exitStatus(), 128 + SIG_PROT);
         EXPECT_EQ(mappingCount(p), 0u) << "memory outlived the death";
         SysResult rd = f.kern->sysRead(*f.parent.proc, f.rfd,
@@ -318,6 +319,40 @@ TEST(ProcessDeathUnderScheduler, InterpretedCapabilityFaultRunsTheTeardown)
     EXPECT_EQ(r.x[regSysErr], 0u);
     EXPECT_EQ(r.x[regRetVal], vpid);
     EXPECT_EQ(f.kern->findProcess(vpid), nullptr) << "victim not reaped";
+}
+
+TEST(ProcessDeathUnderScheduler, InterpretedFetchFaultIsReportedAsAFetch)
+{
+    // PCC covers two instructions; the third fetch is out of bounds.
+    // No instruction was fetched, so the death names the fetch.
+    Family f(Abi::CheriAbi);
+    const u64 vpid = f.victim->pid();
+    sched::Scheduler &s = sched::schedulerFor(*f.kern);
+    isa::Assembler a;
+    a.nop().nop().nop().halt();
+    SchedGuest victim{f.victim, f.parent.code, f.parent.data};
+    sched::ExecContext &vcx = admitProgram(s, victim, a);
+    vcx.interp->setEntry(f.victim->as()
+                             .capForRange(f.parent.code, pageSize,
+                                          PROT_READ | PROT_EXEC, false)
+                             .setAddress(f.parent.code)
+                             .setBounds(2 * isa::insnSize)
+                             .value());
+
+    bool sawDeath = false;
+    s.setSliceHook([&](Process &p) {
+        if (p.pid() != vpid)
+            return;
+        sawDeath = true;
+        ASSERT_EQ(vcx.last.status, isa::InterpResult::Status::Fault);
+        EXPECT_FALSE(vcx.last.faultOp.has_value());
+        ASSERT_TRUE(p.death());
+        EXPECT_EQ(p.death()->fault, CapFault::LengthViolation);
+        EXPECT_EQ(p.death()->detail, "instruction fetch faulted");
+    });
+    f.kern->runUntilIdle();
+    s.setSliceHook(nullptr);
+    EXPECT_TRUE(sawDeath);
 }
 
 INSTANTIATE_TEST_SUITE_P(
