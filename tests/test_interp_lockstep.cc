@@ -58,8 +58,8 @@ enum : u8
     cCodeRw = 12,  ///< writable view of the code
     cSealed = 13,  ///< sealed executable capability
     cUntagged = 14,
-    cScratch0 = 20,
-    cScratch1 = 22,
+    cTmp0 = 20,
+    cTmp1 = 22,
     cPcc = 23,     ///< executable capability over the program
     cHop = 24,
     cBack = 25,
@@ -167,15 +167,15 @@ generate(std::mt19937_64 &rng, Abi abi, Assembler &a)
               case 13: a.cgetlen(xT1, cData); break;
               case 14: a.cgetaddr(xT0, cPcc); break;
               case 15: a.cgetperm(xT1, cData); break;
-              case 16: a.cmove(cScratch0, cData); break;
-              case 17: a.cincoffsetimm(cScratch0, cData, 64); break;
-              case 18: a.cgetpcc(cScratch1); break;
-              case 19: a.cgetddc(cScratch0); break;
-              case 20: a.csetboundsimm(cScratch0, cData, 64); break;
-              case 21: a.ccleartag(cScratch1, cData); break;
-              case 22: a.cseal(cScratch1, cData, cSealer); break;
-              case 23: a.cunseal(cScratch1, cSealed, cSealer); break;
-              case 24: a.csetaddr(cScratch0, cData, rs); break;
+              case 16: a.cmove(cTmp0, cData); break;
+              case 17: a.cincoffsetimm(cTmp0, cData, 64); break;
+              case 18: a.cgetpcc(cTmp1); break;
+              case 19: a.cgetddc(cTmp0); break;
+              case 20: a.csetboundsimm(cTmp0, cData, 64); break;
+              case 21: a.ccleartag(cTmp1, cData); break;
+              case 22: a.cseal(cTmp1, cData, cSealer); break;
+              case 23: a.cunseal(cTmp1, cSealed, cSealer); break;
+              case 24: a.csetaddr(cTmp0, cData, rs); break;
               default: a.addi(rd, rs, static_cast<s64>(pick(1000)) - 500);
                   break;
             }
@@ -185,17 +185,17 @@ generate(std::mt19937_64 &rng, Abi abi, Assembler &a)
     // A walk over the data pages: each iteration moves eight pages.
     auto dataWalk = [&] {
         a.li(xT2, 0x3FFF8).sll(xT1, xLoop, 15).and_(xT1, xT1, xT2);
-        a.cincoffset(cScratch0, cData, xT1).add(xT2, xData, xT1);
+        a.cincoffset(cTmp0, cData, xT1).add(xT2, xData, xT1);
         for (u64 k = 1 + pick(4); k > 0; --k) {
             s64 off = static_cast<s64>(pick(16) * pageSize + pick(256) * 16);
             u8 v = static_cast<u8>(10 + pick(6));
             switch (pick(cheri ? 5 : 8)) {
-              case 0: a.cld(xT0, cScratch0, off).add(v, v, xT0); break;
-              case 1: a.csd(v, cScratch0, off); break;
-              case 2: a.clb(xT0, cScratch0, off).csb(v, cScratch0, off + 1);
+              case 0: a.cld(xT0, cTmp0, off).add(v, v, xT0); break;
+              case 1: a.csd(v, cTmp0, off); break;
+              case 2: a.clb(xT0, cTmp0, off).csb(v, cTmp0, off + 1);
                   break;
-              case 3: a.csc(cData, cScratch0, off); break;
-              case 4: a.clc(cScratch1, cScratch0, off); break;
+              case 3: a.csc(cData, cTmp0, off); break;
+              case 4: a.clc(cTmp1, cTmp0, off); break;
               case 5: a.ld(xT0, xT2, off).add(v, v, xT0); break;
               case 6: a.sd(v, xT2, off); break;
               default: a.lb(xT0, xT2, off).sb(v, xT2, off + 1); break;
@@ -306,7 +306,7 @@ generate(std::mt19937_64 &rng, Abi abi, Assembler &a)
         break;
       case 5: // a failing derivation after a run of ALU instructions
         aluRun(10 + pick(30));
-        a.csetboundsimm(cScratch0, cData,
+        a.csetboundsimm(cTmp0, cData,
                         static_cast<s64>(2 * dataPages * pageSize));
         break;
       case 6: // CheriABI: NULL DDC; mips64: a jump through a data cap
