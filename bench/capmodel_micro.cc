@@ -178,8 +178,10 @@ main(int argc, char **argv)
         const u64 misses = cost.dtlbMisses();
         const u64 probes = inj.events(FaultPoint::TagBitFlip);
         u64 g = 0;
+        Capability c;
         timeCase(report, "MemAccessReadCapHit", kReps, [&] {
-            bench::keep(mem.readCap(s.va + (g++ & 15) * capSize));
+            bench::keep(mem.readCap(s.va + (g++ & 15) * capSize, c));
+            bench::keep(c);
         });
         report.expect(cost.dtlbMisses() == misses,
                       "MemAccessReadCapHit: no dTLB miss while timed");

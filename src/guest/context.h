@@ -55,22 +55,16 @@ class GuestContext
     read(const GuestPtr &p, void *buf, u64 len)
     {
         const Capability &via = authorityFor(p);
-        if (CapCheck chk = via.checkAccess(p.addr(), len, PERM_LOAD))
-            trap(*chk, p.addr(), via, "guest load");
-        cost().load(p.addr(), len);
-        if (CapCheck fault = _proc.mem().read(p.addr(), buf, len))
-            trap(*fault, p.addr(), via, "guest load");
+        if (auto f = _proc.mem().load(via, p.addr(), buf, len))
+            trap(f->cause, p.addr(), via, "guest load");
     }
 
     void
     write(const GuestPtr &p, const void *buf, u64 len)
     {
         const Capability &via = authorityFor(p);
-        if (CapCheck chk = via.checkAccess(p.addr(), len, PERM_STORE))
-            trap(*chk, p.addr(), via, "guest store");
-        cost().store(p.addr(), len);
-        if (CapCheck fault = _proc.mem().write(p.addr(), buf, len))
-            trap(*fault, p.addr(), via, "guest store");
+        if (auto f = _proc.mem().store(via, p.addr(), buf, len))
+            trap(f->cause, p.addr(), via, "guest store");
     }
     /// @}
 
@@ -103,15 +97,10 @@ class GuestContext
         GuestPtr at = p + off;
         if (!isCheri())
             return GuestPtr(Capability::fromAddress(load<u64>(at)));
-        const Capability &via = at.cap;
-        if (CapCheck chk = via.checkAccess(at.addr(), capSize,
-                                           PERM_LOAD | PERM_LOAD_CAP))
-            trap(*chk, at.addr(), via, "pointer load");
-        cost().load(at.addr(), capSize);
-        Result<Capability> r = _proc.mem().readCap(at.addr());
-        if (!r.ok())
-            trap(r.fault(), at.addr(), via, "pointer load");
-        return GuestPtr(r.value());
+        GuestPtr v;
+        if (auto f = _proc.mem().loadCap(at.cap, at.addr(), v.cap))
+            trap(f->cause, at.addr(), at.cap, "pointer load");
+        return v;
     }
 
     void
@@ -122,13 +111,8 @@ class GuestContext
             store<u64>(at, 0, v.addr());
             return;
         }
-        const Capability &via = at.cap;
-        if (CapCheck chk = via.checkAccess(at.addr(), capSize,
-                                           PERM_STORE | PERM_STORE_CAP))
-            trap(*chk, at.addr(), via, "pointer store");
-        cost().store(at.addr(), capSize);
-        if (CapCheck fault = _proc.mem().writeCap(at.addr(), v.cap))
-            trap(*fault, at.addr(), via, "pointer store");
+        if (auto f = _proc.mem().storeCap(at.cap, at.addr(), v.cap))
+            trap(f->cause, at.addr(), at.cap, "pointer store");
     }
     /// @}
 

@@ -27,17 +27,14 @@ fault(CapFault cause)
     throw IsaFault{cause, {}, 0, false};
 }
 
-/** MMU faults carry the faulting VA but no capability. */
-[[noreturn]] void
-faultAt(CapFault cause, u64 addr)
+/** Throw a failed data access with its effective address, naming the
+ *  authority only when its capability check raised the fault. */
+void
+check(const MemAccess::AccessCheck &f, const Capability &auth, u64 addr)
 {
-    throw IsaFault{cause, {}, addr, false};
-}
-
-[[noreturn]] void
-fault(CapFault cause, const Capability &via, u64 addr)
-{
-    throw IsaFault{cause, via, addr, true};
+    if (f)
+        throw IsaFault{f->cause, f->byCheck ? auth : Capability{}, addr,
+                       f->byCheck};
 }
 
 /** Check-and-throw helper for Result-returning capability ops. */
@@ -77,7 +74,7 @@ Interpreter::fetch()
         // Instruction fetch is authorized by PCC — checked on every
         // fetch, decode cache or not.
         if (CapCheck chk = pcc.checkAccess(pc, insnSize, PERM_EXECUTE))
-            fault(*chk, pcc, pc);
+            throw IsaFault{*chk, pcc, pc, true};
     }
     MemAccess &mem = proc.mem();
     DecodeEntry &e = dcache[(pc / insnSize) & (decodeCacheSize - 1)];
@@ -94,7 +91,7 @@ Interpreter::decodeInto(DecodeEntry &e, u64 pc)
     MemAccess &mem = proc.mem();
     u64 word = 0;
     if (CapCheck mmu = mem.fetch(pc, &word, insnSize))
-        faultAt(*mmu, pc);
+        throw IsaFault{*mmu, {}, pc, false};
     e.va = pc;
     e.gen = mem.fetchGen();
     e.insn = Insn::decode(word);
@@ -214,23 +211,6 @@ Interpreter::run(u64 max_steps)
                        static_cast<u64>(insn_off *
                                         static_cast<s64>(insnSize));
             };
-            auto legacy_access = [&](u64 addr, u64 len, u32 perm) {
-                // Legacy loads/stores are checked against DDC: NULL
-                // under CheriABI, so they trap there by construction.
-                if (CapCheck chk = r.ddc.checkAccess(addr, len, perm))
-                    fault(*chk, r.ddc, addr);
-            };
-            auto cap_access = [&](const Capability &cb, u64 addr, u64 len,
-                                  u32 perm) {
-                if (CapCheck chk = cb.checkAccess(addr, len, perm))
-                    fault(*chk, cb, addr);
-            };
-            // MMU faults record the faulting effective address so the
-            // telemetry's provenance records are complete.
-            auto mmu = [&](u64 addr, CapCheck chk) {
-                if (chk)
-                    faultAt(*chk, addr);
-            };
             auto cap_manip = [&] { alu += capCharged; };
 
             switch (i.op) {
@@ -282,41 +262,35 @@ Interpreter::run(u64 max_steps)
                 ++alu;
                 break;
 
+              // Legacy loads and stores are checked against DDC: NULL
+              // under CheriABI, so they trap there by construction.
               case Op::Lb: {
                 sync();
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 1, PERM_LOAD);
                 u8 v = 0;
-                mmu(addr, mem.read(addr, &v, 1));
+                check(mem.load(r.ddc, addr, &v, 1), r.ddc, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 1);
                 break;
               }
               case Op::Ld: {
                 sync();
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 8, PERM_LOAD);
                 u64 v = 0;
-                mmu(addr, mem.read(addr, &v, 8));
+                check(mem.load(r.ddc, addr, &v, 8), r.ddc, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 8);
                 break;
               }
               case Op::Sb: {
                 sync();
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 1, PERM_STORE);
                 u8 v = static_cast<u8>(r.x[i.rd]);
-                mmu(addr, mem.write(addr, &v, 1));
-                cost.store(addr, 1);
+                check(mem.store(r.ddc, addr, &v, 1), r.ddc, addr);
                 break;
               }
               case Op::Sd: {
                 sync();
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 8, PERM_STORE);
-                mmu(addr, mem.write(addr, &r.x[i.rd], 8));
-                cost.store(addr, 8);
+                check(mem.store(r.ddc, addr, &r.x[i.rd], 8), r.ddc, addr);
                 break;
               }
 
@@ -398,63 +372,48 @@ Interpreter::run(u64 max_steps)
                 sync();
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 1, PERM_LOAD);
                 u8 v = 0;
-                mmu(addr, mem.read(addr, &v, 1));
+                check(mem.load(cb, addr, &v, 1), cb, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 1);
                 break;
               }
               case Op::Cld: {
                 sync();
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 8, PERM_LOAD);
                 u64 v = 0;
-                mmu(addr, mem.read(addr, &v, 8));
+                check(mem.load(cb, addr, &v, 8), cb, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 8);
                 break;
               }
               case Op::Csb: {
                 sync();
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 1, PERM_STORE);
                 u8 v = static_cast<u8>(r.x[i.rd]);
-                mmu(addr, mem.write(addr, &v, 1));
-                cost.store(addr, 1);
+                check(mem.store(cb, addr, &v, 1), cb, addr);
                 break;
               }
               case Op::Csd: {
                 sync();
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 8, PERM_STORE);
-                mmu(addr, mem.write(addr, &r.x[i.rd], 8));
-                cost.store(addr, 8);
+                check(mem.store(cb, addr, &r.x[i.rd], 8), cb, addr);
                 break;
               }
               case Op::Clc: {
+                // r.c[i.rd] may be cb itself: loadCap writes it last.
                 sync();
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, capSize, PERM_LOAD | PERM_LOAD_CAP);
-                Result<Capability> v = mem.readCap(addr);
-                if (!v.ok())
-                    faultAt(v.fault(), addr);
-                r.c[i.rd] = v.value();
-                cost.load(addr, capSize);
+                check(mem.loadCap(cb, addr, r.c[i.rd]), cb, addr);
                 break;
               }
               case Op::Csc: {
                 sync();
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, capSize, PERM_STORE | PERM_STORE_CAP);
-                if (CapCheck w = mem.writeCap(addr, r.c[i.rd]))
-                    faultAt(*w, addr);
-                cost.store(addr, capSize);
+                check(mem.storeCap(cb, addr, r.c[i.rd]), cb, addr);
                 break;
               }
 

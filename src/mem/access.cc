@@ -173,8 +173,8 @@ MemAccess::fetch(u64 va, void *buf, u64 len)
     return std::nullopt;
 }
 
-Result<Capability>
-MemAccess::readCapSlow(u64 va)
+CapCheck
+MemAccess::readCapSlow(u64 va, Capability &out)
 {
     if (va % capAlign != 0)
         return CapFault::AlignmentViolation;
@@ -195,7 +195,8 @@ MemAccess::readCapSlow(u64 va)
     if (f->tagAt(off) && as &&
         as->physMem().injectCapLoadCorruption(*f, off, va))
         return CapFault::MachineCheck;
-    return f->readCap(off);
+    out = f->readCap(off);
+    return std::nullopt;
 }
 
 CapCheck

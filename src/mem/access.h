@@ -128,12 +128,13 @@ class MemAccess
     }
 
     /**
-     * Capability load: capSize-aligned.  Inline for an aligned load
-     * that hits the dTLB, as read(); only a tagged granule probes the
-     * injector, as in readCapSlow().
+     * Capability load: capSize-aligned, into @p out, which is written
+     * only on success.  Inline for an aligned load that hits the dTLB,
+     * as read(); only a tagged granule probes the injector, as in
+     * readCapSlow().
      */
-    Result<Capability>
-    readCap(u64 va)
+    CapCheck
+    readCap(u64 va, Capability &out)
     {
         const u64 off = va & pageMask;
         const u64 page = va - off;
@@ -144,21 +145,90 @@ class MemAccess
             if (e.frame->tagAt(off) &&
                 as->physMem().injectCapLoadCorruption(*e.frame, off, va))
                 return CapFault::MachineCheck;
-            return e.frame->readCap(off);
+            out = e.frame->readCap(off);
+            return std::nullopt;
         }
-        return readCapSlow(va);
+        return readCapSlow(va, out);
     }
 
     /** The general paths behind read(), write() and readCap() (public
      *  so tests can run them in lock step with the inline path). */
     CapCheck readSlow(u64 va, void *buf, u64 len);
     CapCheck writeSlow(u64 va, const void *buf, u64 len);
-    Result<Capability> readCapSlow(u64 va);
+    CapCheck readCapSlow(u64 va, Capability &out);
 
     /** Instruction fetch: like read(), but through the iTLB. */
     CapCheck fetch(u64 va, void *buf, u64 len);
     /** Capability store: capSize-aligned. */
     CapCheck writeCap(u64 va, const Capability &cap);
+    /// @}
+
+    /** A failed guest access: its cause, and whether the authority's
+     *  capability check raised it (else the MMU did). */
+    struct AccessFault
+    {
+        CapFault cause;
+        bool byCheck;
+    };
+    using AccessCheck = std::optional<AccessFault>;
+
+    /** @name The guest-access core
+     * One guest load or store through the authorizing capability @p auth:
+     * the pointer's own capability under CheriABI, DDC under mips64.
+     * GuestContext and the interpreter make every data access here, in
+     * one order:
+     *  1. auth.checkAccess(va, len, perm) — a failure touches nothing
+     *     and charges nothing;
+     *  2. the cost model's load/store charge;
+     *  3. the MMU access (read/write/readCap/writeCap), whose fault
+     *     comes after the charge: the instruction issued.
+     *
+     * loadCap() writes @p out only once every step has passed, so @p out
+     * may alias @p auth (`clc c1, 0(c1)`).
+     * Always inlined: their callers are the hot paths themselves.
+     */
+    /// @{
+    [[gnu::always_inline]] AccessCheck
+    load(const Capability &auth, u64 va, void *buf, u64 len)
+    {
+        if (CapCheck chk = auth.checkAccess(va, len, PERM_LOAD))
+            return AccessFault{*chk, true};
+        if (cost)
+            cost->load(va, len);
+        return mmuFault(read(va, buf, len));
+    }
+
+    [[gnu::always_inline]] AccessCheck
+    store(const Capability &auth, u64 va, const void *buf, u64 len)
+    {
+        if (CapCheck chk = auth.checkAccess(va, len, PERM_STORE))
+            return AccessFault{*chk, true};
+        if (cost)
+            cost->store(va, len);
+        return mmuFault(write(va, buf, len));
+    }
+
+    [[gnu::always_inline]] AccessCheck
+    loadCap(const Capability &auth, u64 va, Capability &out)
+    {
+        if (CapCheck chk =
+                auth.checkAccess(va, capSize, PERM_LOAD | PERM_LOAD_CAP))
+            return AccessFault{*chk, true};
+        if (cost)
+            cost->load(va, capSize);
+        return mmuFault(readCap(va, out));
+    }
+
+    [[gnu::always_inline]] AccessCheck
+    storeCap(const Capability &auth, u64 va, const Capability &cap)
+    {
+        if (CapCheck chk =
+                auth.checkAccess(va, capSize, PERM_STORE | PERM_STORE_CAP))
+            return AccessFault{*chk, true};
+        if (cost)
+            cost->store(va, capSize);
+        return mmuFault(writeCap(va, cap));
+    }
     /// @}
 
     /** Outcome of readString(). */
@@ -211,6 +281,15 @@ class MemAccess
     /// @}
 
   private:
+    /** Step 3's outcome as the core reports it. */
+    static AccessCheck
+    mmuFault(CapCheck chk)
+    {
+        if (chk)
+            return AccessFault{*chk, false};
+        return std::nullopt;
+    }
+
     struct Entry
     {
         /** Page VA this entry maps; invalidVa when empty. */

@@ -451,12 +451,9 @@ Kernel::copyincap(Process &proc, const UserPtr &src, Capability *out)
                                PERM_LOAD | PERM_LOAD_CAP);
         if (err)
             return err;
-        Result<Capability> r = proc.mem().readCap(src.addr());
-        if (!r.ok())
-            return r.fault() == CapFault::AlignmentViolation ? E_INVAL
-                                                             : E_FAULT;
+        if (CapCheck f = proc.mem().readCap(src.addr(), *out))
+            return *f == CapFault::AlignmentViolation ? E_INVAL : E_FAULT;
         proc.cost().load(src.addr(), capSize);
-        *out = r.value();
         // The kernel now holds a user capability in its own structures.
         if (traceSink && out->tag())
             traceSink->derive(DeriveSource::Kern, *out);

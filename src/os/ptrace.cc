@@ -77,13 +77,11 @@ Kernel::ptraceReadCap(Process &debugger, u64 pid, u64 addr,
         return SysResult::fail(E_SRCH);
     if (!isAttached(attached, debugger.pid(), pid))
         return SysResult::fail(E_PERM);
-    Result<Capability> r = target->mem().readCap(addr);
-    if (!r.ok())
-        return SysResult::fail(E_FAULT);
     // The debugger sees the capability's value (bounds, perms, tag) but
     // receives it as *data*: nothing it holds can dereference target
     // memory directly.
-    *out = r.value();
+    if (target->mem().readCap(addr, *out))
+        return SysResult::fail(E_FAULT);
     return SysResult::ok();
 }
 

@@ -166,13 +166,13 @@ Kernel::popSigFrame(Process &proc, const SigFrame &frame)
     auto load_slot = [&](u64 idx) -> Capability {
         u64 at = va + header + idx * slot;
         if (cheri) {
-            Result<Capability> r = proc.mem().readCap(at);
-            if (!r.ok()) {
+            Capability c;
+            if (CapCheck chk = proc.mem().readCap(at, c)) {
                 if (fail == CapFault::None)
-                    fail = r.fault();
+                    fail = *chk;
                 return Capability();
             }
-            return r.value();
+            return c;
         }
         u64 a = 0;
         CapCheck chk = proc.mem().read(at, &a, 8);

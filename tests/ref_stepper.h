@@ -9,7 +9,9 @@
  * same shape as isa::Interpreter's (256 entries keyed on (va, fetch
  * generation)), because a hit counts a modelled iTLB hit without
  * consulting the iTLB: the two must agree on every hit for their
- * counts to agree.
+ * counts to agree.  Its loads and stores go through the same
+ * MemAccess core calls as run() (load/store/loadCap/storeCap), so
+ * what it checks is the loop's deferral, not the access path.
  *
  * test_interp_lockstep runs it in lock step with Interpreter::run() on
  * a twin process and compares everything either can change.
@@ -70,6 +72,7 @@ class RefStepper
         InterpResult res;
         ThreadRegs &r = proc.regs();
         CostModel &cost = proc.cost();
+        MemAccess &mem = proc.mem();
         u64 pc = r.pcc.address();
         Insn i;
         bool fetched = false;
@@ -83,19 +86,6 @@ class RefStepper
                 next = pc + isa::insnSize +
                        static_cast<u64>(insn_off *
                                         static_cast<s64>(isa::insnSize));
-            };
-            auto legacy_access = [&](u64 addr, u64 len, u32 perm) {
-                if (CapCheck chk = r.ddc.checkAccess(addr, len, perm))
-                    throw Fault{*chk, r.ddc, addr, true};
-            };
-            auto cap_access = [&](const Capability &cb, u64 addr, u64 len,
-                                  u32 perm) {
-                if (CapCheck chk = cb.checkAccess(addr, len, perm))
-                    throw Fault{*chk, cb, addr, true};
-            };
-            auto mmu = [&](u64 addr, CapCheck chk) {
-                if (chk)
-                    throw Fault{*chk, {}, addr, false};
             };
             auto require = [](Result<Capability> v) {
                 if (!v.ok())
@@ -152,35 +142,27 @@ class RefStepper
 
               case Op::Lb: {
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 1, PERM_LOAD);
                 u8 v = 0;
-                mmu(addr, proc.mem().read(addr, &v, 1));
+                check(mem.load(r.ddc, addr, &v, 1), r.ddc, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 1);
                 break;
               }
               case Op::Ld: {
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 8, PERM_LOAD);
                 u64 v = 0;
-                mmu(addr, proc.mem().read(addr, &v, 8));
+                check(mem.load(r.ddc, addr, &v, 8), r.ddc, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 8);
                 break;
               }
               case Op::Sb: {
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 1, PERM_STORE);
                 u8 v = static_cast<u8>(r.x[i.rd]);
-                mmu(addr, proc.mem().write(addr, &v, 1));
-                cost.store(addr, 1);
+                check(mem.store(r.ddc, addr, &v, 1), r.ddc, addr);
                 break;
               }
               case Op::Sd: {
                 u64 addr = r.x[i.rs] + static_cast<u64>(i.imm);
-                legacy_access(addr, 8, PERM_STORE);
-                mmu(addr, proc.mem().write(addr, &r.x[i.rd], 8));
-                cost.store(addr, 8);
+                check(mem.store(r.ddc, addr, &r.x[i.rd], 8), r.ddc, addr);
                 break;
               }
 
@@ -259,58 +241,42 @@ class RefStepper
               case Op::Clb: {
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 1, PERM_LOAD);
                 u8 v = 0;
-                mmu(addr, proc.mem().read(addr, &v, 1));
+                check(mem.load(cb, addr, &v, 1), cb, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 1);
                 break;
               }
               case Op::Cld: {
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 8, PERM_LOAD);
                 u64 v = 0;
-                mmu(addr, proc.mem().read(addr, &v, 8));
+                check(mem.load(cb, addr, &v, 8), cb, addr);
                 r.x[i.rd] = v;
-                cost.load(addr, 8);
                 break;
               }
               case Op::Csb: {
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 1, PERM_STORE);
                 u8 v = static_cast<u8>(r.x[i.rd]);
-                mmu(addr, proc.mem().write(addr, &v, 1));
-                cost.store(addr, 1);
+                check(mem.store(cb, addr, &v, 1), cb, addr);
                 break;
               }
               case Op::Csd: {
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, 8, PERM_STORE);
-                mmu(addr, proc.mem().write(addr, &r.x[i.rd], 8));
-                cost.store(addr, 8);
+                check(mem.store(cb, addr, &r.x[i.rd], 8), cb, addr);
                 break;
               }
               case Op::Clc: {
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, capSize, PERM_LOAD | PERM_LOAD_CAP);
-                Result<Capability> v = proc.mem().readCap(addr);
-                if (!v.ok())
-                    throw Fault{v.fault(), {}, addr, false};
-                r.c[i.rd] = v.value();
-                cost.load(addr, capSize);
+                check(mem.loadCap(cb, addr, r.c[i.rd]), cb, addr);
                 break;
               }
               case Op::Csc: {
                 const Capability &cb = r.c[i.rs];
                 u64 addr = cb.address() + static_cast<u64>(i.imm);
-                cap_access(cb, addr, capSize, PERM_STORE | PERM_STORE_CAP);
-                if (CapCheck w = proc.mem().writeCap(addr, r.c[i.rd]))
-                    throw Fault{*w, {}, addr, false};
-                cost.store(addr, capSize);
+                check(mem.storeCap(cb, addr, r.c[i.rd]), cb, addr);
                 break;
               }
 
@@ -360,6 +326,16 @@ class RefStepper
         u64 addr = 0;
         bool hasVia = false;
     };
+
+    /** Throw a failed data access: the authority is named only when
+     *  its capability check raised the fault. */
+    static void
+    check(const MemAccess::AccessCheck &f, const Capability &auth, u64 addr)
+    {
+        if (f)
+            throw Fault{f->cause, f->byCheck ? auth : Capability{}, addr,
+                        f->byCheck};
+    }
 
     struct DecodeEntry
     {

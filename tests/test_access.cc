@@ -150,7 +150,7 @@ TEST_F(AccessTest, SwapRoundTripPreservesTagsThroughFastPath)
     ASSERT_TRUE(c.tag());
     ASSERT_FALSE(mem.writeCap(va + capSize, c).has_value());
     ASSERT_TRUE(as.swapOutPage(va));
-    Result<Capability> r = mem.readCap(va + capSize);
+    Result<Capability> r = test::readCap(mem, va + capSize);
     ASSERT_TRUE(r.ok());
     EXPECT_TRUE(r.value().tag());
     EXPECT_EQ(r.value(), c);
@@ -181,7 +181,7 @@ TEST_F(AccessTest, RevocationSweepIsVisibleThroughTheTlb)
     // Opening the epoch flushes every TLB; prime the read path inside
     // it so a stale cached view would be tempting after the sweep.
     EXPECT_EQ(as.beginSweepEpoch(1, false), std::vector<u64>{va});
-    ASSERT_TRUE(mem.readCap(va).ok());
+    ASSERT_TRUE(test::readCap(mem, va).ok());
     AddressSpace::PageSweep swept =
         as.sweepPage(va, 1, [va](const Capability &cap) {
             return cap.base() >= va && cap.base() < va + 64;
@@ -189,7 +189,7 @@ TEST_F(AccessTest, RevocationSweepIsVisibleThroughTheTlb)
     as.endSweepEpoch();
     EXPECT_EQ(swept.revoked, 1u);
     u64 misses = cost.dtlbMisses();
-    Result<Capability> r = mem.readCap(va);
+    Result<Capability> r = test::readCap(mem, va);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r.value().tag());
     EXPECT_EQ(cost.dtlbMisses(), misses + 1)
@@ -202,8 +202,8 @@ TEST_F(AccessTest, CapRoundTripIsBitForBitOnTheHitPath)
     Capability c = as.capForRange(va + 256, 128, PROT_READ | PROT_WRITE);
     ASSERT_FALSE(mem.writeCap(va + 16, c).has_value());
     // First read may miss; second is guaranteed to hit.
-    ASSERT_TRUE(mem.readCap(va + 16).ok());
-    Result<Capability> r = mem.readCap(va + 16);
+    ASSERT_TRUE(test::readCap(mem, va + 16).ok());
+    Result<Capability> r = test::readCap(mem, va + 16);
     ASSERT_TRUE(r.ok());
     EXPECT_EQ(r.value(), c);
     EXPECT_TRUE(r.value().tag());
@@ -220,7 +220,7 @@ TEST_F(AccessTest, ByteWriteThroughFastPathClearsTags)
     ASSERT_FALSE(mem.writeCap(va, c).has_value());
     u8 junk = 0xFF;
     ASSERT_FALSE(mem.write(va + 3, &junk, 1).has_value());
-    Result<Capability> r = mem.readCap(va);
+    Result<Capability> r = test::readCap(mem, va);
     ASSERT_TRUE(r.ok());
     EXPECT_FALSE(r.value().tag());
 }
@@ -442,7 +442,12 @@ struct Rig
     Result<Capability>
     readCap(u64 va)
     {
-        return slow ? mem.readCapSlow(va) : mem.readCap(va);
+        if (!slow)
+            return test::readCap(mem, va);
+        Capability c;
+        if (CapCheck chk = mem.readCapSlow(va, c))
+            return *chk;
+        return c;
     }
 };
 
@@ -778,9 +783,8 @@ TEST(AccessLockStep, NthArmedGuestLoadLeavesOneDecisionInTheRecorder)
              return buf.addr() + nth * 512;
          },
          [](GuestSystem &sys, GuestPtr buf, u64 i) -> CapCheck {
-             Result<Capability> r =
-                 sys.proc->mem().readCap(buf.addr() + i * 512);
-             return r.ok() ? CapCheck{} : CapCheck{r.fault()};
+             Capability c;
+             return sys.proc->mem().readCap(buf.addr() + i * 512, c);
          }},
         {"swap-in", FaultPoint::TagBitFlip,
          [](GuestSystem &sys, GuestPtr buf) {

@@ -308,7 +308,7 @@ TEST(HardeningCorruption, TagFlipMachineChecksAndNeverForgesACap)
     // The very next tagged capability load is corrupted: detection
     // machine-checks the load instead of handing out a flipped cap.
     kern.faultInjector().failAfter(FaultPoint::TagBitFlip, 1);
-    Result<Capability> r = proc.mem().readCap(g.data);
+    Result<Capability> r = test::readCap(proc.mem(), g.data);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.fault(), CapFault::MachineCheck);
     EXPECT_EQ(kern.counters().hardening.machineChecks, 1u);
@@ -317,7 +317,7 @@ TEST(HardeningCorruption, TagFlipMachineChecksAndNeverForgesACap)
 
     // The corrupted granule's tag is gone for good: re-reading yields
     // an untagged pattern, never a usable (forged) capability.
-    Result<Capability> r2 = proc.mem().readCap(g.data);
+    Result<Capability> r2 = test::readCap(proc.mem(), g.data);
     ASSERT_TRUE(r2.ok());
     EXPECT_FALSE(r2.value().tag());
 
@@ -353,7 +353,7 @@ TEST(HardeningCorruption, SwappedTagMetadataFlipMachineChecks)
     // faulted the page back machine-checks instead of reviving a
     // corrupted capability.
     kern.faultInjector().failAfter(FaultPoint::TagBitFlip, 1);
-    Result<Capability> r = proc.mem().readCap(g.data);
+    Result<Capability> r = test::readCap(proc.mem(), g.data);
     ASSERT_FALSE(r.ok());
     EXPECT_EQ(r.fault(), CapFault::MachineCheck);
     EXPECT_GE(kern.counters().hardening.machineChecks, 1u);

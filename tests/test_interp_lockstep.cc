@@ -19,7 +19,16 @@
  * pages, a store to the code page mid-run, syscalls mid-loop (one of
  * which invalidates TLBs), capability jumps that narrow and widen PCC,
  * and endings that branch out of PCC bounds, jump through a sealed or
- * an untagged capability, or fault after a run of ALU instructions.
+ * an untagged capability, or fault after a run of ALU instructions (in
+ * the capability check, in a derivation, or in the MMU).
+ *
+ * On even seeds the machine is under memory pressure: the loop's tail
+ * sits on a second code page, and between calls the code pages that
+ * PCC is not in are swapped out and the kernel is left no frame to
+ * spare.  A decode-cache miss then walks into a swapped-out page, and
+ * its swap-in enters the kernel's reclaim, which evicts a page (often
+ * the loop's first code page) and bumps the fetch generation in the
+ * middle of a run.
  */
 
 #include <gtest/gtest.h>
@@ -52,6 +61,7 @@ enum : u8
     xT2 = 19,
     xSpare = 20,   ///< spare page address (mips64 mprotect argument)
     xCode = 21,    ///< code base (legacy self-modifying store)
+    xGuard = 22,   ///< PROT_NONE page address
     xZero = 28,
     cData = 1,
     cSpare = 21,   ///< spare page capability (CheriABI mprotect argument)
@@ -64,6 +74,7 @@ enum : u8
     cHop = 24,
     cBack = 25,
     cSealer = 26,
+    cGuard = 27,   ///< in-bounds capability over the PROT_NONE page
 };
 
 /** One kernel with one process, its regions mapped, ready to run. */
@@ -83,6 +94,7 @@ struct Twin
                       MappingKind::Data);
         spare = as.map(0, pageSize, PROT_READ | PROT_WRITE,
                        MappingKind::Data);
+        guard = as.map(0, pageSize, PROT_NONE, MappingKind::Data);
     }
 
     /** Load @p a, set PCC over the first @p pcc_insns instructions and
@@ -115,15 +127,33 @@ struct Twin
         r.c[cSpare] = as.capForRange(spare, pageSize,
                                      PROT_READ | PROT_WRITE, false)
                           .setAddress(spare);
+        r.c[cGuard] = as.capForRange(guard, pageSize,
+                                     PROT_READ | PROT_WRITE, false)
+                          .setAddress(guard);
         r.x[xData] = data;
         r.x[xCode] = code;
         r.x[xSpare] = spare;
+        r.x[xGuard] = guard;
         r.x[xZero] = 0;
         r.x[xLoop] = loops;
         for (u8 reg = 10; reg <= 15; ++reg)
             r.x[reg] = rng();
         // A cold L1I: fetch streams line by line until it warms.
         proc->cost().reset();
+    }
+
+    /** Swap out every code page but the one PCC is in, and leave the
+     *  kernel no frame to spare. */
+    void
+    swapOutCode()
+    {
+        u64 pcPage = pageTrunc(proc->regs().pcc.address());
+        for (u64 page = code; page < code + codePages * pageSize;
+             page += pageSize) {
+            if (page != pcPage)
+                proc->as().swapOutPage(page);
+        }
+        kern.physMem().setCapacity(kern.physMem().liveFrames());
     }
 
     /** Declared before the kernel: it must outlive it. */
@@ -134,12 +164,19 @@ struct Twin
     u64 code = 0;
     u64 data = 0;
     u64 spare = 0;
+    u64 guard = 0;
 };
 
-/** A seeded program for @p abi: a loop of random blocks, then one of
- *  the endings.  Returns the number of instructions PCC covers. */
+/** Endings a program can take (generate()'s last switch). */
+constexpr unsigned numEndings = 9;
+
+/** A seeded program for @p abi: a loop of random blocks, then ending
+ *  number @p ending.  With @p two_pages the loop's tail and the ending
+ *  sit on the second code page.  Returns the number of instructions PCC
+ *  covers. */
 u64
-generate(std::mt19937_64 &rng, Abi abi, Assembler &a)
+generate(std::mt19937_64 &rng, Abi abi, bool two_pages, unsigned ending,
+         Assembler &a)
 {
     auto pick = [&](u64 n) { return rng() % n; };
     const bool cheri = abi == Abi::CheriAbi;
@@ -273,9 +310,10 @@ generate(std::mt19937_64 &rng, Abi abi, Assembler &a)
         a.label(skip);
     };
 
-    // The loop body is longer than the decode cache, but its blocks sit
-    // where no other instruction shares their entry: from the second
-    // iteration on they hit it, so deferred work piles up before them.
+    // On one code page the loop body is longer than the decode cache,
+    // but its blocks sit where no other instruction shares their entry:
+    // from the second iteration on they hit it, so deferred work piles
+    // up before them.
     a.label("top");
     aluRun(20 + pick(20));
     for (u64 b = 2 + pick(6); b > 0; --b) {
@@ -288,11 +326,22 @@ generate(std::mt19937_64 &rng, Abi abi, Assembler &a)
           default: narrowPcc(); break;
         }
     }
-    u64 bodyInsns = 270 + pick(50);
+    u64 bodyInsns = (two_pages ? 180 : 270) + pick(50);
     aluRun(a.size() < bodyInsns ? bodyInsns - a.size() : 1);
+    if (two_pages) {
+        // The loop's tail sits on the next code page, at decode-cache
+        // entries the body leaves free: the back branch returns to
+        // entries decoded earlier in the same iteration.
+        u64 body = a.size() + 1;
+        a.j("tail");
+        while (a.size() < pageSize / insnSize + body)
+            a.nop();
+        a.label("tail");
+        aluRun(10 + pick(20));
+    }
     a.addi(xLoop, xLoop, -1).bne(xLoop, xZero, "top");
 
-    switch (pick(8)) {
+    switch (ending) {
       case 0: a.halt(); break;
       case 1: a.j("far"); break; // out of PCC bounds
       case 2: a.cjr(cSealed); break;
@@ -315,6 +364,13 @@ generate(std::mt19937_64 &rng, Abi abi, Assembler &a)
             a.ld(xT0, xData, 0);
         else
             a.cjr(cData);
+        break;
+      case 7: // an MMU fault after a run of ALU instructions
+        aluRun(10 + pick(30));
+        if (cheri)
+            a.cld(xT0, cGuard, 0);
+        else
+            a.ld(xT0, xGuard, 0);
         break;
       default: // runs until the step budget ends it
         a.label("spin");
@@ -384,11 +440,14 @@ TEST_P(InterpLockstep, RunMatchesTheReferenceStepper)
     ASSERT_EQ(fast.code, ref.code);
     ASSERT_EQ(fast.data, ref.data);
 
+    // Even seeds: memory pressure (see the file comment).  The seed
+    // picks the ending, so seeds 1-20 take each one under both ABIs.
+    const bool pressure = c.seed % 2 == 0;
     Assembler a;
-    u64 pccInsns = generate(rng, c.abi, a);
+    u64 pccInsns = generate(rng, c.abi, pressure, c.seed % numEndings, a);
     ASSERT_LE(a.size(), codePages * pageSize / insnSize);
     bool taggedPcc = c.abi == Abi::CheriAbi || rng() % 2;
-    u64 loops = 20 + rng() % 60;
+    u64 loops = 40 + rng() % 60;
     std::mt19937_64 regSeed(rng());
     fast.load(a, pccInsns, taggedPcc, loops, regSeed);
     ref.load(a, pccInsns, taggedPcc, loops, regSeed);
@@ -421,6 +480,10 @@ TEST_P(InterpLockstep, RunMatchesTheReferenceStepper)
         sawWarm |= fast.proc->cost().instructionCacheWarm();
         if (rf.status != InterpResult::Status::StepLimit)
             break;
+        if (pressure && rng() % 3 == 0) {
+            fast.swapOutCode();
+            ref.swapOutCode();
+        }
         if (sawWarm && rng() % 8 == 0) {
             // Cold again: fetch streams through the L1I and the L2,
             // interleaved with the data side.

@@ -324,12 +324,11 @@ TEST(SchedTest, CapRegsSurviveSwitchesTagExactAcrossOpenEpoch)
     EXPECT_EQ(r.c[2].length(), 64u);
     EXPECT_TRUE(r.c[3].tag());
     EXPECT_EQ(r.c[3].address(), ga.data + 16);
-    Result<Capability> stored = ga.proc->mem().readCap(ga.data);
-    ASSERT_TRUE(stored.ok());
-    EXPECT_TRUE(stored.value().tag()) << "cap outside revoked range";
-    Result<Capability> dead = ga.proc->mem().readCap(victim);
-    ASSERT_TRUE(dead.ok());
-    EXPECT_FALSE(dead.value().tag()) << "victim cap must be revoked";
+    Capability stored, dead;
+    ASSERT_FALSE(ga.proc->mem().readCap(ga.data, stored));
+    EXPECT_TRUE(stored.tag()) << "cap outside revoked range";
+    ASSERT_FALSE(ga.proc->mem().readCap(victim, dead));
+    EXPECT_FALSE(dead.tag()) << "victim cap must be revoked";
 }
 
 TEST(SchedTest, DecodeCacheSurvivesContextSwitches)

@@ -38,6 +38,16 @@ trivialProgram()
     return prog;
 }
 
+/** MemAccess::readCap() as a Result. */
+inline Result<Capability>
+readCap(MemAccess &mem, u64 va)
+{
+    Capability c;
+    if (CapCheck chk = mem.readCap(va, c))
+        return *chk;
+    return c;
+}
+
 /** Kernel + one process + guest context, ready to run guest code. */
 struct GuestSystem
 {

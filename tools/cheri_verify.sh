@@ -24,6 +24,19 @@ if grep -rnE '(^|[^_[:alnum:]])(assert|abort)\(' "$src_dir/src" \
     exit 1
 fi
 
+# Guest-access lint: a guest load or store is checked, charged and
+# made by the one core in MemAccess (load/store/loadCap/storeCap), so
+# a cost-model load/store charge under src/ outside it is a hand-rolled
+# access.  The kernel's copy paths (errno faults, their own check
+# charge) and the exec loader charge their own.
+if grep -rnE 'cost(\(\))?(\.|->)(load|store)\(' "$src_dir/src" \
+        --include='*.cc' --include='*.h' \
+    | grep -vE '^[^:]*src/(mem/access\.h|os/kernel\.cc|os/exec\.cc):'; then
+    echo "cheri_verify: cost-model load/store charge outside the" \
+         "MemAccess access core (src/mem/access.h)" >&2
+    exit 1
+fi
+
 # Only GTest is a build dependency: with google-benchmark disabled, a
 # find_package(benchmark) that comes back fails the configure step.
 cmake -S "$src_dir" -B "$build_dir" \
