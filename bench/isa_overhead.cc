@@ -61,9 +61,13 @@ struct Guest
         u64 code = proc->as().map(0, pageSize,
                                   PROT_READ | PROT_WRITE | PROT_EXEC,
                                   MappingKind::Text);
-        u64 src = proc->as().map(0, pageRound(words * 8),
-                                 PROT_READ | PROT_WRITE, MappingKind::Data);
-        u64 dst = proc->as().map(0, pageRound(words * 8),
+        const u64 bytes = pageRound(words * 8);
+        u64 src = proc->as().map(0, bytes, PROT_READ | PROT_WRITE,
+                                 MappingKind::Data);
+        // A page between the buffers: back to back they sit 64 pages
+        // apart, one dTLB's reach, so each store would evict the dTLB
+        // entry of the load before it and every copy access would miss.
+        u64 dst = proc->as().map(src + bytes + pageSize, bytes,
                                  PROT_READ | PROT_WRITE, MappingKind::Data);
 
         Assembler a;
