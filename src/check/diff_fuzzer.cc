@@ -872,7 +872,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
           }
           case K::ThrSwitch: {
             // Host-driven, so no scheduler context is running and the
-            // kernel performs the legacy immediate register-file swap;
+            // kernel swaps the register files at once;
             // targets include tid 0 so the main thread comes back.
             u64 target = (tids.empty() || op.b % 3 == 0)
                              ? 0

@@ -208,8 +208,9 @@ counterFields(std::type_identity<HardeningStats>)
     });
 }
 
-/** Scheduler accounting (src/os/sched).  Restarts from zero with each
- *  scheduler the kernel installs. */
+/** Scheduler accounting (src/os/sched).  Zero until the kernel's
+ *  scheduler first runs; a panic reset zeroes it with the rest of the
+ *  block, and a restore loads the image's. */
 struct SchedStats
 {
     /** Slices that ran a different (pid, tid) than the previous one. */

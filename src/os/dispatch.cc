@@ -11,6 +11,7 @@
 #include <cstdint>
 
 #include "obs/metrics.h"
+#include "os/sched/sched.h"
 #include "os/sys_invoke.h"
 
 namespace cheri
@@ -56,7 +57,7 @@ Kernel::dispatch(Process &proc, u64 code)
         // scheduler's catch site (it owns the slice on the stack);
         // host-driven dispatches absorb it here.  Either way the reset
         // destroys @p proc, so nothing below may touch it.
-        if (schedIface && schedIface->active())
+        if (sch->active())
             throw;
         panicReset();
         return SysResult::fail(E_FAULT);

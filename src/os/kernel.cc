@@ -3,6 +3,7 @@
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "os/coredump.h"
+#include "os/sched/sched.h"
 
 #include <algorithm>
 #include <cstring>
@@ -38,6 +39,7 @@ Kernel::Kernel(KernelConfig cfg)
     injector.setMemEvents(this);
     recorder.setDepth(cfg.flightRecorderDepth);
     initVfs();
+    sch = std::make_unique<sched::Scheduler>(*this);
     // Registered last, after every subsystem is whole: this kernel now
     // owns CHERI_KASSERT failures for its lifetime (innermost wins).
     panic::pushSink(this);
@@ -201,11 +203,10 @@ Kernel::fork(Process &parent)
     parent.as().forEachMapping([&](const Mapping &) { ++n_mappings; });
     parent.cost().alu(40 * n_mappings);
     parent.cost().contextSwitch();
-    // Under an active scheduler a fork from an interpreted guest admits
+    // A fork from an interpreted guest the scheduler is running admits
     // the child to the run queue (the scheduler fixes up its PC and
     // return registers, which were copied pre-writeback).
-    if (schedIface)
-        schedIface->onFork(*c);
+    sch->onFork(*c);
     return c;
 }
 
@@ -251,8 +252,7 @@ Kernel::wait4(Process &parent, u64 pid)
         // gone), but the reap reports E_DEADLK so the parent learns the
         // wait-for cycle was broken on its behalf.
         bool deadlocked = p.death() && p.death()->deadlock;
-        if (schedIface)
-            schedIface->onProcessReaped(dead);
+        sch->onProcessReaped(dead);
         procs.erase(it);
         return deadlocked ? SysResult::fail(E_DEADLK)
                           : SysResult::ok(dead);
@@ -260,10 +260,10 @@ Kernel::wait4(Process &parent, u64 pid)
     // No zombie yet, but the wait could still succeed: when the caller
     // is an interpreted context under the scheduler, truly block until
     // a child's exit wakes us (the syscall restarts and reaps then).
-    // Hosted and scheduler-less callers keep the historical
-    // non-blocking E_CHILD poll.
-    if (live_children && schedIface &&
-        schedIface->blockCurrent(parent, BlockKind::Wait4, pid, true))
+    // Hosted and host-driven callers keep the non-blocking E_CHILD
+    // poll.
+    if (live_children &&
+        sch->blockCurrent(parent, sched::BlockKind::Wait4, pid, true))
         return SysResult::fail(E_INTR);
     return SysResult::fail(E_CHILD);
 }
@@ -320,8 +320,7 @@ Kernel::endProcess(Process &proc, const std::optional<DeathInfo> &death,
     if (Process *parent = findProcess(proc.ppid()))
         parent->raiseSignal(SIG_CHLD);
     // Retire its contexts and wake a parent parked in wait4.
-    if (schedIface)
-        schedIface->onProcessDead(proc);
+    sch->onProcessDead(proc);
 }
 
 void
@@ -567,14 +566,6 @@ Kernel::sysOtypeAlloc(Process &proc, u64 count, Capability *out)
 }
 
 void
-Kernel::installScheduler(std::unique_ptr<SchedulerIface> s)
-{
-    ownedSched = std::move(s);
-    schedIface = ownedSched.get();
-    stats->sched = {};
-}
-
-void
 Kernel::fireFdEdge(u64 chan)
 {
     // While a snapshot restore is rebuilding kernel state the scheduler
@@ -582,9 +573,9 @@ Kernel::fireFdEdge(u64 chan)
     // whose wake accounting must not move): teardown paths that close
     // FDs — restore-abort's closeAllFds in particular — must not fire
     // wake edges until the kernel is whole again.
-    if (!kernelReady || !schedIface || chan == 0)
+    if (!kernelReady || chan == 0)
         return;
-    u64 woken = schedIface->onFdWake(chan);
+    u64 woken = sch->onFdWake(chan);
     if (!woken)
         return;
     recorder.record(panic::EventKind::WakeEdge, chan, woken);
@@ -618,8 +609,7 @@ Kernel::sysEvPost(Process &proc, u64 pid)
         return SysResult::fail(E_SRCH);
     u64 &count = eventCounts[target];
     ++count;
-    if (schedIface)
-        schedIface->onEventPost(target);
+    sch->onEventPost(target);
     return SysResult::ok(count);
 }
 
@@ -633,10 +623,10 @@ Kernel::sysEvWait(Process &proc)
         return SysResult::ok(it->second);
     }
     // Nothing posted: block until ev_post wakes us and the restarted
-    // syscall consumes the event.  Without a scheduler (or from a
-    // hosted context) the wait would never end — report would-block.
-    if (schedIface && schedIface->blockCurrent(proc, BlockKind::EventWait,
-                                               proc.pid(), true))
+    // syscall consumes the event.  From the host (or a hosted context)
+    // the wait would never end — report would-block.
+    if (sch->blockCurrent(proc, sched::BlockKind::EventWait, proc.pid(),
+                          true))
         return SysResult::fail(E_INTR);
     return SysResult::fail(E_BUSY);
 }
@@ -649,27 +639,16 @@ Kernel::sysSleep(Process &proc, u64 ticks)
         return SysResult::ok();
     // Success registers are written before the block takes effect, and
     // the PC is NOT rewound on wake (restart=false): re-running the
-    // syscall would re-arm the deadline forever.
-    if (schedIface &&
-        schedIface->blockCurrent(proc, BlockKind::Sleep, ticks, false))
-        return SysResult::ok();
-    // No virtual clock to wait on: sleep degenerates to a no-op.
+    // syscall would re-arm the deadline forever.  From the host there
+    // is no context to park, and sleep degenerates to a no-op.
+    sch->blockCurrent(proc, sched::BlockKind::Sleep, ticks, false);
     return SysResult::ok();
 }
 
 void
 Kernel::runUntilIdle()
 {
-    if (!schedIface)
-        return;
-    try {
-        schedIface->runUntilIdle();
-    } catch (const panic::Unwind &) {
-        // The concrete scheduler absorbs panics at its own drain loop;
-        // this catch covers iface implementations that let one escape.
-        // Either way the host never sees the exception.
-        panicReset();
-    }
+    sch->runUntilIdle();
 }
 
 void
@@ -746,8 +725,7 @@ Kernel::panicReset()
     panicInProgress = true;
     // Scheduler contexts reference Process objects; retire them before
     // the process table goes.
-    if (schedIface)
-        schedIface->resetForPanic();
+    sch->resetForPanic();
     // Wake edges fired by dying channels must not reach the scheduler
     // while the tables are in flux.
     kernelReady = false;

@@ -30,7 +30,6 @@
 #include "os/panic.h"
 #include "os/process.h"
 #include "os/revocation.h"
-#include "os/sched_iface.h"
 #include "os/sysnum.h"
 #include "os/user_ptr.h"
 #include "trace/trace.h"
@@ -46,6 +45,11 @@ class Metrics;
 namespace snap
 {
 struct Access;
+}
+
+namespace sched
+{
+class Scheduler;
 }
 
 /** mmap(2) flags. */
@@ -184,7 +188,7 @@ class Kernel : private panic::Sink, private MemEvents
     /** The kernel's counters (os/counters.h): the only copy.  An
      *  attached Metrics registry reads them when it emits. */
     const KernelCounters &counters() const { return *stats; }
-    /** The installed scheduler counts into this block. */
+    /** The kernel's scheduler counts into this block. */
     SchedStats &schedStats() { return stats->sched; }
     /** The kernel-event flight recorder (syscalls, sched edges, fault
      *  decisions, watchdog verdicts, machine checks); its ring is
@@ -282,8 +286,9 @@ class Kernel : private panic::Sink, private MemEvents
     /** Create a thread; returns its tid, or an errno. */
     SysResult sysThrNew(Process &proc, u64 stack_size = 1 << 20);
     /** Switch the running context to @p tid (0 = the initial thread).
-     *  Under an active scheduler this is a directed yield: the switch
-     *  happens at the next slice boundary, not mid-instruction. */
+     *  From an interpreted guest the scheduler is running this is a
+     *  directed yield: the switch happens at the next slice boundary,
+     *  not mid-instruction.  From the host it switches at once. */
     SysResult sysThrSwitch(Process &proc, u64 tid);
     /** Mark @p tid exited.  Exiting the running thread is allowed:
      *  teardown defers to the scheduler's next pick (the thread is a
@@ -303,22 +308,18 @@ class Kernel : private panic::Sink, private MemEvents
     /// @}
 
     /** @name Scheduler (src/os/sched)
-     * The kernel owns at most one scheduler (the concrete class lives
-     * in src/os/sched, above the ISA layer — the core kernel library
-     * never links interpreters).  runUntilIdle() is the single
-     * execution entry every driver uses: it drains the run queue with
-     * round-robin time slices until every context is done or blocked
-     * forever.
+     * The kernel constructs one scheduler and owns it for its whole
+     * life (a restore replaces it with the image's).  runUntilIdle()
+     * is the single execution entry every driver uses: it drains the
+     * run queue with round-robin time slices until every context is
+     * done or blocked forever.
      */
     /// @{
-    /** Install (replacing any previous) and take ownership.  The
-     *  scheduler counters restart from zero. */
-    void installScheduler(std::unique_ptr<SchedulerIface> s);
-    SchedulerIface *scheduler() const { return schedIface; }
+    sched::Scheduler &scheduler() { return *sch; }
     /** Run the scheduler until the run queue is empty and no sleeper
-     *  can be woken by advancing the virtual clock.  No-op without a
-     *  scheduler installed.  A kernel panic unwinding out of the drain
-     *  is absorbed here (panicReset), never propagated to the host. */
+     *  can be woken by advancing the virtual clock.  A kernel panic
+     *  unwinding out of the drain is absorbed (panicReset), never
+     *  propagated to the host. */
     void runUntilIdle();
     /**
      * Slice-boundary background work: pump any open revocation epoch
@@ -526,11 +527,12 @@ class Kernel : private panic::Sink, private MemEvents
     /** @name Counting events (the blocking-wait primitive)
      * Each process has a saturating event counter.  ev_post increments
      * @p pid's counter (0 = self) and wakes its EventWait contexts;
-     * ev_wait consumes one event or blocks until one is posted (E_BUSY
-     * when it would block and no scheduler can block the caller).
+     * ev_wait consumes one event or blocks until one is posted.
      * sleep(ticks) blocks until the scheduler's virtual clock — total
-     * guest instructions retired — has advanced @p ticks; without a
-     * scheduler it completes immediately.
+     * guest instructions retired — has advanced @p ticks.  Only an
+     * interpreted guest the scheduler is running can block: called
+     * from the host, ev_wait reports E_BUSY when it would block and
+     * sleep completes immediately.
      */
     /// @{
     SysResult sysEvPost(Process &proc, u64 pid);
@@ -767,10 +769,9 @@ class Kernel : private panic::Sink, private MemEvents
     u64 switches = 0;
     /** Per-pid counting-event state (sysEvPost/sysEvWait). */
     std::map<u64, u64> eventCounts;
-    SchedulerIface *schedIface = nullptr;
     /** Declared after procs: the scheduler (whose contexts reference
      *  Process objects) is destroyed before the process table. */
-    std::unique_ptr<SchedulerIface> ownedSched;
+    std::unique_ptr<sched::Scheduler> sch;
     /**
      * False only while a snapshot restore is rebuilding kernel state.
      * fireFdEdge consults it: teardown paths (closeAllFds) run during

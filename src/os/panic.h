@@ -107,7 +107,7 @@ enum class EventKind : u8
 {
     /** a = pid, b = syscall code, c = quiescentSeq. */
     Syscall = 0,
-    /** a = pid, b = tid, c = block kind (sched_iface BlockKind). */
+    /** a = pid, b = tid, c = block kind (sched::BlockKind). */
     SchedBlock,
     /** a = pid, b = tid, c = block kind being woken from. */
     SchedWake,

@@ -606,6 +606,14 @@ Scheduler::resetForPanic()
 }
 
 bool
+Scheduler::holdsState() const
+{
+    bool counted = false;
+    forEachField(st, [&](const auto &, u64 v) { counted |= v != 0; });
+    return counted || vclock != 0 || !ctxs.empty() || !hosted.empty();
+}
+
+bool
 Scheduler::watchdogScan()
 {
     if (blocked.empty())
@@ -759,17 +767,6 @@ Scheduler::watchdogScan()
                           std::to_string(victim->pid()) +
                           " blocked on " + kind);
     return true;
-}
-
-Scheduler &
-schedulerFor(Kernel &kern)
-{
-    if (auto *s = dynamic_cast<Scheduler *>(kern.scheduler()))
-        return *s;
-    auto owned = std::make_unique<Scheduler>(kern);
-    Scheduler &ref = *owned;
-    kern.installScheduler(std::move(owned));
-    return ref;
 }
 
 } // namespace cheri::sched

@@ -36,7 +36,6 @@
 
 #include "isa/interp.h"
 #include "os/kernel.h"
-#include "os/sched_iface.h"
 
 namespace cheri::snap
 {
@@ -45,6 +44,36 @@ struct Access;
 
 namespace cheri::sched
 {
+
+/** Why a context is off the run queue. */
+enum class BlockKind
+{
+    None,
+    /** wait4(2) with live children and no zombie yet. */
+    Wait4,
+    /** ev_wait(2) with a zero event counter. */
+    EventWait,
+    /** sleep(2) until a virtual-clock deadline. */
+    Sleep,
+    /** read/write/select on a file descriptor that would block. */
+    Fd,
+};
+
+/**
+ * What an FD-blocked context waits for: any of a set of wait-channel
+ * ids (see ByteChannel::readWait/writeWait — one token per channel
+ * edge), plus an optional virtual-clock deadline (select timeouts).
+ * A blocking read or write passes exactly one id and no deadline;
+ * select passes the ids of every not-ready fd it polled plus the
+ * copied-in timeout.
+ */
+struct FdWait
+{
+    std::vector<u64> chans;
+    bool hasDeadline = false;
+    /** Virtual-clock ticks from now (when hasDeadline). */
+    u64 deadlineTicks = 0;
+};
 
 /**
  * Per-(process, thread) execution state.  Owns the interpreter — and
@@ -107,7 +136,21 @@ struct ExecContext
     }
 };
 
-class Scheduler final : public SchedulerIface
+/**
+ * The kernel's scheduler: every Kernel constructs one and owns it for
+ * its whole life (Kernel::scheduler()).  The kernel calls it at its
+ * blocking and lifecycle edges — wait4 wanting to sleep, a process
+ * dying, a fork or thr_new needing admission.  Its counters live with
+ * the kernel's own (os/counters.h, Kernel::schedStats).
+ *
+ * The edges act only on contexts the scheduler holds: admission
+ * callbacks admit only what an interpreted guest it is currently
+ * running spawned, and the blocking calls park only that guest.  So
+ * on a kernel that never runs guest code, host-driven syscalls see the
+ * non-blocking behavior — wait4 polls, thr_switch switches at once,
+ * sleep returns, ev_wait reports E_BUSY, fork children never run.
+ */
+class Scheduler
 {
   public:
     explicit Scheduler(Kernel &kern) : kern(kern), st(kern.schedStats())
@@ -147,25 +190,99 @@ class Scheduler final : public SchedulerIface
      *  scheduler, plus idle advances to sleep deadlines. */
     u64 now() const { return vclock; }
 
-    /** @name SchedulerIface */
+    /** @name Kernel edges */
     /// @{
+    /**
+     * Block the context currently executing @p proc.  @p arg is
+     * interpreted per kind (Wait4: pid filter; Sleep: ticks from now;
+     * EventWait: the pid whose counter is awaited).  @p restart asks
+     * the scheduler to rewind PC by one instruction so the syscall
+     * re-executes on wake (wait4/ev_wait re-check their predicate);
+     * sleep completes on wake and must not restart.
+     *
+     * Returns false when there is nothing to block — no interpreted
+     * context is running @p proc — in which case the caller must fall
+     * back to its non-blocking behavior.
+     */
     bool blockCurrent(Process &proc, BlockKind kind, u64 arg,
-                      bool restart) override;
-    void onProcessDead(Process &proc) override;
-    void onProcessReaped(u64 pid) override;
-    void onFork(Process &child) override;
-    void onThreadNew(Process &proc, u64 tid) override;
-    bool onThreadSwitch(Process &proc, u64 tid) override;
-    void onThreadExit(Process &proc, u64 tid) override;
-    void onEventPost(u64 pid) override;
-    bool blockCurrentFd(Process &proc, const FdWait &wait) override;
-    u64 onFdWake(u64 chan) override;
-    bool consumeFdTimeout(Process &proc) override;
-    void clearFdDeadline(Process &proc) override;
-    void runUntilIdle() override;
-    bool active() const override { return running; }
-    void resetForPanic() override;
+                      bool restart);
+    /** @p proc ended: retire its contexts, wake Wait4 waiters.  Called
+     *  exactly once per process, from Kernel::endProcess. */
+    void onProcessDead(Process &proc);
+    /** @p pid was reaped by wait4: its Process object is gone. */
+    void onProcessReaped(u64 pid);
+    /** A running interpreted guest forked @p child: admit it. */
+    void onFork(Process &child);
+    /** A running interpreted guest created thread @p tid: admit it. */
+    void onThreadNew(Process &proc, u64 tid);
+    /**
+     * thr_switch from a running interpreted guest: a *directed yield*
+     * (the scheduler owns register-file switching and performs it at
+     * the slice boundary).  Returns false when not handled — the
+     * caller performs the immediate switch.
+     */
+    bool onThreadSwitch(Process &proc, u64 tid);
+    /** Thread @p tid exited (a self-exit is a zombie until the next
+     *  pick). */
+    void onThreadExit(Process &proc, u64 tid);
+    /** An event was posted to @p pid: wake its EventWait contexts. */
+    void onEventPost(u64 pid);
     /// @}
+
+    /** @name FD blocking (BlockKind::Fd)
+     * FD parks always restart (PC rewound one instruction) so the
+     * woken syscall re-runs its readiness check from scratch — the
+     * wake is a hint, not a guarantee (another context may have
+     * drained the channel first).
+     */
+    /// @{
+    /**
+     * Park the context currently executing @p proc until one of
+     * @p wait's channel edges fires or its deadline passes.  A
+     * deadline is armed once per park/restart cycle: re-blocking
+     * while a deadline is already armed keeps the *original* one, so
+     * a restarted select does not push its timeout into the future.
+     * Returns false when no interpreted context is running @p proc
+     * (caller falls back to non-blocking behavior).
+     */
+    bool blockCurrentFd(Process &proc, const FdWait &wait);
+    /** Wait-channel @p chan fired (data, space, or close): wake every
+     *  context parked on it.  Returns how many were woken. */
+    u64 onFdWake(u64 chan);
+    /**
+     * True exactly once after @p proc's context was woken by its FD
+     * deadline expiring (clears the armed deadline): the restarted
+     * select distinguishes "timed out" from "woken by readiness".
+     */
+    bool consumeFdTimeout(Process &proc);
+    /** Disarm any FD deadline on @p proc's context — called on every
+     *  non-blocking select return so stale deadlines cannot leak into
+     *  a later park. */
+    void clearFdDeadline(Process &proc);
+    /// @}
+
+    /** Drain the run queue (see Kernel::runUntilIdle).  A kernel panic
+     *  unwinding out of a slice is absorbed here (panicReset). */
+    void runUntilIdle();
+
+    /** True while a drain is in progress (a slice is on the stack).
+     *  dispatch() consults this to decide whether a kernel panic must
+     *  propagate up to the scheduler's catch site or can be absorbed
+     *  locally. */
+    bool active() const { return running; }
+
+    /**
+     * Kernel-panic teardown: retire every context and clear the queues
+     * WITHOUT destroying the scheduler object itself — panicReset()
+     * runs underneath the scheduler's own drain loop, so the object
+     * must survive the call and come back empty.
+     */
+    void resetForPanic();
+
+    /** True when the scheduler holds state: a context, a non-zero
+     *  virtual clock or non-zero counters.  A snapshot records the
+     *  scheduler only then. */
+    bool holdsState() const;
 
     const SchedStats &stats() const { return st; }
 
@@ -212,11 +329,12 @@ class Scheduler final : public SchedulerIface
     std::function<void(Process &)> sliceHook;
 };
 
-/**
- * The kernel's scheduler as a concrete sched::Scheduler, installing
- * one if none exists yet.  All drivers funnel through this.
- */
-Scheduler &schedulerFor(Kernel &kern);
+/** The scheduler @p kern owns.  All drivers funnel through this. */
+inline Scheduler &
+schedulerFor(Kernel &kern)
+{
+    return kern.scheduler();
+}
 
 } // namespace cheri::sched
 

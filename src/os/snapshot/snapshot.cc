@@ -1028,22 +1028,14 @@ struct Access
         ar.u64(ctx.stepLimit, ctx.readyBaseSteps, ctx.slices);
     }
 
-    /** The scheduler: load builds a fresh one and installs it last. */
+    /** The kernel's scheduler: load fills the fresh one wipe() left. */
     template <class Ar>
     static void
-    transferSched(Ar &ar, Kernel &kern, sched::Scheduler *sch)
+    transferSched(Ar &ar, Kernel &kern, sched::Scheduler &sch)
     {
         using Ctx = sched::ExecContext;
-        std::unique_ptr<sched::Scheduler> fresh;
-        if constexpr (Ar::loading) {
-            fresh = std::make_unique<sched::Scheduler>(kern);
-            sch = fresh.get();
-        }
-        ar.u64(sch->vclock);
-        // Installing the scheduler zeroes the kernel's scheduler
-        // counters: load stages the image's and stores them after.
-        SchedStats st = sch->st;
-        transfer(ar, st);
+        ar.u64(sch.vclock);
+        transfer(ar, sch.st);
         auto context = [&](std::pair<u64, u64> &key,
                            std::unique_ptr<Ctx> &ctx) {
             transfer(ar, key);
@@ -1057,8 +1049,8 @@ struct Access
             // image resumes it from its current PC.
             Ctx::State runnable = Ctx::State::Runnable;
             Ctx::State &state =
-                !Ar::loading && ctx.get() == sch->current ? runnable
-                                                          : ctx->state;
+                !Ar::loading && ctx.get() == sch.current ? runnable
+                                                         : ctx->state;
             ar.enumeration(state, 3, "context state");
             transfer(ar, *ctx);
             u64 retired = ctx->retired();
@@ -1071,7 +1063,7 @@ struct Access
                 ctx->interp->_retired = retired;
             }
         };
-        ar.seq(sch->ctxs, context, "duplicate scheduler context");
+        ar.seq(sch.ctxs, context, "duplicate scheduler context");
 
         // A context reference is its key; (0, 0) when not @p known.
         auto ctxRef = [&](Ctx *&c, const char *what, bool known = true) {
@@ -1080,33 +1072,31 @@ struct Access
                 key = {c->pid, c->tid};
             transfer(ar, key);
             if (Ar::loading && known) {
-                auto it = sch->ctxs.find(key);
-                ar.check(it != sch->ctxs.end(),
+                auto it = sch.ctxs.find(key);
+                ar.check(it != sch.ctxs.end(),
                          "queue references unknown context: ", what);
                 c = it->second.get();
             }
         };
-        std::deque<Ctx *> runq = sch->runq;
-        if (sch->current)
-            runq.push_front(sch->current);
+        std::deque<Ctx *> runq = sch.runq;
+        if (sch.current)
+            runq.push_front(sch.current);
         ar.seq(runq, [&](Ctx *&c) { ctxRef(c, "run queue"); });
-        ar.seq(sch->blocked, [&](Ctx *&c) { ctxRef(c, "blocked list"); });
+        ar.seq(sch.blocked, [&](Ctx *&c) { ctxRef(c, "blocked list"); });
         // lastRan may point at an already-erased hosted context: save
         // compares addresses only, never dereferences.
         Ctx *lastRan = nullptr;
         if constexpr (!Ar::loading) {
-            for (const auto &[key, ctx] : sch->ctxs)
-                if (ctx.get() == sch->lastRan)
+            for (const auto &[key, ctx] : sch.ctxs)
+                if (ctx.get() == sch.lastRan)
                     lastRan = ctx.get();
         }
         bool lastRanKnown = lastRan != nullptr;
         ar.boolean(lastRanKnown);
         ctxRef(lastRan, "lastRan", lastRanKnown);
         if constexpr (Ar::loading) {
-            fresh->runq = std::move(runq);
-            fresh->lastRan = lastRan;
-            kern.installScheduler(std::move(fresh));
-            kern.stats->sched = st;
+            sch.runq = std::move(runq);
+            sch.lastRan = lastRan;
         }
     }
 
@@ -1122,11 +1112,10 @@ struct Access
 
     /** Every section after the preamble, in stream order.  @p cfg is
      *  the kernel's (save) or staged for the commit (load), as is the
-     *  pipes' highest @p waitToken; @p sch is the scheduler to save. */
+     *  pipes' highest @p waitToken. */
     template <class Ar>
     static void
-    transferImage(Ar &ar, Kernel &kern, KernelConfig &cfg, u64 &waitToken,
-                  sched::Scheduler *sch)
+    transferImage(Ar &ar, Kernel &kern, KernelConfig &cfg, u64 &waitToken)
     {
         section(ar, SEC_CONFIG, "config");
         transfer(ar, cfg);
@@ -1219,10 +1208,12 @@ struct Access
         }
 
         section(ar, SEC_SCHED, "scheduler");
-        bool hasSched = sch != nullptr;
+        // True exactly when the scheduler holds state; loading false
+        // keeps the fresh scheduler wipe() left.
+        bool hasSched = kern.sch->holdsState();
         ar.boolean(hasSched);
         if (hasSched)
-            transferSched(ar, kern, sch);
+            transferSched(ar, kern, *kern.sch);
 
         section(ar, SEC_END, "end");
     }
@@ -1260,22 +1251,16 @@ struct Access
     static std::vector<u8>
     saveImpl(Kernel &kern, std::string *error)
     {
-        sched::Scheduler *sch = nullptr;
-        if (kern.schedIface) {
-            sch = dynamic_cast<sched::Scheduler *>(kern.schedIface);
-            if (!sch)
-                return refuse(error, "snapshot: installed scheduler is "
-                                     "not a sched::Scheduler");
-            for (const auto &h : sch->hosted) {
-                if (h->state != sched::ExecContext::State::Done)
-                    return refuse(error,
-                                  "snapshot: a hosted (host-function) "
-                                  "context is live and cannot be captured");
-            }
-            if (sch->current && sch->current->isHost())
-                return refuse(error, "snapshot: a hosted context is "
-                                     "running and cannot be captured");
+        const sched::Scheduler &sch = *kern.sch;
+        for (const auto &h : sch.hosted) {
+            if (h->state != sched::ExecContext::State::Done)
+                return refuse(error,
+                              "snapshot: a hosted (host-function) "
+                              "context is live and cannot be captured");
         }
+        if (sch.current && sch.current->isHost())
+            return refuse(error, "snapshot: a hosted context is "
+                                 "running and cannot be captured");
         // Number the shared objects (deterministic order) while
         // checking every process.
         Saver ar;
@@ -1324,7 +1309,7 @@ struct Access
             waitToken = std::max({waitToken, ch->readWait, ch->writeWait});
 
         preamble(ar);
-        transferImage(ar, kern, kern.cfg, waitToken, sch);
+        transferImage(ar, kern, kern.cfg, waitToken);
         if (kern.mx)
             kern.mx->recordSnapshot(ar.image().size());
         return std::move(ar.image());
@@ -1349,7 +1334,7 @@ struct Access
             wipe(kern);
             KernelConfig cfg;
             u64 waitToken = 0;
-            transferImage(ar, kern, cfg, waitToken, nullptr);
+            transferImage(ar, kern, cfg, waitToken);
 
             // Commit: config applies only once the whole image parsed.
             kern.cfg = cfg;
@@ -1389,9 +1374,10 @@ struct Access
             (void)pid;
             p->closeAllFds();
         }
-        // The scheduler's contexts hold Process references: destroy
-        // them before the processes.
-        kern.installScheduler(nullptr);
+        // The scheduler's contexts hold Process references: replace it
+        // with a fresh one before the processes go.
+        kern.sch = std::make_unique<sched::Scheduler>(kern);
+        kern.stats->sched = {};
         kern.procs.clear();
         kern.shmSegments.clear();
         kern.kqueues.clear();

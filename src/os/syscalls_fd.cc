@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include "obs/metrics.h"
+#include "os/sched/sched.h"
 
 namespace cheri
 {
@@ -70,10 +71,10 @@ Kernel::sysRead(Process &proc, int fd, const UserPtr &buf, u64 len)
         // E_INTR + rewound PC restarts the syscall — the scheduler's
         // blocking convention).  Hosted callers, which have no context
         // to park, see E_AGAIN and may retry themselves.
-        if (!(of->flags & O_NONBLOCK) && schedIface && of->node &&
-            of->node->readCh &&
-            schedIface->blockCurrentFd(
-                proc, FdWait{{of->node->readCh->readWait}, false, 0})) {
+        if (!(of->flags & O_NONBLOCK) && of->node && of->node->readCh &&
+            sch->blockCurrentFd(
+                proc,
+                sched::FdWait{{of->node->readCh->readWait}, false, 0})) {
             ++stats->fd.blocks;
             return SysResult::fail(E_INTR);
         }
@@ -129,10 +130,10 @@ Kernel::sysWrite(Process &proc, int fd, const UserPtr &buf, u64 len)
         // Full pipe.  Never return 0 for a nonzero-length write: park
         // on the write wait-token until a reader frees space (or the
         // read end closes), or report E_AGAIN under O_NONBLOCK.
-        if (!(of->flags & O_NONBLOCK) && schedIface && of->node &&
-            of->node->writeCh &&
-            schedIface->blockCurrentFd(
-                proc, FdWait{{of->node->writeCh->writeWait}, false, 0})) {
+        if (!(of->flags & O_NONBLOCK) && of->node && of->node->writeCh &&
+            sch->blockCurrentFd(
+                proc,
+                sched::FdWait{{of->node->writeCh->writeWait}, false, 0})) {
             ++stats->fd.blocks;
             return SysResult::fail(E_INTR);
         }
@@ -234,8 +235,7 @@ Kernel::sysSelect(Process &proc, int nfds, const UserPtr &readfds,
     // Any exit other than "parked" must disarm a deadline a previous
     // incarnation of this (restarted) select may have armed.
     auto bail = [&](int e) {
-        if (schedIface)
-            schedIface->clearFdDeadline(proc);
+        sch->clearFdDeadline(proc);
         return SysResult::fail(e);
     };
     if (nfds < 0 || nfds > 64)
@@ -295,19 +295,18 @@ Kernel::sysSelect(Process &proc, int nfds, const UserPtr &readfds,
         // the deadline armed once across restarts.  No tokens and no
         // timeout would be an unwakeable sleep — degrade to a poll,
         // as before this select blocked at all.
-        bool timedOut = schedIface && schedIface->consumeFdTimeout(proc);
-        if (timedOut) {
+        if (sch->consumeFdTimeout(proc)) {
             ++stats->fd.selectTimeouts;
-        } else if (!(haveTimeout && ticks == 0) && schedIface &&
+        } else if (!(haveTimeout && ticks == 0) &&
                    (!chans.empty() || haveTimeout) &&
-                   schedIface->blockCurrentFd(
-                       proc, FdWait{std::move(chans), haveTimeout, ticks})) {
+                   sch->blockCurrentFd(proc, sched::FdWait{std::move(chans),
+                                                           haveTimeout,
+                                                           ticks})) {
             ++stats->fd.blocks;
             return SysResult::fail(E_INTR);
         }
     }
-    if (schedIface)
-        schedIface->clearFdDeadline(proc);
+    sch->clearFdDeadline(proc);
     if (!readfds.isNull() && (err = copyout(proc, &rd_out, readfds, 8)))
         return SysResult::fail(err);
     if (!writefds.isNull() && (err = copyout(proc, &wr_out, writefds, 8)))

@@ -14,6 +14,7 @@
  */
 
 #include "os/kernel.h"
+#include "os/sched/sched.h"
 
 #include <algorithm>
 
@@ -81,8 +82,7 @@ Kernel::sysThrNew(Process &proc, u64 stack_size)
     u64 tid = rec.tid;
     proc.threads.push_back(rec);
     proc.cost().capManip(3);
-    if (schedIface)
-        schedIface->onThreadNew(proc, tid);
+    sch->onThreadNew(proc, tid);
     return SysResult::ok(tid);
 }
 
@@ -128,11 +128,11 @@ Kernel::sysThrSwitch(Process &proc, u64 tid)
         return SysResult::fail(E_SRCH);
     if (target && !target->live)
         return SysResult::fail(E_SRCH);
-    // Under an active scheduler the switch is a directed yield: the
-    // register files swap at the next slice boundary (the scheduler
-    // owns them mid-slice), never underneath a half-executed
+    // From a guest the scheduler is running the switch is a directed
+    // yield: the register files swap at the next slice boundary (the
+    // scheduler owns them mid-slice), never underneath a half-executed
     // instruction.
-    if (schedIface && schedIface->onThreadSwitch(proc, tid))
+    if (sch->onThreadSwitch(proc, tid))
         return SysResult::ok(tid);
     int err = switchThreadContext(proc, tid);
     if (err != E_OK)
@@ -153,8 +153,7 @@ Kernel::sysThrExit(Process &proc, u64 tid)
         ThreadRecord *self = recordForCurrent(proc, proc.threads);
         self->saved = proc.regs();
         self->live = false;
-        if (schedIface)
-            schedIface->onThreadExit(proc, tid);
+        sch->onThreadExit(proc, tid);
         if (last)
             exitProcess(proc, 0);
         return SysResult::ok();
@@ -163,8 +162,7 @@ Kernel::sysThrExit(Process &proc, u64 tid)
     if (!t)
         return SysResult::fail(E_SRCH);
     t->live = false;
-    if (schedIface)
-        schedIface->onThreadExit(proc, tid);
+    sch->onThreadExit(proc, tid);
     return SysResult::ok();
 }
 

@@ -18,7 +18,6 @@
 #include "check/replay.h"
 #include "obs/metrics.h"
 #include "os/kernel.h"
-#include "os/sched/sched.h"
 #include "os/snapshot/snapshot.h"
 
 namespace cheri
@@ -128,15 +127,14 @@ registryFieldRows()
     return {rows.begin() + static_cast<std::ptrdiff_t>(first), rows.end()};
 }
 
-/** A kernel with a registry attached, a scheduler (so an image carries
- *  the scheduler counters), one process and one captured cost
- *  snapshot. */
+/** A kernel with a registry attached, one process and one captured
+ *  cost snapshot.  A planted scheduler counter is scheduler state, so
+ *  an image carries the scheduler section with it. */
 struct Rig
 {
     Rig()
     {
         kern.setMetrics(&mx);
-        sched::schedulerFor(kern);
         proc = kern.spawn(Abi::CheriAbi, "counters");
         mx.captureCost("rig", proc->cost());
     }

@@ -237,6 +237,61 @@ TEST(SchedTest, SleepBlocksUntilVirtualDeadline)
     EXPECT_GE(s.now(), 1000u);
 }
 
+TEST(SchedTest, NeverRunSchedulerIsInert)
+{
+    // Every kernel owns a scheduler, but its edges act only on a
+    // context it is running: syscalls driven from the host keep their
+    // non-blocking results, and draining the empty queue moves nothing.
+    obs::Metrics m;
+    Kernel kern;
+    kern.setMetrics(&m);
+    sched::Scheduler &s = sched::schedulerFor(kern);
+    SchedGuest g = makeGuest(kern, Abi::Mips64, "host-driven");
+    Process &p = *g.proc;
+
+    Process *child = kern.fork(p);
+    ASSERT_NE(child, nullptr);
+    SysResult tid = kern.sysThrNew(p);
+    ASSERT_FALSE(tid.failed());
+    SysResult sw = kern.sysThrSwitch(p, tid.value);
+    ASSERT_FALSE(sw.failed());
+    EXPECT_EQ(p.currentTid(), tid.value); // switched at once
+    EXPECT_EQ(kern.wait4(p, 0).error, E_CHILD); // polls
+    SysResult slept = kern.sysSleep(p, 1000);
+    EXPECT_FALSE(slept.failed());
+    EXPECT_EQ(slept.value, 0u);
+    EXPECT_EQ(kern.sysEvWait(p).error, E_BUSY);
+    int fds[2];
+    ASSERT_FALSE(kern.sysPipe(p, fds).failed());
+    EXPECT_EQ(kern.sysRead(p, fds[0], UserPtr::fromAddr(g.data), 8).error,
+              E_AGAIN);
+    EXPECT_EQ(kern.counters().fd.blocks, 0u);
+
+    auto expectSchedStatsZero = [&] {
+        forEachField(kern.counters().sched, [](const auto &f, u64 v) {
+            EXPECT_EQ(v, 0u) << f.key;
+        });
+    };
+    expectSchedStatsZero();
+    EXPECT_FALSE(s.holdsState()); // the fork child was not admitted
+    const panic::FlightRecorder &fr = kern.flightRecorder();
+    const u64 events = fr.eventsRecorded();
+    const std::string json = m.toJson();
+
+    kern.runUntilIdle();
+
+    expectSchedStatsZero();
+    EXPECT_FALSE(s.holdsState());
+    EXPECT_EQ(s.now(), 0u);
+    EXPECT_EQ(fr.eventsRecorded(), events);
+    for (const panic::Event &e : fr.entries()) {
+        EXPECT_NE(e.kind, panic::EventKind::SchedBlock);
+        EXPECT_NE(e.kind, panic::EventKind::SchedWake);
+    }
+    EXPECT_EQ(m.toJson(), json);
+    EXPECT_FALSE(child->exited());
+}
+
 TEST(SchedTest, CapRegsSurviveSwitchesTagExactAcrossOpenEpoch)
 {
     KernelConfig cfg;
@@ -474,9 +529,6 @@ TEST(MetricsPullTest, RegistryAttachedBeforeSchedulerReportsSched)
     cfg.timeSliceSteps = 16;
     Kernel kern(cfg);
     kern.setMetrics(&m);
-    ASSERT_EQ(kern.scheduler(), nullptr);
-    // schedulerFor installs the scheduler after the registry attached
-    // (the multi-process fuzzer's order).
     sched::Scheduler &s = sched::schedulerFor(kern);
     isa::Assembler prog = aluLoop(50);
     for (int i = 0; i < 2; ++i) {

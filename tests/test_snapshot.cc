@@ -1324,11 +1324,9 @@ TEST(SnapshotTest, RoundTripFillsEverySection)
     EXPECT_EQ(tags2[0].first, tags[0].first);
     expectSameCap(tags2[0].second, tags[0].second);
 
-    auto *s2 = dynamic_cast<sched::Scheduler *>(kern2.scheduler());
-    ASSERT_NE(s2, nullptr);
     Process *sel2 = kern2.findProcess(sel.proc->pid());
     ASSERT_NE(sel2, nullptr);
-    const sched::ExecContext &cx2 = s2->context(*sel2);
+    const sched::ExecContext &cx2 = kern2.scheduler().context(*sel2);
     EXPECT_EQ(cx2.state, selAtSave.state);
     EXPECT_EQ(cx2.fdChans, selAtSave.fdChans);
     EXPECT_TRUE(cx2.fdDeadlineArmed);

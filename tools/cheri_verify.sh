@@ -37,6 +37,18 @@ if grep -rnE 'cost(\(\))?(\.|->)(load|store)\(' "$src_dir/src" \
     exit 1
 fi
 
+# One-scheduler lint: every Kernel constructs and owns its
+# sched::Scheduler, so the kernel calls it directly.  An abstract
+# scheduler interface, a lazy install, or a cast down to the concrete
+# scheduler would bring back a second, schedulerless path.
+if grep -rnE 'SchedulerIface|installScheduler|dynamic_cast<[^>]*Scheduler' \
+        "$src_dir/src" "$src_dir/tests" "$src_dir/bench" \
+        "$src_dir/examples"; then
+    echo "cheri_verify: scheduler interface, lazy install or cast" \
+         "(a Kernel owns its sched::Scheduler)" >&2
+    exit 1
+fi
+
 # Only GTest is a build dependency: with google-benchmark disabled, a
 # find_package(benchmark) that comes back fails the configure step.
 cmake -S "$src_dir" -B "$build_dir" \
