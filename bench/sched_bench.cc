@@ -22,12 +22,18 @@
  *    runnable processes must not collapse per-step cost.
  *
  * The three throughput arms are timed in interleaved trials and
- * compared by their medians, so host load that comes and goes cannot
- * flip the gates alone.
+ * reported by their medians; they are host numbers and gate nothing.
  *
- * --check exits nonzero unless the scheduler clears a 3x throughput
- * floor over the re-create pattern, switch cost stays bounded, and
- * scaling stays flat.
+ * --check gates on exact counts that fail when the same regressions
+ * would show in the timings:
+ *  - one persistent interpreter per context: the contexts' retired()
+ *    counts sum to the steps the scheduler executed (an interpreter
+ *    re-created per slice restarts its count, and its decode cache);
+ *  - adding runnable processes adds no work: four guests execute
+ *    exactly four times one guest's steps, in four times its slices;
+ *  - switching costs one switch per slice boundary: the 4-guest run
+ *    switches on every slice after the first, and in the 2-guest run
+ *    every scheduler switch charges exactly one kernel context switch.
  */
 
 #include <vector>
@@ -97,22 +103,36 @@ stepsPerSec(u64 steps, double secs)
     return secs > 0 ? static_cast<double>(steps) / secs : 0;
 }
 
+/** The exact counts of one scheduled run. */
+struct Counts
+{
+    SchedStats st;
+    /** Sum of the contexts' retired() after the run. */
+    u64 retired = 0;
+    /** Context switches the kernel charged (Kernel::contextSwitches). */
+    u64 kernelSwitches = 0;
+};
+
 /** Run @p n guests to completion under the scheduler; returns
- *  steps/sec and exposes the kernel's final scheduler stats. */
+ *  steps/sec and exposes the run's exact counts. */
 double
-runScheduled(unsigned n, SchedStats *out = nullptr)
+runScheduled(unsigned n, Counts *out = nullptr)
 {
     KernelConfig cfg;
     cfg.timeSliceSteps = kSlice;
     Kernel kern(cfg);
     sched::Scheduler &s = sched::schedulerFor(kern);
+    std::vector<sched::ExecContext *> ctxs;
     for (unsigned i = 0; i < n; ++i)
-        s.admit(*makeGuest(kern, "sched-guest").proc);
+        ctxs.push_back(&s.admit(*makeGuest(kern, "sched-guest").proc));
     bench::Instant t0 = bench::now();
     kern.runUntilIdle();
     double secs = bench::secondsSince(t0);
-    if (out)
-        *out = s.stats();
+    if (out) {
+        *out = {s.stats(), 0, kern.contextSwitches()};
+        for (const sched::ExecContext *cx : ctxs)
+            out->retired += cx->retired();
+    }
     return stepsPerSec(s.stats().stepsExecuted, secs);
 }
 
@@ -153,14 +173,14 @@ runRecreated(unsigned n)
     return stepsPerSec(steps, bench::secondsSince(t0));
 }
 
-/** Host nanoseconds of pure switch overhead per context switch. */
+/** Host nanoseconds of pure switch overhead per context switch; the
+ *  2-guest run's counts go to @p pair. */
 double
-switchCostNs()
+switchCostNs(Counts &pair)
 {
     // Two processes ping-pong every slice; the same total work run as
     // two one-process drains has (almost) no switches.  The timing
     // delta divided by the switch count isolates the per-switch cost.
-    SchedStats pair;
     bench::Instant t0 = bench::now();
     runScheduled(2, &pair);
     double paired = bench::secondsSince(t0);
@@ -171,8 +191,8 @@ switchCostNs()
     double delta = paired - serial;
     if (delta < 0)
         delta = 0;
-    return pair.contextSwitches
-               ? delta * 1e9 / static_cast<double>(pair.contextSwitches)
+    return pair.st.contextSwitches
+               ? delta * 1e9 / static_cast<double>(pair.st.contextSwitches)
                : 0;
 }
 
@@ -182,17 +202,17 @@ int
 main(int argc, char **argv)
 {
     bench::Report report(argc, argv);
-    SchedStats multi;
+    Counts multi, single, pair;
     std::vector<bench::Trials> rates = bench::interleavedMedians(
         kTrials, {[&] { return runScheduled(4, &multi); },
                   [] { return runRecreated(4); },
-                  [] { return runScheduled(1); }});
+                  [&] { return runScheduled(1, &single); }});
     double schedMulti = rates[0].median;
     double recreate = rates[1].median;
     double schedSingle = rates[2].median;
     double ratio = recreate > 0 ? schedMulti / recreate : 0;
     double scaling = schedSingle > 0 ? schedMulti / schedSingle : 0;
-    double switchNs = switchCostNs();
+    double switchNs = switchCostNs(pair);
 
     report.section("Scheduler: persistent contexts vs per-chunk "
                    "interpreter re-creation (median of " +
@@ -209,15 +229,33 @@ main(int argc, char **argv)
     report.add("sched / re-create", "throughput ratio", ratio, times);
     report.add("4 guests / 1 guest", "throughput ratio", scaling, times);
     report.note("");
-    report.add("4 guests, scheduler", "context switches",
-               multi.contextSwitches);
-    report.add("4 guests, scheduler", "preemptions", multi.preemptions);
-    report.add("4 guests, scheduler", "switch cost", switchNs,
+    const std::pair<const char *, const Counts *> runs[] = {
+        {"1 guest, scheduler", &single},
+        {"2 guests, scheduler", &pair},
+        {"4 guests, scheduler", &multi}};
+    for (const auto &[kase, c] : runs) {
+        report.add(kase, "steps executed", c->st.stepsExecuted);
+        report.add(kase, "retired (sum over contexts)", c->retired);
+        report.add(kase, "slices", c->st.slices);
+        report.add(kase, "context switches", c->st.contextSwitches);
+        report.add(kase, "kernel context switches", c->kernelSwitches);
+        report.add(kase, "preemptions", c->st.preemptions);
+    }
+    report.add("2 guests, scheduler", "switch cost", switchNs,
                {.unit = "ns", .host = true});
 
-    report.expect(ratio >= 3.0, "scheduler/recreate throughput ratio >= 3.0");
-    report.expect(scaling >= 0.5,
-                  "4-process throughput >= 0.5 of single-process");
-    report.expect(switchNs <= 50000, "context-switch cost <= 50000 ns");
+    report.expect(multi.retired == multi.st.stepsExecuted,
+                  "4 guests: contexts' retired() sum == steps executed "
+                  "(one persistent interpreter per context)");
+    report.expect(multi.st.stepsExecuted == 4 * single.st.stepsExecuted &&
+                      multi.st.slices == 4 * single.st.slices,
+                  "4 guests execute exactly 4x one guest's steps, in 4x "
+                  "its slices");
+    report.expect(multi.st.contextSwitches == multi.st.slices - 1,
+                  "4 guests: context switches == slices - 1");
+    report.expect(pair.st.contextSwitches == 2 * single.st.slices - 1 &&
+                      pair.kernelSwitches == pair.st.contextSwitches,
+                  "2 guests: context switches == 2x one guest's slices "
+                  "- 1, each charged once by the kernel");
     return report.finish();
 }
