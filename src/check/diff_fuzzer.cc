@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <random>
 
+#include "check/digest.h"
 #include "check/replay.h"
 #include "check/strfmt.h"
 #include "isa/assembler.h"
@@ -358,7 +359,9 @@ struct Region
 
 struct ExecResult
 {
-    std::vector<std::string> events;
+    std::vector<FuzzEvent> events;
+    /** Snapshot refusal reasons, indexed by SnapshotFailed events. */
+    std::vector<std::string> notes;
     std::vector<u8> output;
     std::vector<Violation> violations;
     u64 oracleRuns = 0;
@@ -397,8 +400,11 @@ captureSnapshot(ExecResult &er, Kernel &kern, const FuzzOptions &opts)
         return;
     std::string serr;
     er.snapshot = snap::save(kern, &serr);
-    if (er.snapshot.empty())
-        er.events.push_back("snapshot-failed: " + serr);
+    if (er.snapshot.empty()) {
+        er.events.push_back(
+            {FuzzEvent::Kind::SnapshotFailed, {er.notes.size()}});
+        er.notes.push_back(std::move(serr));
+    }
 }
 
 void
@@ -496,38 +502,38 @@ startProgram(Kernel &kern, Process &proc, Abi abi, u64 code_va,
     return cx;
 }
 
-/** The work registers x4..x10 (bar the x8 data base) as " xN=V". */
-std::string
-workRegs(const ThreadRegs &regs)
+/** The work registers x4..x10, bar the x8 data base. */
+constexpr unsigned workRegs[] = {4, 5, 6, 7, 9, 10};
+
+/** Copy @p regs' work registers into @p e from value @p at on. */
+void
+putWorkRegs(FuzzEvent &e, std::size_t at, const ThreadRegs &regs)
 {
-    std::string out;
-    for (unsigned i = 4; i <= 10; ++i) {
-        if (i != 8)
-            out += fmt(" x%u=%" PRIu64, i, regs.x[i]);
-    }
-    return out;
+    for (unsigned r : workRegs)
+        e.v[at++] = regs.x[r];
 }
 
+/** Region index of the scratch mapping in Touch and Image events. */
+constexpr u64 scratchRegion = ~u64{0};
+
+/** Digest the final image of the region @p region (@p len bytes at
+ *  @p va), word by word.  The pages are read through the address space,
+ *  so demand-zero and swap-in run as for any other host read. */
 void
-hashRegion(ExecResult &er, Process &proc, const char *name, u64 va,
-           u64 len)
+hashRegion(ExecResult &er, Process &proc, u64 region, u64 va, u64 len)
 {
-    u64 h = 1469598103934665603ULL;
-    std::vector<u8> page(pageSize);
+    u64 h = digestSeed;
+    std::array<u64, pageSize / 8> page;
     for (u64 off = 0; off < len; off += pageSize) {
         CapCheck r = proc.as().readBytes(va + off, page.data(), pageSize);
         if (r.has_value()) {
-            er.events.push_back(
-                fmt("image %s fault %s", name,
-                    std::string(capFaultName(*r)).c_str()));
+            er.events.push_back({FuzzEvent::Kind::ImageFault,
+                                 {region, static_cast<u64>(*r)}});
             return;
         }
-        for (u8 b : page) {
-            h ^= b;
-            h *= 1099511628211ULL;
-        }
+        h = digestWords(page.data(), page.size(), h);
     }
-    er.events.push_back(fmt("image %s %016" PRIx64, name, h));
+    er.events.push_back({FuzzEvent::Kind::Image, {region, h}});
 }
 
 ExecResult
@@ -548,7 +554,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     SelfObject prog = fuzzProgram();
     if (kern.execve(*proc, prog, {"fuzz"}, {}) != E_OK) {
         er.setupFailed = true;
-        er.events.push_back("execve-failed");
+        er.events.push_back({FuzzEvent::Kind::ExecveFailed});
         return er;
     }
 
@@ -571,13 +577,12 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             opts.replay->quiesce(kern, p, code);
         const SyscallInfo *si = syscallInfo(code);
         const ThreadRegs &r = p.regs();
-        bool err = r.x[regSysErr] != 0;
+        u64 err = r.x[regSysErr] != 0 ? 1 : 0;
         u64 val = r.x[regRetVal];
-        std::string name(si ? si->name : "invalid");
         if (si && si->num == SysNum::Sbrk) {
             // Designed divergence: CheriABI excludes sbrk (E_NOSYS)
             // where mips64 serves it — mask the whole event.
-            er.events.push_back("sbrk masked");
+            er.events.push_back({FuzzEvent::Kind::SbrkMasked});
         } else if (si && si->num == SysNum::Revoke2) {
             // Designed divergence: revocation sweeps scan cap-dirty
             // pages and tagged granules, which exist only under
@@ -585,11 +590,11 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             // errors (epochs stay open longer with real work queued)
             // legitimately differ, so mask the whole event.  The
             // invariant oracle (rule 7) is the sound check here.
-            er.events.push_back("revoke2 masked");
+            er.events.push_back({FuzzEvent::Kind::Revoke2Masked});
         } else {
             bool mask_val = si && si->returnsPtr; // raw addresses
-            er.events.push_back(fmt("%s e%d v%" PRIu64, name.c_str(),
-                                    err ? 1 : 0, mask_val ? 0 : val));
+            er.events.push_back({FuzzEvent::Kind::Syscall,
+                                 {code, err, mask_val ? 0 : val}});
         }
         if (opts.checkEvery && dispatches % opts.checkEvery == 0)
             runOracle(er, kern, opts);
@@ -604,7 +609,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
                          SysArg::i(MAP_ANON | MAP_PRIVATE)});
     if (mk.res.failed()) {
         er.setupFailed = true;
-        er.events.push_back("scratch-mmap-failed");
+        er.events.push_back({FuzzEvent::Kind::ScratchMmapFailed});
         return er;
     }
     UserPtr scratch = mk.out;
@@ -646,7 +651,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     u64 op_index = 0;
     for (const GenOp &op : ops) {
         if (proc->exited()) {
-            er.events.push_back("main-exited");
+            er.events.push_back({FuzzEvent::Kind::MainExited});
             break;
         }
         if (opts.plantSlotBug && op_index == ops.size() / 2) {
@@ -663,7 +668,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             });
             if (min_slot != ~u64{0}) {
                 kern.swapDevice().retain(min_slot);
-                er.events.push_back("plant-slot-bug");
+                er.events.push_back({FuzzEvent::Kind::PlantSlotBug});
             }
         }
         ++op_index;
@@ -732,8 +737,8 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             sysInvoke(kern, *proc, SysNum::Kill,
                       {SysArg::i(proc->pid()), SysArg::i(SIG_USR1)});
             u64 ran = kern.deliverSignals(*proc);
-            er.events.push_back(fmt("deliver %" PRIu64 " total %" PRIu64,
-                                    ran, handler_runs));
+            er.events.push_back(
+                {FuzzEvent::Kind::Deliver, {ran, handler_runs}});
             break;
           }
           case K::Write: {
@@ -773,25 +778,22 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             break;
           }
           case K::Touch: {
-            u64 ridx = regions.empty() ? ~u64{0}
+            u64 ridx = regions.empty() ? scratchRegion
                                        : op.a % regions.size();
-            u64 va = ridx == ~u64{0}
+            u64 va = ridx == scratchRegion
                          ? scratch_va + op.b % (4 * pageSize)
                          : regions[ridx].va + op.b % regions[ridx].len;
             u8 byte = static_cast<u8>(op.c);
             CapCheck w = proc->as().writeBytes(va, &byte, 1);
             er.events.push_back(
-                fmt("touch r%" PRId64 " %s",
-                    static_cast<s64>(ridx == ~u64{0} ? -1
-                                                     : (s64)ridx),
-                    w.has_value()
-                        ? std::string(capFaultName(*w)).c_str()
-                        : "ok"));
+                {FuzzEvent::Kind::Touch,
+                 {ridx, w.has_value() ? 1u : 0u,
+                  static_cast<u64>(w.value_or(CapFault::None))}});
             break;
           }
           case K::Evict: {
             u64 n = proc->as().swapOutResident(1 + op.a % 4);
-            er.events.push_back(fmt("evict %" PRIu64, n));
+            er.events.push_back({FuzzEvent::Kind::Evict, {n}});
             break;
           }
           case K::Compute: {
@@ -806,7 +808,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
                 loaded = false;
             }
             if (!loaded) {
-                er.events.push_back("compute load-failed");
+                er.events.push_back({FuzzEvent::Kind::ComputeLoadFailed});
                 break;
             }
             // Persistent per-process execution context: the decode
@@ -820,12 +822,12 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
             isa::InterpResult res = cx.last;
             // Steps across the whole ready-window, not just the final
             // slice — matches what a single run(4096) used to report.
-            std::string ev = fmt(
-                "compute st%d fault %s steps %" PRIu64,
-                static_cast<int>(res.status),
-                std::string(capFaultName(res.fault)).c_str(),
-                cx.retired() - cx.readyBaseSteps);
-            er.events.push_back(ev + workRegs(proc->regs()));
+            FuzzEvent ev{FuzzEvent::Kind::Compute,
+                         {static_cast<u64>(res.status),
+                          static_cast<u64>(res.fault),
+                          cx.retired() - cx.readyBaseSteps}};
+            putWorkRegs(ev, 3, proc->regs());
+            er.events.push_back(ev);
             break;
           }
           case K::Revoke: {
@@ -913,22 +915,20 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     if (VNodeRef out = kern.vfs().lookup("/fz_out"))
         er.output = out->data;
 
-    for (u64 i = 0; i < regions.size(); ++i) {
-        hashRegion(er, *proc, fmt("r%" PRIu64, i).c_str(),
-                   regions[i].va, regions[i].len);
-    }
-    hashRegion(er, *proc, "scratch", scratch_va, 4 * pageSize);
+    for (u64 i = 0; i < regions.size(); ++i)
+        hashRegion(er, *proc, i, regions[i].va, regions[i].len);
+    hashRegion(er, *proc, scratchRegion, scratch_va, 4 * pageSize);
 
     kern.forEachProcess([&](const Process &p) {
+        const auto &death = p.death();
         er.events.push_back(
-            fmt("proc %" PRIu64 " exited%d status%d death %s", p.pid(),
-                p.exited() ? 1 : 0, p.exitStatus(),
-                p.death()
-                    ? std::string(capFaultName(p.death()->fault))
-                          .c_str()
-                    : "-"));
+            {FuzzEvent::Kind::Proc,
+             {p.pid(), p.exited() ? 1u : 0u,
+              static_cast<u64>(static_cast<s64>(p.exitStatus())),
+              death ? 1u : 0u,
+              static_cast<u64>(death ? death->fault : CapFault::None)}});
     });
-    er.events.push_back(fmt("handlers %" PRIu64, handler_runs));
+    er.events.push_back({FuzzEvent::Kind::Handlers, {handler_runs}});
 
     if (opts.keepMetricsJson)
         er.metricsJson = metrics.toJson();
@@ -969,14 +969,10 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
         ++er.syscalls;
         if (opts.replay)
             opts.replay->quiesce(kern, p, code);
-        const SyscallInfo *si = syscallInfo(code);
         const ThreadRegs &r = p.regs();
-        er.events.push_back(fmt("p%" PRIu64 " %s e%d v%" PRIu64,
-                                p.pid(),
-                                std::string(si ? si->name : "invalid")
-                                    .c_str(),
-                                r.x[regSysErr] != 0 ? 1 : 0,
-                                r.x[regRetVal]));
+        er.events.push_back({FuzzEvent::Kind::ProcSyscall,
+                             {p.pid(), code, r.x[regSysErr] != 0 ? 1u : 0u,
+                              r.x[regRetVal]}});
     });
 
     // One pipe shared by every guest: the same two open-file
@@ -1002,7 +998,7 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
         Process *proc = kern.spawn(abi, "fuzz-mp");
         if (kern.execve(*proc, prog, {"fuzz-mp"}, {}) != E_OK) {
             er.setupFailed = true;
-            er.events.push_back("execve-failed");
+            er.events.push_back({FuzzEvent::Kind::ExecveFailed});
             return er;
         }
         int pipe_rfd = proc->allocFd(pipe_rof);
@@ -1042,20 +1038,17 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
     for (u64 i = 0; i < guests.size(); ++i) {
         Process *proc = guests[i];
         sched::ExecContext &cx = s.context(*proc, 0);
-        std::string ev =
-            fmt("guest %" PRIu64 " st%d fault %s threads %" PRIu64, i,
-                static_cast<int>(cx.last.status),
-                std::string(capFaultName(cx.last.fault)).c_str(),
-                proc->threadCount());
-        er.events.push_back(ev + workRegs(proc->regs()));
+        FuzzEvent ev{FuzzEvent::Kind::Guest,
+                     {i, static_cast<u64>(cx.last.status),
+                      static_cast<u64>(cx.last.fault),
+                      proc->threadCount()}};
+        putWorkRegs(ev, 4, proc->regs());
+        er.events.push_back(ev);
     }
-    er.events.push_back(fmt("sched switches %" PRIu64 " preempt %" PRIu64
-                            " slices %" PRIu64 " sleeps %" PRIu64
-                            " fdblocks %" PRIu64 " wakes %" PRIu64,
-                            s.stats().contextSwitches,
-                            s.stats().preemptions, s.stats().slices,
-                            s.stats().blocksSleep, s.stats().blocksFd,
-                            s.stats().wakes));
+    const auto &st = s.stats();
+    er.events.push_back({FuzzEvent::Kind::Sched,
+                         {st.contextSwitches, st.preemptions, st.slices,
+                          st.blocksSleep, st.blocksFd, st.wakes}});
 
     if (opts.keepMetricsJson)
         er.metricsJson = metrics.toJson();
@@ -1064,7 +1057,92 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
     return er;
 }
 
+/** " xN=V" for each work register held in @p v. */
+std::string
+workRegsText(const u64 *v)
+{
+    std::string out;
+    for (unsigned r : workRegs)
+        out += fmt(" x%u=%" PRIu64, r, *v++);
+    return out;
+}
+
+std::string
+faultText(u64 fault)
+{
+    return std::string(capFaultName(static_cast<CapFault>(fault)));
+}
+
+std::string
+syscallText(u64 code)
+{
+    const SyscallInfo *si = syscallInfo(code);
+    return std::string(si ? si->name : "invalid");
+}
+
 } // namespace
+
+std::string
+describe(const FuzzEvent &e, const std::vector<std::string> &notes)
+{
+    using K = FuzzEvent::Kind;
+    const std::array<u64, 10> &v = e.v;
+    auto region = [](u64 r) {
+        return r == scratchRegion ? std::string("scratch")
+                                  : fmt("r%" PRIu64, r);
+    };
+    switch (e.kind) {
+      case K::Syscall:
+        return fmt("%s e%d v%" PRIu64, syscallText(v[0]).c_str(),
+                   static_cast<int>(v[1]), v[2]);
+      case K::ProcSyscall:
+        return fmt("p%" PRIu64 " %s e%d v%" PRIu64, v[0],
+                   syscallText(v[1]).c_str(), static_cast<int>(v[2]),
+                   v[3]);
+      case K::SbrkMasked: return "sbrk masked";
+      case K::Revoke2Masked: return "revoke2 masked";
+      case K::Deliver:
+        return fmt("deliver %" PRIu64 " total %" PRIu64, v[0], v[1]);
+      case K::Touch:
+        return fmt("touch r%" PRId64 " %s", static_cast<s64>(v[0]),
+                   v[1] ? faultText(v[2]).c_str() : "ok");
+      case K::Evict: return fmt("evict %" PRIu64, v[0]);
+      case K::Compute:
+        return fmt("compute st%d fault %s steps %" PRIu64,
+                   static_cast<int>(v[0]), faultText(v[1]).c_str(),
+                   v[2]) +
+               workRegsText(&v[3]);
+      case K::ComputeLoadFailed: return "compute load-failed";
+      case K::Image:
+        return fmt("image %s %016" PRIx64, region(v[0]).c_str(), v[1]);
+      case K::ImageFault:
+        return fmt("image %s fault %s", region(v[0]).c_str(),
+                   faultText(v[1]).c_str());
+      case K::Proc:
+        return fmt("proc %" PRIu64 " exited%d status%d death %s", v[0],
+                   static_cast<int>(v[1]), static_cast<int>(v[2]),
+                   v[3] ? faultText(v[4]).c_str() : "-");
+      case K::Handlers: return fmt("handlers %" PRIu64, v[0]);
+      case K::Guest:
+        return fmt("guest %" PRIu64 " st%d fault %s threads %" PRIu64,
+                   v[0], static_cast<int>(v[1]), faultText(v[2]).c_str(),
+                   v[3]) +
+               workRegsText(&v[4]);
+      case K::Sched:
+        return fmt("sched switches %" PRIu64 " preempt %" PRIu64
+                   " slices %" PRIu64 " sleeps %" PRIu64
+                   " fdblocks %" PRIu64 " wakes %" PRIu64,
+                   v[0], v[1], v[2], v[3], v[4], v[5]);
+      case K::ExecveFailed: return "execve-failed";
+      case K::ScratchMmapFailed: return "scratch-mmap-failed";
+      case K::MainExited: return "main-exited";
+      case K::PlantSlotBug: return "plant-slot-bug";
+      case K::SnapshotFailed:
+        return "snapshot-failed: " +
+               (v[0] < notes.size() ? notes[v[0]] : std::string());
+    }
+    return "?";
+}
 
 CaseReport
 DiffFuzzer::runCase(u64 index)
@@ -1108,17 +1186,26 @@ DiffFuzzer::runCase(u64 index)
     if (!opts.inject) {
         constexpr u64 maxDivergences = 8;
         u64 n = std::max(legacy.events.size(), cheri.events.size());
+        auto text = [](const ExecResult &er, u64 i) {
+            return i < er.events.size() ? describe(er.events[i], er.notes)
+                                        : std::string("<missing>");
+        };
+        auto same = [&](u64 i) {
+            if (i >= legacy.events.size() || i >= cheri.events.size())
+                return false;
+            const FuzzEvent &a = legacy.events[i], &b = cheri.events[i];
+            // A refusal reason is text: compare what the report prints.
+            if (a.kind == FuzzEvent::Kind::SnapshotFailed && b.kind == a.kind)
+                return text(legacy, i) == text(cheri, i);
+            return a == b;
+        };
         for (u64 i = 0;
              i < n && cr.divergences.size() < maxDivergences; ++i) {
-            const std::string &a =
-                i < legacy.events.size() ? legacy.events[i]
-                                         : "<missing>";
-            const std::string &b =
-                i < cheri.events.size() ? cheri.events[i] : "<missing>";
-            if (a != b) {
-                cr.divergences.push_back(fmt(
-                    "event %" PRIu64 ": mips64 '%s' vs cheriabi '%s'",
-                    i, a.c_str(), b.c_str()));
+            if (!same(i)) {
+                cr.divergences.push_back(
+                    fmt("event %" PRIu64 ": mips64 '%s' vs cheriabi '%s'",
+                        i, text(legacy, i).c_str(),
+                        text(cheri, i).c_str()));
             }
         }
         if (legacy.output != cheri.output &&

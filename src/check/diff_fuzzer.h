@@ -38,6 +38,7 @@
 #ifndef CHERI_CHECK_DIFF_FUZZER_H
 #define CHERI_CHECK_DIFF_FUZZER_H
 
+#include <array>
 #include <string>
 #include <vector>
 
@@ -99,6 +100,73 @@ struct FuzzOptions
      *  replay-determinism gate compares them bit-for-bit). */
     bool keepMetricsJson = false;
 };
+
+/**
+ * One entry of a run's comparable event stream: a kind and its values,
+ * compared by value between the two ABI runs.  Text is built only for
+ * the entries a divergence report prints (describe()).  Values a kind
+ * does not use stay zero.
+ */
+struct FuzzEvent
+{
+    enum class Kind : u8
+    {
+        /** A dispatched syscall: code, error flag, result (0 for a
+         *  syscall that returns a pointer). */
+        Syscall,
+        /** A multi-process mode syscall: pid, code, error flag,
+         *  result. */
+        ProcSyscall,
+        /** sbrk and revoke2 events, masked whole (designed
+         *  divergences). */
+        SbrkMasked,
+        Revoke2Masked,
+        /** Signal delivery: handlers run now, handler runs so far. */
+        Deliver,
+        /** A host byte store: region index (~0 for the scratch
+         *  mapping), whether it faulted, the fault. */
+        Touch,
+        /** Pages swapped out. */
+        Evict,
+        /** A generated program's end: status, fault, steps, then the
+         *  work registers x4..x10 bar x8. */
+        Compute,
+        ComputeLoadFailed,
+        /** A tracked region's final image: region index (~0 for the
+         *  scratch mapping), then its digest (Image) or the fault that
+         *  stopped the read (ImageFault). */
+        Image,
+        ImageFault,
+        /** A process at case end: pid, exited, exit status, whether it
+         *  died of a fault, the fault. */
+        Proc,
+        /** Handler runs at case end. */
+        Handlers,
+        /** A multi-process guest at case end: index, status, fault,
+         *  thread count, then the work registers as in Compute. */
+        Guest,
+        /** Scheduler totals: context switches, preemptions, slices,
+         *  sleep blocks, fd blocks, wakes. */
+        Sched,
+        ExecveFailed,
+        ScratchMmapFailed,
+        MainExited,
+        PlantSlotBug,
+        /** A refused snapshot: index of its reason in the run's
+         *  notes. */
+        SnapshotFailed,
+    };
+
+    Kind kind = Kind::Syscall;
+    std::array<u64, 10> v{};
+
+    bool operator==(const FuzzEvent &) const = default;
+};
+
+/** @p e as a divergence report prints it; @p notes holds the reasons
+ *  SnapshotFailed events index. */
+std::string describe(const FuzzEvent &e,
+                     const std::vector<std::string> &notes = {});
 
 /** Outcome of one differential case. */
 struct CaseReport

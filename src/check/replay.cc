@@ -1,9 +1,10 @@
 #include "check/replay.h"
 
+#include <bit>
 #include <cinttypes>
 #include <cstring>
-#include <iterator>
 
+#include "check/digest.h"
 #include "check/strfmt.h"
 #include "os/kernel.h"
 #include "os/sysnum.h"
@@ -25,79 +26,49 @@ enum : u8
     TAG_END = 5,
 };
 
-void
-put64(std::vector<u8> &out, u64 v)
+/** Header words after the magic: the version, then nine FuzzOptions
+ *  fields. */
+constexpr u64 headerWords = 10;
+/** Every entry: the tag byte, then a and b. */
+constexpr u64 entryBytes = 1 + 2 * 8;
+/** A quiesce entry's digest tail: code, regHash, frames, slots,
+ *  statsHash. */
+constexpr u64 quiesceTailBytes = 5 * 8;
+
+/** Log words are little-endian on every host. */
+u64
+littleEndian(u64 v)
 {
-    for (int i = 0; i < 8; ++i)
-        out.push_back(static_cast<u8>(v >> (8 * i)));
+    if constexpr (std::endian::native == std::endian::big)
+        return __builtin_bswap64(v);
+    return v;
 }
+
+/** Appends into a buffer sized up front, one whole word at a time. */
+struct LogWriter
+{
+    u8 *p;
+
+    void byte(u8 b) { *p++ = b; }
+
+    void
+    word(u64 v)
+    {
+        v = littleEndian(v);
+        std::memcpy(p, &v, 8);
+        p += 8;
+    }
+};
 
 bool
 get64(const std::vector<u8> &in, u64 &pos, u64 &v)
 {
     if (in.size() - pos < 8)
         return false;
-    v = 0;
-    for (int i = 0; i < 8; ++i)
-        v |= static_cast<u64>(in[pos + static_cast<u64>(i)]) << (8 * i);
+    std::memcpy(&v, in.data() + pos, 8);
+    v = littleEndian(v);
     pos += 8;
     return true;
-}
-
-constexpr u64 fnvOffset = 1469598103934665603ULL;
-constexpr u64 fnvPrime = 1099511628211ULL;
-
-void
-fnv(u64 &h, u64 v)
-{
-    for (int i = 0; i < 8; ++i) {
-        h ^= (v >> (8 * i)) & 0xff;
-        h *= fnvPrime;
-    }
-}
-
-void
-fnvCap(u64 &h, const Capability &c)
-{
-    fnv(h, c.tag() ? 1 : 0);
-    fnv(h, c.base());
-    fnv(h, static_cast<u64>(c.top()));
-    fnv(h, static_cast<u64>(c.top() >> 64));
-    fnv(h, c.address());
-    fnv(h, c.perms());
-    fnv(h, static_cast<u64>(c.otype()));
-}
-
-/** FNV-1a over the full register file, capability tags included: a
- *  single flipped tag bit changes the digest. */
-u64
-hashRegs(const ThreadRegs &r)
-{
-    u64 h = fnvOffset;
-    fnvCap(h, r.pcc);
-    fnvCap(h, r.ddc);
-    for (const Capability &c : r.c)
-        fnvCap(h, c);
-    for (u64 x : r.x)
-        fnv(h, x);
-    return h;
-}
-
-/** Digest of the kernel's observable counters — the cheap whole-system
- *  fingerprint checked at every quiescent point.  It covers every
- *  KernelCounters field, by walking the blocks' field lists. */
-u64
-hashStats(Kernel &kern)
-{
-    u64 h = fnvOffset;
-    fnv(h, kern.physMem().totalAllocated());
-    fnv(h, kern.physMem().failedAllocs());
-    fnv(h, kern.physMem().reclaimRequests());
-    auto block = [&](const auto &b) {
-        forEachField(b, [&](const auto &, u64 v) { fnv(h, v); });
-    };
-    forEachBlock(block, kern.counters());
-    return h;
 }
 
 std::string
@@ -336,37 +307,44 @@ ReplaySession::finish()
 std::vector<u8>
 ReplaySession::serialize(const FuzzOptions &opts) const
 {
-    std::vector<u8> out(std::begin(logMagic), std::end(logMagic));
-    put64(out, logVersion);
-    put64(out, opts.seed);
-    put64(out, opts.cases);
-    put64(out, opts.opsPerCase);
-    put64(out, opts.inject ? 1 : 0);
-    put64(out, opts.checkEvery);
-    put64(out, opts.plantSlotBug ? 1 : 0);
-    put64(out, opts.frameCapacity);
-    put64(out, opts.swapSlotBudget);
-    put64(out, opts.multiProc);
     // Mid-run artifact dumps serialize an unfinished log; append the
     // end marker so the emitted file replays cleanly on its own.
     bool needEnd = log.empty() || log.back().tag != TAG_END;
-    put64(out, log.size() + (needEnd ? 1 : 0));
+    u64 count = log.size() + (needEnd ? 1 : 0);
+    u64 quiesces = 0;
+    for (const Entry &e : log)
+        quiesces += e.tag == TAG_QUIESCE;
+    std::vector<u8> out(sizeof(logMagic) + (headerWords + 1) * 8 +
+                        count * entryBytes + quiesces * quiesceTailBytes);
+    std::memcpy(out.data(), logMagic, sizeof(logMagic));
+    LogWriter w{out.data() + sizeof(logMagic)};
+    w.word(logVersion);
+    w.word(opts.seed);
+    w.word(opts.cases);
+    w.word(opts.opsPerCase);
+    w.word(opts.inject ? 1 : 0);
+    w.word(opts.checkEvery);
+    w.word(opts.plantSlotBug ? 1 : 0);
+    w.word(opts.frameCapacity);
+    w.word(opts.swapSlotBudget);
+    w.word(opts.multiProc);
+    w.word(count);
     for (const Entry &e : log) {
-        out.push_back(e.tag);
-        put64(out, e.a);
-        put64(out, e.b);
+        w.byte(e.tag);
+        w.word(e.a);
+        w.word(e.b);
         if (e.tag == TAG_QUIESCE) {
-            put64(out, e.code);
-            put64(out, e.regHash);
-            put64(out, e.frames);
-            put64(out, e.slots);
-            put64(out, e.statsHash);
+            w.word(e.code);
+            w.word(e.regHash);
+            w.word(e.frames);
+            w.word(e.slots);
+            w.word(e.statsHash);
         }
     }
     if (needEnd) {
-        out.push_back(TAG_END);
-        put64(out, 0);
-        put64(out, 0);
+        w.byte(TAG_END);
+        w.word(0);
+        w.word(0);
     }
     return out;
 }

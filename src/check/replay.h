@@ -68,10 +68,10 @@ class ReplaySession : public FaultTap
         Replay,
     };
 
-    /** Bumped whenever what the digest covers changes, even when the
-     *  layout does not: another version's log would load and then
-     *  diverge at its first digest. */
-    static constexpr u32 logVersion = 2;
+    /** Bumped whenever what the digest covers or how it is computed
+     *  changes, even when the layout does not: another version's log
+     *  would load and then diverge at its first digest. */
+    static constexpr u32 logVersion = 3;
 
     explicit ReplaySession(Mode mode) : _mode(mode) {}
 
@@ -94,7 +94,7 @@ class ReplaySession : public FaultTap
      * Quiescent-point digest at a syscall dispatch: hashes @p proc's
      * full register file (capability tags included) and every
      * KernelCounters field, walked through the blocks' field lists
-     * (os/counters.h).  Record: appended to the log.  Replay: checked
+     * (os/counters.h), with the word-wide digest of check/digest.h.  Record: appended to the log.  Replay: checked
      * against the recording; the first mismatch becomes the
      * divergence report's attribution point.
      */

@@ -236,6 +236,60 @@ TEST(DiffFuzzOracle, ReportTextIsPinned)
     EXPECT_EQ(rep.violations.size(), 4u);
 }
 
+// Divergence reports print events as text, built only when a report
+// needs it.  One rendering per kind is pinned here, so a report reads
+// the same whatever the in-memory event layout.
+TEST(DiffFuzzEvents, EventTextIsPinned)
+{
+    using K = check::FuzzEvent::Kind;
+    auto text = [](check::FuzzEvent e) { return check::describe(e); };
+    constexpr u64 none = ~u64{0};
+    u64 getpid = static_cast<u64>(SysNum::Getpid);
+    u64 page = static_cast<u64>(CapFault::PageFault);
+    u64 length = static_cast<u64>(CapFault::LengthViolation);
+    u64 tagv = static_cast<u64>(CapFault::TagViolation);
+
+    EXPECT_EQ(text({K::Syscall, {getpid, 0, 7}}), "getpid e0 v7");
+    EXPECT_EQ(text({K::Syscall, {9999, 1, 22}}), "invalid e1 v22");
+    EXPECT_EQ(text({K::ProcSyscall, {3, getpid, 1, 22}}),
+              "p3 getpid e1 v22");
+    EXPECT_EQ(text({K::SbrkMasked}), "sbrk masked");
+    EXPECT_EQ(text({K::Revoke2Masked}), "revoke2 masked");
+    EXPECT_EQ(text({K::Deliver, {1, 4}}), "deliver 1 total 4");
+    EXPECT_EQ(text({K::Touch, {none, 0, 0}}), "touch r-1 ok");
+    EXPECT_EQ(text({K::Touch, {2, 1, page}}), "touch r2 page fault");
+    EXPECT_EQ(text({K::Evict, {3}}), "evict 3");
+    EXPECT_EQ(text({K::Compute, {1, 0, 12, 1, 2, 3, 4, 5, 6}}),
+              "compute st1 fault none steps 12 x4=1 x5=2 x6=3 x7=4 x9=5 "
+              "x10=6");
+    EXPECT_EQ(text({K::Compute, {2, length, 5, 0, 0, 0, 0, 0, none}}),
+              "compute st2 fault length violation steps 5 x4=0 x5=0 x6=0 "
+              "x7=0 x9=0 x10=18446744073709551615");
+    EXPECT_EQ(text({K::ComputeLoadFailed}), "compute load-failed");
+    EXPECT_EQ(text({K::Image, {0, 0xdeadbeef}}), "image r0 00000000deadbeef");
+    EXPECT_EQ(text({K::Image, {none, 0x0123456789abcdef}}),
+              "image scratch 0123456789abcdef");
+    EXPECT_EQ(text({K::ImageFault, {1, page}}), "image r1 fault page fault");
+    EXPECT_EQ(text({K::Proc, {1, 0, 0, 0, 0}}),
+              "proc 1 exited0 status0 death -");
+    EXPECT_EQ(text({K::Proc, {2, 1, static_cast<u64>(s64{-9}), 1, tagv}}),
+              "proc 2 exited1 status-9 death tag violation");
+    EXPECT_EQ(text({K::Handlers, {2}}), "handlers 2");
+    EXPECT_EQ(text({K::Guest, {1, 3, 0, 2, 10, 20, 30, 40, 50, 60}}),
+              "guest 1 st3 fault none threads 2 x4=10 x5=20 x6=30 x7=40 "
+              "x9=50 x10=60");
+    EXPECT_EQ(text({K::Sched, {1, 2, 3, 4, 5, 6}}),
+              "sched switches 1 preempt 2 slices 3 sleeps 4 fdblocks 5 "
+              "wakes 6");
+    EXPECT_EQ(text({K::ExecveFailed}), "execve-failed");
+    EXPECT_EQ(text({K::ScratchMmapFailed}), "scratch-mmap-failed");
+    EXPECT_EQ(text({K::MainExited}), "main-exited");
+    EXPECT_EQ(text({K::PlantSlotBug}), "plant-slot-bug");
+    EXPECT_EQ(check::describe({K::SnapshotFailed, {1}},
+                              {"first", "snapshot: a hosted context is live"}),
+              "snapshot-failed: snapshot: a hosted context is live");
+}
+
 // Rules 1-2 walk the same kernel-held roots as the revocation sweep,
 // including kevent udata and the interrupted context of a live signal
 // frame, which is checked from inside the handler while it is live.

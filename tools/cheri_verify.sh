@@ -117,6 +117,12 @@ replay_log="$build_dir/verify-replay.log"
 "$build_dir/tools/cheri_replay" record --log "$replay_log" \
     --seed 1 --cases 20 --inject
 "$build_dir/tools/cheri_replay" replay --log "$replay_log" --json
+# Log determinism: the same seed recorded twice gives the same bytes, so
+# no digest picks up padding, host pointers or hash-map order.
+"$build_dir/tools/cheri_replay" record --log "$replay_log.again" \
+    --seed 1 --cases 20 --inject
+cmp "$replay_log" "$replay_log.again"
+rm -f "$replay_log.again"
 "$build_dir/tools/cheri_replay" record --log "$replay_log" \
     --seed 1 --cases 10 --multi-proc 3 --inject
 "$build_dir/tools/cheri_replay" replay --log "$replay_log" --json
