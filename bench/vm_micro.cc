@@ -4,7 +4,7 @@
  *
  * Compares the reference walk-per-access path (AddressSpace::readBytes:
  * on every call, a lookup of the mapping that holds the address and an
- * index into that mapping's dense PTE array) against the software-TLB
+ * index into that mapping's page table) against the software-TLB
  * fast path (MemAccess) over the access patterns that dominate guest
  * execution: sequential, random, and strided 8-byte reads over a
  * prefaulted region, page-chunked string copyin, and fork/COW churn.
@@ -17,6 +17,13 @@
  * and hits on every other read (a TLB that stops caching fails it on
  * any host, under any load), and the constrained-memory phase
  * completes within its frame and slot budgets.
+ *
+ * The sparse-stack case maps 8 MiB, touches its top three pages, forks
+ * and unmaps: the shape of every process's stack.  Its ms/iter is
+ * reported, not gated; --check gates on the PTE entries the host
+ * allocates for it (one leaf block in the parent and one in the child,
+ * none after the unmap), so a page table that goes back to one entry
+ * per mapped page fails on any host.
  *
  * The guest-access layer times one GuestContext::load<u64> and
  * store<u64> on the dTLB-hit path under each ABI: pointer arithmetic,
@@ -237,6 +244,49 @@ runForkChurn(PhysMem &phys, SwapDevice &swap)
     return t.median / 1e6;
 }
 
+/** The sparse-stack case: PTE entries allocated at each stage (from
+ *  the first iteration; every iteration is the same) and host time. */
+struct SparseStackResult
+{
+    u64 mappedPages = 0;
+    u64 touchedEntries = 0;
+    u64 childEntries = 0;
+    u64 unmappedEntries = 0;
+    double ms = 0;
+};
+
+SparseStackResult
+runSparseStack(PhysMem &phys, SwapDevice &swap)
+{
+    constexpr u64 kStack = 8u << 20;
+    SparseStackResult r;
+    AddressSpace as(phys, swap, 300);
+    bool first = true;
+    bench::Trials t = bench::timeNs(1, 200, [&] {
+        u64 base = as.map(0, kStack, PROT_READ | PROT_WRITE,
+                          MappingKind::Stack);
+        if (base == 0)
+            std::abort();
+        for (u64 p = 1; p <= 3; ++p) {
+            u64 v = p;
+            if (as.writeBytes(base + kStack - p * pageSize, &v, 8))
+                std::abort();
+        }
+        std::unique_ptr<AddressSpace> child = as.forkCopy(301);
+        if (first) {
+            r.mappedPages = as.mappedPages();
+            r.touchedEntries = as.allocatedPteEntries();
+            r.childEntries = child->allocatedPteEntries();
+        }
+        as.unmap(base, kStack);
+        if (first)
+            r.unmappedEntries = as.allocatedPteEntries();
+        first = false;
+    });
+    r.ms = t.median / 1e6;
+    return r;
+}
+
 /** Constrained-memory phase: drive a working set several times larger
  *  than the frame budget through the TLB path, with LRU reclaim as the
  *  only thing standing between the workload and allocation failure. */
@@ -434,6 +484,7 @@ main(int argc, char **argv)
     results.push_back(runPattern("strided", as, mem, cost, base, strided));
     results.push_back(runCopyinstr(as, mem, cost, base));
     double fork_ms = runForkChurn(phys, swap);
+    SparseStackResult stack = runSparseStack(phys, swap);
     PressureResult pr = runPressure(report.option("--frames", 64),
                                     report.option("--slots", 256));
     const GuestAccessResult guest[] = {
@@ -458,6 +509,13 @@ main(int argc, char **argv)
     report.note("");
     report.add("fork/COW churn (64 pages, half dirtied)", "time", fork_ms,
                {.unit = "ms/iter", .places = 3, .host = true});
+    const std::string sparse = "sparse stack (8 MiB, top 3 pages, fork)";
+    report.add(sparse, "time", stack.ms,
+               {.unit = "ms/iter", .places = 4, .host = true});
+    report.add(sparse, "mapped pages", stack.mappedPages);
+    report.add(sparse, "PTE entries", stack.touchedEntries);
+    report.add(sparse, "child PTE entries", stack.childEntries);
+    report.add(sparse, "PTE entries after unmap", stack.unmappedEntries);
 
     report.note("\nconstrained memory: a working set 4x the frame budget "
                 "through reclaim");
@@ -492,6 +550,13 @@ main(int argc, char **argv)
                   "sequential sweep takes one dTLB miss per page");
     report.expect(sequential.tlbHits == kWordsPerPass - pages,
                   "every other sequential read hits the dTLB");
+    // The three touched pages share one leaf block; the other 2045
+    // pages of the stack cost the host no PTE storage.
+    report.expect(stack.touchedEntries == AddressSpace::pteBlockPages &&
+                      stack.childEntries == AddressSpace::pteBlockPages,
+                  "sparse stack holds one PTE block in parent and child");
+    report.expect(stack.unmappedEntries == 0,
+                  "unmapping the sparse stack frees its PTE blocks");
     report.expect(pr.completed,
                   "constrained workload completes under reclaim");
     report.expect(pr.maxLiveFrames <= pr.frameBudget &&

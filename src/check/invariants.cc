@@ -197,6 +197,28 @@ Invariants::check(Kernel &kern)
                              " holds both a frame and slot %" PRIu64,
                              proc.pid(), pte.va, pte.swapSlot)});
                 }
+                // Rule 9: sweeps skip pages that are not cap-dirty, so
+                // a private page holding a tagged granule must carry
+                // the bit.  Shared pages are exempt: the close barrier
+                // rescans them whatever their bit says.
+                if (!pte.shared && !pte.capDirty) {
+                    u64 tags =
+                        pte.frame ? pte.frame->taggedCount()
+                                  : kern.swapDevice().slotTagCount(
+                                        pte.swapSlot);
+                    if (tags != 0) {
+                        std::string slot =
+                            pte.frame ? ""
+                                      : fmt(" (slot %" PRIu64 ")",
+                                            pte.swapSlot);
+                        pteViolations.push_back(
+                            {"cap-dirty-soundness",
+                             fmt("pid %" PRIu64 " va 0x%" PRIx64
+                                 "%s holds %" PRIu64 " tagged granules "
+                                 "but is not cap-dirty",
+                                 proc.pid(), pte.va, slot.c_str(), tags)});
+                    }
+                }
                 if (pte.frame) {
                     FrameUse &u = frames[pte.frame];
                     ++u.pteUsers;

@@ -45,6 +45,11 @@
  *  8. A dead process holds nothing: a zombie has no mappings, swap
  *     slots, open descriptors or open revocation epoch — every death
  *     runs the kernel's one teardown (Kernel::endProcess).
+ *  9. Cap-dirty soundness: a private content page holding a tagged
+ *     granule — resident tags or swap tag metadata — is cap-dirty, so
+ *     a sweep that skips clean pages skips only pages without
+ *     capabilities.  Shared pages are exempt: the epoch-close barrier
+ *     rescans every one of them.
  *
  * Documented deviation: a tagged capability may refer to a range that
  * is no longer *mapped* — CheriABI provides spatial, not temporal,

@@ -3,9 +3,9 @@
  * Reuse of large host allocations across processes and kernels.
  *
  * The model's bulk arrays come and go with every process: its frames
- * (about 24 KiB of host memory each), its page-table arrays (112 KiB
- * for an 8 MiB stack) and its modelled cache arrays (96 KiB for the
- * L2).  Handed back to malloc, blocks that large coalesce at the top
+ * (about 24 KiB of host memory each) and its modelled cache arrays
+ * (96 KiB for the L2).  Handed back to malloc, blocks that large
+ * coalesce at the top
  * of the heap and glibc trims it, so the next process faults the same
  * pages in again: host page faults on every exec, fork and exit, whose
  * cost follows the host's load rather than the simulation.  Blocks of

@@ -11,14 +11,17 @@ Frame::copyFrom(const Frame &other)
 {
     data = other.data;
     tags = other.tags;
-    caps = other.caps;
+    // Untagged granules' entries are never read: copy only the
+    // capabilities the page holds.
+    other.forEachTagged(
+        [&](u64 off, const Capability &cap) { caps[off / capSize] = cap; });
 }
 
 void
 Frame::clear()
 {
     data.fill(0);
-    tags.reset();
+    tags.fill(0);
 }
 
 Capability
@@ -27,7 +30,7 @@ Frame::readCap(u64 off) const
     CHERI_KASSERT(off % capSize == 0 && off + capSize <= pageSize,
                   "cap load granule-aligned and in page");
     u64 g = off / capSize;
-    if (tags.test(g))
+    if (tagAt(off))
         return caps[g];
     std::array<u8, capSize> raw;
     std::memcpy(raw.data(), data.data() + off, capSize);
@@ -42,7 +45,10 @@ Frame::writeCap(u64 off, const Capability &cap)
     u64 g = off / capSize;
     auto raw = cap.toBytes();
     std::memcpy(data.data() + off, raw.data(), capSize);
-    tags.set(g, cap.tag());
+    if (cap.tag())
+        tags[g / 64] |= u64{1} << (g % 64);
+    else
+        clearTagAt(off);
     caps[g] = cap;
 }
 

@@ -21,7 +21,7 @@
 #define CHERI_MEM_PHYS_MEM_H
 
 #include <array>
-#include <bitset>
+#include <bit>
 #include <cstddef>
 #include <cstring>
 #include <memory>
@@ -46,6 +46,10 @@ constexpr u64 pageMask = pageSize - 1;
 
 /** Capability granules per page. */
 constexpr u64 granulesPerPage = pageSize / capSize;
+
+/** 64-bit words of one page's tag bitmap. */
+constexpr u64 tagWordsPerPage = granulesPerPage / 64;
+static_assert(granulesPerPage % 64 == 0, "tag bitmap is whole words");
 
 /** Round @p v down / up to a page boundary. */
 constexpr u64 pageTrunc(u64 v) { return v & ~pageMask; }
@@ -91,10 +95,8 @@ class Frame
         CHERI_KASSERT(off + len <= pageSize, "frame write within page");
         std::memcpy(data.data() + off, buf, len);
         // A data store invalidates every capability granule it overlaps.
-        u64 first = off / capSize;
-        u64 last = (off + len - 1) / capSize;
-        for (u64 g = first; g <= last; ++g)
-            tags.reset(g);
+        if (len != 0)
+            clearTags(off / capSize, (off + len - 1) / capSize);
     }
 
     /** Zero the page and clear all tags. */
@@ -112,25 +114,47 @@ class Frame
     void writeCap(u64 off, const Capability &cap);
 
     /** Tag bit of the granule containing @p off. */
-    bool tagAt(u64 off) const { return tags.test(off / capSize); }
+    bool
+    tagAt(u64 off) const
+    {
+        u64 g = off / capSize;
+        return (tags[g / 64] >> (g % 64)) & 1;
+    }
 
     /** Clear the tag of the granule containing @p off. */
-    void clearTagAt(u64 off) { tags.reset(off / capSize); }
+    void
+    clearTagAt(u64 off)
+    {
+        u64 g = off / capSize;
+        tags[g / 64] &= ~(u64{1} << (g % 64));
+    }
 
     /** Number of tagged granules in the page. */
-    u64 taggedCount() const { return tags.count(); }
+    u64
+    taggedCount() const
+    {
+        u64 n = 0;
+        for (u64 w : tags)
+            n += std::popcount(w);
+        return n;
+    }
 
     /** Raw data access for swap and checkpointing. */
     const std::array<u8, pageSize> &bytes() const { return data; }
 
-    /** Visit every tagged granule as (offset, capability). */
+    /** Visit every tagged granule as (offset, capability), offset
+     *  ascending.  Only set bits are visited: the cost follows the
+     *  capabilities the page holds, not its size.  Each word is read
+     *  before its granules are visited, so @p fn may clear tags. */
     template <typename Fn>
     void
     forEachTagged(Fn &&fn) const
     {
-        for (u64 g = 0; g < granulesPerPage; ++g) {
-            if (tags.test(g))
+        for (u64 w = 0; w < tagWordsPerPage; ++w) {
+            for (u64 bits = tags[w]; bits != 0; bits &= bits - 1) {
+                u64 g = w * 64 + std::countr_zero(bits);
                 fn(g * capSize, caps[g]);
+            }
         }
     }
 
@@ -138,8 +162,22 @@ class Frame
     /** Checkpoint/restore moves the bytes in and out in place. */
     friend struct snap::Access;
 
+    /** Clear the tags of granules [first, last]. */
+    void
+    clearTags(u64 first, u64 last)
+    {
+        for (u64 w = first / 64; w <= last / 64; ++w) {
+            u64 lo = w == first / 64 ? first % 64 : 0;
+            u64 hi = w == last / 64 ? last % 64 : 63;
+            tags[w] &= ~((~u64{0} >> (63 - hi)) & (~u64{0} << lo));
+        }
+    }
+
     std::array<u8, pageSize> data;
-    std::bitset<granulesPerPage> tags;
+    /** Bit g % 64 of word g / 64: granule g holds a capability. */
+    std::array<u64, tagWordsPerPage> tags{};
+    /** The decoded capability of each tagged granule; entries of
+     *  untagged granules are never read. */
     std::array<Capability, granulesPerPage> caps;
 };
 

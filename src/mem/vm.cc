@@ -116,6 +116,79 @@ AddressSpace::markCapStore(Pte &pte, u64 page_va)
     }
 }
 
+AddressSpace::Region::Region(const Region &other)
+    : map(other.map), blocks(other.blocks.size()),
+      contentLo(other.contentLo), contentHi(other.contentHi)
+{
+    for (u64 b = 0; b < blocks.size(); ++b) {
+        if (other.blocks[b])
+            blocks[b] = std::make_unique<PteBlock>(*other.blocks[b]);
+    }
+}
+
+bool
+AddressSpace::Region::isDefault(const Pte &pte) const
+{
+    return !pte.frame && pte.swapSlot == 0 && pte.prot == map.prot &&
+           !pte.cow && pte.shared == map.shared && !pte.swapped &&
+           !pte.capDirty && pte.lastUse == 0 && pte.sweptEpoch == 0 &&
+           pte.queuedEpoch == 0;
+}
+
+std::unique_ptr<AddressSpace::PteBlock>
+AddressSpace::Region::newBlock() const
+{
+    // Set the two fields that differ from a constructed Pte rather than
+    // copy-assign whole entries (and their null FrameRefs).
+    auto b = std::make_unique<PteBlock>();
+    for (Pte &pte : b->ptes) {
+        pte.prot = map.prot;
+        pte.shared = map.shared;
+    }
+    return b;
+}
+
+std::vector<std::unique_ptr<AddressSpace::PteBlock>>
+AddressSpace::Region::takeTail(u64 first)
+{
+    u64 n = pages();
+    std::vector<std::unique_ptr<PteBlock>> out(
+        (n - first + pteBlockPages - 1) / pteBlockPages);
+    if (first % pteBlockPages == 0) {
+        // Block-aligned split: the blocks change hands whole.
+        std::move(blocks.begin() + first / pteBlockPages, blocks.end(),
+                  out.begin());
+        return out;
+    }
+    for (u64 b = 0; b < out.size(); ++b) {
+        // Destination block b takes source pages [src, src + block),
+        // which straddle two source blocks.
+        u64 src = first + b * pteBlockPages;
+        u64 stop = std::min(n, src + pteBlockPages);
+        u64 sb = src / pteBlockPages;
+        bool spills = stop > (sb + 1) * pteBlockPages;
+        if (!block(sb) && !(spills && block(sb + 1)))
+            continue;
+        out[b] = newBlock();
+        for (u64 i = src; i < stop; ++i) {
+            if (Pte *pte = find(i))
+                out[b]->ptes[i - src] = std::move(*pte);
+        }
+    }
+    return out;
+}
+
+void
+AddressSpace::Region::truncate(u64 n)
+{
+    u64 keep = (n + pteBlockPages - 1) / pteBlockPages;
+    blocks.resize(keep);
+    if (n % pteBlockPages != 0 && blocks.back()) {
+        for (u64 i = n % pteBlockPages; i < pteBlockPages; ++i)
+            blocks.back()->ptes[i] = Pte{};
+    }
+}
+
 void
 AddressSpace::clipContent(Region &to, const Region &from, u64 lo, u64 hi)
 {
@@ -187,13 +260,9 @@ AddressSpace::map(u64 addr, u64 len, u32 prot, MappingKind kind, bool fixed,
     r.map.kind = kind;
     r.map.shared = shared;
     r.map.name = name;
-    // PTEs are created eagerly (frameless) so protection is recorded per
-    // page; the *frames* stay demand-zero, allocated by walk() on first
-    // touch.
-    Pte pte;
-    pte.prot = prot;
-    pte.shared = shared;
-    r.ptes.assign(len / pageSize, pte);
+    // Every page starts as the default PTE, which a missing leaf block
+    // stands for; blocks and frames come on first use.
+    r.resetTable();
     return start;
 }
 
@@ -220,23 +289,22 @@ AddressSpace::unmap(u64 start, u64 len)
         u64 hi = (std::min(end, mend) - mstart) / pageSize;
         // A swapped-out page owns a device slot; munmap must release
         // it or the slot leaks for the lifetime of the system.
-        for (u64 i = lo; i < hi; ++i) {
-            if (r.ptes[i].swapped)
-                swap.discard(r.ptes[i].swapSlot);
-        }
+        Region::eachContent(r, lo, hi, [&](u64, const Pte &pte) {
+            if (pte.swapped)
+                swap.discard(pte.swapSlot);
+        });
         if (mend > end) {
             Region right;
             right.map = r.map;
             right.map.start = end;
             right.map.len = mend - end;
-            right.ptes.assign(std::make_move_iterator(r.ptes.begin() + hi),
-                              std::make_move_iterator(r.ptes.end()));
-            clipContent(right, r, hi, r.ptes.size());
+            right.blocks = r.takeTail(hi);
+            clipContent(right, r, hi, r.pages());
             regions.emplace_hint(std::next(it), end, std::move(right));
         }
         if (mstart < start) {
             r.map.len = start - mstart;
-            r.ptes.erase(r.ptes.begin() + lo, r.ptes.end());
+            r.truncate(lo);
             clipContent(r, r, 0, lo);
             ++it;
         } else {
@@ -265,16 +333,27 @@ AddressSpace::protect(u64 start, u64 len, u32 prot)
     for (auto it = regions.lower_bound(start);
          it != regions.end() && it->second.map.start < end; ++it) {
         // Mapping records change only when wholly covered; pages keep
-        // per-page protection either way.
+        // per-page protection either way.  A wholly covered region's
+        // missing blocks follow map.prot, the default PTE's protection.
         if (it->second.map.end() <= end)
             it->second.map.prot = prot;
     }
     for (u64 va = start; va < end;) {
         Region &r = *findRegion(va);
         u64 stop = std::min(end, r.map.end());
-        for (u64 i = (va - r.map.start) / pageSize;
-             i < (stop - r.map.start) / pageSize; ++i)
-            r.ptes[i].prot = prot;
+        u64 hi = (stop - r.map.start) / pageSize;
+        for (u64 i = (va - r.map.start) / pageSize; i < hi;) {
+            // A missing block already reads as map.prot; any other
+            // protection needs the block.
+            u64 b = i / pteBlockPages;
+            u64 next = std::min(hi, (b + 1) * pteBlockPages);
+            if (r.block(b) || prot != r.map.prot) {
+                PteBlock &blk = r.blockAt(b);
+                for (; i < next; ++i)
+                    blk.ptes[i % pteBlockPages].prot = prot;
+            }
+            i = next;
+        }
         va = stop;
     }
     return true;
@@ -356,10 +435,13 @@ AddressSpace::walk(u64 va, bool for_write)
     Region *r = findRegion(va);
     if (!r)
         return nullptr;
-    Pte &pte = r->ptes[(pageTrunc(va) - r->map.start) / pageSize];
+    u64 idx = (pageTrunc(va) - r->map.start) / pageSize;
+    Pte *found = r->find(idx);
     u32 need = for_write ? PROT_WRITE : PROT_READ;
-    if (!(pte.prot & need))
+    if (!((found ? found->prot : r->map.prot) & need))
         return nullptr;
+    // A missing block is all default PTEs: the page gains content below.
+    Pte &pte = found ? *found : r->at(idx);
     // Allocation below may reenter this space through the kernel's
     // reclaim (MemEvents::reclaim).  That is safe: the pages being
     // serviced here are never evictable then (frame still null, or
@@ -391,7 +473,7 @@ AddressSpace::walk(u64 va, bool for_write)
             walkFault = CapFault::MemoryExhausted;
             return nullptr;
         }
-        r->noteContent((pageTrunc(va) - r->map.start) / pageSize);
+        r->noteContent(idx);
         // File-backed mappings fill from the file; anonymous ones are
         // demand-zero.
         const Mapping &m = r->map;
@@ -514,7 +596,8 @@ AddressSpace::forkCopy(u64 new_principal) const
         if (pte.swapped)
             swap.retain(pte.swapSlot);
     });
-    child->regions = regions;
+    for (const auto &[start, region] : regions)
+        child->regions.emplace_hint(child->regions.end(), start, region);
     // The parent's private pages just became COW: any cached writable
     // translation would let a store dodge the copy and corrupt the
     // child's view of the shared frame.
@@ -562,7 +645,7 @@ AddressSpace::installFrame(u64 va, FrameRef frame)
     if (!r)
         return false;
     u64 idx = (pageTrunc(va) - r->map.start) / pageSize;
-    Pte *pte = &r->ptes[idx];
+    Pte *pte = &r->at(idx);
     r->noteContent(idx);
     notifyInvalidatePage(pageTrunc(va));
     // The incoming shared frame replaces whatever backed the page; a
@@ -674,12 +757,12 @@ AddressSpace::contentPages() const
 std::vector<u64>
 AddressSpace::sweepWorklist(bool force_full) const
 {
+    // A cap-dirty page always has content (every choke point that sets
+    // the bit holds a frame), so both lists come from the content PTEs.
     std::vector<u64> work;
-    eachPte(*this, [&](u64 va, const Pte &pte) {
-        if (force_full ? (pte.frame != nullptr || pte.swapped)
-                       : pte.capDirty) {
+    eachContentPte(*this, [&](u64 va, const Pte &pte) {
+        if (force_full || pte.capDirty)
             work.push_back(va);
-        }
     });
     return work;
 }
@@ -689,13 +772,15 @@ AddressSpace::sweepPage(u64 va, u64 epoch_id,
                         const std::function<bool(const Capability &)> &pred)
 {
     PageSweep r;
-    Pte *found = findPte(va);
-    if (!found) {
+    Region *reg = findRegion(va);
+    if (!reg) {
         // Unmapped since it was queued: nothing can survive there.
         r.provenClean = true;
         return r;
     }
-    Pte &pte = *found;
+    // The sweep stamps the page, so even a default PTE (a page
+    // remapped since it was queued) gets its block.
+    Pte &pte = reg->at((pageTrunc(va) - reg->map.start) / pageSize);
     if (pte.swapped) {
         // Swapped pages are scanned through their tag metadata without
         // paging them in; the device read is what can fail.
@@ -779,7 +864,7 @@ AddressSpace::beginSweepEpoch(u64 epoch_id, bool force_full)
     // Stamp the initial worklist so markCapStore knows these pages
     // already have a pending visit and need not be re-queued.
     for (u64 va : work)
-        findPte(va)->queuedEpoch = epoch_id;
+        findPte(va)->queuedEpoch = epoch_id; // content: its block exists
     return work;
 }
 
@@ -803,7 +888,18 @@ AddressSpace::mappedPages() const
 {
     u64 n = 0;
     for (const auto &[start, r] : regions)
-        n += r.ptes.size();
+        n += r.pages();
+    return n;
+}
+
+u64
+AddressSpace::allocatedPteEntries() const
+{
+    u64 n = 0;
+    for (const auto &[start, r] : regions) {
+        for (const auto &b : r.blocks)
+            n += b ? pteBlockPages : 0;
+    }
     return n;
 }
 

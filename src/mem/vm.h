@@ -21,6 +21,7 @@
 #define CHERI_MEM_VM_H
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -29,7 +30,6 @@
 #include <vector>
 
 #include "cap/capability.h"
-#include "machine/host_pool.h"
 #include "mem/phys_mem.h"
 #include "mem/swap.h"
 
@@ -386,7 +386,8 @@ class AddressSpace
         bool swapped = false;
         u64 swapSlot = 0;
         /** Page may hold tagged capabilities (see the epoch-sweep
-         *  section above); the oracle audits this against the frame. */
+         *  section above); the oracle audits it against the frame's
+         *  tags and the slot's tag metadata (rule 9). */
         bool capDirty = false;
         /** Epoch id of the last sweep that scanned this page (test and
          *  oracle observability for the epoch scheduler). */
@@ -435,6 +436,13 @@ class AddressSpace
 
     /** Page-table entries (mapped pages, resident or not). */
     u64 mappedPages() const;
+
+    /** Pages per leaf block of a region's page table. */
+    static constexpr u64 pteBlockPages = 64;
+
+    /** PTE entries the host holds: pteBlockPages per allocated leaf
+     *  block.  It follows what the pages hold, not mappedPages(). */
+    u64 allocatedPteEntries() const;
 
     /**
      * Abstract-capability containment invariant (paper section 3:
@@ -490,15 +498,33 @@ class AddressSpace
         u64 queuedEpoch = 0;
     };
 
+    /** One leaf of a region's page table: the PTEs of pteBlockPages
+     *  consecutive pages. */
+    struct PteBlock
+    {
+        std::array<Pte, pteBlockPages> ptes;
+    };
+
     /**
-     * One mapping and its page-table entries: ptes[i] describes the page
-     * at map.start + i * pageSize.  Every mapped page has exactly one
-     * PTE, so the page table is the regions' arrays in VA order.
+     * One mapping and its page-table entries, as a two-level table:
+     * blocks[b] holds the PTEs of pages [b, b + 1) * pteBlockPages of the
+     * mapping, or is null while every one of them is the default PTE
+     * ({prot = map.prot, shared = map.shared}, everything else zero).
+     * A block is allocated on first use: when one of its pages gains
+     * content (walk, installFrame), when a partial protect gives its
+     * pages a protection other than map.prot, when a sweep stamps a
+     * frameless page, or when a restore reads a record that is not the
+     * default.  Only a whole-region protect changes map.prot, and it
+     * rewrites every present block too, so a missing block stays
+     * default.  Blocks never move: a Pte pointer stays valid for the
+     * life of its region.  Host storage follows what the pages hold:
+     * an 8 MiB stack with three touched pages is 32 pointers and one
+     * block, not 2048 PTEs.
      */
     struct Region
     {
         Mapping map;
-        std::vector<Pte, hostpool::Allocator<Pte>> ptes;
+        std::vector<std::unique_ptr<PteBlock>> blocks;
         /**
          * Index window [contentLo, contentHi) holding every PTE with a
          * frame or a swap slot.  A PTE gains content only on first touch
@@ -510,6 +536,85 @@ class AddressSpace
         u64 contentLo = 0;
         u64 contentHi = 0;
 
+        Region() = default;
+        Region(Region &&) = default;
+        Region &operator=(Region &&) = default;
+        /** Deep copy of the blocks that exist (fork). */
+        Region(const Region &other);
+        Region &operator=(const Region &) = delete;
+
+        u64 pages() const { return map.len / pageSize; }
+
+        /** The PTE every page of a missing block holds. */
+        Pte
+        defaultPte() const
+        {
+            Pte pte;
+            pte.prot = map.prot;
+            pte.shared = map.shared;
+            return pte;
+        }
+
+        /** True when @p pte is the default PTE (restore keeps no block
+         *  for it). */
+        bool isDefault(const Pte &pte) const;
+
+        PteBlock *block(u64 b) { return blocks[b].get(); }
+        const PteBlock *block(u64 b) const { return blocks[b].get(); }
+
+        /** PTE of page @p idx, or nullptr while its block is missing
+         *  (the page is then the default PTE). */
+        Pte *
+        find(u64 idx)
+        {
+            PteBlock *b = block(idx / pteBlockPages);
+            return b ? &b->ptes[idx % pteBlockPages] : nullptr;
+        }
+        const Pte *
+        find(u64 idx) const
+        {
+            const PteBlock *b = block(idx / pteBlockPages);
+            return b ? &b->ptes[idx % pteBlockPages] : nullptr;
+        }
+
+        /** Leaf block @p b, allocated (all default) on first use. */
+        PteBlock &
+        blockAt(u64 b)
+        {
+            if (!blocks[b])
+                blocks[b] = newBlock();
+            return *blocks[b];
+        }
+
+        /** PTE of page @p idx, allocating its block on first use. */
+        Pte &
+        at(u64 idx)
+        {
+            return blockAt(idx / pteBlockPages).ptes[idx % pteBlockPages];
+        }
+
+        /** A block of default PTEs. */
+        std::unique_ptr<PteBlock> newBlock() const;
+
+        /** Size the (empty) table for map.len. */
+        void
+        resetTable()
+        {
+            blocks.clear();
+            blocks.resize((pages() + pteBlockPages - 1) / pteBlockPages);
+        }
+
+        /** Move the PTEs of pages [@p first, pages()) into a fresh table
+         *  for the region that will hold them (an unmap split), re-chunked
+         *  so that page @p first starts a block.  Only blocks that exist
+         *  are read; a destination block stays missing when both of its
+         *  sources are. */
+        std::vector<std::unique_ptr<PteBlock>> takeTail(u64 first);
+
+        /** Keep only pages [0, @p n): blocks past them are freed, and the
+         *  entries past @p n in the last kept block drop their frames. */
+        void truncate(u64 n);
+
         void
         noteContent(u64 idx)
         {
@@ -519,6 +624,28 @@ class AddressSpace
             } else {
                 contentLo = std::min(contentLo, idx);
                 contentHi = std::max(contentHi, idx + 1);
+            }
+        }
+
+        /** Visit the PTEs holding a frame or a swap slot among pages
+         *  [@p lo, @p hi) as (page index, pte), index ascending. */
+        template <typename Self, typename Fn>
+        static void
+        eachContent(Self &self, u64 lo, u64 hi, Fn &&fn)
+        {
+            lo = std::max(lo, self.contentLo);
+            hi = std::min(hi, self.contentHi);
+            for (u64 i = lo; i < hi;) {
+                u64 stop =
+                    std::min(hi, (i / pteBlockPages + 1) * pteBlockPages);
+                if (auto *b = self.block(i / pteBlockPages)) {
+                    for (; i < stop; ++i) {
+                        auto &pte = b->ptes[i % pteBlockPages];
+                        if (pte.frame || pte.swapped)
+                            fn(i, pte);
+                    }
+                }
+                i = stop;
             }
         }
     };
@@ -536,25 +663,35 @@ class AddressSpace
         return const_cast<Region *>(std::as_const(*this).findRegion(va));
     }
 
-    /** PTE of the page containing @p va, or nullptr when unmapped. */
+    /** PTE of the page containing @p va, or nullptr when unmapped or
+     *  when its block is missing (the page is then the default PTE:
+     *  no frame, no slot). */
     Pte *
     findPte(u64 va)
     {
         Region *r = findRegion(va);
-        return r ? &r->ptes[(pageTrunc(va) - r->map.start) / pageSize]
+        return r ? r->find((pageTrunc(va) - r->map.start) / pageSize)
                  : nullptr;
     }
 
-    /** Visit every PTE as (page va, pte), VA ascending. */
+    /**
+     * Visit every PTE as (page va, pte), VA ascending.  The pages of a
+     * missing block are handed a synthesized default PTE, so @p fn must
+     * not modify what it is given.
+     */
     template <typename Self, typename Fn>
     static void
     eachPte(Self &self, Fn &&fn)
     {
         for (auto &[start, region] : self.regions) {
-            u64 va = start;
-            for (auto &pte : region.ptes) {
-                fn(va, pte);
-                va += pageSize;
+            Pte def = region.defaultPte();
+            u64 n = region.pages();
+            for (u64 b = 0; b * pteBlockPages < n; ++b) {
+                auto *blk = region.block(b);
+                u64 stop = std::min(n, (b + 1) * pteBlockPages);
+                for (u64 i = b * pteBlockPages; i < stop; ++i)
+                    fn(start + i * pageSize,
+                       blk ? blk->ptes[i % pteBlockPages] : def);
             }
         }
     }
@@ -565,11 +702,10 @@ class AddressSpace
     eachContentPte(Self &self, Fn &&fn)
     {
         for (auto &[start, region] : self.regions) {
-            for (u64 i = region.contentLo; i < region.contentHi; ++i) {
-                auto &pte = region.ptes[i];
-                if (pte.frame || pte.swapped)
-                    fn(start + i * pageSize, pte);
-            }
+            Region::eachContent(region, 0, region.pages(),
+                                [&](u64 i, auto &pte) {
+                                    fn(start + i * pageSize, pte);
+                                });
         }
     }
 
@@ -577,8 +713,7 @@ class AddressSpace
      * Resolve the page containing @p va for the given access, servicing
      * demand-zero, COW, and swap-in faults.  Returns nullptr when
      * unmapped or protection denies the access.  The PTE pointer stays
-     * valid until the next map() or unmap() of this space: nothing else
-     * (reclaim included) reshapes the PTE arrays.
+     * valid for the life of its region: leaf blocks never move.
      */
     Pte *walk(u64 va, bool for_write);
 
@@ -602,7 +737,7 @@ class AddressSpace
     u64 aslrSlide = 0;
     compress::CapFormat fmt;
     Capability root;
-    /** Disjoint mappings keyed by start, each with its dense PTEs. */
+    /** Disjoint mappings keyed by start, each with its page table. */
     std::map<u64, Region> regions;
     /** Deterministic logical clock, bumped per successful walk. */
     u64 useClock = 0;

@@ -619,9 +619,9 @@ struct Access
             transfer(ar, m);
             if constexpr (Ar::loading) {
                 // Mappings are saved VA-ascending, page-aligned and
-                // disjoint; each region's PTE array spans it exactly.
+                // disjoint; each region's page table spans it exactly.
                 // Every mapped page needs its own page record later in
-                // the image, which bounds the arrays allocated.
+                // the image, which bounds the tables allocated.
                 m.start = start;
                 ar.check(m.len != 0 && ((m.start | m.len) & pageMask) == 0 &&
                              m.start >= mappedEnd &&
@@ -631,7 +631,7 @@ struct Access
                 ar.check(mappedPages + m.len / pageSize <=
                              ar.remaining() / pageRecordBytes,
                          "corrupt mapping bounds");
-                region.ptes.resize(m.len / pageSize);
+                region.resetTable();
             }
             mappedPages += m.len / pageSize;
         });
@@ -641,7 +641,8 @@ struct Access
         if constexpr (Ar::loading) {
             // Every mapped page has exactly one record, VA-ascending as
             // saved: an unmapped, duplicated or missing page would leave
-            // a PTE the page table cannot hold.
+            // a PTE the page table cannot hold.  A default record needs
+            // no leaf block; any other one gets its page's block.
             u64 prevVa = 0;
             for (u64 k = 0; k < nPages; ++k) {
                 u64 va = 0;
@@ -653,15 +654,20 @@ struct Access
                 ar.check(region && (va & pageMask) == 0,
                          "page record outside every mapping");
                 u64 idx = (va - region->map.start) / pageSize;
-                AddressSpace::Pte &pte = region->ptes[idx];
+                AddressSpace::Pte pte;
                 transfer(ar, pte);
                 if (pte.frame || pte.swapped)
                     region->noteContent(idx);
+                if (!region->isDefault(pte))
+                    region->at(idx) = std::move(pte);
             }
             ar.check(nPages == mappedPages,
                      "mapping page count does not match its page "
                      "records");
         } else {
+            // Pages of a missing block are written as the default PTE
+            // they stand for, so the image is the same as for a table
+            // that held every entry.
             AddressSpace::eachPte(as, [&](u64 va, AddressSpace::Pte &pte) {
                 ar.u64(va);
                 transfer(ar, pte);
@@ -1281,7 +1287,7 @@ struct Access
                                       " has a file-backed mapping (host "
                                       "callback) at " + m.name);
             }
-            AddressSpace::eachPte(
+            AddressSpace::eachContentPte(
                 *p->_as, [&](u64, const AddressSpace::Pte &pte) {
                     ar.frames.note(pte.frame);
                 });

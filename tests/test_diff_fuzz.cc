@@ -236,6 +236,50 @@ TEST(DiffFuzzOracle, ReportTextIsPinned)
     EXPECT_EQ(rep.violations.size(), 4u);
 }
 
+// Rule 9: a capability written straight into a private frame skips
+// the cap-dirty choke point, so a sweep would skip the page.  It is
+// reported while resident and again, with its slot, once swapped out.
+TEST(DiffFuzzOracle, TagsOnCleanPageAreReported)
+{
+    GuestSystem sys(Abi::CheriAbi);
+    GuestContext &ctx = *sys.ctx;
+    AddressSpace &as = sys.proc->as();
+    GuestPtr buf = ctx.mmap(pageSize);
+    ctx.store<u64>(buf, 0, 1);
+    const Frame *frame = nullptr;
+    bool dirty = true;
+    as.forEachPte([&](const AddressSpace::PteView &v) {
+        if (v.va == buf.addr()) {
+            frame = v.frame;
+            dirty = v.capDirty;
+        }
+    });
+    ASSERT_NE(frame, nullptr);
+    ASSERT_FALSE(dirty);
+    ASSERT_TRUE(check::Invariants::check(sys.kern).ok());
+
+    // Below the page table: the frame gains two tags behind the PTE.
+    Capability cap = as.capForRange(buf.addr(), pageSize,
+                                    PROT_READ | PROT_WRITE);
+    const_cast<Frame *>(frame)->writeCap(0x20, cap);
+    const_cast<Frame *>(frame)->writeCap(0x40, cap);
+    check::Report resident = check::Invariants::check(sys.kern);
+    ASSERT_EQ(buf.addr(), 0x40005000u);
+    EXPECT_EQ(resident.toString(),
+              "cap-dirty-soundness: pid 1 va 0x40005000 holds 2 tagged "
+              "granules but is not cap-dirty\n");
+
+    ASSERT_TRUE(as.swapOutPage(buf.addr()));
+    u64 slot = ~u64{0};
+    sys.kern.swapDevice().forEachSlot(
+        [&](u64 id, u64) { slot = std::min(slot, id); });
+    ASSERT_EQ(slot, 0u);
+    check::Report swapped = check::Invariants::check(sys.kern);
+    EXPECT_EQ(swapped.toString(),
+              "cap-dirty-soundness: pid 1 va 0x40005000 (slot 0) holds 2 "
+              "tagged granules but is not cap-dirty\n");
+}
+
 // Divergence reports print events as text, built only when a report
 // needs it.  One rendering per kind is pinned here, so a report reads
 // the same whatever the in-memory event layout.

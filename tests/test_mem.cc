@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdlib>
 #include <deque>
 #include <map>
 #include <random>
@@ -68,6 +70,78 @@ TEST_F(MemTest, FrameCopyPreservesTags)
     b->copyFrom(*a);
     EXPECT_TRUE(b->tagAt(16));
     EXPECT_EQ(b->readCap(16), c);
+}
+
+// The tag bitmap is scanned a word at a time; a bit-by-bit reference
+// over random bitmaps must agree on every granule, on the visit order
+// and on the count, word edges (granules 0, 63, 64, 255) included.
+TEST_F(MemTest, TagScanMatchesBitByBitReference)
+{
+    std::mt19937_64 rng(7);
+    auto capAt = [](u64 g) {
+        return Capability::root().setAddress(0x1000 + g * 16).setBounds(16)
+            .value();
+    };
+    for (unsigned round = 0; round < 200; ++round) {
+        SCOPED_TRACE(round);
+        auto frame = phys.allocFrame();
+        std::vector<bool> ref(granulesPerPage);
+        auto set = [&](u64 g) {
+            frame->writeCap(g * capSize, capAt(g));
+            ref[g] = true;
+        };
+        for (u64 g : {u64{0}, u64{63}, u64{64}, u64{255}}) {
+            if (rng() % 2)
+                set(g);
+        }
+        for (u64 n = rng() % 64; n > 0; --n)
+            set(rng() % granulesPerPage);
+        // Untag some: an untagged capability store, a clear, and a data
+        // write that may span several granules and a word edge.
+        for (u64 n = rng() % 8; n > 0; --n) {
+            u64 g = rng() % granulesPerPage;
+            switch (rng() % 3) {
+            case 0:
+                frame->writeCap(g * capSize, capAt(g).withoutTag());
+                ref[g] = false;
+                break;
+            case 1:
+                frame->clearTagAt(g * capSize + rng() % capSize);
+                ref[g] = false;
+                break;
+            default: {
+                u64 off = g * capSize + rng() % capSize;
+                u64 len = std::min<u64>(1 + rng() % 80, pageSize - off);
+                std::vector<u8> bytes(len, 0xA5);
+                frame->write(off, bytes.data(), len);
+                for (u64 k = off / capSize; k <= (off + len - 1) / capSize;
+                     ++k)
+                    ref[k] = false;
+            }
+            }
+        }
+        std::vector<u64> want;
+        for (u64 g = 0; g < granulesPerPage; ++g) {
+            EXPECT_EQ(frame->tagAt(g * capSize), ref[g]) << g;
+            if (ref[g])
+                want.push_back(g);
+        }
+        std::vector<u64> got;
+        frame->forEachTagged([&](u64 off, const Capability &cap) {
+            got.push_back(off / capSize);
+            EXPECT_EQ(cap, capAt(off / capSize));
+        });
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(frame->taggedCount(), want.size());
+        auto copy = phys.allocFrame();
+        copy->copyFrom(*frame);
+        std::vector<u64> copied;
+        copy->forEachTagged(
+            [&](u64 off, const Capability &) { copied.push_back(off / capSize); });
+        EXPECT_EQ(copied, want);
+        frame->clear();
+        EXPECT_EQ(frame->taggedCount(), 0u);
+    }
 }
 
 TEST_F(MemTest, DemandZeroPagesReadAsZero)
@@ -645,56 +719,100 @@ TEST_F(MemTest, ExhaustedDemandZeroRaisesMemoryExhausted)
 
 // --- reference model for the page table --------------------------------
 //
-// A deliberately naive model of the page table: one std::map node per
-// page and a linear list of mappings.  Random map / unmap-hole /
-// mprotect / touch / fork / swap-out sequences run against both, and
-// after every step the AddressSpace's VA-ordered PTE walk and its
-// findMapping answers must equal the model's, and so must the
-// content-only visit and its tagged capabilities.  Frames and swap slots
-// are opaque handles: the model learns one when a page is (re)filled
-// or evicted and from then on requires it to stay with that page.
+// A region's page table holds a leaf block of PTEs only where its pages
+// hold something.  DensePageTable, the naive model, keeps one entry per
+// mapped page and runs in lock step with an AddressSpace over seeded
+// map / fixed replace / unmap-with-split / partial and whole mprotect /
+// touch / installFrame / fork / swap-out / swap-in / sweep sequences,
+// with mappings long enough to span several blocks and holes that split
+// them on and off block boundaries.  After every step every PTE view,
+// the content-only visit and its tagged capabilities, the mapping
+// lookups, the page counts, the eviction order and the sweep worklists
+// must agree.  Frames and swap slots are opaque handles: the model
+// learns one when a page is (re)filled or evicted and from then on
+// requires it to stay with that page.  The frame and slot budgets
+// honour CHERI_TEST_FRAME_BUDGET and CHERI_TEST_SLOT_BUDGET, so reclaim
+// evicts through missing and present blocks, mirrored into the model as
+// it happens.
 
-struct ModelPte
+u64
+envOr(const char *name, u64 dflt)
+{
+    const char *v = std::getenv(name);
+    return v ? std::strtoull(v, nullptr, 0) : dflt;
+}
+
+struct DensePte
 {
     u32 prot = PROT_NONE;
+    bool shared = false;
     bool cow = false;
-    bool swapped = false;
     bool resident = false;
-    /** Learned frame; null until the page is observed resident. */
+    bool swapped = false;
+    bool capDirty = false;
+    u64 lastUse = 0;
+    u64 sweptEpoch = 0;
+    /** Learned frame and slot. */
     const Frame *frame = nullptr;
-    /** Learned swap slot; unknown until observed swapped. */
     u64 slot = ~u64{0};
+    /** Fork children still holding this page's frame. */
+    std::set<unsigned> holders;
 };
 
-struct ModelMapping
+struct DenseRegion
 {
     u64 len = 0;
     u32 prot = PROT_NONE;
+    bool shared = false;
+    std::vector<DensePte> ptes;
 };
 
-struct PageTableModel
+struct DensePageTable
 {
-    std::map<u64, ModelPte> pages;
-    std::map<u64, ModelMapping> mappings; // keyed by start
-    /** Granules holding a tagged capability. */
+    std::map<u64, DenseRegion> regions;
+    /** Successful walks so far: AddressSpace's LRU clock. */
+    u64 clock = 0;
+    /** Granules holding a tagged capability, resident or swapped. */
     std::set<u64> tagged;
 
-    const std::pair<const u64, ModelMapping> *
-    find(u64 va) const
+    /** The mapping holding @p va, or regions.end(). */
+    std::map<u64, DenseRegion>::iterator
+    findRegion(u64 va)
     {
-        for (const auto &m : mappings) {
-            if (va >= m.first && va < m.first + m.second.len)
-                return &m;
+        auto it = regions.upper_bound(va);
+        if (it == regions.begin())
+            return regions.end();
+        --it;
+        return va < it->first + it->second.len ? it : regions.end();
+    }
+
+    DensePte *
+    find(u64 va)
+    {
+        auto it = findRegion(va);
+        return it == regions.end()
+                   ? nullptr
+                   : &it->second.ptes[(va - it->first) / pageSize];
+    }
+
+    template <typename Fn>
+    void
+    each(Fn &&fn)
+    {
+        for (auto &[start, r] : regions) {
+            for (u64 i = 0; i < r.ptes.size(); ++i)
+                fn(start + i * pageSize, r.ptes[i]);
         }
-        return nullptr;
     }
 
     void
-    map(u64 start, u64 len, u32 prot)
+    map(u64 start, u64 len, u32 prot, bool shared)
     {
-        mappings[start] = {len, prot};
-        for (u64 va = start; va < start + len; va += pageSize)
-            pages[va].prot = prot;
+        DensePte pte;
+        pte.prot = prot;
+        pte.shared = shared;
+        regions[start] = {len, prot, shared,
+                          std::vector<DensePte>(len / pageSize, pte)};
     }
 
     bool
@@ -702,22 +820,27 @@ struct PageTableModel
     {
         u64 end = start + len;
         bool any = false;
-        std::map<u64, ModelMapping> kept;
-        for (const auto &[mstart, m] : mappings) {
-            u64 mend = mstart + m.len;
+        std::map<u64, DenseRegion> kept;
+        for (auto &[mstart, r] : regions) {
+            u64 mend = mstart + r.len;
             if (mend <= start || mstart >= end) {
-                kept[mstart] = m;
+                kept[mstart] = std::move(r);
                 continue;
             }
             any = true;
-            if (mstart < start)
-                kept[mstart] = {start - mstart, m.prot};
-            if (mend > end)
-                kept[end] = {mend - end, m.prot};
+            u64 lo = (std::max(start, mstart) - mstart) / pageSize;
+            u64 hi = (std::min(end, mend) - mstart) / pageSize;
+            if (mend > end) {
+                kept[end] = {mend - end, r.prot, r.shared,
+                             {r.ptes.begin() + hi, r.ptes.end()}};
+            }
+            if (mstart < start) {
+                r.len = start - mstart;
+                r.ptes.resize(lo);
+                kept[mstart] = std::move(r);
+            }
         }
-        mappings = kept;
-        for (u64 va = start; va < end; va += pageSize)
-            pages.erase(va);
+        regions = std::move(kept);
         tagged.erase(tagged.lower_bound(start), tagged.lower_bound(end));
         return any;
     }
@@ -726,92 +849,176 @@ struct PageTableModel
     protect(u64 start, u64 len, u32 prot)
     {
         for (u64 va = start; va < start + len; va += pageSize) {
-            if (!pages.count(va))
+            if (!find(va))
                 return false;
         }
         for (u64 va = start; va < start + len; va += pageSize)
-            pages[va].prot = prot;
-        for (auto &[mstart, m] : mappings) {
-            if (mstart >= start && mstart + m.len <= start + len)
-                m.prot = prot;
+            find(va)->prot = prot;
+        for (auto &[mstart, r] : regions) {
+            if (mstart >= start && mstart + r.len <= start + len)
+                r.prot = prot;
         }
         return true;
     }
+
+    bool
+    evictable(const DensePte &p) const
+    {
+        return p.resident && !p.shared && p.holders.empty();
+    }
+
+    std::vector<u64>
+    evictionOrder(u64 max)
+    {
+        std::vector<std::pair<u64, u64>> victims;
+        each([&](u64 va, const DensePte &p) {
+            if (evictable(p))
+                victims.emplace_back(p.lastUse, va);
+        });
+        std::sort(victims.begin(), victims.end());
+        std::vector<u64> order;
+        for (const auto &[use, va] : victims) {
+            if (order.size() < max)
+                order.push_back(va);
+        }
+        return order;
+    }
+
+    void
+    swappedOut(u64 va)
+    {
+        DensePte &p = *find(va);
+        p.resident = false;
+        p.swapped = true;
+        p.frame = nullptr;
+    }
 };
 
-/** Compare @p as against @p model; learn frames and slots the model
- *  does not know yet. */
+/** Compare @p as with @p ref; learn frames and slots.  A fork child's
+ *  frames are all aliased by its parent, so its eviction order and
+ *  reference counts are not the reference's to predict. */
 void
-expectMatchesModel(const AddressSpace &as, PageTableModel &model)
+expectMatchesDense(const AddressSpace &as, DensePageTable &ref,
+                   bool is_parent)
 {
     std::vector<AddressSpace::PteView> seen;
     as.forEachPte(
         [&](const AddressSpace::PteView &v) { seen.push_back(v); });
-    ASSERT_EQ(seen.size(), model.pages.size());
-    EXPECT_EQ(as.mappedPages(), model.pages.size());
+    u64 mapped = 0, content = 0, swapped = 0, resident = 0;
+    std::vector<u64> dirty, full, wantCaps;
+    auto v = seen.begin();
+    ref.each([&](u64 va, DensePte &p) {
+        ++mapped;
+        content += p.resident || p.swapped;
+        swapped += p.swapped;
+        resident += p.resident;
+        if (p.capDirty)
+            dirty.push_back(va);
+        if (p.resident || p.swapped)
+            full.push_back(va);
+        if (v == seen.end())
+            return;
+        SCOPED_TRACE(va);
+        ASSERT_EQ(v->va, va);
+        EXPECT_EQ(v->prot, p.prot);
+        EXPECT_EQ(v->shared, p.shared);
+        EXPECT_EQ(v->cow, p.cow);
+        EXPECT_EQ(v->swapped, p.swapped);
+        EXPECT_EQ(v->capDirty, p.capDirty);
+        EXPECT_EQ(v->sweptEpoch, p.sweptEpoch);
+        EXPECT_EQ(v->frame != nullptr, p.resident);
+        if (p.resident && p.frame) {
+            EXPECT_EQ(v->frame, p.frame);
+        }
+        p.frame = p.resident ? v->frame : nullptr;
+        if (p.swapped && p.slot != ~u64{0}) {
+            EXPECT_EQ(v->swapSlot, p.slot);
+        }
+        p.slot = p.swapped ? v->swapSlot : ~u64{0};
+        if (is_parent && p.resident) {
+            EXPECT_EQ(v->frameRefs,
+                      static_cast<long>(1 + p.holders.size()));
+        }
+        ++v;
+    });
+    ASSERT_EQ(seen.size(), mapped);
+    EXPECT_EQ(as.mappedPages(), mapped);
+    EXPECT_EQ(as.contentPages(), content);
+    EXPECT_EQ(as.swappedPages(), swapped);
+    EXPECT_EQ(as.residentPages(), resident);
+    EXPECT_EQ(as.sweepWorklist(false), dirty);
+    EXPECT_EQ(as.sweepWorklist(true), full);
     // The content-only visit: exactly the resident or swapped pages,
     // then each resident page's tagged granules.
-    std::vector<u64> content, wantContent, caps, wantCaps;
+    std::vector<u64> contentVas, caps;
     as.forEachPteWithCaps<AddressSpace::PteSet::Content>(
-        [&](const AddressSpace::PteView &v) { content.push_back(v.va); },
+        [&](const AddressSpace::PteView &cv) { contentVas.push_back(cv.va); },
         [&](u64 va, const Capability &) { caps.push_back(va); });
-    for (const auto &[va, m] : model.pages) {
-        if (m.resident || m.swapped)
-            wantContent.push_back(va);
-    }
-    for (u64 va : model.tagged) {
-        if (model.pages.at(pageTrunc(va)).resident)
+    EXPECT_EQ(contentVas, full);
+    for (u64 va : ref.tagged) {
+        if (ref.find(pageTrunc(va))->resident)
             wantCaps.push_back(va);
     }
-    EXPECT_EQ(content, wantContent);
     EXPECT_EQ(caps, wantCaps);
-    auto it = model.pages.begin();
-    for (const AddressSpace::PteView &v : seen) {
-        ModelPte &m = it->second;
-        SCOPED_TRACE(v.va);
-        ASSERT_EQ(v.va, it->first);
-        EXPECT_EQ(v.prot, m.prot);
-        EXPECT_EQ(v.cow, m.cow);
-        EXPECT_FALSE(v.shared);
-        EXPECT_EQ(v.swapped, m.swapped);
-        EXPECT_EQ(v.frame != nullptr, m.resident);
-        if (m.resident) {
-            if (m.frame) {
-                EXPECT_EQ(v.frame, m.frame);
-            }
-            m.frame = v.frame;
-        } else {
-            m.frame = nullptr;
-        }
-        if (m.swapped) {
-            if (m.slot != ~u64{0}) {
-                EXPECT_EQ(v.swapSlot, m.slot);
-            }
-            m.slot = v.swapSlot;
-        } else {
-            m.slot = ~u64{0};
-        }
-        ++it;
-    }
-    // findMapping: both edges of every mapping, the first byte past it,
-    // and the byte before it, against the model's linear search.
-    for (const auto &[start, m] : model.mappings) {
-        for (u64 va : {start - 1, start, start + m.len / 2,
-                       start + m.len - 1, start + m.len}) {
+    // findMapping at both edges of every mapping, the first byte past
+    // it and the byte before it.  The mapping record's protection
+    // stands for the pages of missing blocks.  Leaf blocks are whole,
+    // and never more than the mappings span.
+    u64 span = 0;
+    for (const auto &[start, r] : ref.regions) {
+        for (u64 va : {start - 1, start, start + r.len / 2,
+                       start + r.len - 1, start + r.len}) {
             const Mapping *got = as.findMapping(va);
-            const auto *want = model.find(va);
-            ASSERT_EQ(got != nullptr, want != nullptr) << va;
+            auto want = ref.findRegion(va);
+            ASSERT_EQ(got != nullptr, want != ref.regions.end()) << va;
             if (got) {
                 EXPECT_EQ(got->start, want->first);
                 EXPECT_EQ(got->len, want->second.len);
                 EXPECT_EQ(got->prot, want->second.prot);
             }
         }
+        u64 pages = r.len / pageSize;
+        span += (pages + AddressSpace::pteBlockPages - 1) /
+                AddressSpace::pteBlockPages * AddressSpace::pteBlockPages;
     }
     u64 n = 0;
     as.forEachMapping([&](const Mapping &) { ++n; });
-    EXPECT_EQ(n, model.mappings.size());
+    EXPECT_EQ(n, ref.regions.size());
+    EXPECT_EQ(as.allocatedPteEntries() % AddressSpace::pteBlockPages, 0u);
+    EXPECT_LE(as.allocatedPteEntries(), span);
+    if (!is_parent)
+        return;
+    for (u64 max : {u64{1}, u64{5}, ~u64{0}})
+        EXPECT_EQ(as.evictionOrder(max), ref.evictionOrder(max));
 }
+
+/** Reclaim for the lock-step test: the space's own LRU eviction,
+ *  checked against and mirrored into the reference. */
+struct ModelEvictor final : MemEvents
+{
+    AddressSpace &as;
+    DensePageTable &ref;
+    u64 passes = 0;
+
+    ModelEvictor(AddressSpace &as, DensePageTable &ref) : as(as), ref(ref)
+    {
+    }
+
+    u64
+    reclaim(u64 wanted, const void *) override
+    {
+        ++passes;
+        std::vector<u64> order = as.evictionOrder(wanted + 3);
+        EXPECT_EQ(order, ref.evictionOrder(wanted + 3));
+        u64 n = as.swapOutResident(wanted + 3);
+        EXPECT_LE(n, order.size());
+        for (u64 k = 0; k < n && k < order.size(); ++k)
+            ref.swappedOut(order[k]);
+        return n;
+    }
+    void machineCheck(FaultPoint, u64) override {}
+    void faultFired(FaultPoint) override {}
+};
 
 class PageTableModelTest : public ::testing::TestWithParam<unsigned>
 {
@@ -824,102 +1031,233 @@ TEST_P(PageTableModelTest, RandomOpsMatchNaiveModel)
     auto pick = [&](u64 n) { return rng() % n; };
     PhysMem phys;
     SwapDevice swap;
+    phys.setCapacity(envOr("CHERI_TEST_FRAME_BUDGET", 32));
+    swap.setSlotBudget(envOr("CHERI_TEST_SLOT_BUDGET", 512));
+    const bool budgeted = phys.frameCapacity() != 0;
     AddressSpace as(phys, swap, 1);
-    PageTableModel model;
-    // Fork children hold COW references to the parent's frames until
-    // they are dropped (oldest first).
-    std::deque<std::unique_ptr<AddressSpace>> children;
+    DensePageTable ref;
+    ModelEvictor evictor(as, ref);
+    phys.setMemEvents(&evictor);
+    std::deque<std::pair<unsigned, std::unique_ptr<AddressSpace>>> children;
+    u64 epoch = 0;
+    u64 exhausted = 0;
 
-    auto randomMappedPage = [&]() -> u64 {
-        auto it = model.pages.begin();
-        std::advance(it, pick(model.pages.size()));
-        return it->first;
+    auto randomPage = [&]() -> u64 {
+        u64 n = 0;
+        for (const auto &[start, r] : ref.regions)
+            n += r.len / pageSize;
+        u64 k = pick(n);
+        for (const auto &[start, r] : ref.regions) {
+            if (k < r.len / pageSize)
+                return start + k * pageSize;
+            k -= r.len / pageSize;
+        }
+        return 0;
     };
-    const u32 prots[] = {PROT_READ, PROT_READ | PROT_WRITE};
+    const u32 prots[] = {PROT_NONE, PROT_READ, PROT_READ | PROT_WRITE,
+                         PROT_READ | PROT_WRITE};
+    const u64 block = AddressSpace::pteBlockPages;
 
-    for (unsigned step = 0; step < 400; ++step) {
+    for (unsigned step = 0; step < 600; ++step) {
         SCOPED_TRACE(step);
-        unsigned op = model.pages.empty() ? 0 : pick(8);
-        if (op == 0) {
-            u64 len = (1 + pick(8)) * pageSize;
-            u32 prot = prots[pick(2)];
-            u64 va = as.map(0, len, prot, MappingKind::Data);
+        unsigned op = ref.regions.empty() ? 0 : pick(12);
+        if (op == 0 || (op == 1 && ref.regions.size() < 3)) {
+            u64 len = (1 + pick(3 * block)) * pageSize;
+            u32 prot = prots[1 + pick(3)];
+            bool shared = pick(6) == 0;
+            u64 va = as.map(0, len, prot, MappingKind::Data, false, shared);
             ASSERT_NE(va, 0u);
-            for (u64 p = va; p < va + len; p += pageSize)
-                ASSERT_EQ(model.pages.count(p), 0u);
-            model.map(va, len, prot);
+            ref.map(va, len, prot, shared);
         } else if (op == 1) {
             // Fixed replacement over whatever sits there.
-            u64 va = randomMappedPage();
-            u64 len = (1 + pick(6)) * pageSize;
-            u32 prot = prots[pick(2)];
+            u64 va = randomPage();
+            u64 len = (1 + pick(block)) * pageSize;
+            u32 prot = prots[1 + pick(3)];
             ASSERT_EQ(as.map(va, len, prot, MappingKind::Data, true, false,
                              "", true),
                       va);
-            model.unmap(va, len);
-            model.map(va, len, prot);
+            ref.unmap(va, len);
+            ref.map(va, len, prot, false);
         } else if (op == 2) {
-            // A hole that may start mid-mapping and run past its end.
-            u64 va = randomMappedPage();
-            u64 len = (1 + pick(6)) * pageSize;
-            EXPECT_EQ(as.unmap(va, len), model.unmap(va, len));
+            // A hole that may start on or off a block boundary of its
+            // mapping and run past the mapping's end.
+            u64 va = randomPage();
+            if (pick(3) == 0) {
+                const Mapping *m = as.findMapping(va);
+                u64 idx = (va - m->start) / pageSize;
+                va = m->start + idx / block * block * pageSize;
+            }
+            u64 len = (1 + pick(2 * block)) * pageSize;
+            EXPECT_EQ(as.unmap(va, len), ref.unmap(va, len));
         } else if (op == 3) {
-            // mprotect that may cross mapping boundaries and holes.
-            u64 va = randomMappedPage();
-            u64 len = (1 + pick(10)) * pageSize;
-            u32 prot = prots[pick(2)];
-            EXPECT_EQ(as.protect(va, len, prot),
-                      model.protect(va, len, prot));
-        } else if (op <= 5) {
-            // Touch one page: fills it, swaps it in, resolves COW.
-            u64 va = randomMappedPage();
-            ModelPte &m = model.pages[va];
+            // mprotect: a whole mapping, or a range that may cross
+            // mapping boundaries and holes.
+            u32 prot = prots[pick(4)];
+            u64 va = randomPage(), len = (1 + pick(2 * block)) * pageSize;
+            if (pick(2) == 0) {
+                const Mapping *m = as.findMapping(va);
+                va = m->start;
+                len = m->len;
+            }
+            EXPECT_EQ(as.protect(va, len, prot), ref.protect(va, len, prot));
+        } else if (op <= 6) {
+            // Touch one page: demand-zero fill, swap-in, COW resolution,
+            // or a refused access.
+            u64 va = randomPage();
+            DensePte &p = *ref.find(va);
+            bool write = (p.prot & PROT_WRITE) && pick(3) != 0;
             u64 word = step;
-            if (m.prot & PROT_WRITE) {
-                ASSERT_FALSE(as.writeBytes(va + 8, &word, 8));
-                m.cow = false;
-                if (pick(2)) {
-                    Capability c = as.capForRange(va, pageSize, m.prot);
-                    ASSERT_FALSE(as.writeCap(va + 0x20, c));
-                    model.tagged.insert(va + 0x20);
-                }
+            CapCheck r = write ? as.writeBytes(va + 8, &word, 8)
+                               : as.readBytes(va + 8, &word, 8);
+            if (!(p.prot & (write ? PROT_WRITE : PROT_READ))) {
+                ASSERT_TRUE(r.has_value());
+                EXPECT_EQ(*r, CapFault::PageFault);
+            } else if (r.has_value()) {
+                // Only a budget can refuse a permitted access; the
+                // refused walk changed nothing.
+                EXPECT_TRUE(budgeted);
+                EXPECT_EQ(*r, CapFault::MemoryExhausted);
+                ++exhausted;
             } else {
-                ASSERT_FALSE(as.readBytes(va + 8, &word, 8));
+                if (p.swapped || !p.resident || (write && p.cow &&
+                                                 !p.holders.empty())) {
+                    p.frame = nullptr;
+                    p.holders.clear();
+                }
+                p.resident = true;
+                p.swapped = false;
+                p.cow = p.cow && !write;
+                p.lastUse = ++ref.clock;
+                if (write && pick(2)) {
+                    Capability c = as.capForRange(va, pageSize, p.prot);
+                    ASSERT_FALSE(as.writeCap(va + 0x20, c));
+                    p.capDirty = true;
+                    p.lastUse = ++ref.clock;
+                    ref.tagged.insert(va + 0x20);
+                }
             }
-            // The page may have changed frames (fill, swap-in or COW
-            // copy): learn it afresh.
-            m.resident = true;
-            m.swapped = false;
-            m.frame = nullptr;
-        } else if (op == 6) {
-            children.push_back(as.forkCopy(2 + step));
-            for (auto &[va, m] : model.pages)
-                m.cow = m.cow || m.resident;
-            PageTableModel childModel = model;
-            expectMatchesModel(*children.back(), childModel);
-            if (children.size() > 2)
+        } else if (op == 7) {
+            unsigned id = 2 + step;
+            children.emplace_back(id, as.forkCopy(id));
+            ref.each([&](u64, DensePte &p) {
+                if (p.resident) {
+                    p.cow = p.cow || !p.shared;
+                    p.holders.insert(id);
+                }
+            });
+            DensePageTable child = ref;
+            expectMatchesDense(*children.back().second, child, false);
+            if (children.size() > 2) {
+                unsigned gone = children.front().first;
                 children.pop_front();
-        } else {
-            u64 max = 1 + pick(4);
-            std::vector<u64> order = as.evictionOrder(max);
-            EXPECT_EQ(as.swapOutResident(max), order.size());
-            for (u64 va : order) {
-                ModelPte &m = model.pages.at(va);
-                ASSERT_TRUE(m.resident);
-                m.resident = false;
-                m.swapped = true;
-                m.frame = nullptr;
+                ref.each([&](u64, DensePte &p) { p.holders.erase(gone); });
             }
+        } else if (op == 8) {
+            u64 max = 1 + pick(8);
+            std::vector<u64> order = as.evictionOrder(max);
+            EXPECT_EQ(order, ref.evictionOrder(max));
+            u64 room = swap.slotBudget() - swap.usedSlots();
+            u64 n = as.swapOutResident(max);
+            EXPECT_EQ(n, std::min<u64>(order.size(), room));
+            for (u64 k = 0; k < n; ++k)
+                ref.swappedOut(order[k]);
+        } else if (op == 9) {
+            u64 va = randomPage();
+            DensePte &p = *ref.find(va);
+            bool room = swap.usedSlots() < swap.slotBudget();
+            EXPECT_EQ(as.swapOutPage(va), ref.evictable(p) && room);
+            if (ref.evictable(p) && room)
+                ref.swappedOut(va);
+        } else if (op == 10) {
+            // A fresh shared frame over whatever backed the page.
+            u64 va = randomPage();
+            FrameRef f = phys.allocFrame();
+            if (!f) {
+                EXPECT_TRUE(budgeted);
+                continue;
+            }
+            const Frame *raw = f.get();
+            ASSERT_TRUE(as.installFrame(va, std::move(f)));
+            DensePte &p = *ref.find(va);
+            p.resident = true;
+            p.swapped = false;
+            p.shared = true;
+            p.cow = false;
+            p.capDirty = true;
+            p.frame = raw;
+            p.holders.clear();
+            ref.tagged.erase(ref.tagged.lower_bound(va),
+                             ref.tagged.lower_bound(va + pageSize));
+        } else {
+            // Revoke everything the page holds.
+            u64 va = randomPage();
+            DensePte &p = *ref.find(va);
+            AddressSpace::PageSweep r =
+                as.sweepPage(va, ++epoch, [](const Capability &) {
+                    return true;
+                });
+            EXPECT_FALSE(r.deviceFailed);
+            EXPECT_EQ(r.provenClean, !p.shared);
+            p.capDirty = p.capDirty && p.shared;
+            p.sweptEpoch = epoch;
+            ref.tagged.erase(ref.tagged.lower_bound(va),
+                             ref.tagged.lower_bound(va + pageSize));
         }
-        expectMatchesModel(as, model);
+        expectMatchesDense(as, ref, true);
+        // What the page tables name is all that is live: an unmapped
+        // page's frame and slot are gone with it.
+        std::set<const Frame *> frames;
+        std::set<u64> slots;
+        auto note = [&](const AddressSpace::PteView &v) {
+            if (v.frame)
+                frames.insert(v.frame);
+            if (v.swapped)
+                slots.insert(v.swapSlot);
+        };
+        as.forEachPte(note);
+        for (const auto &[id, child] : children)
+            child->forEachPte(note);
+        EXPECT_EQ(phys.liveFrames(), frames.size());
+        EXPECT_EQ(swap.usedSlots(), slots.size());
         if (::testing::Test::HasFatalFailure())
             return;
     }
+    // At the default budget the sequence reaches the reclaim it mirrors.
+    if (!std::getenv("CHERI_TEST_FRAME_BUDGET")) {
+        EXPECT_GT(evictor.passes, 0u);
+    }
+    RecordProperty("reclaims", static_cast<int>(evictor.passes));
+    RecordProperty("exhausted_walks", static_cast<int>(exhausted));
+    phys.setMemEvents(nullptr);
 }
 
 INSTANTIATE_TEST_SUITE_P(
     Seeds, PageTableModelTest,
     ::testing::ValuesIn(test::seedsFromEnv("CHERI_TEST_PAGETABLE_SEEDS", 4)));
+
+// Host storage follows content: an untouched mapping holds no leaf
+// block, a touched page's block comes on first use, and fork copies only
+// the blocks that exist.
+TEST_F(MemTest, SparseStackAllocatesOneBlock)
+{
+    const u64 len = 8u << 20;
+    u64 va = mapAnon(len);
+    EXPECT_EQ(as.mappedPages(), len / pageSize);
+    EXPECT_EQ(as.allocatedPteEntries(), 0u);
+    for (u64 p = 1; p <= 3; ++p) {
+        u64 word = p;
+        ASSERT_FALSE(as.writeBytes(va + len - p * pageSize, &word, 8));
+    }
+    EXPECT_EQ(as.allocatedPteEntries(), AddressSpace::pteBlockPages);
+    // A whole-mapping mprotect changes the mapping record, not blocks.
+    ASSERT_TRUE(as.protect(va, len, PROT_READ));
+    EXPECT_EQ(as.allocatedPteEntries(), AddressSpace::pteBlockPages);
+    std::unique_ptr<AddressSpace> child = as.forkCopy(2);
+    EXPECT_EQ(child->allocatedPteEntries(), AddressSpace::pteBlockPages);
+    EXPECT_EQ(child->contentPages(), 3u);
+    ASSERT_TRUE(as.unmap(va, len));
+    EXPECT_EQ(as.allocatedPteEntries(), 0u);
+}
 
 } // namespace
 } // namespace cheri

@@ -28,9 +28,38 @@ namespace
 
 using test::GuestSystem;
 
+/** sweepWorklist visits only the content PTEs; it must list exactly
+ *  the pages a visit of every PTE selects: the cap-dirty ones, or
+ *  every page with a frame or a slot under force_full. */
+void
+expectWorklistMatchesEveryPte(const AddressSpace &as)
+{
+    std::vector<u64> dirty, content;
+    as.forEachPte([&](const AddressSpace::PteView &v) {
+        if (v.capDirty)
+            dirty.push_back(v.va);
+        if (v.frame || v.swapped)
+            content.push_back(v.va);
+    });
+    EXPECT_EQ(as.sweepWorklist(false), dirty);
+    EXPECT_EQ(as.sweepWorklist(true), content);
+}
+
+void
+expectWorklistsMatchEveryPte(Kernel &kern)
+{
+    kern.forEachProcess([](const Process &p) {
+        SCOPED_TRACE(p.pid());
+        expectWorklistMatchesEveryPte(p.as());
+    });
+}
+
 class Revoke2Test : public ::testing::Test
 {
   protected:
+    /** Every test's end state: the worklists match the PTE walk. */
+    void TearDown() override { expectWorklistsMatchEveryPte(sys.kern); }
+
     GuestSystem sys{Abi::CheriAbi};
     Kernel &kern() { return sys.kern; }
     Process &proc() { return *sys.proc; }
@@ -149,6 +178,30 @@ TEST(Revoke2SliceTest, IncrementalRespectsPageBudget)
     for (u64 i = 0; i < 24; ++i) {
         EXPECT_FALSE(
             ctx.loadPtr(buf, static_cast<s64>(i * pageSize)).cap.tag());
+    }
+}
+
+TEST_F(Revoke2Test, WorklistMatchesPteWalkThroughAnEpoch)
+{
+    GuestPtr buf = dirtyPages(32);
+    expectWorklistsMatchEveryPte(kern());
+    // A swapped cap-dirty page and a fork sharing its slot.
+    ASSERT_TRUE(proc().as().swapOutPage(pageTrunc(buf.addr())));
+    ASSERT_NE(kern().fork(proc()), nullptr);
+    expectWorklistsMatchEveryPte(kern());
+    SysResult res =
+        kern().sysRevoke2(proc(), rangeOf(buf), REVOKE_INCREMENTAL);
+    ASSERT_FALSE(res.failed());
+    for (int i = 0; i < 1000 && !res.failed() && res.value != 0; ++i) {
+        expectWorklistsMatchEveryPte(kern());
+        res = kern().sysRevoke2(proc(), {}, REVOKE_INCREMENTAL);
+    }
+    ASSERT_FALSE(res.failed());
+    ASSERT_EQ(res.value, 0u);
+    // The sweep proved the buffer's pages clean: none is listed now.
+    for (u64 va : proc().as().sweepWorklist(false)) {
+        EXPECT_TRUE(va < buf.addr() || va >= buf.addr() + 32 * pageSize)
+            << va;
     }
 }
 

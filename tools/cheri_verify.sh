@@ -68,10 +68,11 @@ cmake --build "$plain_dir" -j "$(nproc)"
 ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)"
 # Constrained-memory pass: re-run the pressure and stress suites with
 # deliberately small frame/slot budgets so reclaim and OOM paths are
-# exercised under the sanitizers too.
+# exercised under the sanitizers too, and the page-table model test, so
+# swap-out and swap-in run through missing and present PTE leaf blocks.
 CHERI_TEST_FRAME_BUDGET=48 CHERI_TEST_SLOT_BUDGET=128 \
     ctest --test-dir "$build_dir" --output-on-failure \
-        -R 'Pressure|Stress' -j "$(nproc)"
+        -R 'Pressure|Stress|PageTableModel' -j "$(nproc)"
 # Hardening gates under constrained memory too: the deadlock watchdog
 # and panic/machine-check paths must behave identically when reclaim
 # and OOM pressure interleave with parked contexts.
