@@ -366,6 +366,7 @@ struct ExecResult
     std::vector<Violation> violations;
     u64 oracleRuns = 0;
     u64 syscalls = 0;
+    OracleAudit audit;
     bool setupFailed = false;
     /** Kernel image captured at the first oracle violation (artifact
      *  auto-emit; empty unless FuzzOptions::artifactPrefix is set). */
@@ -437,13 +438,63 @@ capturePanic(ExecResult &er, Kernel &kern)
                              "artifact for the flight-recorder ring)"});
 }
 
-/** One oracle pass: snapshot the kernel on the run's first violation
- *  and keep up to maxViolationsPerRun of them. */
-void
-runOracle(ExecResult &er, Kernel &kern, const FuzzOptions &opts)
+/** First difference between two reports, for a mismatch violation. */
+std::string
+reportDiff(const Report &memo, const Report &full)
 {
-    Report rep = Invariants::check(kern);
+    for (u64 i = 0; i < std::max(memo.violations.size(),
+                                 full.violations.size());
+         ++i) {
+        auto text = [&](const Report &r) {
+            return i < r.violations.size()
+                       ? r.violations[i].rule + ": " + r.violations[i].detail
+                       : std::string("<none>");
+        };
+        if (text(memo) != text(full)) {
+            return fmt("violation %" PRIu64 ": memo '%s' vs full '%s'", i,
+                       text(memo).c_str(), text(full).c_str());
+        }
+    }
+    return fmt("coverage: memo %" PRIu64 "/%" PRIu64 "/%" PRIu64
+               "/%" PRIu64 "/%" PRIu64 " vs full %" PRIu64 "/%" PRIu64
+               "/%" PRIu64 "/%" PRIu64 "/%" PRIu64
+               " (processes/caps/pages/frames/slots)",
+               memo.processes, memo.capsChecked, memo.pagesChecked,
+               memo.framesChecked, memo.slotsChecked, full.processes,
+               full.capsChecked, full.pagesChecked, full.framesChecked,
+               full.slotsChecked);
+}
+
+/** One oracle pass: snapshot the kernel on the run's first violation
+ *  and keep up to maxViolationsPerRun of them.  Under
+ *  FuzzOptions::checkFull a fresh full walk checks the same state too,
+ *  and any difference between the two reports is a violation. */
+void
+runOracle(ExecResult &er, Oracle &oracle, Kernel &kern,
+          const FuzzOptions &opts, Oracle::Walk walk = Oracle::Walk::Memo)
+{
+    Report rep = oracle.check(kern, walk);
     ++er.oracleRuns;
+    if (opts.checkFull) {
+        Report full = Oracle().check(kern, Oracle::Walk::Full, false);
+        OracleAudit &a = er.audit;
+        ++a.checks;
+        a.memoPagesRechecked += rep.pagesRechecked;
+        a.fullPagesRechecked += full.pagesRechecked;
+        if (!rep.ok() && !a.memoFirstViolation)
+            a.memoFirstViolation = er.syscalls + 1;
+        if (!full.ok() && !a.fullFirstViolation)
+            a.fullFirstViolation = er.syscalls + 1;
+        if (!(rep == full)) {
+            ++a.mismatches;
+            if (er.violations.size() < maxViolationsPerRun) {
+                er.violations.push_back(
+                    {"oracle-memo-mismatch",
+                     fmt("after %" PRIu64 " syscalls: %s", er.syscalls,
+                         reportDiff(rep, full).c_str())});
+            }
+        }
+    }
     if (!rep.violations.empty())
         captureSnapshot(er, kern, opts);
     for (Violation &v : rep.violations) {
@@ -541,6 +592,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
          const std::vector<GenOp> &ops)
 {
     ExecResult er;
+    Oracle oracle;
     obs::Metrics metrics; // must outlive the kernel
     KernelConfig cfg;
     cfg.frameCapacity = opts.frameCapacity;
@@ -597,7 +649,7 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
                                  {code, err, mask_val ? 0 : val}});
         }
         if (opts.checkEvery && dispatches % opts.checkEvery == 0)
-            runOracle(er, kern, opts);
+            runOracle(er, oracle, kern, opts);
     });
 
     // Scratch layout: page 0 paths + touch fallback, page 1 write
@@ -909,8 +961,9 @@ execCase(Abi abi, const FuzzOptions &opts, u64 case_seed,
     kern.faultInjector().disarmAll();
     capturePanic(er, kern);
 
+    // The case's last check is the full walk.
     if (opts.checkEvery)
-        runOracle(er, kern, opts);
+        runOracle(er, oracle, kern, opts, Oracle::Walk::Full);
 
     if (VNodeRef out = kern.vfs().lookup("/fz_out"))
         er.output = out->data;
@@ -950,6 +1003,7 @@ ExecResult
 execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
 {
     ExecResult er;
+    Oracle oracle;
     obs::Metrics metrics; // must outlive the kernel
     KernelConfig cfg;
     cfg.frameCapacity = opts.frameCapacity;
@@ -1028,7 +1082,8 @@ execCaseMulti(Abi abi, const FuzzOptions &opts, u64 case_seed)
     // been switched at an instruction boundary, so every whole-system
     // invariant must hold.
     if (opts.checkEvery)
-        s.setSliceHook([&](Process &) { runOracle(er, kern, opts); });
+        s.setSliceHook(
+            [&](Process &) { runOracle(er, oracle, kern, opts); });
     kern.runUntilIdle();
     s.setSliceHook(nullptr);
     kern.faultInjector().disarmAll();
@@ -1168,6 +1223,8 @@ DiffFuzzer::runCase(u64 index)
 
     cr.syscalls = legacy.syscalls + cheri.syscalls;
     cr.oracleRuns = legacy.oracleRuns + cheri.oracleRuns;
+    cr.audit = legacy.audit;
+    cr.audit.add(cheri.audit, legacy.syscalls);
     for (Violation &v : legacy.violations) {
         v.detail = "mips64: " + v.detail;
         cr.violations.push_back(std::move(v));
@@ -1257,6 +1314,7 @@ DiffFuzzer::run()
     for (u64 i = 0; i < opts.cases; ++i) {
         CaseReport cr = runCase(i);
         ++rep.casesRun;
+        rep.audit.add(cr.audit, rep.syscalls);
         rep.syscalls += cr.syscalls;
         rep.oracleRuns += cr.oracleRuns;
         if (cr.diverged())

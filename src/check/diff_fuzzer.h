@@ -99,6 +99,45 @@ struct FuzzOptions
     /** Capture each run's full metrics JSON into the CaseReport (the
      *  replay-determinism gate compares them bit-for-bit). */
     bool keepMetricsJson = false;
+    /**
+     * Lock-step oracle audit: at every check, also run a fresh full walk
+     * (Invariants::check's pass, not recorded in the metrics) and report
+     * an "oracle-memo-mismatch" violation whenever its Report differs
+     * from the memoized one.  Tallies go to the OracleAudit fields.
+     */
+    bool checkFull = false;
+};
+
+/** FuzzOptions::checkFull tallies (all zero without it). */
+struct OracleAudit
+{
+    /** Checks run in lock step, and those whose reports differed. */
+    u64 checks = 0;
+    u64 mismatches = 0;
+    /** Report::pagesRechecked summed over the memoized checks and over
+     *  the full walks of the same states. */
+    u64 memoPagesRechecked = 0;
+    u64 fullPagesRechecked = 0;
+    /** 1 + the syscalls dispatched, counted from the start of the run,
+     *  when a memoized / full report first held a violation (0: none
+     *  did). */
+    u64 memoFirstViolation = 0;
+    u64 fullFirstViolation = 0;
+
+    /** Fold in the tallies of a later run that started @p offset
+     *  syscalls in. */
+    void
+    add(const OracleAudit &o, u64 offset)
+    {
+        checks += o.checks;
+        mismatches += o.mismatches;
+        memoPagesRechecked += o.memoPagesRechecked;
+        fullPagesRechecked += o.fullPagesRechecked;
+        if (!memoFirstViolation && o.memoFirstViolation)
+            memoFirstViolation = offset + o.memoFirstViolation;
+        if (!fullFirstViolation && o.fullFirstViolation)
+            fullFirstViolation = offset + o.fullFirstViolation;
+    }
 };
 
 /**
@@ -179,6 +218,7 @@ struct CaseReport
     std::vector<Violation> violations;
     u64 syscalls = 0;
     u64 oracleRuns = 0;
+    OracleAudit audit;
     /** Both runs' metrics JSON (mips64 then cheriabi), when
      *  FuzzOptions::keepMetricsJson is set. */
     std::string metricsJson;
@@ -201,6 +241,7 @@ struct FuzzReport
     u64 oracleRuns = 0;
     u64 divergentCases = 0;
     u64 violationCount = 0;
+    OracleAudit audit;
     /** Failing cases, capped at maxFailures (counters keep counting). */
     std::vector<CaseReport> failures;
     static constexpr u64 maxFailures = 16;

@@ -1,9 +1,9 @@
 #include "check/invariants.h"
 
+#include <algorithm>
 #include <array>
 #include <cinttypes>
-#include <unordered_map>
-#include <unordered_set>
+#include <functional>
 
 #include "cap/capability.h"
 #include "check/strfmt.h"
@@ -15,17 +15,6 @@ namespace cheri::check
 
 namespace
 {
-
-/** Per-frame holders seen while sweeping the page tables. */
-struct FrameUse
-{
-    u64 pteUsers = 0;
-    u64 shmHolds = 0;
-    /** PTE users not marked COW or shared (must be <= 1 per frame). */
-    u64 exclusiveUsers = 0;
-    /** shared_ptr use count observed at one of the holders. */
-    long observedRefs = 0;
-};
 
 /** Sealing authorities cover otype space, not the address space; they
  *  are exempt from address-space containment. */
@@ -49,16 +38,14 @@ representable(const Capability &cap)
                                                 cap.format());
 }
 
-/** Rules 1+2 for a kernel-held root capability (bounds only: register
- *  files legitimately hold e.g. execute-permission code caps).  The
- *  site is formatted only when a violation is recorded, so a clean pass
- *  builds no strings. */
+/** Rules 1+2 for a tagged kernel-held root capability (bounds only:
+ *  register files legitimately hold e.g. execute-permission code caps).
+ *  The site is formatted only when a violation is recorded, so a clean
+ *  pass builds no strings. */
 void
 checkRootCap(Report &r, const Process &proc, const RootSite &site,
              const Capability &cap, const Capability &root)
 {
-    if (!cap.tag())
-        return;
     ++r.capsChecked;
     if (!representable(cap)) {
         r.violations.push_back(
@@ -80,15 +67,13 @@ checkRootCap(Report &r, const Process &proc, const RootSite &site,
 /** Rules 1-3 for one tagged capability resident in @p proc's memory —
  *  including signal frames, which live on the stack. */
 void
-checkMemoryCap(Report &r, const Process &proc, const Capability &root,
-               u64 va, const Capability &cap)
+checkMemoryCap(std::vector<Violation> &out, const Process &proc,
+               const Capability &root, u64 va, const Capability &cap)
 {
-    ++r.capsChecked;
     if (!representable(cap)) {
-        r.violations.push_back(
-            {"cap-representability",
-             fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s", proc.pid(), va,
-                 cap.toString().c_str())});
+        out.push_back({"cap-representability",
+                       fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s",
+                           proc.pid(), va, cap.toString().c_str())});
         return;
     }
     if (isSealer(cap))
@@ -96,7 +81,7 @@ checkMemoryCap(Report &r, const Process &proc, const Capability &root,
     bool contained = cap.base() >= root.base() && cap.top() <= root.top() &&
                      (cap.perms() & ~root.perms()) == 0;
     if (!contained) {
-        r.violations.push_back(
+        out.push_back(
             {"cap-containment",
              fmt("pid %" PRIu64 " mem @0x%" PRIx64 ": %s outside root",
                  proc.pid(), va, cap.toString().c_str())});
@@ -106,12 +91,137 @@ checkMemoryCap(Report &r, const Process &proc, const Capability &root,
         return; // CBuildCap round-trips unsealed patterns only
     auto rebuilt = Capability::build(root, cap.withoutTag());
     if (!rebuilt.ok() || !(rebuilt.value() == cap)) {
-        r.violations.push_back(
+        out.push_back(
             {"cap-derivation",
              fmt("pid %" PRIu64 " mem @0x%" PRIx64
                  ": %s not rederivable from root",
                  proc.pid(), va, cap.toString().c_str())});
     }
+}
+
+/** One content page as the page pass last saw it. */
+struct PageRecord
+{
+    u64 va = 0;
+    /** The PTE's frame reference: its use count is read at every check
+     *  (rule 4), while the page table's generation is unchanged. */
+    const FrameRef *frameRef = nullptr;
+    const Frame *frame = nullptr;
+    /** frame->stamp() when caps and violations were computed. */
+    u64 stamp = 0;
+    u64 swapSlot = 0;
+    bool swapped = false;
+    bool cow = false;
+    bool shared = false;
+    bool capDirty = false;
+    /** Rules 1-3 over the frame's tagged capabilities: how many were
+     *  checked, and the breaches in granule order. */
+    u64 caps = 0;
+    std::vector<Violation> violations;
+};
+
+/** One process's page pass. */
+struct ProcPages
+{
+    u64 pid = 0;
+    /** The page table's generation the records were read at. */
+    u64 gen = 0;
+    /** The rederivation root the records were checked against. */
+    Capability root;
+    u64 mapped = 0;
+    std::vector<PageRecord> pages;
+    /** Number of the last check that visited this process. */
+    u64 lastCheck = 0;
+};
+
+/** One frame holder seen in a check: a PTE or a SysV segment. */
+struct FrameHold
+{
+    const Frame *frame = nullptr;
+    bool pte = false;
+    /** A PTE neither COW nor shared. */
+    bool exclusive = false;
+    /** shared_ptr use count observed at the holder. */
+    long refs = 0;
+};
+
+/** Rules 1-3 over the tagged capabilities of @p rec's frame. */
+void
+checkPageCaps(PageRecord &rec, const Process &proc, const Capability &root)
+{
+    rec.caps = 0;
+    rec.violations.clear();
+    rec.stamp = rec.frame->stamp();
+    rec.frame->forEachTagged([&](u64 off, const Capability &cap) {
+        ++rec.caps;
+        checkMemoryCap(rec.violations, proc, root, rec.va + off, cap);
+    });
+}
+
+/**
+ * The page pass: bring @p pp up to date with @p proc's page table.  A
+ * full walk re-reads every content PTE and re-checks every page.
+ * Otherwise, while the page table's generation is unchanged, only pages
+ * whose frame stamp moved are re-checked; after a change the PTEs are
+ * re-read, and each page whose frame and stamp (and the root) are the
+ * ones its old record was computed for keeps that record's verdicts.
+ * Frames and address spaces draw their stamps from one counter that
+ * only grows, so equal stamps never come from a recycled object.
+ * @p old is scratch storage.
+ */
+void
+pagePass(Report &r, const Process &proc, ProcPages &pp, bool full,
+         std::vector<PageRecord> &old)
+{
+    const AddressSpace &as = proc.as();
+    const Capability &root = as.rederivationRoot();
+    if (!full && pp.gen == as.generation()) {
+        for (PageRecord &rec : pp.pages) {
+            if (rec.frame && rec.frame->stamp() != rec.stamp) {
+                checkPageCaps(rec, proc, root);
+                ++r.pagesRechecked;
+            }
+        }
+        return;
+    }
+    bool reuse = !full && pp.root == root;
+    old.swap(pp.pages);
+    pp.pages.clear();
+    u64 k = 0;
+    as.forEachPteWithCaps<AddressSpace::PteSet::Content>(
+        [&](const AddressSpace::PteView &v) {
+            PageRecord &rec = pp.pages.emplace_back();
+            rec.va = v.va;
+            rec.frameRef = v.frameRef;
+            rec.frame = v.frame;
+            rec.swapSlot = v.swapSlot;
+            rec.swapped = v.swapped;
+            rec.cow = v.cow;
+            rec.shared = v.shared;
+            rec.capDirty = v.capDirty;
+            while (k < old.size() && old[k].va < v.va)
+                ++k;
+            PageRecord *prev =
+                reuse && k < old.size() && old[k].va == v.va ? &old[k]
+                                                             : nullptr;
+            if (v.frame) {
+                if (prev && prev->frame == v.frame &&
+                    prev->stamp == v.frame->stamp()) {
+                    rec.stamp = prev->stamp;
+                    rec.caps = prev->caps;
+                    rec.violations = std::move(prev->violations);
+                } else {
+                    checkPageCaps(rec, proc, root);
+                    ++r.pagesRechecked;
+                }
+            } else if (!prev || prev->frame || prev->swapSlot != v.swapSlot) {
+                ++r.pagesRechecked;
+            }
+        },
+        [](u64, const Capability &) {});
+    pp.gen = as.generation();
+    pp.root = root;
+    pp.mapped = as.mappedPages();
 }
 
 } // namespace
@@ -131,13 +241,46 @@ Report::toString() const
     return out;
 }
 
+bool
+Report::operator==(const Report &o) const
+{
+    return violations == o.violations && processes == o.processes &&
+           capsChecked == o.capsChecked && pagesChecked == o.pagesChecked &&
+           framesChecked == o.framesChecked &&
+           slotsChecked == o.slotsChecked;
+}
+
+/** What an Oracle keeps between checks; the vectors also keep their
+ *  capacity, so a clean check allocates nothing. */
+struct Oracle::Memo
+{
+    /** Pid-ascending, the order the kernel visits processes in. */
+    std::vector<ProcPages> procs;
+    std::vector<PageRecord> oldPages;
+    std::vector<FrameHold> frames;
+    /** One entry per PTE naming a slot. */
+    std::vector<u64> slots;
+    u64 checks = 0;
+};
+
+Oracle::Oracle() : memo(std::make_unique<Memo>()) {}
+
+Oracle::~Oracle() = default;
+
 Report
 Invariants::check(Kernel &kern)
 {
-    Report r;
+    return Oracle().check(kern, Oracle::Walk::Full);
+}
 
-    std::unordered_map<const Frame *, FrameUse> frames;
-    std::unordered_map<u64, u64> slotRefs; // slot -> PTEs naming it
+Report
+Oracle::check(Kernel &kern, Walk walk, bool record)
+{
+    Report r;
+    Memo &m = *memo;
+    u64 checkNo = ++m.checks;
+    m.frames.clear();
+    m.slots.clear();
 
     kern.forEachProcess([&](const Process &proc) {
         ++r.processes;
@@ -145,10 +288,11 @@ Invariants::check(Kernel &kern)
 
         // Capability state outside the page tables: every kernel-held
         // root (register files, thread and signal-frame contexts,
-        // startup slots, kevent udata; Figure 1).
+        // startup slots, kevent udata; Figure 1).  Most are untagged.
         kern.forEachRootCap(proc, [&](const RootSite &site,
                                       const Capability &cap) {
-            checkRootCap(r, proc, site, cap, root);
+            if (cap.tag())
+                checkRootCap(r, proc, site, cap, root);
         });
 
         // Rule 7: a revocation epoch that closed at this exact
@@ -162,100 +306,104 @@ Invariants::check(Kernel &kern)
         bool epochClosedNow = ep && !ep->open && ep->closeSeq != 0 &&
                               ep->closeSeq == kern.quiescentCount() &&
                               !ep->closedRanges.empty();
-        // Swap tag metadata keeps each tagged granule's pattern with the
-        // tag stripped, so it is tested as is; memory and roots may hold
-        // untagged values, which promise nothing.
-        auto revoked = [&](const Capability &cap) {
-            return capInSortedRanges(cap, ep->closedRanges);
-        };
-        auto survivor = [&](std::vector<Violation> &out, const char *where,
-                            u64 at, const Capability &cap) {
-            out.push_back({"revoked-cap-survives",
-                           fmt("pid %" PRIu64 " %s @0x%" PRIx64
-                               ": %s survived closed epoch %" PRIu64,
-                               proc.pid(), where, at,
-                               cap.toString().c_str(), ep->id)});
-        };
 
-        // One walk over the page table checks the memory capabilities
-        // (rules 1-3), the PTEs (frame ownership and swap references)
-        // and rule 7's memory and swap sweep.  Only entries with a
-        // frame or a slot can break a rule, so only those are visited.
-        // The report keeps the order of separate passes: memory
-        // capabilities, then PTE rules, then rule 7 over memory, swap,
-        // and the roots.
-        std::vector<Violation> pteViolations;
-        std::vector<Violation> memSurvivors;
-        std::vector<Violation> swapSurvivors;
-        r.pagesChecked += proc.as().mappedPages();
-        proc.as().forEachPteWithCaps<AddressSpace::PteSet::Content>(
-            [&](const AddressSpace::PteView &pte) {
-                if (pte.frame && pte.swapped) {
-                    pteViolations.push_back(
-                        {"pte-resident-and-swapped",
+        // The page pass, memoized per process (pid-ascending, as the
+        // kernel visits them).
+        auto it = std::lower_bound(
+            m.procs.begin(), m.procs.end(), proc.pid(),
+            [](const ProcPages &p, u64 pid) { return p.pid < pid; });
+        if (it == m.procs.end() || it->pid != proc.pid()) {
+            it = m.procs.insert(it, ProcPages{});
+            it->pid = proc.pid();
+        }
+        ProcPages &pp = *it;
+        pp.lastCheck = checkNo;
+        pagePass(r, proc, pp, walk == Walk::Full || epochClosedNow,
+                 m.oldPages);
+
+        // The report keeps the order of separate passes over the page
+        // table: memory capabilities (rules 1-3), then the PTE rules,
+        // then rule 7 over memory, swap and the roots.  Only entries
+        // with a frame or a slot can break a rule, so only those are
+        // visited.
+        r.pagesChecked += pp.mapped;
+        for (const PageRecord &rec : pp.pages) {
+            r.capsChecked += rec.caps;
+            r.violations.insert(r.violations.end(), rec.violations.begin(),
+                                rec.violations.end());
+        }
+        for (const PageRecord &rec : pp.pages) {
+            if (rec.frame && rec.swapped) {
+                r.violations.push_back(
+                    {"pte-resident-and-swapped",
+                     fmt("pid %" PRIu64 " va 0x%" PRIx64
+                         " holds both a frame and slot %" PRIu64,
+                         proc.pid(), rec.va, rec.swapSlot)});
+            }
+            // Rule 9: sweeps skip pages that are not cap-dirty, so a
+            // private page holding a tagged granule must carry the bit.
+            // Shared pages are exempt: the close barrier rescans them
+            // whatever their bit says.
+            if (!rec.shared && !rec.capDirty) {
+                u64 tags = rec.frame ? rec.frame->taggedCount()
+                                     : kern.swapDevice().slotTagCount(
+                                           rec.swapSlot);
+                if (tags != 0) {
+                    std::string slot =
+                        rec.frame ? ""
+                                  : fmt(" (slot %" PRIu64 ")", rec.swapSlot);
+                    r.violations.push_back(
+                        {"cap-dirty-soundness",
                          fmt("pid %" PRIu64 " va 0x%" PRIx64
-                             " holds both a frame and slot %" PRIu64,
-                             proc.pid(), pte.va, pte.swapSlot)});
+                             "%s holds %" PRIu64 " tagged granules "
+                             "but is not cap-dirty",
+                             proc.pid(), rec.va, slot.c_str(), tags)});
                 }
-                // Rule 9: sweeps skip pages that are not cap-dirty, so
-                // a private page holding a tagged granule must carry
-                // the bit.  Shared pages are exempt: the close barrier
-                // rescans them whatever their bit says.
-                if (!pte.shared && !pte.capDirty) {
-                    u64 tags =
-                        pte.frame ? pte.frame->taggedCount()
-                                  : kern.swapDevice().slotTagCount(
-                                        pte.swapSlot);
-                    if (tags != 0) {
-                        std::string slot =
-                            pte.frame ? ""
-                                      : fmt(" (slot %" PRIu64 ")",
-                                            pte.swapSlot);
-                        pteViolations.push_back(
-                            {"cap-dirty-soundness",
-                             fmt("pid %" PRIu64 " va 0x%" PRIx64
-                                 "%s holds %" PRIu64 " tagged granules "
-                                 "but is not cap-dirty",
-                                 proc.pid(), pte.va, slot.c_str(), tags)});
-                    }
-                }
-                if (pte.frame) {
-                    FrameUse &u = frames[pte.frame];
-                    ++u.pteUsers;
-                    if (!pte.cow && !pte.shared)
-                        ++u.exclusiveUsers;
-                    u.observedRefs = pte.frameRefs;
-                } else if (pte.swapped) {
-                    ++slotRefs[pte.swapSlot];
-                }
-                if (epochClosedNow && pte.swapped) {
-                    kern.swapDevice().forEachTaggedInSlot(
-                        pte.swapSlot,
-                        [&](u64 off, const Capability &pattern) {
-                            if (revoked(pattern))
-                                survivor(swapSurvivors, "swap",
-                                         pte.va + off, pattern);
-                        });
-                }
-            },
-            [&](u64 va, const Capability &cap) {
-                checkMemoryCap(r, proc, root, va, cap);
-                if (epochClosedNow && revoked(cap))
-                    survivor(memSurvivors, "mem", va, cap);
-            });
-        for (std::vector<Violation> *list :
-             {&pteViolations, &memSurvivors, &swapSurvivors}) {
-            r.violations.insert(r.violations.end(),
-                                std::make_move_iterator(list->begin()),
-                                std::make_move_iterator(list->end()));
+            }
+            if (rec.frame) {
+                m.frames.push_back({rec.frame, true,
+                                    !rec.cow && !rec.shared,
+                                    rec.frameRef->use_count()});
+            } else if (rec.swapped) {
+                m.slots.push_back(rec.swapSlot);
+            }
         }
 
         if (epochClosedNow) {
+            // Swap tag metadata keeps each tagged granule's pattern with
+            // the tag stripped, so it is tested as is; memory and roots
+            // may hold untagged values, which promise nothing.
+            auto survivor = [&](const char *where, u64 at,
+                                const Capability &cap) {
+                if (!capInSortedRanges(cap, ep->closedRanges))
+                    return;
+                r.violations.push_back(
+                    {"revoked-cap-survives",
+                     fmt("pid %" PRIu64 " %s @0x%" PRIx64
+                         ": %s survived closed epoch %" PRIu64,
+                         proc.pid(), where, at, cap.toString().c_str(),
+                         ep->id)});
+            };
+            for (const PageRecord &rec : pp.pages) {
+                if (rec.frame) {
+                    rec.frame->forEachTagged(
+                        [&](u64 off, const Capability &cap) {
+                            survivor("mem", rec.va + off, cap);
+                        });
+                }
+            }
+            for (const PageRecord &rec : pp.pages) {
+                if (rec.swapped) {
+                    kern.swapDevice().forEachTaggedInSlot(
+                        rec.swapSlot, [&](u64 off, const Capability &cap) {
+                            survivor("swap", rec.va + off, cap);
+                        });
+                }
+            }
             kern.forEachRootCap(proc, [&](const RootSite &site,
                                           const Capability &cap) {
-                if (cap.tag() && revoked(cap))
-                    survivor(r.violations, site.toString().c_str(),
-                             cap.address(), cap);
+                if (cap.tag())
+                    survivor(site.toString().c_str(), cap.address(), cap);
             });
         }
 
@@ -276,46 +424,68 @@ Invariants::check(Kernel &kern)
             }
         }
     });
+    // Processes gone since the last check take their records along.
+    std::erase_if(m.procs, [&](const ProcPages &p) {
+        return p.lastCheck != checkNo;
+    });
 
     // SysV segments pin their frames independently of any mapping.
     kern.forEachShmFrame([&](const FrameRef &f) {
-        FrameUse &u = frames[f.get()];
-        ++u.shmHolds;
-        u.observedRefs = f.use_count();
+        m.frames.push_back({f.get(), false, false, f.use_count()});
     });
 
-    // Rule 4: frame ownership.
-    for (const auto &[frame, use] : frames) {
+    // Rule 4: frame ownership, one run of holders per distinct frame.
+    std::sort(m.frames.begin(), m.frames.end(),
+              [](const FrameHold &a, const FrameHold &b) {
+                  return std::less<const Frame *>()(a.frame, b.frame);
+              });
+    u64 distinctFrames = 0;
+    for (auto at = m.frames.begin(); at != m.frames.end();) {
+        const Frame *frame = at->frame;
+        u64 pteUsers = 0, shmHolds = 0, exclusiveUsers = 0;
+        long observedRefs = 0;
+        for (; at != m.frames.end() && at->frame == frame; ++at) {
+            pteUsers += at->pte;
+            shmHolds += !at->pte;
+            exclusiveUsers += at->exclusive;
+            observedRefs = at->refs;
+        }
+        ++distinctFrames;
         ++r.framesChecked;
-        u64 holders = use.pteUsers + use.shmHolds;
-        if (holders > 1 && use.exclusiveUsers > 0) {
+        u64 holders = pteUsers + shmHolds;
+        if (holders > 1 && exclusiveUsers > 0) {
             r.violations.push_back(
                 {"frame-aliased-exclusively",
                  fmt("frame %p: %" PRIu64 " holders but %" PRIu64
                      " non-COW non-shared PTEs",
                      static_cast<const void *>(frame), holders,
-                     use.exclusiveUsers)});
+                     exclusiveUsers)});
         }
-        if (use.observedRefs != static_cast<long>(holders)) {
+        if (observedRefs != static_cast<long>(holders)) {
             r.violations.push_back(
                 {"frame-refcount",
                  fmt("frame %p: use_count %ld but %" PRIu64
                      " holders visible",
-                     static_cast<const void *>(frame), use.observedRefs,
+                     static_cast<const void *>(frame), observedRefs,
                      holders)});
         }
     }
-    if (frames.size() != kern.physMem().liveFrames()) {
+    if (distinctFrames != kern.physMem().liveFrames()) {
         r.violations.push_back(
             {"frame-live-count",
-             fmt("page tables + shm reference %zu frames, PhysMem "
+             fmt("page tables + shm reference %" PRIu64 " frames, PhysMem "
                  "reports %" PRIu64 " live",
-                 frames.size(), kern.physMem().liveFrames())});
+                 distinctFrames, kern.physMem().liveFrames())});
     }
 
     // Rule 5: swap accounting, from both directions.
     const SwapDevice &swap = kern.swapDevice();
-    for (const auto &[slot, refs] : slotRefs) {
+    std::sort(m.slots.begin(), m.slots.end());
+    for (auto at = m.slots.begin(); at != m.slots.end();) {
+        u64 slot = *at;
+        auto end = std::upper_bound(at, m.slots.end(), slot);
+        u64 refs = static_cast<u64>(end - at);
+        at = end;
         ++r.slotsChecked;
         u64 devRefs = swap.slotRefs(slot);
         if (devRefs != refs) {
@@ -327,7 +497,7 @@ Invariants::check(Kernel &kern)
         }
     }
     swap.forEachSlot([&](u64 slot, u64 refs) {
-        if (slotRefs.find(slot) == slotRefs.end()) {
+        if (!std::binary_search(m.slots.begin(), m.slots.end(), slot)) {
             r.violations.push_back(
                 {"slot-leaked",
                  fmt("slot %" PRIu64 " occupied (refs %" PRIu64
@@ -335,7 +505,6 @@ Invariants::check(Kernel &kern)
                      slot, refs)});
         }
     });
-
     // Rule 6: machine-check containment.  Every injected memory
     // corruption (TagBitFlip, DataBitFlip) fires its detection hook
     // exactly once, so the kernel's machine-check count dominates the
@@ -360,13 +529,13 @@ Invariants::check(Kernel &kern)
 
     // Rule 7: the registry's per-cause fault counters agree with its
     // recorded fault log.
-    if (obs::Metrics *m = kern.metrics()) {
+    if (obs::Metrics *mx = kern.metrics()) {
         std::array<u64, numCapFaults> logged{};
-        for (const obs::FaultRecord &f : m->faults())
+        for (const obs::FaultRecord &f : mx->faults())
             ++logged[static_cast<unsigned>(f.cause)];
         for (unsigned c = 0; c < numCapFaults; ++c) {
             // The record log is capped; counters must dominate it.
-            if (m->faultCount(static_cast<CapFault>(c)) < logged[c]) {
+            if (mx->faultCount(static_cast<CapFault>(c)) < logged[c]) {
                 r.violations.push_back(
                     {"metrics-fault-mirror",
                      fmt("cause %s: counter %" PRIu64
@@ -374,11 +543,12 @@ Invariants::check(Kernel &kern)
                          std::string(
                              capFaultName(static_cast<CapFault>(c)))
                              .c_str(),
-                         m->faultCount(static_cast<CapFault>(c)),
+                         mx->faultCount(static_cast<CapFault>(c)),
                          logged[c])});
             }
         }
-        m->recordOracleRun(r.violations.size());
+        if (record)
+            mx->recordOracleRun(r.violations.size());
     }
 
     return r;

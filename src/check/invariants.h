@@ -51,6 +51,11 @@
  *     capabilities.  Shared pages are exempt: the epoch-close barrier
  *     rescans every one of them.
  *
+ * Oracle is the same pass with a memo: between checks it re-examines
+ * only the pages whose page table or frame changed (see its comment);
+ * Invariants::check is that pass with no memo, the reference the
+ * memoized reports must equal.
+ *
  * Documented deviation: a tagged capability may refer to a range that
  * is no longer *mapped* — CheriABI provides spatial, not temporal,
  * safety (revocation is an explicit sweep), so dangling capabilities
@@ -63,6 +68,7 @@
 #ifndef CHERI_CHECK_INVARIANTS_H
 #define CHERI_CHECK_INVARIANTS_H
 
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -83,6 +89,8 @@ struct Violation
     std::string rule;
     /** Human-readable evidence (process, address, counts). */
     std::string detail;
+
+    bool operator==(const Violation &) const = default;
 };
 
 /** Outcome of one oracle pass. */
@@ -99,7 +107,19 @@ struct Report
     u64 slotsChecked = 0;
     /// @}
 
+    /**
+     * Content pages whose capabilities this pass examined afresh rather
+     * than reused from the memo: every content page for a full walk.
+     * How the pass got its answer, not part of it: operator== ignores
+     * it, and no metric or fuzzer output carries it.
+     */
+    u64 pagesRechecked = 0;
+
     bool ok() const { return violations.empty(); }
+
+    /** Same verdict: violations in the same order and the same
+     *  coverage counters (pagesRechecked aside). */
+    bool operator==(const Report &o) const;
 
     /** Multi-line rendering: one "rule: detail" line per violation. */
     std::string toString() const;
@@ -109,11 +129,52 @@ class Invariants
 {
   public:
     /**
-     * Run every check against @p kern's current state.  Records one
-     * oracle run (with the violation count) in the kernel's Metrics
-     * registry when one is attached.
+     * Run every check against @p kern's current state, walking every
+     * content page: the reference pass.  Records one oracle run (with
+     * the violation count) in the kernel's Metrics registry when one is
+     * attached.
      */
     static Report check(Kernel &kern);
+};
+
+/**
+ * The oracle with a memo, for callers that check one kernel at every
+ * quiescent point (the differential fuzzer).  Per process it keeps the
+ * page pass's result: each content page's PTE state, its frame's stamp
+ * and the rules 1-3 verdicts over the page's capabilities.  A check
+ * reuses that list while the address space's generation is unchanged,
+ * and re-examines only pages whose frame stamp moved; after a page-table
+ * change it re-reads the PTEs and still reuses each page whose frame and
+ * stamp are the ones it saw.  Kernel-held roots, rules 4-6, rule 8 and
+ * the PTE-level rules run at every check, and a process whose
+ * revocation epoch closes at this point gets the full walk.  Every
+ * Report equals what Invariants::check would return for the same state
+ * (FuzzOptions::checkFull holds the two in lock step).
+ */
+class Oracle
+{
+  public:
+    Oracle();
+    ~Oracle();
+    Oracle(const Oracle &) = delete;
+    Oracle &operator=(const Oracle &) = delete;
+
+    enum class Walk
+    {
+        /** Reuse what is unchanged since this oracle's last check. */
+        Memo,
+        /** Re-examine every content page (and refresh the memo). */
+        Full,
+    };
+
+    /** One check of @p kern.  Records one oracle run in the kernel's
+     *  Metrics registry, when attached, unless @p record is false (a
+     *  second opinion on a state already checked). */
+    Report check(Kernel &kern, Walk walk = Walk::Memo, bool record = true);
+
+  private:
+    struct Memo;
+    std::unique_ptr<Memo> memo;
 };
 
 } // namespace cheri::check

@@ -15,6 +15,7 @@ Frame::copyFrom(const Frame &other)
     // capabilities the page holds.
     other.forEachTagged(
         [&](u64 off, const Capability &cap) { caps[off / capSize] = cap; });
+    _stamp = nextChangeStamp();
 }
 
 void
@@ -22,6 +23,7 @@ Frame::clear()
 {
     data.fill(0);
     tags.fill(0);
+    _stamp = nextChangeStamp();
 }
 
 Capability
@@ -48,8 +50,9 @@ Frame::writeCap(u64 off, const Capability &cap)
     if (cap.tag())
         tags[g / 64] |= u64{1} << (g % 64);
     else
-        clearTagAt(off);
+        tags[g / 64] &= ~(u64{1} << (g % 64));
     caps[g] = cap;
+    _stamp = nextChangeStamp();
 }
 
 bool

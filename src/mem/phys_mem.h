@@ -51,6 +51,21 @@ constexpr u64 granulesPerPage = pageSize / capSize;
 constexpr u64 tagWordsPerPage = granulesPerPage / 64;
 static_assert(granulesPerPage % 64 == 0, "tag bitmap is whole words");
 
+/**
+ * Next value of the host's one change counter, which stamps frames and
+ * address spaces (Frame::stamp, AddressSpace::generation) for the
+ * checking layer's memo.  Both draw from it and it only grows, so a
+ * frame or address space recycled at the same host address never
+ * carries a stamp an earlier one had.  Host state only: nothing
+ * modelled, saved or digested reads it.
+ */
+inline u64
+nextChangeStamp()
+{
+    static u64 counter = 0;
+    return ++counter;
+}
+
 /** Round @p v down / up to a page boundary. */
 constexpr u64 pageTrunc(u64 v) { return v & ~pageMask; }
 constexpr u64 pageRound(u64 v) { return (v + pageMask) & ~pageMask; }
@@ -94,9 +109,10 @@ class Frame
     {
         CHERI_KASSERT(off + len <= pageSize, "frame write within page");
         std::memcpy(data.data() + off, buf, len);
-        // A data store invalidates every capability granule it overlaps.
-        if (len != 0)
-            clearTags(off / capSize, (off + len - 1) / capSize);
+        // A data store invalidates every capability granule it overlaps;
+        // the stamp moves only when a tag actually went.
+        if (len != 0 && clearTags(off / capSize, (off + len - 1) / capSize))
+            _stamp = nextChangeStamp();
     }
 
     /** Zero the page and clear all tags. */
@@ -127,7 +143,17 @@ class Frame
     {
         u64 g = off / capSize;
         tags[g / 64] &= ~(u64{1} << (g % 64));
+        _stamp = nextChangeStamp();
     }
+
+    /**
+     * Change stamp of the tag bitmap and the tagged granules' entries,
+     * drawn from nextChangeStamp() at construction and again by every
+     * change to either: writeCap, a data write that clears a tag,
+     * clear, copyFrom, clearTagAt and a restore.  Equal stamps on the
+     * same frame mean the same tagged capabilities.
+     */
+    u64 stamp() const { return _stamp; }
 
     /** Number of tagged granules in the page. */
     u64
@@ -162,15 +188,20 @@ class Frame
     /** Checkpoint/restore moves the bytes in and out in place. */
     friend struct snap::Access;
 
-    /** Clear the tags of granules [first, last]. */
-    void
+    /** Clear the tags of granules [first, last]; true when any was
+     *  set. */
+    bool
     clearTags(u64 first, u64 last)
     {
+        u64 cleared = 0;
         for (u64 w = first / 64; w <= last / 64; ++w) {
             u64 lo = w == first / 64 ? first % 64 : 0;
             u64 hi = w == last / 64 ? last % 64 : 63;
-            tags[w] &= ~((~u64{0} >> (63 - hi)) & (~u64{0} << lo));
+            u64 mask = (~u64{0} >> (63 - hi)) & (~u64{0} << lo);
+            cleared |= tags[w] & mask;
+            tags[w] &= ~mask;
         }
+        return cleared != 0;
     }
 
     std::array<u8, pageSize> data;
@@ -179,6 +210,7 @@ class Frame
     /** The decoded capability of each tagged granule; entries of
      *  untagged granules are never read. */
     std::array<Capability, granulesPerPage> caps;
+    u64 _stamp = nextChangeStamp();
 };
 
 using FrameRef = std::shared_ptr<Frame>;

@@ -105,7 +105,10 @@ AddressSpace::resolvePage(u64 va, bool for_write, PageView *out,
 void
 AddressSpace::markCapStore(Pte &pte, u64 page_va)
 {
-    pte.capDirty = true;
+    if (!pte.capDirty) {
+        pte.capDirty = true;
+        bumpGeneration();
+    }
     if (activeSweepEpoch != 0 && pte.queuedEpoch != activeSweepEpoch) {
         // The open epoch has no pending visit to this page — either it
         // was already scanned (its proof is now stale) or it was mapped
@@ -113,6 +116,15 @@ AddressSpace::markCapStore(Pte &pte, u64 page_va)
         // before closing.
         pte.queuedEpoch = activeSweepEpoch;
         redirtied.push_back(page_va);
+    }
+}
+
+void
+AddressSpace::clearCapDirty(Pte &pte)
+{
+    if (pte.capDirty) {
+        pte.capDirty = false;
+        bumpGeneration();
     }
 }
 
@@ -263,6 +275,7 @@ AddressSpace::map(u64 addr, u64 len, u32 prot, MappingKind kind, bool fixed,
     // Every page starts as the default PTE, which a missing leaf block
     // stands for; blocks and frames come on first use.
     r.resetTable();
+    bumpGeneration();
     return start;
 }
 
@@ -311,6 +324,8 @@ AddressSpace::unmap(u64 start, u64 len)
             it = regions.erase(it);
         }
     }
+    if (any)
+        bumpGeneration();
     return any;
 }
 
@@ -356,6 +371,7 @@ AddressSpace::protect(u64 start, u64 len, u32 prot)
         }
         va = stop;
     }
+    bumpGeneration();
     return true;
 }
 
@@ -466,6 +482,7 @@ AddressSpace::walk(u64 va, bool for_write)
         }
         pte.frame = std::move(fresh);
         pte.swapped = false;
+        bumpGeneration();
     }
     if (!pte.frame) {
         pte.frame = phys.allocFrame(this);
@@ -474,6 +491,7 @@ AddressSpace::walk(u64 va, bool for_write)
             return nullptr;
         }
         r->noteContent(idx);
+        bumpGeneration();
         // File-backed mappings fill from the file; anonymous ones are
         // demand-zero.
         const Mapping &m = r->map;
@@ -498,6 +516,7 @@ AddressSpace::walk(u64 va, bool for_write)
             notifyInvalidatePage(pageTrunc(va));
         }
         pte.cow = false;
+        bumpGeneration();
     }
     pte.lastUse = ++useClock;
     return &pte;
@@ -602,6 +621,7 @@ AddressSpace::forkCopy(u64 new_principal) const
     // translation would let a store dodge the copy and corrupt the
     // child's view of the shared frame.
     notifyInvalidateAll();
+    bumpGeneration();
     return child;
 }
 
@@ -656,6 +676,7 @@ AddressSpace::installFrame(u64 va, FrameRef frame)
     pte->shared = true;
     pte->cow = false;
     pte->swapped = false;
+    bumpGeneration();
     // The incoming frame may already carry capabilities stored through
     // another space's mapping, and future sibling stores are invisible
     // to this page table: conservatively (and permanently) cap-dirty.
@@ -683,6 +704,7 @@ AddressSpace::swapOutPage(u64 va)
     pte.swapSlot = slot;
     pte.frame.reset();
     pte.swapped = true;
+    bumpGeneration();
     return true;
 }
 
@@ -719,6 +741,7 @@ AddressSpace::swapOutResident(u64 max_pages)
         pte.swapSlot = slot;
         pte.frame.reset();
         pte.swapped = true;
+        bumpGeneration();
         ++evicted;
     }
     return evicted;
@@ -735,6 +758,7 @@ AddressSpace::releaseAll()
         freed += pte.frame != nullptr;
     });
     regions.clear();
+    bumpGeneration();
     return freed;
 }
 
@@ -791,7 +815,7 @@ AddressSpace::sweepPage(u64 va, u64 epoch_id,
         }
         r.granules = granulesPerPage;
         if (remaining == 0 && !pte.shared) {
-            pte.capDirty = false;
+            clearCapDirty(pte);
             r.provenClean = true;
         }
     } else if (pte.frame) {
@@ -806,7 +830,7 @@ AddressSpace::sweepPage(u64 va, u64 epoch_id,
         r.revoked = offs.size();
         r.granules = granulesPerPage;
         if (pte.frame->taggedCount() == 0 && !pte.shared) {
-            pte.capDirty = false;
+            clearCapDirty(pte);
             r.provenClean = true;
         }
         // The cached entry goes unconditionally: revoked tags must not
@@ -819,7 +843,7 @@ AddressSpace::sweepPage(u64 va, u64 epoch_id,
     } else {
         // Demand-zero page: trivially holds no capabilities.
         if (!pte.shared) {
-            pte.capDirty = false;
+            clearCapDirty(pte);
             r.provenClean = true;
         }
     }

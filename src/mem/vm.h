@@ -396,6 +396,10 @@ class AddressSpace
         const Frame *frame = nullptr;
         /** shared_ptr owner count of the frame (0 when not resident). */
         long frameRefs = 0;
+        /** The PTE's own frame reference: it stays put while
+         *  generation() is unchanged, so its use count can be read
+         *  again later without a walk. */
+        const FrameRef *frameRef = nullptr;
     };
 
     /** Which entries a page-table visit hands over. */
@@ -437,6 +441,22 @@ class AddressSpace
     /** Page-table entries (mapped pages, resident or not). */
     u64 mappedPages() const;
 
+    /**
+     * Change stamp of the page table, drawn from nextChangeStamp() at
+     * construction and again by every change to the mappings or to a
+     * PTE's frame, slot, protection, COW, shared or cap-dirty state:
+     * map, unmap, protect, demand-zero fill, COW, swap out/in,
+     * forkCopy (the parent's pages turn COW), installFrame,
+     * markCapStore setting cap-dirty, a sweep clearing it, releaseAll
+     * and restore.  Touch clocks and sweep bookkeeping (lastUse,
+     * sweptEpoch, queuedEpoch) do not move it, nor does a sibling's COW
+     * copy changing a frame's use count.  While it is unchanged, the
+     * content PTEs, their frames and their PteView::frameRef are the
+     * ones the last visit saw; the frames' own contents are stamped
+     * separately (Frame::stamp).
+     */
+    u64 generation() const { return gen; }
+
     /** Pages per leaf block of a region's page table. */
     static constexpr u64 pteBlockPages = 64;
 
@@ -473,6 +493,9 @@ class AddressSpace
   private:
     /** Checkpoint/restore rebuilds the page table entry by entry. */
     friend struct snap::Access;
+
+    /** Move generation() (const: fork turns the parent's pages COW). */
+    void bumpGeneration() const { gen = nextChangeStamp(); }
 
     struct Pte
     {
@@ -721,6 +744,9 @@ class AddressSpace
      *  it was already swept in the open epoch, queue it for re-scan. */
     void markCapStore(Pte &pte, u64 page_va);
 
+    /** A sweep proved the page clean: drop its cap-dirty bit. */
+    void clearCapDirty(Pte &pte);
+
     u64 findFree(u64 hint, u64 len) const;
 
     /** @name TLB shoot-down helpers (const: fork mutates the parent's
@@ -749,6 +775,8 @@ class AddressSpace
     std::vector<u64> redirtied;
     /** MemAccess objects caching translations of this space. */
     std::vector<MemAccess *> listeners;
+    /** See generation(). */
+    mutable u64 gen = nextChangeStamp();
 };
 
 template <AddressSpace::PteSet Which, typename OnPte, typename OnCap>
@@ -767,6 +795,7 @@ AddressSpace::forEachPteWithCaps(OnPte &&on_pte, OnCap &&on_cap) const
         v.sweptEpoch = pte.sweptEpoch;
         v.frame = pte.frame.get();
         v.frameRefs = pte.frame ? pte.frame.use_count() : 0;
+        v.frameRef = &pte.frame;
         on_pte(v);
         if (pte.frame) {
             pte.frame->forEachTagged([&](u64 off, const Capability &cap) {

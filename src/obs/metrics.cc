@@ -304,8 +304,9 @@ Metrics::toJson() const
     emitFields(w.key("revocation").beginObject(), k.revocation).endObject();
 
     // Scheduler counters (v6 schema addition).  decode_hit_rate is the
-    // fraction of instruction fetches served by the per-context decode
-    // micro-caches — the retention the unified engine buys.
+    // iTLB fetch hit rate: instruction fetches whose translation the
+    // iTLB held, over both ABIs (TlbFetchHit / (TlbFetchHit +
+    // TlbFetchMiss)).  The key keeps its older name.
     emitFields(w.key("sched").beginObject(), k.sched);
     {
         u64 hits = 0, misses = 0;

@@ -218,13 +218,6 @@ Kernel::findProcess(u64 pid)
 }
 
 void
-Kernel::forEachProcess(const std::function<void(const Process &)> &fn) const
-{
-    for (const auto &[pid, p] : procs)
-        fn(*p);
-}
-
-void
 Kernel::forEachShmFrame(
     const std::function<void(const FrameRef &)> &fn) const
 {

@@ -23,6 +23,7 @@
 #include <memory>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "mem/mem_events.h"
@@ -616,8 +617,13 @@ class Kernel : private panic::Sink, private MemEvents
      * must hold.
      */
     /// @{
-    void forEachProcess(
-        const std::function<void(const Process &)> &fn) const;
+    template <typename Fn>
+    void
+    forEachProcess(Fn &&fn) const
+    {
+        for (const auto &[pid, p] : procs)
+            fn(std::as_const(*p));
+    }
     void forEachShmFrame(
         const std::function<void(const FrameRef &)> &fn) const;
     using CheckHook = std::function<void(Process &proc, u64 code)>;

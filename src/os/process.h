@@ -103,16 +103,18 @@ class Process
      *  checking layer audits saved register files of switched-out
      *  threads, which hold tagged capabilities the kernel must have
      *  preserved intact. */
+    template <typename Fn>
     void
-    forEachThread(const std::function<void(const ThreadRecord &)> &fn) const
+    forEachThread(Fn &&fn) const
     {
         for (const auto &t : threads)
             fn(t);
     }
     /** Mutable variant: the revocation sweep clears tags in the saved
      *  register files of switched-out threads in place. */
+    template <typename Fn>
     void
-    forEachThread(const std::function<void(ThreadRecord &)> &fn)
+    forEachThread(Fn &&fn)
     {
         for (auto &t : threads)
             fn(t);

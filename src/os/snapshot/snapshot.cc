@@ -553,6 +553,7 @@ struct Access
                 transfer(ar, tag);
                 f.writeCap(tag.first, tag.second);
             }
+            f._stamp = nextChangeStamp();
         } else {
             f.forEachTagged([&](u64 off, const Capability &c) {
                 tag = {off, c};
@@ -664,6 +665,7 @@ struct Access
             ar.check(nPages == mappedPages,
                      "mapping page count does not match its page "
                      "records");
+            as.bumpGeneration();
         } else {
             // Pages of a missing block are written as the default PTE
             // they stand for, so the image is the same as for a table

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "check/diff_fuzzer.h"
 #include "check/invariants.h"
 #include "check/strfmt.h"
@@ -378,6 +380,244 @@ TEST(DiffFuzzOracle, KeventUdataAndLiveSigframeAreContained)
     ASSERT_EQ(sys.kern.sysKill(proc, proc.pid(), SIG_USR1).error, E_OK);
     ASSERT_EQ(sys.kern.deliverSignals(proc), 1u);
     expectContainment(inHandler, "sigframe 0 c5");
+}
+
+// --- the memoized oracle -------------------------------------------------
+
+// Frame contents change without touching the page table: tags planted
+// straight into a frame, then cleared by a data store.  The frame's
+// stamp moves each time, the generation does not, and the memo
+// re-examines that one page and nothing on an unchanged system.
+TEST(OracleMemo, FollowsFrameChangesBehindThePageTable)
+{
+    GuestSystem sys(Abi::CheriAbi);
+    GuestContext &ctx = *sys.ctx;
+    AddressSpace &as = sys.proc->as();
+    check::Oracle memo;
+    auto lockStep = [&] {
+        check::Report m = memo.check(sys.kern);
+        check::Report full = check::Invariants::check(sys.kern);
+        EXPECT_TRUE(m == full) << m.toString() << "vs full walk\n"
+                               << full.toString();
+        return m;
+    };
+    GuestPtr buf = ctx.mmap(pageSize);
+    ctx.store<u64>(buf, 0, 1);
+    const Frame *frame = nullptr;
+    as.forEachPte([&](const AddressSpace::PteView &v) {
+        if (v.va == buf.addr())
+            frame = v.frame;
+    });
+    ASSERT_NE(frame, nullptr);
+    ASSERT_TRUE(lockStep().ok());
+    EXPECT_EQ(lockStep().pagesRechecked, 0u) << "nothing changed";
+
+    u64 gen = as.generation();
+    u64 stamp = frame->stamp();
+    Capability cap = as.capForRange(buf.addr(), pageSize,
+                                    PROT_READ | PROT_WRITE);
+    const_cast<Frame *>(frame)->writeCap(0x20, cap);
+    EXPECT_EQ(as.generation(), gen);
+    EXPECT_NE(frame->stamp(), stamp);
+    check::Report planted = lockStep();
+    EXPECT_EQ(planted.pagesRechecked, 1u);
+    ASSERT_EQ(planted.violations.size(), 1u) << planted.toString();
+    EXPECT_EQ(planted.violations[0].rule, "cap-dirty-soundness");
+
+    // A data store over the granule clears its tag: the stamp moves.
+    stamp = frame->stamp();
+    ctx.store<u64>(buf, 0x20, 7);
+    EXPECT_NE(frame->stamp(), stamp);
+    EXPECT_TRUE(lockStep().ok());
+    // A data store over untagged granules leaves it alone.
+    stamp = frame->stamp();
+    ctx.store<u64>(buf, 0x40, 7);
+    EXPECT_EQ(frame->stamp(), stamp);
+    EXPECT_EQ(lockStep().pagesRechecked, 0u);
+
+    // A page-table change: the page goes to swap and comes back.
+    ASSERT_TRUE(as.swapOutPage(buf.addr()));
+    EXPECT_NE(as.generation(), gen);
+    EXPECT_TRUE(lockStep().ok());
+    EXPECT_EQ(ctx.load<u64>(buf, 0x40), 7u);
+    EXPECT_TRUE(lockStep().ok());
+
+    // A sweep proves the page clean and drops its cap-dirty bit: a tag
+    // planted behind the page table after that is reported.
+    ASSERT_FALSE(as.writeCap(buf.addr() + 0x60, cap));
+    EXPECT_TRUE(lockStep().ok());
+    as.sweepPage(buf.addr(), 1, [](const Capability &) { return true; });
+    EXPECT_TRUE(lockStep().ok());
+    as.forEachPte([&](const AddressSpace::PteView &v) {
+        if (v.va == buf.addr())
+            frame = v.frame;
+    });
+    const_cast<Frame *>(frame)->writeCap(0x20, cap);
+    EXPECT_EQ(lockStep().violations.size(), 1u);
+}
+
+// Seeded page operations, each followed by a memoized check and a full
+// walk that must agree: capability stores, data stores that may clear
+// a tag, protection changes, swap-out, sweeps that revoke and clear
+// cap-dirty, fork, whose COW copies change the use counts a sibling's
+// pages show, and now and then a tag planted straight into a frame,
+// the kernel bug rule 9 exists to catch.  Every operation hits a page the oracle
+// checked one step before, so a stamp a change forgets to move leaves
+// a stale record behind and the two reports part.
+TEST(OracleMemo, SeededPageOpsMatchFullWalk)
+{
+    constexpr u64 pages = 6;
+    u64 mismatches = 0;
+    u64 rechecked = 0, visited = 0;
+    for (u64 seed = 1; seed <= 12; ++seed) {
+        GuestSystem sys(Abi::CheriAbi);
+        std::vector<Process *> procs{sys.proc};
+        GuestPtr buf = sys.ctx->mmap(pages * pageSize);
+        Capability cap = sys.proc->as().capForRange(
+            buf.addr(), pages * pageSize, PROT_READ | PROT_WRITE);
+        check::Oracle memo;
+        std::mt19937_64 rng(seed);
+        u64 epoch = 0;
+        for (int step = 0; step < 300; ++step) {
+            Process &proc = *procs[rng() % procs.size()];
+            AddressSpace &as = proc.as();
+            u64 page = buf.addr() + (rng() % pages) * pageSize;
+            u64 granule = page + (rng() % granulesPerPage) * capSize;
+            switch (rng() % 9) {
+              case 0:
+              case 1:
+                (void)as.writeCap(granule, cap.setAddress(granule));
+                break;
+              case 2:
+              case 3: {
+                u64 v = rng();
+                (void)as.writeBytes(granule + rng() % capSize, &v, 4);
+                break;
+              }
+              case 4:
+                as.protect(page, pageSize,
+                           rng() % 2 ? PROT_READ : PROT_READ | PROT_WRITE);
+                break;
+              case 5:
+                as.swapOutPage(page);
+                break;
+              case 6: {
+                bool all = rng() % 2;
+                as.sweepPage(page, ++epoch,
+                             [&](const Capability &) { return all; });
+                break;
+              }
+              case 7:
+                if (procs.size() < 3)
+                    procs.push_back(sys.kern.fork(proc));
+                break;
+              case 8:
+                if (rng() % 4 == 0) {
+                    as.forEachPte([&](const AddressSpace::PteView &v) {
+                        if (v.va == page && v.frame)
+                            const_cast<Frame *>(v.frame)->writeCap(
+                                granule - page, cap.setAddress(granule));
+                    });
+                }
+                break;
+            }
+            check::Report m = memo.check(sys.kern);
+            check::Report full = check::Invariants::check(sys.kern);
+            if (!(m == full)) {
+                ++mismatches;
+                ADD_FAILURE() << "seed " << seed << " step " << step
+                              << ": memo\n"
+                              << m.toString() << "full walk\n"
+                              << full.toString();
+            }
+            rechecked += m.pagesRechecked;
+            visited += full.pagesRechecked;
+            if (mismatches > 3)
+                return;
+        }
+    }
+    EXPECT_LT(rechecked, visited);
+}
+
+// The fuzzer's oracle keeps each process's page pass between checks and
+// re-examines only what moved (check::Oracle).  Under checkFull every
+// check also runs the full walk on the same state: the two reports must
+// be equal at every check, in every mode and under tight budgets, and
+// the memo must re-examine well under a quarter of the pages the full
+// walk does.  A planted slot-refcount bug is first reported by both at
+// the same syscall.
+TEST(OracleMemo, MatchesFullWalkEveryCheck)
+{
+    struct Mode
+    {
+        const char *name;
+        u64 multiProc;
+        bool inject;
+        u64 frames, slots;
+    };
+    const Mode modes[] = {
+        {"plain", 0, false, 0, 0},
+        {"inject", 0, true, 0, 0},
+        {"multi-proc 3", 3, false, 0, 0},
+        {"plain 48/128", 0, false, 48, 128},
+        {"inject 48/128", 0, true, 48, 128},
+        {"multi-proc 3 48/128", 3, false, 48, 128},
+    };
+    check::OracleAudit total;
+    for (const Mode &mode : modes) {
+        for (u64 seed = 1; seed <= 20; ++seed) {
+            check::FuzzOptions opts;
+            opts.seed = seed;
+            opts.cases = 4;
+            opts.opsPerCase = 32;
+            opts.checkEvery = 1;
+            opts.multiProc = mode.multiProc;
+            opts.inject = mode.inject;
+            opts.frameCapacity = mode.frames;
+            opts.swapSlotBudget = mode.slots;
+            opts.checkFull = true;
+            check::FuzzReport rep = check::DiffFuzzer(opts).run();
+            EXPECT_EQ(rep.audit.mismatches, 0u)
+                << mode.name << " seed " << seed << "\n"
+                << rep.summary();
+            EXPECT_EQ(rep.audit.checks, rep.oracleRuns);
+            total.add(rep.audit, 0);
+        }
+    }
+    EXPECT_EQ(total.mismatches, 0u);
+    ASSERT_GT(total.fullPagesRechecked, 0u);
+    EXPECT_LT(total.memoPagesRechecked * 4, total.fullPagesRechecked)
+        << total.memoPagesRechecked << " of " << total.fullPagesRechecked
+        << " content pages re-examined";
+    std::printf("memo re-examined %llu of %llu content pages over %llu "
+                "checks\n",
+                static_cast<unsigned long long>(total.memoPagesRechecked),
+                static_cast<unsigned long long>(total.fullPagesRechecked),
+                static_cast<unsigned long long>(total.checks));
+
+    for (u64 seed = 1; seed <= 20; ++seed) {
+        check::FuzzOptions opts;
+        opts.seed = seed;
+        opts.cases = 2;
+        opts.opsPerCase = 24;
+        opts.checkEvery = 1;
+        opts.plantSlotBug = true;
+        opts.checkFull = true;
+        check::FuzzReport rep = check::DiffFuzzer(opts).run();
+        EXPECT_EQ(rep.audit.mismatches, 0u) << "seed " << seed;
+        EXPECT_EQ(rep.audit.memoFirstViolation, rep.audit.fullFirstViolation)
+            << "seed " << seed;
+        bool slotRule = false;
+        for (const check::CaseReport &c : rep.failures) {
+            EXPECT_EQ(c.audit.memoFirstViolation, c.audit.fullFirstViolation)
+                << "seed " << seed << " case " << c.index;
+            for (const check::Violation &v : c.violations)
+                slotRule |= v.rule == "slot-refcount";
+        }
+        if (rep.audit.fullFirstViolation) {
+            EXPECT_TRUE(slotRule) << rep.summary();
+        }
+    }
 }
 
 } // namespace

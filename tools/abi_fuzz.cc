@@ -11,11 +11,15 @@
  * Usage:
  *   abi_fuzz [--seed N] [--cases N] [--ops-per-case N] [--inject]
  *            [--check-every N] [--plant-slot-bug] [--multi-proc N]
- *            [--json]
+ *            [--check-full] [--json]
  *
  * --multi-proc N runs each case as N (2-4) guest processes executing
  * generated programs concurrently under the kernel scheduler, with the
  * invariant oracle consulted at every slice boundary.
+ *
+ * --check-full runs the full-walk oracle beside the memoized one at
+ * every check and fails the case on any difference between their
+ * reports (an "oracle-memo-mismatch" violation).
  *
  * Environment:
  *   CHERI_FUZZ_SEED          default seed when --seed is absent
@@ -50,7 +54,7 @@ usage(const char *argv0)
         stderr,
         "usage: %s [--seed N] [--cases N] [--ops-per-case N] "
         "[--inject] [--check-every N] [--plant-slot-bug] "
-        "[--multi-proc N] [--json]\n",
+        "[--multi-proc N] [--check-full] [--json]\n",
         argv0);
     return 2;
 }
@@ -96,6 +100,8 @@ main(int argc, char **argv)
                 return usage(argv[0]);
         } else if (!std::strcmp(arg, "--plant-slot-bug")) {
             opts.plantSlotBug = true;
+        } else if (!std::strcmp(arg, "--check-full")) {
+            opts.checkFull = true;
         } else if (!std::strcmp(arg, "--json")) {
             json = true;
         } else {

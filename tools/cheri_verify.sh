@@ -109,6 +109,20 @@ CHERI_TEST_FRAME_BUDGET=48 CHERI_TEST_SLOT_BUDGET=128 \
 # mix), the invariant oracle at every slice boundary, and the
 # interleaved event streams compared across ABIs.
 "$build_dir/tools/abi_fuzz" --seed 1 --cases 50 --multi-proc 3
+# Memoized oracle against the full walk: every check of seeds 1-20 runs
+# both, in the three modes and under the small budgets, and abi_fuzz
+# fails on any difference between their reports.
+for seed in $(seq 1 20); do
+    for mode in "" "--inject" "--multi-proc 3"; do
+        # shellcheck disable=SC2086  # $mode is zero or more flags
+        "$build_dir/tools/abi_fuzz" --seed "$seed" --cases 10 \
+            --check-full $mode > /dev/null
+        # shellcheck disable=SC2086
+        CHERI_TEST_FRAME_BUDGET=48 CHERI_TEST_SLOT_BUDGET=128 \
+            "$build_dir/tools/abi_fuzz" --seed "$seed" --cases 10 \
+            --check-full $mode > /dev/null
+    done
+done
 # Replay-determinism gate: record a seeded fuzz run (fault injection +
 # multi-process scheduling in the mix) and replay it from the log
 # alone; cheri_replay exits non-zero on any quiescent-point
